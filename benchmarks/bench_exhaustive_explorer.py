@@ -18,12 +18,8 @@ legacy ``copy.deepcopy``-per-edge baseline (kept as
   finishes in ~24k states);
 * **event allocation** -- ``__slots__``-backed frozen events against a
   ``__dict__``-backed clone (the pre-slots layout);
-* **shared frontier** -- the work-stealing engine with one cross-worker
-  visited store against the private-store frontier at the same worker
-  count, rated in *useful* states/sec (the serial reference state count
-  over wall time, so duplicate work shows up as lost rate, not gained);
 * **early exit** -- ``stop_on_violation`` wall time against the full
-  sweep on outside-region (violating) points, serial and shared.
+  sweep on outside-region (violating) points.
 
 Run as a script to (re)generate ``BENCH_exhaustive.json`` at the
 repository root::
@@ -46,7 +42,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import pathlib
 import sys
 import time
@@ -137,31 +132,6 @@ SYM_GRID = (
 )
 
 
-#: Shared-frontier series: private-store frontier vs the work-stealing
-#: shared-store engine at the same worker count.  Both are rated in
-#: useful states/sec = serial reference states / wall seconds, so the
-#: private engine's duplicate re-exploration shows up as lost rate.
-SHARED_GRID = (
-    {
-        "name": "protocol-a n=3 (v,v,w) jobs=2",
-        "protocol": "a",
-        "inputs": ("v", "v", "w"),
-        "k": 2, "t": 1,
-        "crash": None,
-        "jobs": 2, "visited": "compact", "cap": 200_000,
-        "smoke": True,
-    },
-    {
-        "name": "chaudhuri n=4 uniform jobs=4",
-        "protocol": "chaudhuri",
-        "inputs": ("v", "v", "v", "v"),
-        "k": 3, "t": 0,
-        "crash": None,
-        "jobs": 4, "visited": "compact", "cap": 400_000,
-        "smoke": False, "repeats": 2,
-    },
-)
-
 #: Early-exit series: outside-region points where the full sweep keeps
 #: exploring long after the first counterexample.  ``guard`` points pin
 #: the *serial* early-exit state count (deterministic) in the artifact;
@@ -174,7 +144,7 @@ EARLY_EXIT_GRID = (
         "inputs": ("v", "v", "w"),
         "k": 1, "t": 1,
         "crash": None,
-        "jobs": 2, "visited": "compact", "cap": 200_000,
+        "cap": 200_000,
         "smoke": True, "guard": True,
     },
     {
@@ -183,7 +153,7 @@ EARLY_EXIT_GRID = (
         "inputs": ("v", "w", "x", "y"),
         "k": 2, "t": 2,
         "crash": None,
-        "jobs": 2, "visited": "compact", "cap": 150_000,
+        "cap": 150_000,
         "smoke": False, "guard": False,
     },
 )
@@ -326,8 +296,8 @@ def _grid_kwargs(point: Dict[str, Any]) -> Dict[str, Any]:
     )
 
 
-#: Registered spec names for the grid protocols that run under worker
-#: processes (the factory must be picklable there; lambdas are not).
+#: Registered spec names for the timed grid protocols: the early-exit
+#: state baselines were recorded on registry-built processes.
 _SPEC_NAMES = {"a": "protocol-a@mp-cr", "chaudhuri": "chaudhuri@mp-cr"}
 
 
@@ -343,103 +313,25 @@ def _timed_explore(point: Dict[str, Any], **overrides):
     return result, time.perf_counter() - started
 
 
-def _assert_verdict_equal(name: str, reference, candidate) -> None:
-    assert candidate.violation_kinds() == reference.violation_kinds(), name
-    assert candidate.decision_sets == reference.decision_sets, name
-    assert candidate.all_ok == reference.all_ok, name
-
-
-def _measure_shared_point(point: Dict[str, Any]) -> Dict[str, Any]:
-    """Private frontier vs shared work-stealing at equal worker count.
-
-    All runs must exhaust and agree on findings; the comparison metric
-    is useful states/sec = serial states / wall seconds, which charges
-    both parallel modes for their duplicate work.  ``repeats`` rounds
-    are interleaved (serial, private, shared, serial, ...) and each
-    leg keeps its best wall time: single-core VM throughput drifts on
-    a scale of minutes, so back-to-back interleaving keeps the ratio
-    from comparing legs measured under different machine conditions.
-    """
-    jobs = point["jobs"]
-    serial = private = shared = None
-    serial_s = private_s = shared_s = math.inf
-    for _ in range(point.get("repeats", 1)):
-        serial, seconds = _timed_explore(point)
-        serial_s = min(serial_s, seconds)
-        private, seconds = _timed_explore(point, jobs=jobs)
-        private_s = min(private_s, seconds)
-        shared, seconds = _timed_explore(
-            point, jobs=jobs, shared=True, visited=point["visited"],
-        )
-        shared_s = min(shared_s, seconds)
-        for name, result in (
-            ("serial", serial), ("private", private), ("shared", shared)
-        ):
-            assert result.exhausted, f"{point['name']}: {name} hit the cap"
-        _assert_verdict_equal(point["name"], serial, private)
-        _assert_verdict_equal(point["name"], serial, shared)
-    useful = serial.states
-
-    def rate(seconds: float) -> Optional[float]:
-        return round(useful / seconds, 1) if seconds > 0 else None
-
-    return {
-        "point": point["name"],
-        "jobs": jobs,
-        "visited": point["visited"],
-        "serial_states": useful,
-        "serial_seconds": round(serial_s, 4),
-        "private_states": private.states,
-        "private_seconds": round(private_s, 4),
-        "shared_states": shared.states,
-        "shared_seconds": round(shared_s, 4),
-        "serial_useful_states_per_sec": rate(serial_s),
-        "private_useful_states_per_sec": rate(private_s),
-        "shared_useful_states_per_sec": rate(shared_s),
-        "shared_speedup_vs_private": (
-            round(private_s / shared_s, 2) if shared_s > 0 else None
-        ),
-        "duplicate_work_ratio_private": round(private.states / useful, 3),
-        "duplicate_work_ratio_shared": round(shared.states / useful, 3),
-        "stolen_subtrees": shared.stats.stolen_subtrees,
-        "shared_hits": shared.stats.shared_hits,
-        "reexplored_states": shared.stats.reexplored_states,
-    }
-
-
 def _measure_early_exit_point(point: Dict[str, Any]) -> Dict[str, Any]:
     """Full sweep vs ``stop_on_violation`` on an outside-region point."""
     full, full_s = _timed_explore(point)
     early, early_s = _timed_explore(point, stop_on_violation=True)
-    shared_early, shared_early_s = _timed_explore(
-        point, stop_on_violation=True, shared=True,
-        jobs=point["jobs"], visited=point["visited"],
-    )
     assert full.violations, f"{point['name']}: not an outside point"
-    for name, result in (("serial", early), ("shared", shared_early)):
-        assert result.violations, f"{point['name']}: {name} early exit"
-        assert not result.all_ok, point["name"]
-        assert result.violation_kinds() <= full.violation_kinds(), (
-            point["name"]
-        )
+    assert early.violations, f"{point['name']}: early exit"
+    assert not early.all_ok, point["name"]
+    assert early.violation_kinds() <= full.violation_kinds(), point["name"]
     assert early.states < full.states, point["name"]
     return {
         "point": point["name"],
-        "jobs": point["jobs"],
-        "visited": point["visited"],
         "full_states": full.states,
         "full_exhausted": full.exhausted,
         "full_seconds": round(full_s, 4),
         "full_violations": len(full.violations),
         "early_exit_states": early.states,
         "early_exit_seconds": round(early_s, 4),
-        "shared_early_exit_states": shared_early.states,
-        "shared_early_exit_seconds": round(shared_early_s, 4),
         "early_exit_speedup": (
             round(full_s / early_s, 2) if early_s > 0 else None
-        ),
-        "shared_early_exit_speedup": (
-            round(full_s / shared_early_s, 2) if shared_early_s > 0 else None
         ),
     }
 
@@ -499,11 +391,6 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
         for point in SYM_GRID
         if point["smoke"] or not smoke
     ]
-    shared_points = [
-        _measure_shared_point(point)
-        for point in SHARED_GRID
-        if point["smoke"] or not smoke
-    ]
     early_points = [
         _measure_early_exit_point(point)
         for point in EARLY_EXIT_GRID
@@ -529,7 +416,6 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
         "symmetry_states_baseline": {
             point["point"]: point["sym_states"] for point in sym_points
         },
-        "shared_frontier": shared_points,
         "early_exit": early_points,
         "early_exit_states_baseline": {
             point["point"]: point["early_exit_states"]
@@ -607,7 +493,6 @@ def test_exhaustive_throughput_smoke(benchmark):
     assert payload["symmetry_reduction"], "no symmetry points measured"
     for point in payload["symmetry_reduction"]:
         assert point["sym_states"] < point["por_states"], point
-    assert payload["shared_frontier"], "no shared-frontier points measured"
     assert payload["early_exit"], "no early-exit points measured"
     for point in payload["early_exit"]:
         assert point["early_exit_states"] < point["full_states"], point
@@ -658,21 +543,11 @@ def main(argv=None) -> int:
             f"{point['sym_states']} states, group {point['group_size']}, "
             f"{point['orbit_hits']} orbit hits{capped}"
         )
-    for point in payload["shared_frontier"]:
-        print(
-            f"SHARED {point['point']}: useful/s serial "
-            f"{point['serial_useful_states_per_sec']}, private "
-            f"{point['private_useful_states_per_sec']}, shared "
-            f"{point['shared_useful_states_per_sec']} "
-            f"(x{point['shared_speedup_vs_private']} vs private, "
-            f"{point['stolen_subtrees']} stolen subtrees)"
-        )
     for point in payload["early_exit"]:
         print(
             f"EARLY-EXIT {point['point']}: {point['full_states']} -> "
             f"{point['early_exit_states']} states, "
-            f"x{point['early_exit_speedup']} wall time "
-            f"(shared x{point['shared_early_exit_speedup']})"
+            f"x{point['early_exit_speedup']} wall time"
         )
     alloc = payload["event_allocation"]
     print(

@@ -200,13 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="split the root fan-out over N worker processes "
                         "(results are identical for every N)")
-    p.add_argument("--shared", action="store_true",
-                   help="work-stealing engine with one cross-worker "
-                        "visited store (requires --jobs; verdict-"
-                        "identical, not bit-identical)")
     p.add_argument("--stop-on-violation", action="store_true",
                    help="abandon the search at the first violation "
-                        "(cross-worker cancellation in parallel modes)")
+                        "(with --jobs, each subtree at its own first one)")
     p.add_argument("--full-dfs", action="store_true",
                    help="disable partial-order reduction (the unreduced "
                         "correctness reference)")
@@ -214,18 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="snapshot",
                    help="state-forking strategy; 'deepcopy' is the legacy "
                         "baseline (message-passing only)")
-    p.add_argument("--visited",
-                   choices=["exact", "compact", "bitstate", "disk"],
+    p.add_argument("--visited", choices=["exact", "compact"],
                    default="exact",
-                   help="visited-state store: exact dict, hash-compacted, "
-                        "fixed-memory bitstate (lossy), or sqlite-backed "
-                        "disk table shared across workers")
-    p.add_argument("--bitstate-bits", type=int, default=1 << 23,
-                   help="bit-array width for --visited bitstate "
-                        "(power of two)")
-    p.add_argument("--disk-path", default=None,
-                   help="sqlite file for --visited disk (default: a "
-                        "temporary file deleted after the run)")
+                   help="visited-state store: exact dict or 64-bit "
+                        "hash-compacted digests")
     p.add_argument("--symmetry", action="store_true",
                    help="canonicalize states modulo renaming of "
                         "interchangeable processes (auto-disabled where "
@@ -244,15 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the k grid (default 1..n)")
     p.add_argument("--ts", type=int, nargs="*", default=None,
                    help="restrict the t grid (default 0..n-1)")
-    p.add_argument("--visited",
-                   choices=["exact", "compact", "bitstate", "disk"],
+    p.add_argument("--visited", choices=["exact", "compact"],
                    default="exact")
-    p.add_argument("--disk-path", default=None,
-                   help="sqlite file for --visited disk (default: a "
-                        "temporary file deleted after the run)")
-    p.add_argument("--shared", action="store_true",
-                   help="work-stealing engine with one cross-worker "
-                        "visited store (requires --jobs)")
     p.add_argument("--stop-on-violation", action="store_true",
                    help="stop each outside-region exploration at its "
                         "first violation (verdicts unchanged)")
@@ -263,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "point INCONCLUSIVE")
     p.add_argument("--max-sends", type=int, default=1,
                    help="partial-broadcast crash depth for MP crash plans")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="certify grid points on N worker processes "
+                        "(the report is identical for every N)")
     p.add_argument("--out", default=None,
                    help="write the repro-certification/1 JSON report here")
     p.add_argument("--witness-dir", default=None,
@@ -631,26 +614,13 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_exhaustive(args) -> int:
-    from repro.harness.exhaustive import (
-        SpecFactory,
-        VisitedSpec,
-        explore_mp,
-        explore_sm,
-    )
+    from repro.harness.exhaustive import SpecFactory, explore_mp, explore_sm
 
     spec = get_spec(args.spec)
     inputs = args.inputs or [f"v{i}" for i in range(args.n)]
     validity = by_code(spec.validity)
     # A SpecFactory (not a lambda) so worker processes can unpickle it.
     factory = SpecFactory(spec.name, args.n, args.k, args.t)
-    visited = VisitedSpec(
-        kind=args.visited,
-        bitstate_bits=args.bitstate_bits,
-        disk_path=args.disk_path,
-    )
-    if args.shared and args.jobs is None:
-        print("--shared requires --jobs")
-        return 2
     if spec.is_shared_memory:
         if args.engine == "deepcopy":
             print("the deepcopy engine applies to message-passing specs only")
@@ -660,9 +630,8 @@ def _cmd_exhaustive(args) -> int:
             max_states=args.max_states,
             verify=args.verify,
             jobs=args.jobs,
-            visited=visited,
+            visited=args.visited,
             symmetry=args.symmetry,
-            shared=args.shared,
             stop_on_violation=args.stop_on_violation,
         )
     else:
@@ -673,9 +642,8 @@ def _cmd_exhaustive(args) -> int:
             por=not args.full_dfs,
             engine=args.engine,
             jobs=args.jobs,
-            visited=visited,
+            visited=args.visited,
             symmetry=args.symmetry,
-            shared=args.shared,
             stop_on_violation=args.stop_on_violation,
         )
     if result.exhausted:
@@ -689,13 +657,6 @@ def _cmd_exhaustive(args) -> int:
         f"({coverage})"
     )
     stats = result.stats
-    if stats.shared_store:
-        print(
-            f"shared frontier: {stats.stolen_subtrees} stolen subtrees, "
-            f"{stats.shared_hits} shared-store hits, "
-            f"{stats.reexplored_states} re-explored states, "
-            f"{stats.worker_failures} worker failures"
-        )
     if args.symmetry:
         if stats.symmetry:
             print(
@@ -706,14 +667,7 @@ def _cmd_exhaustive(args) -> int:
         else:
             print(f"symmetry: disabled ({stats.symmetry_reason})")
     if stats.visited_store != "exact":
-        line = f"visited store: {stats.visited_store}"
-        if stats.visited_store == "bitstate":
-            line += (
-                f" ({stats.bitstate_set_bits}/{stats.bitstate_bits} bits, "
-                f"saturation {stats.bitstate_saturation:.2%}, "
-                f"expected false hits {stats.bitstate_fp_budget:.3g})"
-            )
-        print(line)
+        print(f"visited store: {stats.visited_store}")
     probes = result.cache_hits + result.cache_misses
     if probes:
         print(
@@ -741,29 +695,21 @@ def _cmd_certify(args) -> int:
     import json
     import pathlib
 
-    from repro.harness.exhaustive import VisitedSpec
     from repro.verify.certify import certify_claims
 
     progress = None if args.quiet else (lambda line: print(f"  {line}"))
-    if args.shared and args.jobs is None:
-        print("--shared requires --jobs")
-        return 2
-    visited: object = args.visited
-    if args.visited == "disk" or args.disk_path:
-        visited = VisitedSpec(kind=args.visited, disk_path=args.disk_path)
     report = certify_claims(
         n=args.n,
         specs=args.specs,
         ks=args.ks,
         ts=args.ts,
-        visited=visited,
+        visited=args.visited,
         symmetry=not args.no_symmetry,
         max_states=args.max_states,
         jobs=args.jobs,
         max_sends=args.max_sends,
         witness_dir=args.witness_dir,
         progress=progress,
-        shared=args.shared,
         stop_on_violation=args.stop_on_violation,
     )
     counts = report.verdict_counts()
@@ -774,15 +720,6 @@ def _cmd_certify(args) -> int:
         f"certified {len(report.claims)} claims at n={report.n} "
         f"({report.total_states} states): {summary}"
     )
-    if report.shared:
-        stolen = sum(p.stolen_subtrees for c in report.claims
-                     for p in c.points)
-        redone = sum(p.reexplored_states for c in report.claims
-                     for p in c.points)
-        print(
-            f"shared frontier: {stolen} stolen subtrees, "
-            f"{redone} re-explored states"
-        )
     reasons = sorted({
         p.symmetry_reason for c in report.claims for p in c.points
         if p.symmetry_reason

@@ -43,20 +43,11 @@ subtrees are distributed over worker processes with
 are merged in frontier order -- so the merged result is bit-identical
 for every jobs count (``--jobs 1`` vs ``--jobs 8`` agree exactly).
 
-Two execution-mode extensions trade that bit-identity for speed, both
-*verdict-identical* to the default mode (same violations-found verdict;
-state counts may vary):
-
-* ``shared=True`` replaces the one-shot frontier with the work-stealing
-  scheduler of :mod:`repro.harness.shared_frontier`: workers share one
-  cross-worker visited table (:mod:`repro.harness.visited`) and shed
-  subtree roots to idle peers on demand, eliminating both the
-  duplicate-work and the load-imbalance cost of private stores.
-* ``stop_on_violation=True`` terminates the search at the first
-  recorded violation (cross-worker cancellation in the parallel
-  modes), which makes counterexample hunts over outside-region points
-  cheap -- the result then reports ``exhausted=False`` whenever a
-  violation was found.
+``stop_on_violation=True`` terminates the search at the first recorded
+violation, which makes counterexample hunts over outside-region points
+cheap -- the result then reports ``exhausted=False`` whenever a
+violation was found.  The frontier search stops each subtree at its own
+first violation, so it stays bit-identical for every jobs count.
 
 Typical use::
 
@@ -77,8 +68,6 @@ import copy
 import dataclasses
 import itertools
 import operator
-import os
-import tempfile
 from collections import Counter, deque
 from typing import (
     Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
@@ -90,9 +79,7 @@ from repro.core.values import Value
 from repro.failures.adversary import CrashAdversary
 from repro.failures.crash import CrashPlan, CrashPoint
 from repro.harness.parallel import parallel_map
-from repro.harness.visited import (
-    EXPAND_ALL, NO_SLEEP, ExactStore, VisitedSpec,
-)
+from repro.harness.visited import EXPAND_ALL, NO_SLEEP, CompactStore, ExactStore
 from repro.runtime.events import Delivery, Event, Start
 from repro.runtime.kernel import MPKernel
 from repro.runtime.process import Process
@@ -102,7 +89,6 @@ __all__ = [
     "ExplorationResult",
     "ExplorationStats",
     "SpecFactory",
-    "VisitedSpec",
     "crash_patterns",
     "explore_mp",
     "explore_sm",
@@ -131,23 +117,8 @@ class ExplorationStats:
     work the reductions actually did.
     """
 
-    #: Which visited store ran: ``exact`` / ``compact`` / ``bitstate``
-    #: / ``disk``.
+    #: Which visited store ran: ``exact`` / ``compact``.
     visited_store: str = "exact"
-    #: Whether a cross-worker (shared-memory or disk) table was in play.
-    shared_store: bool = False
-    #: Probes answered by another worker's recorded expansion.
-    shared_hits: int = 0
-    #: States expanded by this worker that some worker had already
-    #: expanded under a different sleep coverage (duplicate work the
-    #: shared table could not cut).
-    reexplored_states: int = 0
-    #: Subtree roots executed by a worker other than their producer
-    #: (work-stealing scheduler only).
-    stolen_subtrees: int = 0
-    #: Workers that died (EOF/kill) during a shared-frontier run; any
-    #: nonzero count forces ``exhausted=False``.
-    worker_failures: int = 0
     #: Whether process-permutation symmetry reduction was active.
     symmetry: bool = False
     #: Why symmetry was disabled (empty when active or never requested).
@@ -159,12 +130,6 @@ class ExplorationStats:
     #: Store hits at states whose canonical representative is a proper
     #: renaming of the raw state -- hits attributable to symmetry.
     orbit_hits: int = 0
-    #: Bitstate store only: array width, bits set, peak fill fraction,
-    #: and the accumulated expected number of false-positive hits.
-    bitstate_bits: int = 0
-    bitstate_set_bits: int = 0
-    bitstate_saturation: float = 0.0
-    bitstate_fp_budget: float = 0.0
 
 
 @dataclasses.dataclass
@@ -235,18 +200,6 @@ def _merge_into(total: ExplorationResult, part: ExplorationResult) -> None:
     total.replayed_steps += part.replayed_steps
     total.stats.canonicalizations += part.stats.canonicalizations
     total.stats.orbit_hits += part.stats.orbit_hits
-    total.stats.bitstate_set_bits += part.stats.bitstate_set_bits
-    total.stats.bitstate_saturation = max(
-        total.stats.bitstate_saturation, part.stats.bitstate_saturation
-    )
-    total.stats.bitstate_fp_budget += part.stats.bitstate_fp_budget
-    total.stats.shared_store = (
-        total.stats.shared_store or part.stats.shared_store
-    )
-    total.stats.shared_hits += part.stats.shared_hits
-    total.stats.reexplored_states += part.stats.reexplored_states
-    total.stats.stolen_subtrees += part.stats.stolen_subtrees
-    total.stats.worker_failures += part.stats.worker_failures
 
 
 def _empty_result() -> ExplorationResult:
@@ -454,7 +407,7 @@ def _fingerprint_sm(kernel) -> Tuple:
     return (states, registers, tuple(sorted(kernel._crashed)))
 
 
-# The visited stores (exact / compact / bitstate) live in
+# The visited stores (exact / compact) live in
 # :mod:`repro.harness.visited`; these aliases keep the explorer's
 # long-standing internal names stable for tests and callers.
 _EXPAND_ALL = EXPAND_ALL
@@ -462,6 +415,15 @@ _EXPAND_ALL = EXPAND_ALL
 _NO_SLEEP: Counter = NO_SLEEP
 
 _VisitedStore = ExactStore
+
+#: Visited-store kinds the ``visited`` argument selects by name.
+_STORES = {"exact": ExactStore, "compact": CompactStore}
+
+
+def _make_store(visited: str) -> _VisitedStore:
+    if visited not in _STORES:
+        raise ValueError(f"unknown visited store kind {visited!r}")
+    return _STORES[visited]()
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +615,6 @@ def _child_sleep(frame: _Frame, seq: int, por: bool) -> Set[int]:
     }
 
 
-#: DFS iterations between control-hook polls in the work-stealing
-#: engine (stop/feed messages are answered within this many choices).
-_CONTROL_INTERVAL = 64
-
-
 def _run_mp_dfs(
     kernel: MPKernel,
     path: Tuple[int, ...],
@@ -665,7 +622,6 @@ def _run_mp_dfs(
     cfg: _MPConfig,
     result: ExplorationResult,
     store: _VisitedStore,
-    control: Optional[Callable] = None,
 ) -> None:
     """Depth-first exploration from the kernel's current state.
 
@@ -679,27 +635,7 @@ def _run_mp_dfs(
         return
     if root is None:
         return
-    _drive_mp_stack(kernel, [root], cfg, result, store, control)
-
-
-def _drive_mp_stack(
-    kernel: MPKernel,
-    stack: List[_Frame],
-    cfg: _MPConfig,
-    result: ExplorationResult,
-    store: _VisitedStore,
-    control: Optional[Callable] = None,
-) -> None:
-    """Drive an explicit DFS stack of frames to completion (or abort).
-
-    ``control``, when given, is called every :data:`_CONTROL_INTERVAL`
-    iterations with ``(stack, result)``; returning ``True`` aborts the
-    search (the work-stealing worker uses the hook to answer stop and
-    shed-a-subtree requests without a second thread).  With no control
-    hook and ``stop_on_violation`` off, behaviour is bit-identical to
-    the historical single-loop DFS.
-    """
-    ticks = 0
+    stack = [root]
     while stack:
         frame = stack[-1]
         if frame.idx >= len(frame.choices):
@@ -708,13 +644,6 @@ def _drive_mp_stack(
         if result.states >= cfg.max_states:
             result.exhausted = False
             return
-        if control is not None:
-            ticks += 1
-            if ticks >= _CONTROL_INTERVAL:
-                ticks = 0
-                if control(stack, result):
-                    result.exhausted = False
-                    return
         seq = frame.choices[frame.idx]
         frame.idx += 1
         if not frame.fresh:
@@ -788,7 +717,7 @@ class _MPFrontierTask:
     dedup: bool
     verify: bool
     por: bool
-    visited: VisitedSpec
+    visited: str
     symmetry: bool
     snapshot: Any
     path: Tuple[int, ...]
@@ -838,7 +767,7 @@ def _mp_frontier_worker(task: _MPFrontierTask) -> ExplorationResult:
         task.process_factory, task.inputs, task.t, adversary
     )
     result = _empty_result()
-    store = task.visited.build()
+    store = _make_store(task.visited)
     result.stats.visited_store = store.kind
     sym = _mp_symmetry_for(
         kernel, task.inputs, task.t, adversary,
@@ -858,8 +787,6 @@ def _mp_frontier_worker(task: _MPFrontierTask) -> ExplorationResult:
     _run_mp_dfs(kernel, task.path, set(task.sleep), cfg, result, store)
     result.cache_hits = store.hits
     result.cache_misses = store.misses
-    store.flush()
-    store.fill_stats(result.stats)
     return result
 
 
@@ -877,8 +804,8 @@ def _explore_mp_frontier(
     verify: bool,
     jobs: int,
     result: ExplorationResult,
-    store,
-    visited_spec: VisitedSpec,
+    store: _VisitedStore,
+    visited: str,
     symmetry: bool,
 ) -> None:
     """Breadth-first root expansion, then parallel per-subtree DFS.
@@ -916,8 +843,6 @@ def _explore_mp_frontier(
             queue.append((kernel.snapshot(), path + (seq,), child_sleep))
     result.cache_hits = store.hits
     result.cache_misses = store.misses
-    store.flush()
-    store.fill_stats(result.stats)
     if not queue or (cfg.stop_on_violation and result.violations):
         return
     tasks = [
@@ -930,7 +855,7 @@ def _explore_mp_frontier(
             dedup=cfg.dedup,
             verify=verify,
             por=cfg.por,
-            visited=visited_spec,
+            visited=visited,
             symmetry=symmetry,
             snapshot=snapshot,
             path=path,
@@ -941,33 +866,6 @@ def _explore_mp_frontier(
     ]
     for part in parallel_map(_mp_frontier_worker, tasks, jobs=jobs):
         _merge_into(result, part)
-
-
-def _normalize_visited(
-    visited: Union[str, VisitedSpec]
-) -> Tuple[VisitedSpec, Optional[str]]:
-    """Resolve the spec; auto-provision a temp file for pathless disk.
-
-    Returns ``(spec, auto_path)``; ``auto_path`` is non-None when this
-    call created a temporary sqlite file the caller must delete after
-    the exploration (user-supplied paths are never touched).
-    """
-    spec = VisitedSpec(kind=visited) if isinstance(visited, str) else visited
-    if spec.kind == "disk" and not spec.disk_path:
-        fd, path = tempfile.mkstemp(prefix="repro-visited-", suffix=".sqlite")
-        os.close(fd)
-        return dataclasses.replace(spec, disk_path=path), path
-    return spec, None
-
-
-def _cleanup_disk(auto_path: Optional[str]) -> None:
-    if not auto_path:
-        return
-    for suffix in ("", "-wal", "-shm"):
-        try:
-            os.unlink(auto_path + suffix)
-        except OSError:  # repro: noqa[ROB001] -- best-effort temp cleanup
-            pass
 
 
 def explore_mp(
@@ -983,9 +881,8 @@ def explore_mp(
     por: bool = True,
     engine: str = "snapshot",
     jobs: Optional[int] = None,
-    visited: Union[str, VisitedSpec] = "exact",
+    visited: str = "exact",
     symmetry: bool = False,
-    shared: bool = False,
     stop_on_violation: bool = False,
 ) -> ExplorationResult:
     """Explore *every* delivery order of one message-passing instance.
@@ -1012,20 +909,14 @@ def explore_mp(
         jobs: when set, split the root fan-out across this many worker
             processes (frontier search).  Results are bit-identical for
             every value of ``jobs``, including 1.
-        visited: visited-store kind (``"exact"`` / ``"compact"`` /
-            ``"bitstate"``) or a :class:`VisitedSpec`; see
-            :mod:`repro.harness.visited`.  Lossy stores may under-
-            explore on hash collisions (recorded in ``result.stats``).
+        visited: visited-store kind, ``"exact"`` or ``"compact"``; see
+            :mod:`repro.harness.visited`.  The compact store may under-
+            explore on a 64-bit digest collision.
         symmetry: canonicalize states modulo process renaming (see
             :mod:`repro.harness.symmetry`).  Automatically disabled --
             with the reason recorded in ``result.stats`` -- for
             undeclared protocols, symmetry-breaking adversaries, and
             the deepcopy engine.
-        shared: run the work-stealing shared-frontier engine
-            (:mod:`repro.harness.shared_frontier`): one cross-worker
-            visited table, subtree stealing, cross-worker cancellation.
-            Requires ``jobs`` and the snapshot engine.  Verdict-
-            identical to the default mode, not bit-identical.
         stop_on_violation: abandon the search at the first recorded
             violation (``exhausted`` is then ``False``).  Searches that
             find no violation are unaffected.
@@ -1034,66 +925,47 @@ def explore_mp(
         raise ValueError(f"unknown engine {engine!r}")
     if jobs is not None and engine != "snapshot":
         raise ValueError("parallel exploration requires engine='snapshot'")
-    if shared and jobs is None:
-        raise ValueError("shared exploration requires jobs")
 
     problem = SCProblem(n=len(inputs), k=k, t=t, validity=validity)
     result = _empty_result()
-    visited_spec, auto_path = _normalize_visited(visited)
-    try:
-        store = visited_spec.build()
-        result.stats.visited_store = store.kind
-        kernel = _fresh_mp_kernel(process_factory, inputs, t, crash_adversary)
-        sym = _mp_symmetry_for(
-            kernel, inputs, t, crash_adversary,
-            symmetry, engine, dedup, result.stats,
+    store = _make_store(visited)
+    result.stats.visited_store = store.kind
+    kernel = _fresh_mp_kernel(process_factory, inputs, t, crash_adversary)
+    sym = _mp_symmetry_for(
+        kernel, inputs, t, crash_adversary,
+        symmetry, engine, dedup, result.stats,
+    )
+    cfg = _MPConfig(
+        judge=_make_judge(problem, verify),
+        max_states=max_states,
+        dedup=dedup,
+        por=(
+            por and engine == "snapshot"
+            and not _is_dynamic(crash_adversary)
+        ),
+        include_counters=_mp_counters_matter(crash_adversary),
+        may_crash=_may_crash_set(crash_adversary),
+        sym=sym,
+        stop_on_violation=stop_on_violation,
+    )
+
+    if jobs is not None:
+        _explore_mp_frontier(
+            process_factory, inputs, k, t, validity, crash_adversary,
+            cfg, verify, jobs, result, store, visited, symmetry,
         )
-        cfg = _MPConfig(
-            judge=_make_judge(problem, verify),
-            max_states=max_states,
-            dedup=dedup,
-            por=(
-                por and engine == "snapshot"
-                and not _is_dynamic(crash_adversary)
-            ),
-            include_counters=_mp_counters_matter(crash_adversary),
-            may_crash=_may_crash_set(crash_adversary),
-            sym=sym,
-            stop_on_violation=stop_on_violation,
-        )
-
-        if shared:
-            # Function-level import: shared_frontier imports this module.
-            from repro.harness.shared_frontier import explore_shared_mp
-
-            explore_shared_mp(
-                process_factory, inputs, k, t, validity, crash_adversary,
-                max_states, dedup, verify, cfg.por, visited_spec, symmetry,
-                stop_on_violation, jobs, kernel, result,
-            )
-            return result
-
-        if jobs is not None:
-            _explore_mp_frontier(
-                process_factory, inputs, k, t, validity, crash_adversary,
-                cfg, verify, jobs, result, store, visited_spec, symmetry,
-            )
-            return result
-
-        if engine == "deepcopy":
-            _explore_mp_deepcopy(
-                process_factory, inputs, t, crash_adversary, cfg, result,
-                store,
-            )
-        else:
-            _run_mp_dfs(kernel, (), set(), cfg, result, store)
-        result.cache_hits = store.hits
-        result.cache_misses = store.misses
-        store.flush()
-        store.fill_stats(result.stats)
         return result
-    finally:
-        _cleanup_disk(auto_path)
+
+    if engine == "deepcopy":
+        _explore_mp_deepcopy(
+            process_factory, inputs, t, crash_adversary, cfg, result,
+            store,
+        )
+    else:
+        _run_mp_dfs(kernel, (), set(), cfg, result, store)
+    result.cache_hits = store.hits
+    result.cache_misses = store.misses
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1127,7 +999,6 @@ def _run_sm_dfs(
     result: ExplorationResult,
     store: _VisitedStore,
     sym=None,
-    control: Optional[Callable] = None,
     stop_on_violation: bool = False,
 ) -> None:
     """Prefix-sharing DFS over scheduling choices of one live SM kernel.
@@ -1137,27 +1008,15 @@ def _run_sm_dfs(
     step (cost 1); only backtracks replay a prefix from the root
     (:meth:`SMKernel.restore`), and the replay totals are reported in
     ``replays``/``replayed_steps``.
-
-    ``control`` follows the same contract as :func:`_drive_mp_stack`:
-    called with ``(stack, result)`` every :data:`_CONTROL_INTERVAL`
-    iterations, returning ``True`` aborts (sets ``exhausted=False``).
     """
     from repro.shm.kernel import SMSnapshot
 
     stack: List[Tuple[int, ...]] = [tuple(kernel.choices)]
     live = None  # the prefix the kernel currently sits at
-    ticks = 0
     while stack:
         if result.states >= max_states:
             result.exhausted = False
             return
-        if control is not None:
-            ticks += 1
-            if ticks >= _CONTROL_INTERVAL:
-                ticks = 0
-                if control(stack, result):
-                    result.exhausted = False
-                    return
         prefix = stack.pop()
         if prefix == live:
             pass
@@ -1202,7 +1061,7 @@ class _SMFrontierTask:
     dedup: bool
     verify: bool
     prefix: Tuple[int, ...]
-    visited: VisitedSpec = VisitedSpec()
+    visited: str = "exact"
     symmetry: bool = False
     stop_on_violation: bool = False
 
@@ -1242,7 +1101,7 @@ def _sm_frontier_worker(task: _SMFrontierTask) -> ExplorationResult:
     )
     kernel.restore(SMSnapshot(choices=task.prefix))
     result = _empty_result()
-    store = task.visited.build()
+    store = _make_store(task.visited)
     result.stats.visited_store = store.kind
     sym = _sm_symmetry_for(
         kernel, task.inputs, task.t, task.crash_adversary,
@@ -1254,8 +1113,6 @@ def _sm_frontier_worker(task: _SMFrontierTask) -> ExplorationResult:
     )
     result.cache_hits = store.hits
     result.cache_misses = store.misses
-    store.flush()
-    store.fill_stats(result.stats)
     return result
 
 
@@ -1271,9 +1128,8 @@ def explore_sm(
     verify: bool = False,
     dedup: bool = True,
     jobs: Optional[int] = None,
-    visited: Union[str, VisitedSpec] = "exact",
+    visited: str = "exact",
     symmetry: bool = False,
-    shared: bool = False,
     stop_on_violation: bool = False,
 ) -> ExplorationResult:
     """Explore every process interleaving of a shared-memory instance.
@@ -1288,57 +1144,38 @@ def explore_sm(
 
     ``jobs`` distributes the frontier of choice prefixes across worker
     processes, merged deterministically (``programs_factory`` must then
-    be picklable, e.g. a :class:`SpecFactory`).  ``shared`` and
-    ``stop_on_violation`` match :func:`explore_mp`: work-stealing over
-    one cross-worker visited table, and first-violation cancellation.
+    be picklable, e.g. a :class:`SpecFactory`).  ``visited`` and
+    ``stop_on_violation`` match :func:`explore_mp`.
     """
-    if shared and jobs is None:
-        raise ValueError("shared exploration requires jobs")
     problem = SCProblem(n=len(inputs), k=k, t=t, validity=validity)
     judge = _make_judge(problem, verify)
     result = _empty_result()
-    visited_spec, auto_path = _normalize_visited(visited)
-    try:
-        store = visited_spec.build()
-        result.stats.visited_store = store.kind
+    store = _make_store(visited)
+    result.stats.visited_store = store.kind
 
-        kernel = _fresh_sm_kernel(
-            programs_factory, inputs, t, crash_adversary, max_ticks_per_run
+    kernel = _fresh_sm_kernel(
+        programs_factory, inputs, t, crash_adversary, max_ticks_per_run
+    )
+    sym = _sm_symmetry_for(
+        kernel, inputs, t, crash_adversary, symmetry, dedup, result.stats
+    )
+
+    if jobs is not None:
+        _explore_sm_frontier(
+            programs_factory, inputs, k, t, validity, crash_adversary,
+            max_states, max_ticks_per_run, dedup, verify, judge,
+            jobs, result, store, sym, visited, symmetry,
+            stop_on_violation,
         )
-        sym = _sm_symmetry_for(
-            kernel, inputs, t, crash_adversary, symmetry, dedup, result.stats
-        )
-
-        if shared:
-            from repro.harness.shared_frontier import explore_shared_sm
-
-            explore_shared_sm(
-                programs_factory, inputs, k, t, validity, crash_adversary,
-                max_states, max_ticks_per_run, dedup, verify, visited_spec,
-                symmetry, stop_on_violation, jobs, result,
-            )
-            return result
-
-        if jobs is not None:
-            _explore_sm_frontier(
-                programs_factory, inputs, k, t, validity, crash_adversary,
-                max_states, max_ticks_per_run, dedup, verify, judge,
-                jobs, result, store, sym, visited_spec, symmetry,
-                stop_on_violation,
-            )
-            return result
-
-        _run_sm_dfs(
-            kernel, judge, max_states, dedup, result, store, sym,
-            stop_on_violation=stop_on_violation,
-        )
-        result.cache_hits = store.hits
-        result.cache_misses = store.misses
-        store.flush()
-        store.fill_stats(result.stats)
         return result
-    finally:
-        _cleanup_disk(auto_path)
+
+    _run_sm_dfs(
+        kernel, judge, max_states, dedup, result, store, sym,
+        stop_on_violation=stop_on_violation,
+    )
+    result.cache_hits = store.hits
+    result.cache_misses = store.misses
+    return result
 
 
 def _explore_sm_frontier(
@@ -1348,7 +1185,7 @@ def _explore_sm_frontier(
     result: ExplorationResult,
     store: _VisitedStore,
     sym,
-    visited_spec: VisitedSpec,
+    visited: str,
     symmetry: bool,
     stop_on_violation: bool = False,
 ) -> None:
@@ -1387,8 +1224,6 @@ def _explore_sm_frontier(
             queue.append(prefix + (pid,))
     result.cache_hits = store.hits
     result.cache_misses = store.misses
-    store.flush()
-    store.fill_stats(result.stats)
     if not queue or (stop_on_violation and result.violations):
         return
     tasks = [
@@ -1402,7 +1237,7 @@ def _explore_sm_frontier(
             dedup=dedup,
             verify=verify,
             prefix=prefix,
-            visited=visited_spec,
+            visited=visited,
             symmetry=symmetry,
             stop_on_violation=stop_on_violation,
         )

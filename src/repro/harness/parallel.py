@@ -172,8 +172,10 @@ def supervised_pool(jobs: int) -> Iterator[ProcessPoolExecutor]:
     try:
         yield executor
     except BaseException as error:
-        # Snapshot the children first: shutdown() clears ``_processes``.
+        # Snapshot the children and the pool's manager thread first:
+        # shutdown() clears both references.
         processes = list((getattr(executor, "_processes", None) or {}).values())
+        manager = getattr(executor, "_executor_manager_thread", None)
         # Cancel: drop everything not yet running.
         executor.shutdown(wait=False, cancel_futures=True)
         # Reap: no orphaned children, whatever state the pool is in.
@@ -185,6 +187,12 @@ def supervised_pool(jobs: int) -> Iterator[ProcessPoolExecutor]:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5)
+        # After a worker death the manager thread joins the same children.
+        # When its waitpid wins the race, a child's exit code is recorded
+        # only once that thread runs again, and until then is_alive() still
+        # reports the dead child as running.
+        if manager is not None:
+            manager.join(timeout=5)
         # Report: annotate rather than replace, so callers still see
         # the original exception type (KeyboardInterrupt included).
         if hasattr(error, "add_note"):

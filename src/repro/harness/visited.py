@@ -1,11 +1,8 @@
-"""Pluggable visited-state stores for the exhaustive explorer.
+"""Visited-state stores for the exhaustive explorer.
 
 The explorer's visited store maps structural state fingerprints to the
 sleep-set coverage they were expanded under (Godefroid's combination of
-state caching with sleep sets; see
-:class:`repro.harness.exhaustive._VisitedStore`'s original docstring,
-now :class:`ExactStore`).  At ``n = 6`` the exact store's fingerprints
-dominate memory, so the store is now pluggable:
+state caching with sleep sets).  Two stores share that semantics:
 
 * ``exact``    -- the reference store: full fingerprints, full sleep
   multisets, exact Godefroid semantics.  Lossless.
@@ -14,77 +11,25 @@ dominate memory, so the store is now pluggable:
   unexplored branch, but with 64-bit digests the expected collision
   count is ``~states^2 / 2^65`` -- negligible at any reachable state
   count -- and the memory per entry drops by an order of magnitude.
-* ``bitstate`` -- bitstate hashing (Holzmann): ``hashes`` bit positions
-  per ``(fingerprint, sleep)`` key in a fixed ``bits``-wide bit array.
-  Constant memory, but false positives are *expected* once the array
-  fills; the store therefore records its saturation and an accumulated
-  false-positive budget (the sum over hits of the probability that the
-  hit was spurious), which certification uses to decide when a lossy
-  "no violation found" verdict must be escalated to an exact re-run.
-* ``disk``     -- a sqlite-backed cross-process membership table over
-  ``(fingerprint, sleep)`` digests (:class:`DiskBackedStore`), layered
-  on a worker-local :class:`CompactStore`.  The sqlite file survives
-  worker crashes (WAL journaling -- a SIGKILLed writer loses at most
-  its uncommitted batch, never corrupts the table) and lets runs that
-  outgrow RAM spill the cross-worker table to disk.
-
-The **shared-frontier** mode (``explore_mp(shared=True)``) additionally
-wraps the worker-local store with a lock-free shared-memory digest
-table (:class:`SharedVisitedStore` over :class:`SharedTables`): local
-probes keep the exact Godefroid subset semantics inside each worker,
-and the shared table adds identical-``(fingerprint, sleep)`` cuts
-*across* workers.  The table is deliberately lock-free -- a SIGKILLed
-worker can therefore never wedge survivors on a dead lock holder -- at
-the price of racy lost inserts, which only ever cause re-exploration,
-never a false hit beyond the 64-bit digest collision odds.
+  Certification still treats it as lossy: a compact run that finds no
+  counterexample is re-run on the exact store.
 
 All digests are deterministic BLAKE2b over ``repr`` (never Python's
 per-process-randomized ``hash``), so parallel frontier workers using
-private stores still merge bit-identically for every worker count.
-
-Soundness of every cross-worker layer follows the bitstate discipline:
-keys include the sleep multiset, so a probe only ever hits a state some
-worker expanded under the *identical* sleep coverage (or, for a leaf
-cover, the empty one) -- extra re-exploration is possible, an unsound
-cut is not.  Membership is recorded at expansion *start* (exactly like
-the in-memory stores), so a cut against an expansion that never
-finished (budget cap, early exit, killed worker) is only trusted when
-the merged result reports ``exhausted=True`` -- which those events all
-clear.
-
-Sleep-set soundness of ``bitstate``: the bit positions key the sleep
-multiset *together with* the fingerprint, so a probe only ever hits a
-state recorded under the identical sleep coverage -- the partial
-re-expansion machinery (which needs per-fingerprint coverage deltas) is
-simply never exercised, trading extra re-exploration for bounded
-memory, never soundness of a hit.
+private stores merge bit-identically for every worker count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import multiprocessing
-import os
-import sqlite3
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Tuple
 
 __all__ = [
-    "BitstateStore",
     "CompactStore",
-    "DiskBackedStore",
-    "DiskPairTable",
     "EXPAND_ALL",
     "ExactStore",
     "NO_SLEEP",
-    "SharedBitstateStore",
-    "SharedTables",
-    "SharedVisitedStore",
-    "VisitedSpec",
-    "make_shared_store",
-    "make_shared_tables",
-    "make_visited_store",
 ]
 
 #: Sentinel returned by ``probe`` for brand-new or fully re-expandable
@@ -119,7 +64,6 @@ class ExactStore:
     """
 
     kind = "exact"
-    lossy = False
 
     __slots__ = ("_sleeps", "hits", "misses")
 
@@ -160,16 +104,6 @@ class ExactStore:
         """Mark a state fully covered (every future probe hits)."""
         self._sleeps[self.fingerprint_key(fingerprint)] = NO_SLEEP
 
-    @property
-    def probes(self) -> int:
-        return self.hits + self.misses
-
-    def flush(self) -> None:
-        """Persist buffered membership (no-op for in-memory stores)."""
-
-    def fill_stats(self, stats) -> None:
-        """Contribute store-specific counters to an ExplorationStats."""
-
 
 class CompactStore(ExactStore):
     """Godefroid caching on 64-bit digests of fingerprints and sigs.
@@ -180,508 +114,11 @@ class CompactStore(ExactStore):
     """
 
     kind = "compact"
-    lossy = True
 
-    __slots__ = ("_memo_fp", "_memo_key")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._memo_fp: Any = None
-        self._memo_key = 0
+    __slots__ = ()
 
     def sig_key(self, sig: Tuple) -> Any:
         return _digest64(sig)
 
     def fingerprint_key(self, fingerprint: Tuple) -> Any:
-        # One-entry identity memo: the shared-frontier hybrid store
-        # re-keys the same fingerprint object several times per
-        # expansion (local probe, pair digest, bare-fp digest), and the
-        # full-fingerprint repr+BLAKE2b dominates its per-state
-        # overhead.  ``is`` keeps the memo exact.
-        if fingerprint is self._memo_fp:
-            return self._memo_key
-        key = _digest64(fingerprint)
-        self._memo_fp = fingerprint
-        self._memo_key = key
-        return key
-
-
-class BitstateStore:
-    """Bitstate (Bloom-filter) membership over ``(fingerprint, sleep)``.
-
-    ``bits`` is the bit-array width (a power of two); each key sets
-    ``hashes`` positions derived from one 16-byte BLAKE2b digest.  A
-    probe whose positions are all already set is reported as a hit --
-    possibly falsely, with probability ``saturation ** hashes`` -- so
-    the accumulated expected number of false hits is tracked in
-    ``false_positive_budget`` and surfaced through the exploration
-    stats.  ``set_covered`` is a no-op: leaves were already recorded by
-    their probe, and widening coverage cannot be represented in a bit.
-    """
-
-    kind = "bitstate"
-    lossy = True
-
-    __slots__ = (
-        "bits", "hashes", "_array", "set_bits", "hits", "misses",
-        "false_positive_budget",
-    )
-
-    def __init__(self, bits: int = 1 << 23, hashes: int = 4) -> None:
-        if bits <= 0 or bits & (bits - 1):
-            raise ValueError("bits must be a positive power of two")
-        self.bits = bits
-        self.hashes = hashes
-        self._array = bytearray(bits // 8)
-        self.set_bits = 0
-        self.hits = 0
-        self.misses = 0
-        self.false_positive_budget = 0.0
-
-    def sig_key(self, sig: Tuple) -> Any:
-        return _digest64(sig)
-
-    def _positions(self, fingerprint: Tuple, sleep: Counter):
-        key = (fingerprint, tuple(sorted(sleep.items())))
-        raw = hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
-        mask = self.bits - 1
-        value = int.from_bytes(raw, "big")
-        positions = []
-        for _ in range(self.hashes):
-            positions.append(value & mask)
-            value >>= 24
-        return positions
-
-    def probe(self, fingerprint: Tuple, sleep: Counter):
-        positions = self._positions(fingerprint, sleep)
-        array = self._array
-        hit = True
-        for position in positions:
-            byte, bit = position >> 3, 1 << (position & 7)
-            if not array[byte] & bit:
-                hit = False
-                array[byte] |= bit
-                self.set_bits += 1
-        if hit:
-            self.hits += 1
-            self.false_positive_budget += self.saturation ** self.hashes
-            return None
-        self.misses += 1
-        return EXPAND_ALL
-
-    def set_covered(self, fingerprint: Tuple) -> None:
-        pass
-
-    @property
-    def saturation(self) -> float:
-        return self.set_bits / self.bits
-
-    @property
-    def probes(self) -> int:
-        return self.hits + self.misses
-
-    def flush(self) -> None:
-        """Persist buffered membership (no-op for in-memory stores)."""
-
-    def fill_stats(self, stats) -> None:
-        stats.bitstate_bits = self.bits
-        stats.bitstate_set_bits += self.set_bits
-        stats.bitstate_saturation = max(
-            stats.bitstate_saturation, self.saturation
-        )
-        stats.bitstate_fp_budget += self.false_positive_budget
-
-
-# --------------------------------------------------------------------------
-# Cross-worker stores (shared-frontier mode and the disk-backed table)
-# --------------------------------------------------------------------------
-
-#: Open-addressing probe chain cap.  A saturated chain reports "absent"
-#: without inserting -- more re-exploration, never an unsound cut.
-_PROBE_LIMIT = 128
-
-
-def _table_probe(array, digest: int, insert: bool = True) -> bool:
-    """Lock-free open-addressed membership probe over a RawArray('Q').
-
-    Returns True iff ``digest`` was already present.  Absent digests
-    are written into the first empty slot when ``insert`` is set.  The
-    read/write pair is deliberately unsynchronized: two workers racing
-    on one empty slot lose one insert, which only costs a future
-    re-exploration (aligned 8-byte loads/stores are atomic on every
-    platform CPython runs multiprocessing on, so no torn digests).
-    """
-    slots = len(array)
-    digest = digest or 1  # slot value 0 marks "empty"
-    index = digest % slots
-    for _ in range(min(_PROBE_LIMIT, slots)):
-        value = array[index]
-        if value == digest:
-            return True
-        if value == 0:
-            if insert:
-                array[index] = digest
-            return False
-        index += 1
-        if index == slots:
-            index = 0
-    return False
-
-
-class SharedTables:
-    """Fork-inherited lock-free digest tables for the shared frontier.
-
-    ``pairs`` keys (fingerprint, sleep) expansions; ``fps`` keys bare
-    fingerprints and only feeds the duplicate-work counter.  For the
-    bitstate kind a shared bit array replaces both.  RawArrays are not
-    picklable over pipes: this object must be handed to workers at
-    ``Process(...)`` creation under the fork start method.
-    """
-
-    __slots__ = ("slots", "pairs", "fps", "bitstate")
-
-    def __init__(self, slots: int = 1 << 21, bits: Optional[int] = None):
-        if slots <= 0:
-            raise ValueError("slots must be positive")
-        self.slots = slots
-        if bits is None:
-            self.pairs = multiprocessing.RawArray("Q", slots)
-            self.fps = multiprocessing.RawArray("Q", slots)
-            self.bitstate = None
-        else:
-            if bits <= 0 or bits & (bits - 1):
-                raise ValueError("bits must be a positive power of two")
-            self.pairs = None
-            self.fps = None
-            self.bitstate = multiprocessing.RawArray("B", bits // 8)
-
-
-class _HybridStore:
-    """Worker-local Godefroid store layered over a cross-worker table.
-
-    Probes hit the local store first, preserving exact subset-hit
-    semantics within a worker (a lone worker behaves like the serial
-    store).  On a local miss, a hit in the cross-worker table for the
-    identical ``(fingerprint, sleep)`` digest means some worker already
-    expanded this state under the same coverage, so the subtree is
-    cut.  Genuine expansions record the pair digest; the bare
-    fingerprint table answers "has *any* worker expanded this state
-    before" for the ``reexplored_states`` duplicate-work counter.
-    """
-
-    lossy = True
-    shared = True
-
-    __slots__ = ("local", "shared_hits", "reexplored")
-
-    def __init__(self, local: ExactStore) -> None:
-        self.local = local
-        self.shared_hits = 0
-        self.reexplored = 0
-
-    # -- subclass hooks: cross-worker membership (probe-and-insert) --
-    def _pair_seen(self, digest: int) -> bool:
-        raise NotImplementedError
-
-    def _fp_seen(self, digest: int) -> bool:
-        raise NotImplementedError
-
-    @property
-    def kind(self) -> str:
-        return self.local.kind
-
-    def sig_key(self, sig: Tuple) -> Any:
-        return self.local.sig_key(sig)
-
-    def fingerprint_key(self, fingerprint: Tuple) -> Any:
-        return self.local.fingerprint_key(fingerprint)
-
-    def _pair_digest(self, fingerprint: Tuple, sleep: Counter) -> int:
-        # sorted by repr: sig keys may be raw tuples (exact local) or
-        # 64-bit digests (compact local); repr orders both totally.
-        items = tuple(sorted(sleep.items(), key=repr))
-        return _digest64((self.local.fingerprint_key(fingerprint), items))
-
-    def probe(self, fingerprint: Tuple, sleep: Counter):
-        verdict = self.local.probe(fingerprint, sleep)
-        if verdict is None:
-            return None
-        if self._pair_seen(self._pair_digest(fingerprint, sleep)):
-            # Another worker expanded this state under identical sleep
-            # coverage; the local store already recorded the visit, so
-            # its coverage claim is backed by that worker's expansion.
-            self.shared_hits += 1
-            return None
-        if verdict is EXPAND_ALL:
-            fp_digest = _digest64(self.local.fingerprint_key(fingerprint))
-            if self._fp_seen(fp_digest):
-                self.reexplored += 1
-        return verdict
-
-    def set_covered(self, fingerprint: Tuple) -> None:
-        self.local.set_covered(fingerprint)
-        self._pair_seen(self._pair_digest(fingerprint, NO_SLEEP))
-
-    @property
-    def hits(self) -> int:
-        return self.local.hits + self.shared_hits
-
-    @property
-    def misses(self) -> int:
-        return max(0, self.local.misses - self.shared_hits)
-
-    @property
-    def probes(self) -> int:
-        return self.local.probes
-
-    def flush(self) -> None:
-        """Persist buffered cross-worker membership (no-op in memory)."""
-
-    def fill_stats(self, stats) -> None:
-        self.local.fill_stats(stats)
-        stats.shared_store = True
-        stats.shared_hits += self.shared_hits
-        stats.reexplored_states += self.reexplored
-
-
-class SharedVisitedStore(_HybridStore):
-    """Hybrid store over fork-shared lock-free digest tables."""
-
-    __slots__ = ("_tables",)
-
-    def __init__(self, local: ExactStore, tables: SharedTables) -> None:
-        super().__init__(local)
-        if tables.pairs is None:
-            raise ValueError("SharedVisitedStore needs digest tables")
-        self._tables = tables
-
-    def _pair_seen(self, digest: int) -> bool:
-        return _table_probe(self._tables.pairs, digest)
-
-    def _fp_seen(self, digest: int) -> bool:
-        return _table_probe(self._tables.fps, digest)
-
-
-class SharedBitstateStore(BitstateStore):
-    """Bitstate membership over a fork-shared byte array.
-
-    The read-modify-write on shared bytes is unsynchronized: a racy
-    lost bit only weakens the filter.  ``set_bits`` counts only this
-    worker's sets, so saturation and the false-positive budget are
-    per-worker lower bounds -- certification treats every shared store
-    as lossy regardless, so the escalation path does not depend on
-    their precision.
-    """
-
-    shared = True
-
-    __slots__ = ("shared_hits", "reexplored")
-
-    def __init__(self, array, bits: int, hashes: int = 4) -> None:
-        if bits <= 0 or bits & (bits - 1):
-            raise ValueError("bits must be a positive power of two")
-        if len(array) != bits // 8:
-            raise ValueError("shared array does not match bits")
-        self.bits = bits
-        self.hashes = hashes
-        self._array = array
-        self.set_bits = 0
-        self.hits = 0
-        self.misses = 0
-        self.false_positive_budget = 0.0
-        self.shared_hits = 0
-        self.reexplored = 0
-
-    def fill_stats(self, stats) -> None:
-        super().fill_stats(stats)
-        stats.shared_store = True
-
-
-_DISK_SCHEMA = """
-CREATE TABLE IF NOT EXISTS pairs (d INTEGER PRIMARY KEY) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS fps (d INTEGER PRIMARY KEY) WITHOUT ROWID;
-"""
-
-
-def _signed(digest: int) -> int:
-    """Map an unsigned 64-bit digest into sqlite's signed INTEGER."""
-    return digest - (1 << 64) if digest >= (1 << 63) else digest
-
-
-class DiskPairTable:
-    """Sqlite-backed cross-process digest membership.
-
-    WAL journaling makes concurrent multi-process access safe and a
-    SIGKILLed writer lose at most its uncommitted batch -- committed
-    rows can never be corrupted.  Inserts are buffered and flushed in
-    short ``executemany`` transactions so the write lock is never held
-    across exploration work; buffered rows are visible to their own
-    worker through the positive cache before they reach the file, and
-    to other workers only after the flush (a visibility delay costs
-    duplicate work, never soundness).  Connections are lazy and
-    re-opened after fork (sqlite connections must not cross one).
-    """
-
-    _FLUSH = 256
-    _CACHE_CAP = 1 << 16
-
-    __slots__ = (
-        "path", "_conn", "_pid", "_pending_pairs", "_pending_fps", "_cache",
-    )
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._conn: Optional[sqlite3.Connection] = None
-        self._pid: Optional[int] = None
-        self._pending_pairs: List[Tuple[int]] = []
-        self._pending_fps: List[Tuple[int]] = []
-        self._cache: set = set()
-
-    def _connection(self) -> sqlite3.Connection:
-        pid = os.getpid()
-        if self._conn is None or self._pid != pid:
-            conn = sqlite3.connect(self.path, timeout=30.0)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            with conn:
-                conn.executescript(_DISK_SCHEMA)
-            self._conn = conn
-            self._pid = pid
-            self._pending_pairs = []
-            self._pending_fps = []
-            self._cache = set()
-        return self._conn
-
-    def _seen(self, table: str, digest: int) -> bool:
-        conn = self._connection()
-        pending = self._pending_pairs if table == "pairs" else self._pending_fps
-        key = _signed(digest)
-        mark = (table, key)
-        if mark in self._cache:
-            return True
-        row = conn.execute(
-            f"SELECT 1 FROM {table} WHERE d = ?", (key,)
-        ).fetchone()
-        if row is not None:
-            self._mark(mark)
-            return True
-        pending.append((key,))
-        self._mark(mark)
-        if len(pending) >= self._FLUSH:
-            self.flush()
-        return False
-
-    def _mark(self, mark) -> None:
-        if len(self._cache) >= self._CACHE_CAP:
-            self.flush()
-            self._cache.clear()
-        self._cache.add(mark)
-
-    def seen_pair(self, digest: int) -> bool:
-        return self._seen("pairs", digest)
-
-    def seen_fp(self, digest: int) -> bool:
-        return self._seen("fps", digest)
-
-    def flush(self) -> None:
-        if not self._pending_pairs and not self._pending_fps:
-            return
-        conn = self._connection()
-        with conn:
-            if self._pending_pairs:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO pairs (d) VALUES (?)",
-                    self._pending_pairs,
-                )
-                self._pending_pairs.clear()
-            if self._pending_fps:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO fps (d) VALUES (?)",
-                    self._pending_fps,
-                )
-                self._pending_fps.clear()
-
-
-class DiskBackedStore(_HybridStore):
-    """Hybrid store whose cross-worker table lives in a sqlite file.
-
-    The file is shared by *path* (picklable), so this store works in
-    every execution mode: serial, private frontier, and shared
-    frontier.  Workers that fork or unpickle the spec each open their
-    own WAL connection against the same file.
-    """
-
-    kind = "disk"
-
-    __slots__ = ("table",)
-
-    def __init__(self, path: str) -> None:
-        super().__init__(CompactStore())
-        self.table = DiskPairTable(path)
-
-    def _pair_seen(self, digest: int) -> bool:
-        return self.table.seen_pair(digest)
-
-    def _fp_seen(self, digest: int) -> bool:
-        return self.table.seen_fp(digest)
-
-    def flush(self) -> None:
-        self.table.flush()
-
-
-@dataclasses.dataclass(frozen=True)
-class VisitedSpec:
-    """Picklable visited-store configuration (threaded to workers)."""
-
-    kind: str = "exact"
-    bitstate_bits: int = 1 << 23
-    bitstate_hashes: int = 4
-    disk_path: Optional[str] = None
-    shared_slots: int = 1 << 21
-
-    def build(self) -> Union[ExactStore, BitstateStore, DiskBackedStore]:
-        if self.kind == "exact":
-            return ExactStore()
-        if self.kind == "compact":
-            return CompactStore()
-        if self.kind == "bitstate":
-            return BitstateStore(self.bitstate_bits, self.bitstate_hashes)
-        if self.kind == "disk":
-            if not self.disk_path:
-                raise ValueError(
-                    "disk visited store requires disk_path; explore_mp/"
-                    "explore_sm fill in a temporary file when omitted"
-                )
-            return DiskBackedStore(self.disk_path)
-        raise ValueError(f"unknown visited store kind {self.kind!r}")
-
-
-def make_shared_tables(spec: VisitedSpec) -> Optional[SharedTables]:
-    """Allocate the fork-shared tables the spec's shared store needs."""
-    if spec.kind == "disk":
-        return None  # the sqlite file is the shared medium
-    if spec.kind == "bitstate":
-        return SharedTables(slots=1, bits=spec.bitstate_bits)
-    return SharedTables(slots=spec.shared_slots)
-
-
-def make_shared_store(spec: VisitedSpec, tables: Optional[SharedTables]):
-    """Build one worker's store for shared-frontier exploration."""
-    if spec.kind == "disk":
-        return spec.build()
-    if tables is None:
-        raise ValueError(f"shared {spec.kind} store needs SharedTables")
-    if spec.kind == "bitstate":
-        return SharedBitstateStore(
-            tables.bitstate, spec.bitstate_bits, spec.bitstate_hashes
-        )
-    return SharedVisitedStore(spec.build(), tables)
-
-
-def make_visited_store(
-    visited: Union[str, VisitedSpec]
-) -> Tuple[Union[ExactStore, BitstateStore], VisitedSpec]:
-    """Resolve a kind string or spec into (store, normalized spec)."""
-    spec = VisitedSpec(kind=visited) if isinstance(visited, str) else visited
-    return spec.build(), spec
+        return _digest64(fingerprint)

@@ -21,12 +21,18 @@ checked artifact: for one ``n`` it sweeps every claim over the full
 * outside the region where the classifier says ``POSSIBLE`` or ``OPEN``
   the point is ``SKIPPED``: the claim says nothing there.
 
-Lossy visited stores may *miss* violations (a hash collision can cut an
-unexplored branch), so a lossy "no counterexample found" is never
-trusted: the point is re-run on the exact store before any verdict is
-downgraded to ``COUNTEREXAMPLE_MISSING`` (the re-run is flagged
-``escalated``).  This is the invariant the bitstate property tests pin:
-a false positive can cost re-verification work, never a wrong verdict.
+The compact visited store may *miss* violations (a digest collision can
+cut an unexplored branch), so a compact "no counterexample found" is
+never trusted: the point is re-run on the exact store before any
+verdict is downgraded to ``COUNTEREXAMPLE_MISSING`` (the re-run is
+flagged ``escalated``).  A collision can cost re-verification work,
+never a wrong verdict.
+
+Grid points are independent ``SC(k, t, C)`` instances, so ``jobs``
+fans whole points out over a worker pool
+(:func:`repro.harness.parallel.supervised_pool`) while each point's
+explorations run serially inside its worker.  The report is therefore
+identical for every ``jobs``.
 
 Byzantine-model claims are certified under the crash-restricted
 sub-adversary the explorer models; crash failures are a subset of
@@ -40,21 +46,22 @@ guards (``repro certify --check-baseline``).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import pathlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.solvability import Solvability, classify
 from repro.core.validity import by_code
 from repro.failures.crash import CrashPlan, CrashPoint
 from repro.harness.exhaustive import (
     SpecFactory,
-    VisitedSpec,
     crash_patterns,
     explore_mp,
     explore_sm,
 )
+from repro.harness.parallel import resolve_jobs, supervised_pool
 from repro.paper import CLAIMED_REGIONS, ClaimedRegion
 from repro.verify.witness import (
     confirm_exploration,
@@ -105,11 +112,6 @@ class PointResult:
     #: surfaces e.g. the sim-* simulation wrappers' refusal instead of
     #: silently exploring unreduced.
     symmetry_reason: str = ""
-    #: Whether any exploration of this point used a cross-worker store.
-    shared: bool = False
-    #: Work-stealing duplicate-work counters, summed over explorations.
-    stolen_subtrees: int = 0
-    reexplored_states: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -155,7 +157,6 @@ class CertificationReport:
     n: int
     visited: str
     symmetry: bool
-    shared: bool = False
     stop_on_violation: bool = False
     claims: List[ClaimResult] = dataclasses.field(default_factory=list)
     skipped_specs: List[str] = dataclasses.field(default_factory=list)
@@ -181,7 +182,6 @@ class CertificationReport:
             "n": self.n,
             "visited": self.visited,
             "symmetry": self.symmetry,
-            "shared": self.shared,
             "stop_on_violation": self.stop_on_violation,
             "ok": self.ok,
             "total_states": self.total_states,
@@ -235,42 +235,38 @@ def _sm_crash_plans(n: int, t: int) -> List[Optional[CrashPlan]]:
     return plans
 
 
+@dataclasses.dataclass(frozen=True)
+class _PointTask:
+    """One ``(k, t)`` grid point of one claim, picklable for the pool."""
+
+    claim: ClaimedRegion
+    n: int
+    k: int
+    t: int
+    visited: str
+    symmetry: bool
+    max_states: int
+    max_sends: int
+    witness_dir: Optional[pathlib.Path]
+    stop_on_violation: bool
+
+
 def _explore_point(
+    task: _PointTask,
     spec,
     inputs: Sequence[str],
-    n: int,
-    k: int,
-    t: int,
     plan: Optional[CrashPlan],
-    visited: Union[str, VisitedSpec],
-    symmetry: bool,
-    max_states: int,
-    jobs: Optional[int],
-    shared: bool = False,
-    stop_on_violation: bool = False,
+    visited: str,
 ):
-    factory = SpecFactory(spec.name, n, k, t)
-    validity = by_code(spec.validity)
-    if spec.is_shared_memory:
-        return factory, explore_sm(
-            factory, inputs, k, t, validity,
-            crash_adversary=plan,
-            max_states=max_states,
-            jobs=jobs,
-            visited=visited,
-            symmetry=symmetry,
-            shared=shared,
-            stop_on_violation=stop_on_violation,
-        )
-    return factory, explore_mp(
-        factory, inputs, k, t, validity,
+    explore = explore_sm if spec.is_shared_memory else explore_mp
+    return explore(
+        SpecFactory(spec.name, task.n, task.k, task.t),
+        inputs, task.k, task.t, by_code(spec.validity),
         crash_adversary=plan,
-        max_states=max_states,
-        jobs=jobs,
+        max_states=task.max_states,
         visited=visited,
-        symmetry=symmetry,
-        shared=shared,
-        stop_on_violation=stop_on_violation,
+        symmetry=task.symmetry,
+        stop_on_violation=task.stop_on_violation,
     )
 
 
@@ -278,9 +274,6 @@ def _note_stats(point: PointResult, result) -> None:
     """Fold one exploration's observability stats into the point."""
     point.explorations += 1
     point.states += result.states
-    point.shared = point.shared or result.stats.shared_store
-    point.stolen_subtrees += result.stats.stolen_subtrees
-    point.reexplored_states += result.stats.reexplored_states
     if not point.symmetry_reason and result.stats.symmetry_reason:
         point.symmetry_reason = result.stats.symmetry_reason
 
@@ -290,19 +283,13 @@ def _note_stats(point: PointResult, result) -> None:
 
 
 def _certify_inside(
-    spec, point: PointResult, n: int,
+    task: _PointTask, spec, point: PointResult,
     instances: List[Tuple[str, List[str], Optional[CrashPlan]]],
-    visited, symmetry, max_states, jobs,
-    shared: bool = False, stop_on_violation: bool = False,
 ) -> None:
     """Inside the claimed region every instance must come back clean."""
     for label, inputs, plan in instances:
         try:
-            _, result = _explore_point(
-                spec, inputs, n, point.k, point.t, plan,
-                visited, symmetry, max_states, jobs,
-                shared, stop_on_violation,
-            )
+            result = _explore_point(task, spec, inputs, plan, task.visited)
         except Exception as exc:  # pragma: no cover - claim must build
             point.verdict = "REFUTED"
             point.note = f"factory failed inside region ({label}): {exc}"
@@ -323,46 +310,23 @@ def _certify_inside(
 
 
 def _certify_outside_impossible(
-    spec, point: PointResult, n: int,
+    task: _PointTask, spec, point: PointResult,
     instances: List[Tuple[str, List[str], Optional[CrashPlan]]],
-    visited, symmetry, max_states, jobs,
-    witness_dir: Optional[pathlib.Path],
-    shared: bool = False, stop_on_violation: bool = False,
 ) -> None:
     """Outside + IMPOSSIBLE: find, re-prove, and save one counterexample."""
-    # Shared-frontier runs are lossy as a *mode*, independent of the
-    # store kind: cross-worker cuts are keyed on digests, so "no
-    # violation found" must be escalated exactly like a lossy store's.
-    store_is_lossy = shared or not (
-        visited == "exact"
-        or (isinstance(visited, VisitedSpec) and visited.kind == "exact")
-    )
     for label, inputs, plan in instances:
         try:
-            factory, result = _explore_point(
-                spec, inputs, n, point.k, point.t, plan,
-                visited, symmetry, max_states, jobs,
-                shared, stop_on_violation,
-            )
+            result = _explore_point(task, spec, inputs, plan, task.visited)
         except Exception as exc:
             point.verdict = "REGION_GUARDED"
             point.note = f"factory refuses outside region: {exc}"
             return
         _note_stats(point, result)
-        if not result.violations and store_is_lossy:
-            # A lossy store may have cut the violating branch on a hash
-            # collision; only the exact store (private, deterministic
-            # mode) may testify to absence.
-            try:
-                factory, result = _explore_point(
-                    spec, inputs, n, point.k, point.t, plan,
-                    "exact", symmetry, max_states, jobs,
-                    shared=False, stop_on_violation=stop_on_violation,
-                )
-            except Exception as exc:  # pragma: no cover - built above
-                point.verdict = "REGION_GUARDED"
-                point.note = f"factory refuses outside region: {exc}"
-                return
+        if not result.violations and task.visited != "exact":
+            # The compact store may have cut the violating branch on a
+            # digest collision; only the exact store may testify to
+            # absence.
+            result = _explore_point(task, spec, inputs, plan, "exact")
             point.escalated = True
             _note_stats(point, result)
         if result.violations:
@@ -375,15 +339,15 @@ def _certify_outside_impossible(
                 result, spec.name, inputs, point.k, point.t,
                 crash_adversary=plan, validity=spec.validity,
             )
-            if witness_dir is not None:
+            if task.witness_dir is not None:
                 witness = exploration_witnesses(
                     result, spec.name, inputs, point.k, point.t,
                     crash_adversary=plan, validity=spec.validity,
                 )[0]
-                path = witness_dir / (
-                    f"{spec.name}-n{n}-k{point.k}-t{point.t}.json"
+                path = task.witness_dir / (
+                    f"{spec.name}-n{task.n}-k{point.k}-t{point.t}.json"
                 )
-                witness_dir.mkdir(parents=True, exist_ok=True)
+                task.witness_dir.mkdir(parents=True, exist_ok=True)
                 save_witness(witness, path)
                 point.witness_path = str(path)
             point.verdict = "COUNTEREXAMPLE_CONFIRMED"
@@ -408,7 +372,7 @@ def certify_claims(
     specs: Optional[Sequence[str]] = None,
     ks: Optional[Sequence[int]] = None,
     ts: Optional[Sequence[int]] = None,
-    visited: Union[str, VisitedSpec] = "exact",
+    visited: str = "exact",
     symmetry: bool = True,
     max_states: int = 500_000,
     jobs: Optional[int] = None,
@@ -416,7 +380,6 @@ def certify_claims(
     include_sim: bool = False,
     witness_dir: Optional[Union[str, pathlib.Path]] = None,
     progress=None,
-    shared: bool = False,
     stop_on_violation: bool = False,
 ) -> CertificationReport:
     """Certify ``CLAIMED_REGIONS`` exhaustively at one ``n``.
@@ -425,12 +388,17 @@ def certify_claims(
         n: system size; the grid is ``k in 1..n`` x ``t in 0..n-1``
             (restrictable via ``ks``/``ts``).
         specs: spec-name filter (default: every claim).
-        visited: visited-store selection for the underlying explorer.
-            Lossy stores escalate absent counterexamples to ``exact``.
+        visited: visited-store kind for the underlying explorer,
+            ``"exact"`` or ``"compact"``.  Compact runs escalate absent
+            counterexamples to ``exact``.
         symmetry: enable process-permutation reduction (on by default;
             the explorer drops it automatically where unsound).
         max_states: per-exploration state budget; exceeding it makes a
             point ``INCONCLUSIVE``, never silently certified.
+        jobs: certify grid points on this many worker processes (``0``
+            means one per core).  Each point's explorations run
+            serially inside its worker, so the report is identical for
+            every value, including the default serial ``None``.
         max_sends: partial-broadcast crash depth for MP crash plans
             (see :func:`repro.harness.exhaustive.crash_patterns`).
         include_sim: also certify the ``sim-*`` simulation claims
@@ -438,21 +406,16 @@ def certify_claims(
             simulated protocol's own exploration).
         witness_dir: when set, counterexample witnesses are saved here.
         progress: optional callable invoked as ``progress(message)``
-            after every finished point (the CLI prints these).
-        shared: explore with the work-stealing shared-frontier engine
-            (requires ``jobs``); "no violation" verdicts then escalate
-            to a private exact re-run like any lossy store's.
+            after every finished point, in grid order (the CLI prints
+            these).
         stop_on_violation: abandon each exploration at its first
             violation -- outside-region counterexample hunts return at
             the first hit instead of exploring to exhaustion.
     """
-    if shared and jobs is None:
-        raise ValueError("shared certification requires jobs")
     report = CertificationReport(
         n=n,
-        visited=visited if isinstance(visited, str) else visited.kind,
+        visited=visited,
         symmetry=symmetry,
-        shared=shared,
         stop_on_violation=stop_on_violation,
     )
     directory = pathlib.Path(witness_dir) if witness_dir else None
@@ -460,6 +423,8 @@ def certify_claims(
     k_values = list(ks) if ks is not None else list(range(1, n + 1))
     t_values = list(ts) if ts is not None else list(range(n))
 
+    tasks: List[_PointTask] = []
+    owners: List[ClaimResult] = []
     for claim in CLAIMED_REGIONS:
         if wanted is not None and claim.spec_name not in wanted:
             continue
@@ -467,7 +432,6 @@ def certify_claims(
             if wanted is None:
                 report.skipped_specs.append(claim.spec_name)
                 continue
-        spec = _registry_spec(claim)
         result = ClaimResult(
             spec_name=claim.spec_name,
             protocol=claim.protocol,
@@ -482,20 +446,29 @@ def certify_claims(
                 "counterexamples transfer; solvable confirmations cover "
                 "crash failures only"
             )
+        report.claims.append(result)
         for k in k_values:
             for t in t_values:
-                point = _certify_point(
-                    claim, spec, n, k, t, visited, symmetry,
-                    max_states, jobs, max_sends, directory,
-                    shared, stop_on_violation,
+                tasks.append(_PointTask(
+                    claim, n, k, t, visited, symmetry, max_states,
+                    max_sends, directory, stop_on_violation,
+                ))
+                owners.append(result)
+
+    workers = 1 if jobs is None else min(resolve_jobs(jobs), len(tasks))
+    with contextlib.ExitStack() as stack:
+        # Both maps yield in task order, so points land in grid order.
+        points: Iterator[PointResult] = map(_certify_point, tasks)
+        if workers > 1:
+            pool = stack.enter_context(supervised_pool(workers))
+            points = pool.map(_certify_point, tasks)
+        for owner, task, point in zip(owners, tasks, points):
+            owner.points.append(point)
+            if progress is not None:
+                progress(
+                    f"{task.claim.spec_name} k={task.k} t={task.t}: "
+                    f"{point.verdict} ({point.states} states)"
                 )
-                result.points.append(point)
-                if progress is not None:
-                    progress(
-                        f"{claim.spec_name} k={k} t={t}: {point.verdict}"
-                        f" ({point.states} states)"
-                    )
-        report.claims.append(result)
     return report
 
 
@@ -506,12 +479,10 @@ def _registry_spec(claim: ClaimedRegion):
     return get_spec(claim.spec_name)
 
 
-def _certify_point(
-    claim: ClaimedRegion, spec, n: int, k: int, t: int,
-    visited, symmetry, max_states, jobs, max_sends,
-    witness_dir: Optional[pathlib.Path],
-    shared: bool = False, stop_on_violation: bool = False,
-) -> PointResult:
+def _certify_point(task: _PointTask) -> PointResult:
+    """Certify one grid point (runs in a pool worker under ``jobs``)."""
+    claim, n, k, t = task.claim, task.n, task.k, task.t
+    spec = _registry_spec(claim)
     classification = classify(
         claim.model, by_code(claim.validity), n, k, t
     )
@@ -524,22 +495,16 @@ def _certify_point(
     if spec.is_shared_memory:
         plans = _sm_crash_plans(n, t)
     else:
-        plans = crash_patterns(n, t, max_sends)
+        plans = crash_patterns(n, t, task.max_sends)
     instances = [
         (label, inputs, plan)
         for label, inputs in _input_patterns(n)
         for plan in plans
     ]
     if inside:
-        _certify_inside(
-            spec, point, n, instances, visited, symmetry, max_states, jobs,
-            shared, stop_on_violation,
-        )
+        _certify_inside(task, spec, point, instances)
     elif classification.status is Solvability.IMPOSSIBLE:
-        _certify_outside_impossible(
-            spec, point, n, instances, visited, symmetry, max_states,
-            jobs, witness_dir, shared, stop_on_violation,
-        )
+        _certify_outside_impossible(task, spec, point, instances)
     else:
         point.note = (
             f"outside claimed region, classifier says "

@@ -5,15 +5,16 @@ claimed-region table is *checked*, not transcribed: solvable claims come
 back from clean exhaustive sweeps, impossibility claims come back with a
 replayed counterexample.  These tests pin the report format, the verdict
 semantics (including the lossy-store escalation invariant), witness
-replayability, and the CLI baseline guard used by the certify-smoke CI
-job.
+replayability, the fan-out of grid points under ``jobs`` (the report is
+identical for every worker count), and the CLI baseline guard used by
+the certify-smoke CI job.
 """
 
 import json
 
 import pytest
 
-from repro.harness.exhaustive import VisitedSpec
+import repro.harness.visited as visited_stores
 from repro.verify.certify import (
     REPORT_FORMAT,
     VERDICTS,
@@ -104,18 +105,19 @@ class TestWitnesses:
 
 
 class TestLossyStores:
-    def test_bitstate_never_flips_an_impossibility_verdict(self):
-        """A saturated 64-bit array false-hits constantly; the escalation
-        to the exact store must still deliver the counterexample."""
+    def test_lossy_store_never_flips_an_impossibility_verdict(
+        self, monkeypatch
+    ):
+        """With every digest colliding, the compact store cuts the whole
+        search below the root and finds nothing; the escalation to the
+        exact store must still deliver the counterexample."""
+        monkeypatch.setattr(visited_stores, "_digest64", lambda value: 0)
         report = certify_claims(
-            n=3, specs=["trivial@mp-cr"], ks=[1], ts=[1],
-            visited=VisitedSpec(
-                kind="bitstate", bitstate_bits=64, bitstate_hashes=2
-            ),
+            n=3, specs=["trivial@mp-cr"], ks=[1], ts=[1], visited="compact",
         )
         (point,) = report.claims[0].points
+        assert point.escalated
         assert point.verdict == "COUNTEREXAMPLE_CONFIRMED"
-        assert point.verdict != "COUNTEREXAMPLE_MISSING"
 
     def test_compact_store_agrees_with_exact(self):
         exact = certify_claims(n=3, specs=["trivial@mp-cr"], ks=[3], ts=[1])
@@ -128,40 +130,28 @@ class TestLossyStores:
         )
 
 
-class TestSharedFrontierCertification:
-    def test_shared_requires_jobs(self):
-        with pytest.raises(ValueError):
-            certify_claims(
-                n=3, specs=["trivial@mp-cr"], ks=[3], ts=[0], shared=True,
-            )
-
-    def test_shared_early_exit_report(self):
-        """The work-stealing engine with early exit certifies the same
-        verdicts; the report records the mode and the shared store is
-        treated as lossy (escalation still lands the counterexample)."""
+class TestReportModes:
+    def test_early_exit_report(self):
+        """Fanned-out points with early exit certify the same verdicts,
+        and the report records the mode."""
         report = certify_claims(
             n=3, specs=["trivial@mp-cr"], ks=[1, 3], ts=[1],
-            visited="compact", jobs=2, shared=True, stop_on_violation=True,
+            visited="compact", jobs=2, stop_on_violation=True,
         )
-        assert report.shared and report.stop_on_violation
+        assert report.stop_on_violation
         verdicts = {
             (p.k, p.t): p.verdict for p in report.claims[0].points
         }
         assert verdicts[(1, 1)] == "COUNTEREXAMPLE_CONFIRMED"
         assert verdicts[(3, 1)] == "CONFIRMED_SOLVABLE"
         data = report.to_dict()
-        assert data["shared"] is True
         assert data["stop_on_violation"] is True
         for claim in data["claims"]:
             for point in claim["points"]:
-                assert point["shared"] is True
-                assert "stolen_subtrees" in point
-                assert "reexplored_states" in point
                 assert "symmetry_reason" in point
 
     def test_serial_report_records_modes_off(self, trivial_report):
         data = trivial_report.to_dict()
-        assert data["shared"] is False
         assert data["stop_on_violation"] is False
 
     def test_symmetry_refusal_reason_surfaced(self):
@@ -193,13 +183,54 @@ class TestSweepFilters:
         assert (point.k, point.t) == (3, 0)
 
     def test_progress_callback_fires_per_point(self):
-        lines = []
-        certify_claims(
-            n=3, specs=["trivial@mp-cr"], ks=[3], ts=[0],
-            progress=lines.append,
-        )
-        assert len(lines) == 1
-        assert "trivial@mp-cr k=3 t=0" in lines[0]
+        grid = [
+            f"{spec} k={k} t={t}:"
+            for spec in ("trivial@mp-cr", "trivial@sm-cr")
+            for k in (1, 3) for t in (0, 1)
+        ]
+        for jobs in (None, 2):
+            lines = []
+            certify_claims(
+                n=3, specs=["trivial@mp-cr", "trivial@sm-cr"],
+                ks=[1, 3], ts=[0, 1], jobs=jobs, progress=lines.append,
+            )
+            assert len(lines) == len(grid), jobs
+            for line, point in zip(lines, grid):
+                assert line.startswith(point), (jobs, line)
+
+
+class TestGridFanOut:
+    """``jobs`` fans whole grid points out; nothing in the report moves."""
+
+    SPECS = ["trivial@mp-cr", "trivial@sm-cr"]
+
+    def test_jobs_report_equals_serial(self):
+        serial = certify_claims(n=3, specs=self.SPECS)
+        fanned = certify_claims(n=3, specs=self.SPECS, jobs=2)
+        assert fanned.to_dict() == serial.to_dict()
+        # Both kernels and the three verdict paths are on the grid.
+        assert [c.spec_name for c in serial.claims] == self.SPECS
+        counts = serial.verdict_counts()
+        for verdict in (
+            "SKIPPED", "COUNTEREXAMPLE_CONFIRMED", "CONFIRMED_SOLVABLE"
+        ):
+            assert counts[verdict] > 0, verdict
+
+    def test_jobs_writes_the_serial_witness_files(self, tmp_path):
+        def witnesses(jobs):
+            directory = tmp_path / f"jobs-{jobs}"
+            certify_claims(
+                n=3, specs=self.SPECS, ks=[1, 2], ts=[1],
+                witness_dir=directory, jobs=jobs,
+            )
+            return {
+                path.name: path.read_text()
+                for path in sorted(directory.iterdir())
+            }
+
+        serial = witnesses(None)
+        assert serial
+        assert witnesses(2) == serial
 
 
 def _fake_report():

@@ -6,7 +6,10 @@ deepcopy engine), sleep-set partial-order reduction (vs the full DFS),
 and the parallel frontier search (vs serial).  These tests pin the
 equivalences on instances small enough to exhaust, including a known-
 violating ablation -- the reductions must find the same counterexamples,
-not just the same clean bills of health.
+not just the same clean bills of health.  Early exit
+(``stop_on_violation``) is pinned here too: it must stay bit-identical
+per worker count and may only ever report violations the full search
+finds.
 """
 
 import pytest
@@ -182,18 +185,66 @@ class TestSerialVsParallelFrontier:
         assert serial.exhausted and fanned.exhausted
         _same_findings(serial, fanned)
 
+    def test_mp_frontier_jobs4_agrees_with_serial_dfs(self):
+        factory = SpecFactory("protocol-a@mp-cr", n=3, k=2, t=1)
+        serial = explore_mp(
+            factory, ["v", "v", "w"], k=2, t=1, validity=RV2,
+        )
+        fanned = explore_mp(
+            factory, ["v", "v", "w"], k=2, t=1, validity=RV2, jobs=4,
+        )
+        assert serial.exhausted and serial.all_ok
+        assert fanned.exhausted
+        _same_findings(serial, fanned)
+
+
+class TestEarlyExit:
+    """``stop_on_violation`` on violating instances, serial and fanned."""
+
+    def test_private_frontier_early_exit_stays_bit_identical(self):
+        """Early exit in the private frontier stops each subtree at its
+        own first violation, so bit-identity per worker count holds."""
+        factory = SpecFactory("protocol-a@mp-cr", n=3, k=2, t=1)
+
+        def run(jobs):
+            return explore_mp(
+                factory, ["v", "v", "w"], k=1, t=1, validity=RV2,
+                jobs=jobs, stop_on_violation=True,
+            )
+
+        one = run(jobs=1)
+        fanned = run(jobs=3)
+        assert one == fanned
+        assert one.violations and not one.exhausted
+
+    def test_sm_early_exit_serial_and_fanned(self):
+        """PROTOCOL E built for k=2 violates 1-agreement at n=2, t=0."""
+        factory = SpecFactory("protocol-e@sm-cr", n=2, k=2, t=2)
+
+        def run(jobs=None, stop=False):
+            return explore_sm(
+                factory, ["a", "b"], k=1, t=0, validity=RV2,
+                jobs=jobs, stop_on_violation=stop,
+            )
+
+        full = run()
+        assert full.exhausted and not full.all_ok
+        for jobs in (None, 2):
+            early = run(jobs=jobs, stop=True)
+            assert early.violations and not early.exhausted, jobs
+            assert early.violation_kinds() <= full.violation_kinds(), jobs
+
 
 class TestSymmetryVisitedMatrix:
     """Symmetry reduction x visited store x worker count.
 
     Every combination must find exactly what the full DFS finds; the
-    lossy stores may change *how much* is explored (bitstate false
-    positives cut branches sleep-soundly, worker-private stores re-cover
-    overlaps) but never the findings, and ``--jobs`` stays bit-identical
-    for every store/symmetry selection.
+    reductions may change *how much* is explored (worker-private stores
+    re-cover overlaps) but never the findings, and ``--jobs`` stays
+    bit-identical for every store/symmetry selection.
     """
 
-    STORES = ("exact", "compact", "bitstate")
+    STORES = ("exact", "compact")
 
     def test_clean_instance_matrix(self):
         factory = SpecFactory("protocol-a@mp-cr", n=3, k=2, t=1)

@@ -1,6 +1,6 @@
-"""Unit tests for the pluggable visited stores.
+"""Unit tests for the visited stores.
 
-The explorer's correctness leans on three store-level contracts:
+The explorer's correctness leans on two store-level contracts:
 
 * Godefroid semantics (exact/compact): a probe under a superset sleep
   is a hit, a probe under an incomparable sleep re-expands exactly the
@@ -9,24 +9,19 @@ The explorer's correctness leans on three store-level contracts:
 * Determinism: digests come from BLAKE2b over ``repr``, never Python's
   per-process-randomized ``hash``, so two independently built stores
   agree bit for bit (the parallel frontier merge relies on this).
-* Bitstate lossiness is one-sided: a probe returns only hit or
-  EXPAND_ALL (never a partial re-expansion), false positives are
-  *recorded* in a budget, and ``set_covered`` is a no-op (a bit cannot
-  represent widened coverage).
 """
 
 from collections import Counter
 
 import pytest
 
+from repro.core.validity import RV2
+from repro.harness.exhaustive import SpecFactory, explore_mp, explore_sm
 from repro.harness.visited import (
     EXPAND_ALL,
-    BitstateStore,
     CompactStore,
     ExactStore,
     NO_SLEEP,
-    VisitedSpec,
-    make_visited_store,
 )
 
 FP = ("state", 1, ("a", "b"))
@@ -121,95 +116,27 @@ class TestCompactStore:
         assert store.fingerprint_key(FP) != store.fingerprint_key(OTHER)
 
 
-class TestBitstateStore:
-    def test_bits_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            BitstateStore(bits=100)
-        with pytest.raises(ValueError):
-            BitstateStore(bits=0)
+class TestStoreSelection:
+    """The explorers build their store from a kind name."""
 
-    def test_new_key_expands_all_and_sets_bits(self):
-        store = BitstateStore(bits=1 << 10, hashes=4)
-        assert store.probe(FP, NO_SLEEP) is EXPAND_ALL
-        assert 1 <= store.set_bits <= 4
-        assert store.saturation == store.set_bits / (1 << 10)
-
-    def test_repeat_probe_hits_and_accrues_budget(self):
-        store = BitstateStore(bits=1 << 10, hashes=4)
-        store.probe(FP, NO_SLEEP)
-        assert store.probe(FP, NO_SLEEP) is None
-        assert store.hits == 1
-        assert store.false_positive_budget == store.saturation ** 4
-
-    def test_sleep_is_part_of_the_key(self):
-        # A hit under a *different* sleep would be unsound (the cached
-        # subtree may have skipped exactly the continuations the
-        # revisit needs), so sleep is hashed into the bit positions.
-        store = BitstateStore(bits=1 << 16, hashes=4)
-        store.probe(FP, Counter([store.sig_key(SIG_X)]))
-        assert store.probe(FP, NO_SLEEP) is EXPAND_ALL
-
-    def test_never_returns_partial_reexpansion(self):
-        store = BitstateStore(bits=1 << 16, hashes=4)
-        for sleep in (NO_SLEEP, Counter([store.sig_key(SIG_X)])):
-            result = store.probe(FP, sleep)
-            assert result is EXPAND_ALL or result is None
-
-    def test_set_covered_is_a_noop(self):
-        store = BitstateStore(bits=1 << 16, hashes=4)
-        store.set_covered(FP)
-        assert store.set_bits == 0
-        assert store.probe(FP, NO_SLEEP) is EXPAND_ALL
-
-    def test_positions_deterministic_across_instances(self):
-        a = BitstateStore(bits=1 << 12, hashes=4)
-        b = BitstateStore(bits=1 << 12, hashes=4)
-        for fp in (FP, OTHER, ("x", 3)):
-            assert a._positions(fp, NO_SLEEP) == b._positions(fp, NO_SLEEP)
-
-    def test_tiny_array_saturates_and_false_hits_are_budgeted(self):
-        store = BitstateStore(bits=64, hashes=2)
-        for i in range(200):
-            store.probe(("state", i), NO_SLEEP)
-        assert store.saturation > 0.5
-        # With 64 bits and 200 distinct keys some probes inevitably
-        # collided; the budget must reflect a non-trivial expectation.
-        assert store.hits > 0
-        assert store.false_positive_budget > 0
-
-    def test_fill_stats(self):
-        from repro.harness.exhaustive import ExplorationStats
-
-        store = BitstateStore(bits=1 << 10, hashes=4)
-        store.probe(FP, NO_SLEEP)
-        store.probe(FP, NO_SLEEP)
-        stats = ExplorationStats()
-        store.fill_stats(stats)
-        assert stats.bitstate_bits == 1 << 10
-        assert stats.bitstate_set_bits == store.set_bits
-        assert stats.bitstate_saturation == store.saturation
-        assert stats.bitstate_fp_budget == store.false_positive_budget
-
-
-class TestVisitedSpec:
     def test_build_each_kind(self):
-        assert type(VisitedSpec("exact").build()) is ExactStore
-        assert type(VisitedSpec("compact").build()) is CompactStore
-        store = VisitedSpec("bitstate", bitstate_bits=1 << 12).build()
-        assert type(store) is BitstateStore
-        assert store.bits == 1 << 12
+        for kind in ("exact", "compact"):
+            mp = explore_mp(
+                SpecFactory("trivial@mp-cr", n=2, k=2, t=0), ["a", "b"],
+                k=2, t=0, validity=RV2, visited=kind,
+            )
+            sm = explore_sm(
+                SpecFactory("trivial@sm-cr", n=2, k=2, t=0), ["a", "b"],
+                k=2, t=0, validity=RV2, visited=kind,
+            )
+            assert mp.stats.visited_store == sm.stats.visited_store == kind
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            VisitedSpec("mystery").build()
-
-    def test_make_visited_store_from_string(self):
-        store, spec = make_visited_store("compact")
-        assert store.kind == "compact"
-        assert spec == VisitedSpec("compact")
-
-    def test_make_visited_store_passes_spec_through(self):
-        wanted = VisitedSpec("bitstate", bitstate_bits=1 << 12)
-        store, spec = make_visited_store(wanted)
-        assert spec is wanted
-        assert store.bits == 1 << 12
+        for explore, spec in (
+            (explore_mp, "trivial@mp-cr"), (explore_sm, "trivial@sm-cr")
+        ):
+            with pytest.raises(ValueError):
+                explore(
+                    SpecFactory(spec, n=2, k=2, t=0), ["a", "b"],
+                    k=2, t=0, validity=RV2, visited="bitstate",
+                )

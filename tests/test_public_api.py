@@ -31,3 +31,15 @@ class TestPublicAPI:
     def test_validity_conditions_exported(self):
         codes = {c.code for c in repro.ALL_VALIDITY_CONDITIONS}
         assert codes == {"SV1", "SV2", "RV1", "RV2", "WV1", "WV2"}
+
+    def test_explorer_and_certify_annotations_resolve(self):
+        """Every name in the signatures is importable, so tools that
+        evaluate annotations (``typing.get_type_hints``) work."""
+        import typing
+
+        from repro.harness.exhaustive import explore_mp, explore_sm
+        from repro.verify.certify import certify_claims
+
+        for fn in (explore_mp, explore_sm, certify_claims):
+            hints = typing.get_type_hints(fn)
+            assert hints["visited"] is str, fn.__name__
