@@ -33,6 +33,10 @@ if any point now expands *more* states than the committed artifact
 records -- the partial-order-reduction regression guard.  It never
 rewrites the artifact.
 
+The artifact is stamped with the machine it ran on (``cpu_count``, the
+Python version) and the worker count of every series (``jobs``); every
+series runs serially.
+
 Under ``pytest benchmarks/ --benchmark-only`` a smoke-sized measurement
 runs without touching the JSON artifact.
 """
@@ -42,7 +46,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
+import platform
 import sys
 import time
 from typing import Any, Dict, List, Optional
@@ -262,8 +268,12 @@ def _measure_sym_point(point: Dict[str, Any]) -> Dict[str, Any]:
         crash_adversary=_grid_adversary(point),
         max_states=point["cap"],
     )
+    started = time.perf_counter()
     por = explore_mp(_grid_factory(point), **kwargs)
+    por_seconds = time.perf_counter() - started
+    started = time.perf_counter()
     sym = explore_mp(_grid_factory(point), symmetry=True, **kwargs)
+    sym_seconds = time.perf_counter() - started
     assert sym.exhausted, f"{point['name']}: symmetry side must exhaust"
     assert sym.stats.symmetry, f"{point['name']}: symmetry was disabled"
     assert sym.violation_kinds() == por.violation_kinds(), point["name"]
@@ -277,7 +287,9 @@ def _measure_sym_point(point: Dict[str, Any]) -> Dict[str, Any]:
         "point": point["name"],
         "por_states": por.states,
         "por_exhausted": por.exhausted,
+        "por_seconds": round(por_seconds, 4),
         "sym_states": sym.states,
+        "sym_seconds": round(sym_seconds, 4),
         "group_size": sym.stats.group_size,
         "canonicalizations": sym.stats.canonicalizations,
         "orbit_hits": sym.stats.orbit_hits,
@@ -400,6 +412,16 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
     return {
         "benchmark": "exhaustive_explorer",
         "smoke": smoke,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        # Worker processes per series: every search here is serial.
+        "jobs": {
+            "throughput": 1,
+            "por_reduction": 1,
+            "symmetry_reduction": 1,
+            "early_exit": 1,
+            "event_allocation": 1,
+        },
         "instance": {
             "protocol": "protocol-a",
             "n": THROUGHPUT_N,
@@ -541,7 +563,8 @@ def main(argv=None) -> int:
         print(
             f"SYM {point['point']}: {point['por_states']} -> "
             f"{point['sym_states']} states, group {point['group_size']}, "
-            f"{point['orbit_hits']} orbit hits{capped}"
+            f"{point['orbit_hits']} orbit hits{capped}, "
+            f"{point['por_seconds']} s -> {point['sym_seconds']} s"
         )
     for point in payload["early_exit"]:
         print(

@@ -34,7 +34,11 @@ Three cooperating mechanisms keep the search fast:
   when a cached sleep set is a *subset* of the current one (the cached
   expansion then covered every continuation the revisit needs), which
   is what makes caching sound under sleep sets.  Hit/miss counters are
-  reported on every result.
+  reported on every result.  Message-passing fingerprints are
+  hash-consed: a per-exploration table (:class:`_StateTable`) numbers
+  each distinct process local state and pending-event signature in
+  first-seen order, DFS frames carry the resulting id vector, and a
+  step re-freezes only the process it targeted.
 
 :func:`explore_mp` and :func:`explore_sm` also take ``jobs``: the root
 fan-out is expanded breadth-first into a fixed-width frontier whose
@@ -67,7 +71,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
-import operator
 from collections import Counter, deque
 from typing import (
     Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
@@ -80,7 +83,7 @@ from repro.failures.adversary import CrashAdversary
 from repro.failures.crash import CrashPlan, CrashPoint
 from repro.harness.parallel import parallel_map
 from repro.harness.visited import EXPAND_ALL, NO_SLEEP, CompactStore, ExactStore
-from repro.runtime.events import Delivery, Event, Start
+from repro.runtime.events import Delivery, Event
 from repro.runtime.kernel import MPKernel
 from repro.runtime.process import Process
 from repro.runtime.traces import TraceMode
@@ -303,7 +306,8 @@ def _event_sig(event: Event) -> Tuple:
 
     Sleep sets must survive fingerprint collapsing: two nodes with equal
     state fingerprints may number the *same* pending events differently,
-    so the sleep component of a store key uses this structural form.
+    so the sleep component of a store key uses this structural form
+    (through its :class:`_StateTable` id).
     """
     if isinstance(event, Delivery):
         return (1, event.sender, event.receiver, _freeze(event.payload))
@@ -315,73 +319,142 @@ def _event_target(event: Event) -> int:
     return event.receiver if isinstance(event, Delivery) else event.pid
 
 
-class _SigCache:
-    """Memoized :func:`_event_sig`, keyed by event identity.
+def _local_state(process: Process, ctx) -> Tuple:
+    """Frozen local state of one process: ``__dict__`` plus decision."""
+    return (
+        tuple([
+            (key, _freeze(value))
+            for key, value in sorted(process.__dict__.items())
+        ]),
+        ctx._decided,
+        _freeze(ctx._decision),
+    )
 
-    Events are frozen dataclasses, so a signature never changes once
-    computed; the same pending event is re-fingerprinted at every node
-    it survives to, which made signature hashing the hottest path in
-    the profile.  Entries keep a strong reference to their event, which
-    pins its ``id`` for the cache's (per-exploration) lifetime.  The
-    signature's ``repr`` -- the canonical sort key for the pending
-    multiset -- is precomputed alongside it.
+
+class _StateTable:
+    """Hash-consing table of one message-passing exploration.
+
+    Numbers every distinct per-process local state
+    (:func:`_local_state`) and every distinct pending-event signature
+    (:func:`_event_sig`) with a small int, in first-seen order, so a
+    global state collapses to a flat tuple of ints (SPIN's COLLAPSE
+    compression).  Equal values always get the same id, which makes the
+    id fingerprint exactly as discriminating as the frozen state it
+    stands for.  One table serves one exploration; ids from different
+    tables are unrelated.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_ids",)
 
     def __init__(self) -> None:
-        self._entries: Dict[int, Tuple[Event, Tuple, str]] = {}
+        self._ids: Dict[Any, int] = {}
 
-    def sig(self, event: Event) -> Tuple:
-        entry = self._entries.get(id(event))
-        if entry is None:
-            sig = _event_sig(event)
-            entry = (event, sig, repr(sig))
-            self._entries[id(event)] = entry
-        return entry[1]
+    def intern(self, value: Any) -> int:
+        ids = self._ids
+        return ids.setdefault(value, len(ids))
 
-    def sig_and_key(self, event: Event) -> Tuple[Tuple, str]:
-        entry = self._entries.get(id(event))
-        if entry is None:
-            sig = _event_sig(event)
-            entry = (event, sig, repr(sig))
-            self._entries[id(event)] = entry
-        return entry[1], entry[2]
+
+class _StateIds:
+    """The hash-consed coordinates of one MP kernel state.
+
+    ``procs[pid]`` is the id of process ``pid``'s local state and
+    ``sigs[seq]`` the signature id of pending event ``seq``.  Built from
+    scratch by :func:`_state_ids`.  A DFS child starts as
+    :meth:`after_step` of its frame's coordinates and is completed by
+    :meth:`resolve`, which re-freezes only the process that stepped.
+    The fingerprint layer (:func:`_fingerprint_mp`, or the symmetry
+    canonicalizer) resolves, so that work counts as fingerprinting.
+    """
+
+    __slots__ = ("table", "procs", "sigs", "_step")
+
+    def __init__(
+        self,
+        table: _StateTable,
+        procs: Optional[Tuple[int, ...]],
+        sigs: Optional[Dict[int, int]],
+        step: Optional[Tuple] = None,
+    ) -> None:
+        self.table = table
+        self.procs = procs
+        self.sigs = sigs
+        #: ``(parent procs, parent sigs, seq, target, first new seq)`` of
+        #: a step not yet folded in; ``procs``/``sigs`` are ``None`` until
+        #: then.
+        self._step = step
+
+    def after_step(
+        self, seq: int, target: int, first_new: int
+    ) -> "_StateIds":
+        """Unresolved coordinates of the state ``kernel.step(seq)`` reaches."""
+        return _StateIds(
+            self.table, None, None,
+            (self.procs, self.sigs, seq, target, first_new),
+        )
+
+    def resolve(self, kernel: MPKernel) -> "_StateIds":
+        """Fold a pending step in (a no-op once resolved).
+
+        A step changes only its target's local state (the fact POR's
+        independence relation rests on too), consumes event ``seq`` and
+        schedules the events numbered ``first_new`` onwards; crash sets
+        and counters are not part of the coordinates.
+        """
+        if self._step is None:
+            return self
+        procs, sigs, seq, target, first_new = self._step
+        self._step = None
+        intern = self.table.intern
+        state = intern(_local_state(
+            kernel._processes[target], kernel._contexts[target]
+        ))
+        self.procs = procs[:target] + (state,) + procs[target + 1:]
+        sigs = sigs.copy()
+        del sigs[seq]
+        pending = kernel._pending
+        for new in range(first_new, kernel._seq):
+            sigs[new] = intern(_event_sig(pending[new]))
+        self.sigs = sigs
+        return self
+
+
+def _state_ids(kernel: MPKernel, table: _StateTable) -> _StateIds:
+    """Build a state's coordinates from scratch (roots, references)."""
+    intern = table.intern
+    return _StateIds(
+        table,
+        tuple([
+            intern(_local_state(process, ctx))
+            for process, ctx in zip(kernel._processes, kernel._contexts)
+        ]),
+        {seq: intern(_event_sig(event)) for seq, event in kernel._pending.items()},
+    )
 
 
 def _fingerprint_mp(
-    kernel: MPKernel, include_counters: bool, sigs: _SigCache
+    kernel: MPKernel, ids: _StateIds, include_counters: bool
 ) -> Tuple:
-    """Structural state of an MP kernel: pending events + process states.
+    """Structural state of an MP kernel, as hash-consed ids.
 
-    Two kernel states with the same fingerprint have identical futures,
-    so only one needs expansion.  ``include_counters`` adds the per-
-    process step/send counters; they are part of the future-relevant
-    state exactly when a crash adversary is present (crash points are
-    counter-indexed), and omitting them otherwise lets states that
-    differ only in history collapse.
+    The sorted pending-signature ids, the per-process state ids, the
+    crashed set, and the counters.  Two kernel states with the same
+    fingerprint have identical futures, so only one needs expansion.
+    ``include_counters`` adds the per-process step/send counters; they
+    are part of the future-relevant state exactly when a crash adversary
+    is present (crash points are counter-indexed), and omitting them
+    otherwise lets states that differ only in history collapse.
     """
-    pending = tuple(
-        pair[0] for pair in sorted(
-            (sigs.sig_and_key(event) for event in kernel._pending.values()),
-            key=operator.itemgetter(1),
-        )
-    )
-    processes = tuple(
-        tuple(sorted(
-            ((key, _freeze(value)) for key, value in p.__dict__.items()),
-            key=repr,
-        ))
-        for p in kernel._processes
-    )
-    contexts = tuple(
-        (ctx._decided, _freeze(ctx._decision)) for ctx in kernel._contexts
-    )
+    ids.resolve(kernel)
     counters = (
         (tuple(kernel._steps_taken), tuple(kernel._sends_made))
         if include_counters else ()
     )
-    return (pending, processes, contexts, tuple(sorted(kernel._crashed)), counters)
+    return (
+        tuple(sorted(ids.sigs.values())),
+        ids.procs,
+        tuple(sorted(kernel._crashed)),
+        counters,
+    )
 
 
 def _fingerprint_sm(kernel) -> Tuple:
@@ -445,8 +518,8 @@ class _MPConfig:
     #: Symmetry canonicalizer, or ``None`` when the reduction is off
     #: (see :func:`repro.harness.symmetry.mp_symmetry_context`).
     sym: Optional[Any] = None
-    #: Per-exploration memo of event signatures (see :class:`_SigCache`).
-    sigs: _SigCache = dataclasses.field(default_factory=_SigCache)
+    #: This exploration's hash-consing table (see :class:`_StateTable`).
+    table: _StateTable = dataclasses.field(default_factory=_StateTable)
     #: Abandon the search at the first recorded violation.
     stop_on_violation: bool = False
 
@@ -479,9 +552,12 @@ def _fresh_mp_kernel(
 class _Frame:
     """One DFS branch point: a snapshot plus its unexplored choices."""
 
-    __slots__ = ("snapshot", "path", "sleep", "choices", "idx", "target", "may_crash", "fresh")
+    __slots__ = (
+        "snapshot", "path", "sleep", "choices", "idx", "target", "may_crash",
+        "fresh", "ids",
+    )
 
-    def __init__(self, snapshot, path, sleep, choices, target, may_crash):
+    def __init__(self, snapshot, path, sleep, choices, target, may_crash, ids):
         self.snapshot = snapshot
         self.path = path
         self.sleep = sleep            # Set[int]: slept seqs at this node
@@ -490,19 +566,7 @@ class _Frame:
         self.target = target          # Dict[seq -> target pid]
         self.may_crash = may_crash    # Dict[seq -> event is crash-capable]
         self.fresh = True             # live kernel still sits at `snapshot`
-
-
-def _sleep_sig(kernel: MPKernel, sleep: Set[int], sigs: _SigCache) -> Counter:
-    """The sleep set as a multiset of structural event signatures.
-
-    Sleep sets must survive fingerprint collapsing: two nodes with equal
-    state fingerprints may number the *same* pending events differently,
-    so store bookkeeping uses sequence-number-free signatures (and a
-    multiset, because structurally identical events can coexist).
-    """
-    if not sleep:
-        return _NO_SLEEP
-    return Counter(sigs.sig(kernel._pending[seq]) for seq in sleep)
+        self.ids = ids                # _StateIds of `snapshot` (None: no dedup)
 
 
 def _process_mp_node(
@@ -512,46 +576,38 @@ def _process_mp_node(
     cfg: _MPConfig,
     result: ExplorationResult,
     store: _VisitedStore,
+    ids: Optional[_StateIds],
 ) -> Optional[_Frame]:
     """Count/dedup/judge the live kernel state; return a frame to expand.
 
+    ``ids`` are the state's hash-consed coordinates (``None`` without
+    dedup); fingerprinting resolves them before they are read here.
     Returns ``None`` for cache hits, leaves, and fully-slept nodes.  On
     a revisit whose sleep set is incomparable to the stored coverage,
     the returned frame expands only the still-uncovered choices.
     """
     pending = kernel._pending
     fp = None
-    sym_sigs = None
+    # The signature id of every pending event, in store coordinates.
+    keys: Dict[int, int] = {}
     to_expand = _EXPAND_ALL
-    if cfg.dedup:
+    if ids is not None:
         if cfg.sym is not None:
             # Canonical store coordinates: the fingerprint *and* every
             # sleep/re-expansion signature are renamed by the same
             # canonicalizing permutation, so Godefroid bookkeeping
             # operates consistently inside each symmetry orbit.
-            fp, sym_sigs, identity = cfg.sym.canonical(
-                kernel, cfg.include_counters
+            fp, keys, identity = cfg.sym.canonical(
+                kernel, ids, cfg.include_counters
             )
             result.stats.canonicalizations += 1
-            if not sleep:
-                sleep_sig = _NO_SLEEP
-            else:
-                sleep_sig = Counter(
-                    store.sig_key(sym_sigs[id(pending[seq])])
-                    for seq in sleep
-                )
         else:
             identity = True
-            fp = _fingerprint_mp(kernel, cfg.include_counters, cfg.sigs)
-            if not sleep:
-                sleep_sig = _NO_SLEEP
-            elif type(store) is ExactStore:
-                sleep_sig = _sleep_sig(kernel, sleep, cfg.sigs)
-            else:
-                sleep_sig = Counter(
-                    store.sig_key(cfg.sigs.sig(pending[seq]))
-                    for seq in sleep
-                )
+            fp = _fingerprint_mp(kernel, ids, cfg.include_counters)
+            keys = ids.sigs
+        sleep_sig = (
+            Counter([keys[seq] for seq in sleep]) if sleep else _NO_SLEEP
+        )
         to_expand = store.probe(fp, sleep_sig)
         if to_expand is None:
             if not identity:
@@ -577,10 +633,7 @@ def _process_mp_node(
         for seq in sorted(pending):
             if seq in sleep:
                 continue
-            if sym_sigs is not None:
-                key = store.sig_key(sym_sigs[id(pending[seq])])
-            else:
-                key = store.sig_key(cfg.sigs.sig(pending[seq]))
+            key = keys[seq]
             if need.get(key, 0) > 0:
                 need[key] -= 1
                 choices.append(seq)
@@ -594,7 +647,14 @@ def _process_mp_node(
         seq: tgt in cfg.may_crash and tgt not in crashed
         for seq, tgt in target.items()
     }
-    return _Frame(kernel.snapshot(), path, sleep, choices, target, may_crash)
+    return _Frame(
+        kernel.snapshot(), path, sleep, choices, target, may_crash, ids
+    )
+
+
+def _root_ids(kernel: MPKernel, cfg: _MPConfig) -> Optional[_StateIds]:
+    """State ids of a search root (``None`` when nothing is deduplicated)."""
+    return _state_ids(kernel, cfg.table) if cfg.dedup else None
 
 
 def _child_sleep(frame: _Frame, seq: int, por: bool) -> Set[int]:
@@ -627,9 +687,13 @@ def _run_mp_dfs(
 
     One live kernel serves the whole search: descending into the first
     child of a fresh frame costs a single :meth:`MPKernel.step`;
-    visiting later children restores the frame's snapshot first.
+    visiting later children restores the frame's snapshot first.  A
+    child's state ids derive from its frame's by re-freezing only the
+    process that stepped.
     """
-    root = _process_mp_node(kernel, path, sleep, cfg, result, store)
+    root = _process_mp_node(
+        kernel, path, sleep, cfg, result, store, _root_ids(kernel, cfg)
+    )
     if cfg.stop_on_violation and result.violations:
         result.exhausted = False
         return
@@ -650,11 +714,14 @@ def _run_mp_dfs(
             kernel.restore(frame.snapshot)
         frame.fresh = False
         kernel.step(seq)
+        ids = frame.ids
+        if ids is not None:
+            ids = ids.after_step(seq, frame.target[seq], frame.snapshot.seq)
         child = _process_mp_node(
             kernel,
             frame.path + (seq,),
             _child_sleep(frame, seq, cfg.por),
-            cfg, result, store,
+            cfg, result, store, ids,
         )
         if cfg.stop_on_violation and result.violations:
             result.exhausted = False
@@ -694,10 +761,10 @@ def _explore_mp_deepcopy(
             branch = copy.deepcopy(kernel)
             branch.step(seq)
             if cfg.dedup:
-                # A throwaway cache per call: deepcopied branches hold
-                # fresh event objects, so the shared memo would only
-                # accumulate dead entries.
-                fp = _fingerprint_mp(branch, cfg.include_counters, _SigCache())
+                fp = _fingerprint_mp(
+                    branch, _state_ids(branch, cfg.table),
+                    cfg.include_counters,
+                )
                 if store.probe(fp, _NO_SLEEP) is None:
                     continue
             stack.append((branch, path + (seq,)))
@@ -825,7 +892,8 @@ def _explore_mp_frontier(
         snapshot, path, sleep = queue.popleft()
         kernel.restore(snapshot)
         frame = _process_mp_node(
-            kernel, path, set(sleep), cfg, result, store
+            kernel, path, set(sleep), cfg, result, store,
+            _root_ids(kernel, cfg),
         )
         if cfg.stop_on_violation and result.violations:
             result.exhausted = False

@@ -36,17 +36,22 @@ Soundness is gated explicitly, never assumed:
   permutation is checked per state: it must stabilize every in-progress
   scan prefix (which is always ``{0 .. m-1}`` for ascending scans).
 
-Canonical fingerprints are computed as the ``repr``-minimum over the
-group of the fully renamed fingerprint; ``repr`` ordering is total and
-deterministic across processes, which keeps parallel frontier merges
-bit-identical.
+Message-passing canonical fingerprints are the minimum over the group
+of the renamed *id* fingerprint: the explorer hash-conses every
+per-process local state and pending-event signature into a
+per-exploration table of first-seen ids, and :class:`MPSymmetryContext`
+renames those ids through per-group-element memo tables, interning each
+renamed value into the same table.  Equal values share an id, so the
+minimum is an orbit invariant; ids are assigned in the order of a
+deterministic search, which keeps parallel frontier merges
+bit-identical.  Shared-memory fingerprints are canonicalized as the
+``repr``-minimum over the group of the fully renamed fingerprint.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import operator
 from typing import (
     Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -199,97 +204,169 @@ def _adversary_crash_keys(
 # message-passing canonicalization
 
 
+def _inverse(perm: Perm) -> Perm:
+    inverse = [0] * len(perm)
+    for old, new in enumerate(perm):
+        inverse[new] = old
+    return tuple(inverse)
+
+
+def _rename_ids(
+    renamed: Dict[int, int],
+    inverse: Perm,
+    pending: List[int],
+    procs: Tuple[int, ...],
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Renamed ``(pending signature ids, process state ids)``.
+
+    Raises ``KeyError`` when the memo lacks an image; process ``pid``
+    moves to position ``perm[pid]``, i.e. position ``j`` takes the state
+    of ``inverse[j]``.
+    """
+    return (
+        tuple(sorted([renamed[sig] for sig in pending])),
+        tuple([renamed[procs[pid]] for pid in inverse]),
+    )
+
+
 class MPSymmetryContext:
     """Per-exploration canonicalizer for one MP instance.
 
     Built once per exploration (the group depends only on inputs,
-    adversary, and roles); :meth:`canonical` is called per node.
+    adversary, and roles); :meth:`canonical` is called per node on the
+    node's hash-consed state ids.  Renamings are memoized per group
+    element: ``_renamed[index]`` maps the id of a local state or event
+    signature to the id of its image under ``perms[index]``, so each
+    distinct value is renamed and frozen once per group element per
+    exploration.  The memo holds ids of one exploration's state table,
+    so a context serves exactly one exploration.
     """
 
-    __slots__ = ("_decl", "_perms", "_n")
+    __slots__ = ("_decl", "_perms", "_inverses", "_n", "_renamed")
 
     def __init__(self, decl: MPSymmetry, perms: List[Perm], n: int) -> None:
         self._decl = decl
         self._perms = perms
+        self._inverses = [_inverse(perm) for perm in perms]
         self._n = n
+        self._renamed: List[Dict[int, int]] = [{} for _ in perms]
 
     @property
     def group_size(self) -> int:
         return len(self._perms)
 
     def canonical(
-        self, kernel, include_counters: bool
-    ) -> Tuple[Tuple, Dict[int, Tuple], bool]:
+        self, kernel, ids, include_counters: bool
+    ) -> Tuple[Tuple, Mapping[int, int], bool]:
         """Canonical fingerprint of the kernel's current state.
 
-        Returns ``(fingerprint, sig_by_event_id, is_identity)`` where
-        ``sig_by_event_id`` maps ``id(event)`` of every pending event to
-        its signature *renamed by the canonicalizing permutation* --
-        sleep-set bookkeeping must live in the same coordinates as the
-        store key -- and ``is_identity`` says whether the canonical
-        representative is the unrenamed state itself.
+        ``ids`` are the state's hash-consed coordinates (see
+        :class:`repro.harness.exhaustive._StateIds`).  The representative
+        is the minimum over the group of the renamed id fingerprint;
+        since the state table gives equal values equal ids, that minimum
+        is the same for every member of an orbit.
+
+        Returns ``(fingerprint, keys, is_identity)`` where ``keys`` maps
+        the sequence number of every pending event to its signature id
+        *renamed by the canonicalizing permutation* -- sleep-set
+        bookkeeping must live in the same coordinates as the store key
+        -- and ``is_identity`` says whether the canonical representative
+        is the unrenamed state itself.
         """
-        best: Optional[Tuple] = None
-        best_repr = ""
-        best_sigs: Dict[int, Tuple] = {}
-        best_identity = False
-        for index, perm in enumerate(self._perms):
-            fingerprint, sigs = self._renamed_fingerprint(
-                kernel, include_counters, perm
+        ids.resolve(kernel)
+        sigs = ids.sigs
+        pending = sorted(sigs.values())
+        crashed = sorted(kernel._crashed)
+        steps = kernel._steps_taken
+        sends = kernel._sends_made
+        best = (
+            tuple(pending),
+            ids.procs,
+            tuple(crashed),
+            (tuple(steps), tuple(sends)) if include_counters else (),
+        )
+        best_index = 0
+        for index in range(1, len(self._perms)):
+            renamed = self._renamed[index]
+            inverse = self._inverses[index]
+            try:
+                head = _rename_ids(renamed, inverse, pending, ids.procs)
+            except KeyError:
+                self._learn(kernel, ids, index)
+                head = _rename_ids(renamed, inverse, pending, ids.procs)
+            if head[0] > best[0]:
+                continue
+            perm = self._perms[index]
+            fingerprint = head + (
+                tuple(sorted([perm[pid] for pid in crashed])),
+                (
+                    tuple([steps[pid] for pid in inverse]),
+                    tuple([sends[pid] for pid in inverse]),
+                ) if include_counters else (),
             )
-            key = repr(fingerprint)
-            if best is None or key < best_repr:
+            if fingerprint < best:
                 best = fingerprint
-                best_repr = key
-                best_sigs = sigs
-                best_identity = index == 0
-        assert best is not None
-        return best, best_sigs, best_identity
+                best_index = index
+        if best_index == 0:
+            return best, sigs, True
+        renamed = self._renamed[best_index]
+        keys = {seq: renamed[sid] for seq, sid in sorted(sigs.items())}
+        return best, keys, False
 
     # -- renaming ------------------------------------------------------------
 
-    def _renamed_fingerprint(
-        self, kernel, include_counters: bool, perm: Perm
-    ) -> Tuple[Tuple, Dict[int, Tuple]]:
+    def _learn(self, kernel, ids, index: int) -> None:
+        """Memoize the images of every id of ``ids`` under ``perms[index]``.
+
+        A miss is renamed from the live kernel object the id stands for
+        -- the process at that position, or the pending event with that
+        signature -- and interned into the exploration's state table.
+        """
+        renamed = self._renamed[index]
+        perm = self._perms[index]
+        intern = ids.table.intern
+        for pid, state in enumerate(ids.procs):
+            if state not in renamed:
+                renamed[state] = intern(self._rename_local(
+                    kernel._processes[pid], kernel._contexts[pid], perm
+                ))
+        for seq, sig in sorted(ids.sigs.items()):
+            if sig not in renamed:
+                renamed[sig] = intern(
+                    self._rename_sig(kernel._pending[seq], perm)
+                )
+
+    def _rename_sig(self, event, perm: Perm) -> Tuple:
+        """The image of ``_event_sig(event)`` under ``perm``."""
         from repro.harness.exhaustive import _freeze
 
-        n = self._n
-        sigs: Dict[int, Tuple] = {}
-        entries = []
-        for _, event in sorted(kernel._pending.items()):
-            if isinstance(event, Delivery):
-                sig = (
-                    1,
-                    perm[event.sender],
-                    perm[event.receiver],
-                    _freeze(self._rename_payload(event.payload, perm)),
-                )
-            else:
-                sig = (0, perm[event.pid])
-            sigs[id(event)] = sig
-            entries.append((sig, repr(sig)))
-        pending = tuple(
-            sig for sig, _ in sorted(entries, key=operator.itemgetter(1))
+        if isinstance(event, Delivery):
+            return (
+                1,
+                perm[event.sender],
+                perm[event.receiver],
+                _freeze(self._rename_payload(event.payload, perm)),
+            )
+        return (0, perm[event.pid])
+
+    def _rename_local(self, process, ctx, perm: Perm) -> Tuple:
+        """The image of ``_local_state(process, ctx)`` under ``perm``.
+
+        Decisions are pid-free values, so only ``__dict__`` is renamed;
+        the identity permutation reproduces the unrenamed local state
+        exactly, which is what lets renamed and raw ids share a table.
+        """
+        from repro.harness.exhaustive import _freeze
+
+        fields = self._decl.fields
+        return (
+            tuple([
+                (key, _freeze(self._rename_value(fields[key], value, perm)))
+                for key, value in sorted(process.__dict__.items())
+            ]),
+            ctx._decided,
+            _freeze(ctx._decision),
         )
-        processes: List[Any] = [None] * n
-        for pid, process in enumerate(kernel._processes):
-            processes[perm[pid]] = self._rename_process(process, perm)
-        contexts: List[Any] = [None] * n
-        for pid, ctx in enumerate(kernel._contexts):
-            contexts[perm[pid]] = (ctx._decided, _freeze(ctx._decision))
-        crashed = tuple(sorted(perm[pid] for pid in kernel._crashed))
-        counters: Tuple = ()
-        if include_counters:
-            steps = [0] * n
-            sends = [0] * n
-            for pid in range(n):
-                steps[perm[pid]] = kernel._steps_taken[pid]
-                sends[perm[pid]] = kernel._sends_made[pid]
-            counters = (tuple(steps), tuple(sends))
-        fingerprint = (
-            pending, tuple(processes), tuple(contexts), crashed, counters,
-        )
-        return fingerprint, sigs
 
     def _rename_payload(self, payload: Any, perm: Perm) -> Any:
         if (
@@ -301,16 +378,6 @@ class MPSymmetryContext:
         ):
             return (payload[0], perm[payload[1]]) + tuple(payload[2:])
         return payload
-
-    def _rename_process(self, process, perm: Perm) -> Tuple:
-        from repro.harness.exhaustive import _freeze
-
-        fields = self._decl.fields
-        items = []
-        for key, value in sorted(process.__dict__.items()):
-            renamed = self._rename_value(fields[key], value, perm)
-            items.append((key, _freeze(renamed)))
-        return tuple(sorted(items, key=repr))
 
     def _rename_value(self, kind: str, value: Any, perm: Perm) -> Any:
         if kind == "plain":
@@ -410,12 +477,7 @@ class SMSymmetryContext:
     def __init__(self, shape: str, perms: List[Perm], n: int) -> None:
         self._shape = shape
         self._perms = perms
-        self._inverses = []
-        for perm in perms:
-            inverse = [0] * n
-            for old, new in enumerate(perm):
-                inverse[new] = old
-            self._inverses.append(tuple(inverse))
+        self._inverses = [_inverse(perm) for perm in perms]
         self._n = n
 
     @property

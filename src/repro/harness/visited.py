@@ -2,21 +2,27 @@
 
 The explorer's visited store maps structural state fingerprints to the
 sleep-set coverage they were expanded under (Godefroid's combination of
-state caching with sleep sets).  Two stores share that semantics:
+state caching with sleep sets).  Sleep sets are multisets of event
+signature ids: the message-passing explorer numbers every distinct
+signature in its per-exploration state table, so both stores key sleep
+coverage on those small ints as given.  Two stores share that
+semantics:
 
-* ``exact``    -- the reference store: full fingerprints, full sleep
-  multisets, exact Godefroid semantics.  Lossless.
+* ``exact``    -- the reference store: full fingerprints, exact
+  Godefroid semantics.  Lossless.
 * ``compact``  -- same semantics on 8-byte BLAKE2b digests of the
-  fingerprints and sleep signatures.  A digest collision could cut an
-  unexplored branch, but with 64-bit digests the expected collision
-  count is ``~states^2 / 2^65`` -- negligible at any reachable state
-  count -- and the memory per entry drops by an order of magnitude.
+  fingerprints.  A digest collision could cut an unexplored branch, but
+  with 64-bit digests the expected collision count is
+  ``~states^2 / 2^65`` -- negligible at any reachable state count.
   Certification still treats it as lossy: a compact run that finds no
   counterexample is re-run on the exact store.
 
-All digests are deterministic BLAKE2b over ``repr`` (never Python's
-per-process-randomized ``hash``), so parallel frontier workers using
-private stores merge bit-identically for every worker count.
+Digests are deterministic BLAKE2b over the ``repr`` of the fingerprint
+(never Python's per-process-randomized ``hash``).  Message-passing
+fingerprints are flat tuples of state-table ids, which are assigned in
+first-seen order of a deterministic search, so parallel frontier
+workers using private tables and stores merge bit-identically for
+every worker count.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ class ExactStore:
     """The reference visited store: exact Godefroid sleep-set caching.
 
     Maps each structural fingerprint to the sleep set (a multiset of
-    event signatures) its expansion is known to *cover*: the subtree
+    event signature ids) its expansion is known to *cover*: the subtree
     explored every continuation except those in the stored set.
 
     * probe sleep ⊇ stored sleep -- the cached expansion covered every
@@ -72,10 +78,6 @@ class ExactStore:
         self.hits = 0
         self.misses = 0
 
-    def sig_key(self, sig: Tuple) -> Any:
-        """Store-internal key for one event signature (identity here)."""
-        return sig
-
     def fingerprint_key(self, fingerprint: Tuple) -> Any:
         return fingerprint
 
@@ -84,7 +86,7 @@ class ExactStore:
 
         Returns ``None`` for a cache hit, :data:`EXPAND_ALL` for a new
         state, or the multiset of slept-at-first-visit event signature
-        keys that the current visit must still expand.
+        ids that the current visit must still expand.
         """
         key = self.fingerprint_key(fingerprint)
         stored = self._sleeps.get(key)
@@ -106,19 +108,15 @@ class ExactStore:
 
 
 class CompactStore(ExactStore):
-    """Godefroid caching on 64-bit digests of fingerprints and sigs.
+    """Godefroid caching on 64-bit digests of the fingerprints.
 
-    Sleep multisets must be keyed consistently with the store --
-    partial re-expansion matches pending events by signature key -- so
-    :meth:`sig_key` digests signatures too.
+    Sleep multisets stay keyed on signature ids: they are already small
+    ints, and partial re-expansion matches pending events by them.
     """
 
     kind = "compact"
 
     __slots__ = ()
-
-    def sig_key(self, sig: Tuple) -> Any:
-        return _digest64(sig)
 
     def fingerprint_key(self, fingerprint: Tuple) -> Any:
         return _digest64(fingerprint)

@@ -35,6 +35,8 @@ from repro.harness.exhaustive import (
     _fresh_mp_kernel,
     _fresh_sm_kernel,
     _mp_counters_matter,
+    _state_ids,
+    _StateTable,
     explore_mp,
     explore_sm,
 )
@@ -106,26 +108,26 @@ def _lockstep_mp_fuzz(spec, inputs, t, plan, seed, rounds=3):
             )
         kernel_b = _fresh_mp_kernel(factory, inputs, t, plan)
         assert ctx is not None, f"{spec.name}: {reason}"
+        # Both kernels intern into one table, as one exploration would.
+        table = _StateTable()
+
+        def canonical(kernel):
+            ids = _state_ids(kernel, table)
+            return ctx.canonical(kernel, ids, include_counters)[0]
+
         perms = ctx._perms
         pi = perms[rng.randrange(1, len(perms))]
         identity = perms[0]
         steps = 0
         while kernel_a._pending and steps < 60:
-            fp_a = ctx.canonical(kernel_a, include_counters)[0]
-            fp_b = ctx.canonical(kernel_b, include_counters)[0]
+            fp_a = canonical(kernel_a)
+            fp_b = canonical(kernel_b)
             assert fp_a == fp_b, f"{spec.name}: diverged after {steps} steps"
             seq_a = rng.choice(sorted(kernel_a._pending))
-            event_a = kernel_a._pending[seq_a]
-            _, sigs_a = ctx._renamed_fingerprint(
-                kernel_a, include_counters, pi
-            )
-            want = sigs_a[id(event_a)]
-            _, sigs_b = ctx._renamed_fingerprint(
-                kernel_b, include_counters, identity
-            )
+            want = ctx._rename_sig(kernel_a._pending[seq_a], pi)
             matches = [
                 seq for seq in sorted(kernel_b._pending)
-                if sigs_b[id(kernel_b._pending[seq])] == want
+                if ctx._rename_sig(kernel_b._pending[seq], identity) == want
             ]
             assert matches, (
                 f"{spec.name}: renamed event {want} missing from the "
@@ -134,10 +136,7 @@ def _lockstep_mp_fuzz(spec, inputs, t, plan, seed, rounds=3):
             kernel_a.step(seq_a)
             kernel_b.step(matches[0])
             steps += 1
-        assert (
-            ctx.canonical(kernel_a, include_counters)[0]
-            == ctx.canonical(kernel_b, include_counters)[0]
-        )
+        assert canonical(kernel_a) == canonical(kernel_b)
 
 
 class TestMPCanonicalInvariance:
@@ -341,3 +340,52 @@ class TestAdversaryGating:
             assert sym.violation_kinds() == full.violation_kinds()
             assert sym.decision_sets == full.decision_sets
             assert sym.states < full.states, plan
+
+
+#: Godefroid counters of POR + symmetry on the exact store, pinned so a
+#: change of orbit representative or sleep coordinates shows up here:
+#: ``(spec, n, k, t, inputs, crashed pids, states, reexpansions,
+#: cache_hits, violations, sleep_pruned)``.  ``orbit_hits`` is left
+#: unpinned: it counts hits whose representative is a proper renaming,
+#: so it moves with the choice of representative.
+PINNED_COUNTERS = [
+    pytest.param(
+        "protocol-a@mp-cr", 3, 2, 1, ["v", "v", "w"], (),
+        568, 93, 334, 0, None, id="protocol-a-n3",
+    ),
+    pytest.param(
+        "protocol-b@mp-cr", 3, 1, 1, ["v", "w", "w"], (),
+        613, 140, 415, 43, None, id="protocol-b-n3",
+    ),
+    # The end-to-end benchmark's explore-sym instance.
+    pytest.param(
+        "protocol-a@mp-cr", 4, 2, 1, ["v", "v", "v", "w"], (3,),
+        1800, 2001, 5369, 0, 15208, id="explore-sym",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, k, t, inputs, crashed, states, reexpansions, cache_hits, "
+    "violations, sleep_pruned",
+    PINNED_COUNTERS,
+)
+def test_godefroid_counters_under_symmetry(
+    name, n, k, t, inputs, crashed, states, reexpansions, cache_hits,
+    violations, sleep_pruned,
+):
+    plan = None
+    if crashed:
+        plan = CrashPlan({pid: CrashPoint(after_steps=0) for pid in crashed})
+    result = explore_mp(
+        SpecFactory(name, n, k, t), inputs, k, t,
+        by_code(get_spec(name).validity),
+        crash_adversary=plan, por=True, symmetry=True, visited="exact",
+    )
+    assert result.stats.symmetry and result.exhausted
+    assert result.states == states
+    assert result.reexpansions == reexpansions
+    assert result.cache_hits == cache_hits
+    assert len(result.violations) == violations
+    if sleep_pruned is not None:
+        assert result.sleep_pruned == sleep_pruned

@@ -6,9 +6,13 @@ The explorer's correctness leans on two store-level contracts:
   is a hit, a probe under an incomparable sleep re-expands exactly the
   stored-minus-probe difference and shrinks the entry to the
   intersection, and ``set_covered`` makes every future probe hit.
-* Determinism: digests come from BLAKE2b over ``repr``, never Python's
-  per-process-randomized ``hash``, so two independently built stores
-  agree bit for bit (the parallel frontier merge relies on this).
+* Determinism: fingerprint digests come from BLAKE2b over ``repr``,
+  never Python's per-process-randomized ``hash``, so two independently
+  built stores agree bit for bit (the parallel frontier merge relies on
+  this).
+
+Sleep multisets hold event signature ids -- the small ints of the
+explorer's state table -- and both stores keep them exactly as given.
 """
 
 from collections import Counter
@@ -26,8 +30,9 @@ from repro.harness.visited import (
 
 FP = ("state", 1, ("a", "b"))
 OTHER = ("state", 2, ("c",))
-SIG_X = (1, 0, 1, ("m",))
-SIG_Y = (1, 1, 2, ("m",))
+#: Signature ids, as the explorer's state table numbers them.
+SIG_X = 3
+SIG_Y = 7
 
 
 class TestExactStore:
@@ -87,29 +92,34 @@ class TestExactStore:
         store.probe(FP, NO_SLEEP)
         assert store.probe(OTHER, NO_SLEEP) is EXPAND_ALL
 
-    def test_sig_key_is_identity(self):
-        assert ExactStore().sig_key(SIG_X) == SIG_X
+    def test_sleep_keys_are_signature_ids(self):
+        store = ExactStore()
+        store.probe(FP, Counter([SIG_X, SIG_Y]))
+        missing = store.probe(FP, NO_SLEEP)
+        assert missing == Counter([SIG_X, SIG_Y])
 
 
 class TestCompactStore:
     def test_same_godefroid_semantics_on_digests(self):
         store = CompactStore()
-        sleep = Counter([store.sig_key(SIG_X), store.sig_key(SIG_Y)])
-        assert store.probe(FP, sleep) is EXPAND_ALL
-        missing = store.probe(FP, Counter([store.sig_key(SIG_Y)]))
-        assert missing == Counter([store.sig_key(SIG_X)])
+        assert store.probe(FP, Counter([SIG_X, SIG_Y])) is EXPAND_ALL
+        missing = store.probe(FP, Counter([SIG_Y]))
+        assert missing == Counter([SIG_X])
+        assert store.probe(FP, Counter([SIG_Y])) is None
 
     def test_digests_are_ints(self):
         store = CompactStore()
         assert isinstance(store.fingerprint_key(FP), int)
-        assert isinstance(store.sig_key(SIG_X), int)
+        # Sleep multisets are not digested: signature ids come back as
+        # the ints they were probed with.
+        store.probe(FP, Counter([SIG_X]))
+        assert store.probe(FP, NO_SLEEP) == Counter([SIG_X])
 
     def test_digests_deterministic_across_instances(self):
         assert (
             CompactStore().fingerprint_key(FP)
             == CompactStore().fingerprint_key(FP)
         )
-        assert CompactStore().sig_key(SIG_X) == CompactStore().sig_key(SIG_X)
 
     def test_distinct_values_distinct_digests(self):
         store = CompactStore()

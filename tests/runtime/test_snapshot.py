@@ -15,7 +15,8 @@ import pytest
 from repro.harness.exhaustive import (
     _fingerprint_mp,
     _fingerprint_sm,
-    _SigCache,
+    _state_ids,
+    _StateTable,
 )
 from repro.protocols.base import all_specs, get_spec
 from repro.runtime.events import Delivery, Event, Start
@@ -46,8 +47,12 @@ def _inputs(n):
     return ["a", "b"] * (n // 2) + ["a"] * (n % 2)
 
 
-def _mp_fp(kernel):
-    return _fingerprint_mp(kernel, include_counters=True, sigs=_SigCache())
+def _mp_fp(kernel, table):
+    """Fingerprint built from scratch; one table per comparison, so equal
+    ids mean structurally equal states."""
+    return _fingerprint_mp(
+        kernel, _state_ids(kernel, table), include_counters=True
+    )
 
 
 def _mp_kernel(spec_name):
@@ -96,7 +101,8 @@ class TestMPSnapshotRoundTrip:
             kernel.step(max(kernel._pending))
         kernel.restore(snap)
 
-        assert _mp_fp(kernel) == _mp_fp(fork)
+        table = _StateTable()
+        assert _mp_fp(kernel, table) == _mp_fp(fork, table)
 
         # the restored kernel and the deepcopy fork must now agree
         # step-for-step on any common schedule
@@ -106,7 +112,7 @@ class TestMPSnapshotRoundTrip:
             seq = min(kernel._pending)
             kernel.step(seq)
             fork.step(seq)
-            assert _mp_fp(kernel) == _mp_fp(fork)
+            assert _mp_fp(kernel, table) == _mp_fp(fork, table)
 
     @pytest.mark.parametrize("spec_name", MP_SPECS)
     def test_snapshot_survives_live_mutation(self, spec_name):
@@ -114,15 +120,16 @@ class TestMPSnapshotRoundTrip:
         kernel = _mp_kernel(spec_name)
         kernel.step(min(kernel._pending))
         snap = kernel.snapshot()
-        before = _mp_fp(kernel)
+        table = _StateTable()
+        before = _mp_fp(kernel, table)
         for _ in range(6):
             if not kernel._pending:
                 break
             kernel.step(min(kernel._pending))
         kernel.restore(snap)
-        assert _mp_fp(kernel) == before
+        assert _mp_fp(kernel, table) == before
         kernel.restore(snap)  # restoring twice is idempotent
-        assert _mp_fp(kernel) == before
+        assert _mp_fp(kernel, table) == before
 
 
 class TestSMSnapshotRoundTrip:
