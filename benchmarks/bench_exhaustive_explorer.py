@@ -1,12 +1,11 @@
-"""Exhaustive explorer throughput: snapshot/restore vs deepcopy forking.
+"""Exhaustive explorer throughput and reductions.
 
-Measures the three mechanisms of the fast-fork explorer against the
-legacy ``copy.deepcopy``-per-edge baseline (kept as
-``engine="deepcopy"``), all on the same instances in the same run:
+Measures the mechanisms of the snapshot/restore explorer, all on the
+same instances in the same run:
 
-* **states/sec** -- snapshot+POR (the default engine) against the
-  deepcopy full-DFS baseline, both expanding the same budget of
-  distinct states on the n=4 PROTOCOL A grid;
+* **states/sec** -- snapshot+POR (the default) against the snapshot
+  full DFS, both expanding the same budget of distinct states on the
+  n=4 PROTOCOL A grid;
 * **POR reduction** -- states/runs/probes of sleep-set exploration
   against the unreduced full DFS on exhaustible n=3 points, asserting
   both see identical decision sets and violation kinds;
@@ -65,9 +64,9 @@ from repro.runtime.events import Delivery
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_exhaustive.json"
 
-#: Throughput instance: the n=4 PROTOCOL A grid point of the issue
-#: target.  Both engines expand the same number of distinct states
-#: (the budget cap), so rates are directly comparable.
+#: Throughput instance: the n=4 PROTOCOL A grid point.  Both modes
+#: expand the same number of distinct states (the budget cap), so
+#: rates are directly comparable.
 THROUGHPUT_N = 4
 THROUGHPUT_INPUTS = ("v", "v", "w", "w")
 THROUGHPUT_K = 2
@@ -194,19 +193,18 @@ def _grid_validity(point: Dict[str, Any]):
     return RV2
 
 
-def _measure_engine(engine: str, por: bool, cap: int) -> Dict[str, Any]:
+def _measure_throughput(por: bool, cap: int) -> Dict[str, Any]:
     """One throughput point: states/sec at a fixed expansion budget."""
     started = time.perf_counter()
     result = explore_mp(
         lambda: [ProtocolA() for _ in range(THROUGHPUT_N)],
         list(THROUGHPUT_INPUTS),
         k=THROUGHPUT_K, t=THROUGHPUT_T, validity=RV2,
-        max_states=cap, engine=engine, por=por,
+        max_states=cap, por=por,
     )
     elapsed = time.perf_counter() - started
     assert result.all_ok, result.violations[:2]
     return {
-        "engine": engine,
         "por": por,
         "states": result.states,
         "runs": result.runs,
@@ -387,15 +385,9 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
 
     throughput = {
         "cap": cap,
-        "deepcopy_full_dfs": _measure_engine("deepcopy", False, cap),
-        "snapshot_full_dfs": _measure_engine("snapshot", False, cap),
-        "snapshot_por": _measure_engine("snapshot", True, cap),
+        "snapshot_full_dfs": _measure_throughput(False, cap),
+        "snapshot_por": _measure_throughput(True, cap),
     }
-    base = throughput["deepcopy_full_dfs"]["states_per_sec"]
-    fast = throughput["snapshot_por"]["states_per_sec"]
-    mech = throughput["snapshot_full_dfs"]["states_per_sec"]
-    throughput["speedup_snapshot_por_vs_deepcopy"] = round(fast / base, 2)
-    throughput["speedup_snapshot_vs_deepcopy_full_dfs"] = round(mech / base, 2)
 
     por_points = [_measure_por_point(point) for point in POR_GRID]
     sym_points = [
@@ -510,7 +502,6 @@ def test_exhaustive_throughput_smoke(benchmark):
         run_suite, kwargs={"smoke": True}, rounds=1, iterations=1
     )
     throughput = payload["throughput"]
-    assert throughput["speedup_snapshot_por_vs_deepcopy"] > 1.0
     assert payload["por_reduction"], "no POR points measured"
     assert payload["symmetry_reduction"], "no symmetry points measured"
     for point in payload["symmetry_reduction"]:
@@ -545,12 +536,9 @@ def main(argv=None) -> int:
     atomic_write_json(out, payload)
     throughput = payload["throughput"]
     print(
-        f"n={THROUGHPUT_N} cap={throughput['cap']}: "
-        f"deepcopy {throughput['deepcopy_full_dfs']['states_per_sec']}/s, "
-        f"snapshot full-DFS "
+        f"n={THROUGHPUT_N} cap={throughput['cap']}: snapshot full-DFS "
         f"{throughput['snapshot_full_dfs']['states_per_sec']}/s, "
-        f"snapshot+POR {throughput['snapshot_por']['states_per_sec']}/s "
-        f"(x{throughput['speedup_snapshot_por_vs_deepcopy']} vs deepcopy)"
+        f"snapshot+POR {throughput['snapshot_por']['states_per_sec']}/s"
     )
     for point in payload["por_reduction"]:
         print(

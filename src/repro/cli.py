@@ -189,6 +189,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--rows", type=int, default=120)
 
+    def add_search_args(p, max_states):
+        """The explorer flags ``exhaustive`` and ``certify`` share."""
+        p.add_argument(
+            "--max-states", type=int, default=max_states,
+            help="state budget per exploration; a search that hits it is "
+                 "not exhaustive (certify marks the point INCONCLUSIVE)",
+        )
+        p.add_argument(
+            "--visited", choices=["exact", "compact"], default="exact",
+            help="visited-state store: exact dict or 64-bit "
+                 "hash-compacted digests",
+        )
+        p.add_argument(
+            "--stop-on-violation", action="store_true",
+            help="abandon each exploration at its first violation",
+        )
+
     p = sub.add_parser("exhaustive",
                        help="verify a protocol over ALL schedules (tiny n)")
     p.add_argument("spec")
@@ -196,24 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--inputs", nargs="*", default=None)
-    p.add_argument("--max-states", type=int, default=200_000)
+    add_search_args(p, max_states=200_000)
     p.add_argument("--jobs", type=int, default=None,
                    help="split the root fan-out over N worker processes "
                         "(results are identical for every N)")
-    p.add_argument("--stop-on-violation", action="store_true",
-                   help="abandon the search at the first violation "
-                        "(with --jobs, each subtree at its own first one)")
     p.add_argument("--full-dfs", action="store_true",
                    help="disable partial-order reduction (the unreduced "
                         "correctness reference)")
-    p.add_argument("--engine", choices=["snapshot", "deepcopy"],
-                   default="snapshot",
-                   help="state-forking strategy; 'deepcopy' is the legacy "
-                        "baseline (message-passing only)")
-    p.add_argument("--visited", choices=["exact", "compact"],
-                   default="exact",
-                   help="visited-state store: exact dict or 64-bit "
-                        "hash-compacted digests")
     p.add_argument("--symmetry", action="store_true",
                    help="canonicalize states modulo renaming of "
                         "interchangeable processes (auto-disabled where "
@@ -232,16 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the k grid (default 1..n)")
     p.add_argument("--ts", type=int, nargs="*", default=None,
                    help="restrict the t grid (default 0..n-1)")
-    p.add_argument("--visited", choices=["exact", "compact"],
-                   default="exact")
-    p.add_argument("--stop-on-violation", action="store_true",
-                   help="stop each outside-region exploration at its "
-                        "first violation (verdicts unchanged)")
+    add_search_args(p, max_states=500_000)
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable symmetry reduction (on by default here)")
-    p.add_argument("--max-states", type=int, default=500_000,
-                   help="per-exploration budget; exceeding it marks the "
-                        "point INCONCLUSIVE")
     p.add_argument("--max-sends", type=int, default=1,
                    help="partial-broadcast crash depth for MP crash plans")
     p.add_argument("--jobs", type=int, default=None,
@@ -622,9 +621,6 @@ def _cmd_exhaustive(args) -> int:
     # A SpecFactory (not a lambda) so worker processes can unpickle it.
     factory = SpecFactory(spec.name, args.n, args.k, args.t)
     if spec.is_shared_memory:
-        if args.engine == "deepcopy":
-            print("the deepcopy engine applies to message-passing specs only")
-            return 2
         result = explore_sm(
             factory, inputs, args.k, args.t, validity,
             max_states=args.max_states,
@@ -640,7 +636,6 @@ def _cmd_exhaustive(args) -> int:
             max_states=args.max_states,
             verify=args.verify,
             por=not args.full_dfs,
-            engine=args.engine,
             jobs=args.jobs,
             visited=args.visited,
             symmetry=args.symmetry,

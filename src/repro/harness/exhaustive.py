@@ -11,12 +11,12 @@ Three cooperating mechanisms keep the search fast:
 
 * **Snapshot/restore forking.**  Branch points capture kernel state with
   the plain-data snapshot protocol (:meth:`MPKernel.snapshot` /
-  :meth:`MPKernel.restore`) instead of ``copy.deepcopy``; the legacy
-  deepcopy engine is kept behind ``engine="deepcopy"`` as the
-  correctness/bench baseline.  Shared-memory programs are generators and
+  :meth:`MPKernel.restore`).  Shared-memory programs are generators and
   cannot be copied at all, so :func:`explore_sm` shares prefixes: one
   live kernel is *extended* along depth-first descents and replayed only
-  on backtracks.
+  on backtracks.  The independent references are the full DFS
+  (``por=False``) and the fresh-kernel replay of every recorded
+  violation in :func:`repro.verify.confirm_exploration`.
 
 * **Partial-order reduction** (``por=True``, the default for
   :func:`explore_mp`).  Deliveries to distinct processes that cannot
@@ -33,12 +33,13 @@ Three cooperating mechanisms keep the search fast:
   with the sleep sets it was expanded under, and a revisit is cut only
   when a cached sleep set is a *subset* of the current one (the cached
   expansion then covered every continuation the revisit needs), which
-  is what makes caching sound under sleep sets.  Hit/miss counters are
-  reported on every result.  Message-passing fingerprints are
-  hash-consed: a per-exploration table (:class:`_StateTable`) numbers
-  each distinct process local state and pending-event signature in
-  first-seen order, DFS frames carry the resulting id vector, and a
-  step re-freezes only the process it targeted.
+  is what makes caching sound under sleep sets.  Every state goes
+  through the store, and its hit/miss counters are reported on every
+  result.  Message-passing fingerprints are hash-consed: a
+  per-exploration table (:class:`_StateTable`) numbers each distinct
+  process local state and pending-event signature in first-seen order,
+  DFS frames carry the resulting id vector, and a step re-freezes only
+  the process it targeted.
 
 :func:`explore_mp` and :func:`explore_sm` also take ``jobs``: the root
 fan-out is expanded breadth-first into a fixed-width frontier whose
@@ -46,6 +47,11 @@ subtrees are distributed over worker processes with
 :func:`repro.harness.parallel.parallel_map`, and the per-subtree results
 are merged in frontier order -- so the merged result is bit-identical
 for every jobs count (``--jobs 1`` vs ``--jobs 8`` agree exactly).
+Each kernel has one set-up function (:func:`_setup_mp`,
+:func:`_setup_sm`) that turns a picklable record of the caller's
+arguments (:class:`_Search`) into a fresh kernel, its per-search
+constants, an empty result and a visited store; the serial search and
+every frontier worker are built through it.
 
 ``stop_on_violation=True`` terminates the search at the first recorded
 violation, which makes counterexample hunts over outside-region points
@@ -74,6 +80,7 @@ import itertools
 from collections import Counter, deque
 from typing import (
     Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    Union,
 )
 
 from repro.core.problem import SCProblem
@@ -87,6 +94,7 @@ from repro.runtime.events import Delivery, Event
 from repro.runtime.kernel import MPKernel
 from repro.runtime.process import Process
 from repro.runtime.traces import TraceMode
+from repro.shm.kernel import SMKernel, SMSnapshot
 
 __all__ = [
     "ExplorationResult",
@@ -463,8 +471,7 @@ def _fingerprint_sm(kernel) -> Tuple:
     Generator frames are opaque, but a deterministic generator's
     internal state is a pure function of the operation results fed into
     it (``results_log``), so logging results makes SM states
-    fingerprintable -- and gives the SM explorer the deduplication the
-    deepcopy-era code never had.
+    fingerprintable.
     """
     states = tuple(
         (
@@ -480,48 +487,173 @@ def _fingerprint_sm(kernel) -> Tuple:
     return (states, registers, tuple(sorted(kernel._crashed)))
 
 
-# The visited stores (exact / compact) live in
-# :mod:`repro.harness.visited`; these aliases keep the explorer's
-# long-standing internal names stable for tests and callers.
-_EXPAND_ALL = EXPAND_ALL
-
-_NO_SLEEP: Counter = NO_SLEEP
-
-_VisitedStore = ExactStore
-
 #: Visited-store kinds the ``visited`` argument selects by name.
 _STORES = {"exact": ExactStore, "compact": CompactStore}
 
 
-def _make_store(visited: str) -> _VisitedStore:
+def _make_store(visited: str) -> ExactStore:
     if visited not in _STORES:
         raise ValueError(f"unknown visited store kind {visited!r}")
     return _STORES[visited]()
 
 
 # ---------------------------------------------------------------------------
-# message-passing exploration
+# search set-up, shared by both kernels
+
+
+@dataclasses.dataclass(frozen=True)
+class _Search:
+    """The caller's arguments to one exploration, picklable for workers.
+
+    :func:`explore_mp` and its frontier worker both build their search
+    from this record through :func:`_setup_mp` (and likewise on shared
+    memory through :func:`_setup_sm`), so a worker's subtree search is
+    set up exactly like the serial one.
+    """
+
+    factory: Callable[[], Sequence]
+    inputs: Tuple[Value, ...]
+    k: int
+    t: int
+    validity: ValidityCondition
+    crash_adversary: Optional[CrashAdversary]
+    max_states: int
+    verify: bool
+    visited: str
+    symmetry: bool
+    stop_on_violation: bool
+    #: Message passing only: prune commuting interleavings (sleep sets).
+    por: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _Subtree:
+    """A frontier task: the search and the root of one of its subtrees.
+
+    The root is ``(snapshot, path, sleep)`` on message passing and a
+    choice prefix on shared memory.
+    """
+
+    search: _Search
+    root: Any
 
 
 @dataclasses.dataclass
-class _MPConfig:
-    """Per-exploration constants threaded through the MP engines."""
+class _Config:
+    """Per-exploration constants derived from a :class:`_Search`."""
 
     judge: Callable
     max_states: int
-    dedup: bool
-    por: bool
-    include_counters: bool
+    stop_on_violation: bool
+    #: Symmetry canonicalizer, or ``None`` when the reduction is off
+    #: (see :func:`_symmetry_for`).
+    sym: Optional[Any]
+    # The remaining fields matter to message passing only.
+    por: bool = False
+    include_counters: bool = False
     #: Processes the adversary may still crash; events targeting one
     #: (while it is not yet crashed) are dependent on everything.
-    may_crash: FrozenSet[int]
-    #: Symmetry canonicalizer, or ``None`` when the reduction is off
-    #: (see :func:`repro.harness.symmetry.mp_symmetry_context`).
-    sym: Optional[Any] = None
+    may_crash: FrozenSet[int] = frozenset()
     #: This exploration's hash-consing table (see :class:`_StateTable`).
     table: _StateTable = dataclasses.field(default_factory=_StateTable)
-    #: Abandon the search at the first recorded violation.
-    stop_on_violation: bool = False
+
+
+#: What a set-up function returns: a fresh kernel (MP or SM), the
+#: search's constants, an empty result and a visited store.
+_Setup = Tuple[Any, _Config, ExplorationResult, ExactStore]
+
+
+def _symmetry_for(
+    search: _Search, kernel: Union[MPKernel, SMKernel], stats: ExplorationStats
+) -> Optional[Any]:
+    """Resolve either kernel's symmetry canonicalizer; record why when off."""
+    if not search.symmetry:
+        return None
+    from repro.harness import symmetry
+
+    if isinstance(kernel, MPKernel):
+        context, members = symmetry.mp_symmetry_context, kernel._processes
+    else:
+        context, members = symmetry.sm_symmetry_context, kernel._programs
+    sym, reason = context(
+        members, search.inputs, search.t, search.crash_adversary
+    )
+    if sym is None:
+        stats.symmetry_reason = reason
+        return None
+    stats.symmetry = True
+    stats.group_size = sym.group_size
+    return sym
+
+
+def _setup(
+    search: _Search, kernel: Union[MPKernel, SMKernel], **mp_only: Any
+) -> _Setup:
+    """``(kernel, config, result, store)`` of one search on a fresh kernel."""
+    store = _make_store(search.visited)
+    result = _empty_result()
+    result.stats.visited_store = store.kind
+    problem = SCProblem(
+        n=len(search.inputs), k=search.k, t=search.t,
+        validity=search.validity,
+    )
+    cfg = _Config(
+        judge=_make_judge(problem, search.verify),
+        max_states=search.max_states,
+        stop_on_violation=search.stop_on_violation,
+        sym=_symmetry_for(search, kernel, result.stats),
+        **mp_only,
+    )
+    return kernel, cfg, result, store
+
+
+def _finish(
+    result: ExplorationResult, store: ExactStore
+) -> ExplorationResult:
+    """The one exit of every search: add its own store's counters."""
+    result.cache_hits += store.hits
+    result.cache_misses += store.misses
+    return result
+
+
+def _explore_frontier(
+    search: _Search,
+    setup: _Setup,
+    root: Any,
+    children: Callable[..., List[Any]],
+    worker: Callable[[_Subtree], ExplorationResult],
+    jobs: int,
+) -> None:
+    """Breadth-first expansion from ``root``, then parallel subtree searches.
+
+    ``children(kernel, cfg, result, store, node)`` processes one
+    frontier node and returns its child nodes; ``worker`` explores one
+    :class:`_Subtree`.  The frontier width is a constant (not a
+    function of ``jobs``) and subtree results are merged in frontier
+    order, so the merged result is identical for every worker count.
+    Worker subtrees use private stores; cross-subtree duplicates are
+    re-explored rather than shared, which costs work but keeps the
+    decomposition deterministic.
+    """
+    kernel, cfg, result, store = setup
+    queue: deque = deque([root])
+    while queue and len(queue) < _FRONTIER_WIDTH:
+        if result.states >= cfg.max_states:
+            result.exhausted = False
+            return
+        queue.extend(children(kernel, cfg, result, store, queue.popleft()))
+        if cfg.stop_on_violation and result.violations:
+            result.exhausted = False
+            return
+    if not queue:
+        return
+    tasks = [_Subtree(search, node) for node in queue]
+    for part in parallel_map(worker, tasks, jobs=jobs):
+        _merge_into(result, part)
+
+
+# ---------------------------------------------------------------------------
+# message-passing exploration
 
 
 def _is_dynamic(adversary: Optional[CrashAdversary]) -> bool:
@@ -529,6 +661,14 @@ def _is_dynamic(adversary: Optional[CrashAdversary]) -> bool:
     if adversary is None:
         return False
     return type(adversary).dynamic_crashes is not CrashAdversary.dynamic_crashes
+
+
+def _mp_counters_matter(adversary: Optional[CrashAdversary]) -> bool:
+    return bool(_may_crash_set(adversary)) or _is_dynamic(adversary)
+
+
+def _may_crash_set(adversary: Optional[CrashAdversary]) -> FrozenSet[int]:
+    return adversary.potentially_faulty() if adversary is not None else frozenset()
 
 
 def _fresh_mp_kernel(
@@ -549,6 +689,18 @@ def _fresh_mp_kernel(
     return kernel
 
 
+def _setup_mp(search: _Search) -> _Setup:
+    """``(kernel, config, result, store)`` of one MP search."""
+    adversary = search.crash_adversary
+    return _setup(
+        search,
+        _fresh_mp_kernel(search.factory, search.inputs, search.t, adversary),
+        por=search.por and not _is_dynamic(adversary),
+        include_counters=_mp_counters_matter(adversary),
+        may_crash=_may_crash_set(adversary),
+    )
+
+
 class _Frame:
     """One DFS branch point: a snapshot plus its unexplored choices."""
 
@@ -566,63 +718,70 @@ class _Frame:
         self.target = target          # Dict[seq -> target pid]
         self.may_crash = may_crash    # Dict[seq -> event is crash-capable]
         self.fresh = True             # live kernel still sits at `snapshot`
-        self.ids = ids                # _StateIds of `snapshot` (None: no dedup)
+        self.ids = ids                # _StateIds of `snapshot`
+
+    def advance(self, kernel: MPKernel) -> int:
+        """Step the live kernel into the next child; return its event seq.
+
+        Descending into the first child of a fresh frame costs a single
+        :meth:`MPKernel.step`; later children restore the snapshot first.
+        """
+        seq = self.choices[self.idx]
+        self.idx += 1
+        if not self.fresh:
+            kernel.restore(self.snapshot)
+        self.fresh = False
+        kernel.step(seq)
+        return seq
 
 
 def _process_mp_node(
     kernel: MPKernel,
     path: Tuple[int, ...],
     sleep: Set[int],
-    cfg: _MPConfig,
+    cfg: _Config,
     result: ExplorationResult,
-    store: _VisitedStore,
-    ids: Optional[_StateIds],
+    store: ExactStore,
+    ids: _StateIds,
 ) -> Optional[_Frame]:
     """Count/dedup/judge the live kernel state; return a frame to expand.
 
-    ``ids`` are the state's hash-consed coordinates (``None`` without
-    dedup); fingerprinting resolves them before they are read here.
-    Returns ``None`` for cache hits, leaves, and fully-slept nodes.  On
-    a revisit whose sleep set is incomparable to the stored coverage,
-    the returned frame expands only the still-uncovered choices.
+    ``ids`` are the state's hash-consed coordinates; fingerprinting
+    resolves them before they are read here.  Returns ``None`` for cache
+    hits, leaves, and fully-slept nodes.  On a revisit whose sleep set
+    is incomparable to the stored coverage, the returned frame expands
+    only the still-uncovered choices.
     """
     pending = kernel._pending
-    fp = None
-    # The signature id of every pending event, in store coordinates.
-    keys: Dict[int, int] = {}
-    to_expand = _EXPAND_ALL
-    if ids is not None:
-        if cfg.sym is not None:
-            # Canonical store coordinates: the fingerprint *and* every
-            # sleep/re-expansion signature are renamed by the same
-            # canonicalizing permutation, so Godefroid bookkeeping
-            # operates consistently inside each symmetry orbit.
-            fp, keys, identity = cfg.sym.canonical(
-                kernel, ids, cfg.include_counters
-            )
-            result.stats.canonicalizations += 1
-        else:
-            identity = True
-            fp = _fingerprint_mp(kernel, ids, cfg.include_counters)
-            keys = ids.sigs
-        sleep_sig = (
-            Counter([keys[seq] for seq in sleep]) if sleep else _NO_SLEEP
+    if cfg.sym is not None:
+        # Canonical store coordinates: the fingerprint *and* every
+        # sleep/re-expansion signature are renamed by the same
+        # canonicalizing permutation, so Godefroid bookkeeping
+        # operates consistently inside each symmetry orbit.
+        fp, keys, identity = cfg.sym.canonical(
+            kernel, ids, cfg.include_counters
         )
-        to_expand = store.probe(fp, sleep_sig)
-        if to_expand is None:
-            if not identity:
-                result.stats.orbit_hits += 1
-            return None
-    if to_expand is _EXPAND_ALL:
+        result.stats.canonicalizations += 1
+    else:
+        identity = True
+        fp = _fingerprint_mp(kernel, ids, cfg.include_counters)
+        # The signature id of every pending event, in store coordinates.
+        keys = ids.sigs
+    sleep_sig = Counter([keys[seq] for seq in sleep]) if sleep else NO_SLEEP
+    to_expand = store.probe(fp, sleep_sig)
+    if to_expand is None:
+        if not identity:
+            result.stats.orbit_hits += 1
+        return None
+    if to_expand is EXPAND_ALL:
         result.states += 1
     else:
         result.reexpansions += 1
     if kernel.all_correct_decided() or not pending:
         _judge_leaf(kernel, path, cfg.judge, result)
-        if fp is not None:
-            store.set_covered(fp)
+        store.set_covered(fp)
         return None
-    if to_expand is _EXPAND_ALL:
+    if to_expand is EXPAND_ALL:
         choices = [seq for seq in sorted(pending) if seq not in sleep]
     else:
         # Partial re-expansion: only events slept at the first visit but
@@ -652,11 +811,6 @@ def _process_mp_node(
     )
 
 
-def _root_ids(kernel: MPKernel, cfg: _MPConfig) -> Optional[_StateIds]:
-    """State ids of a search root (``None`` when nothing is deduplicated)."""
-    return _state_ids(kernel, cfg.table) if cfg.dedup else None
-
-
 def _child_sleep(frame: _Frame, seq: int, por: bool) -> Set[int]:
     """Sleep set for the child reached by executing ``seq``.
 
@@ -679,20 +833,19 @@ def _run_mp_dfs(
     kernel: MPKernel,
     path: Tuple[int, ...],
     sleep: Set[int],
-    cfg: _MPConfig,
+    cfg: _Config,
     result: ExplorationResult,
-    store: _VisitedStore,
+    store: ExactStore,
 ) -> None:
     """Depth-first exploration from the kernel's current state.
 
-    One live kernel serves the whole search: descending into the first
-    child of a fresh frame costs a single :meth:`MPKernel.step`;
-    visiting later children restores the frame's snapshot first.  A
-    child's state ids derive from its frame's by re-freezing only the
+    One live kernel serves the whole search (see :meth:`_Frame.advance`).
+    A child's state ids derive from its frame's by re-freezing only the
     process that stepped.
     """
     root = _process_mp_node(
-        kernel, path, sleep, cfg, result, store, _root_ids(kernel, cfg)
+        kernel, path, sleep, cfg, result, store,
+        _state_ids(kernel, cfg.table),
     )
     if cfg.stop_on_violation and result.violations:
         result.exhausted = False
@@ -708,20 +861,13 @@ def _run_mp_dfs(
         if result.states >= cfg.max_states:
             result.exhausted = False
             return
-        seq = frame.choices[frame.idx]
-        frame.idx += 1
-        if not frame.fresh:
-            kernel.restore(frame.snapshot)
-        frame.fresh = False
-        kernel.step(seq)
-        ids = frame.ids
-        if ids is not None:
-            ids = ids.after_step(seq, frame.target[seq], frame.snapshot.seq)
+        seq = frame.advance(kernel)
         child = _process_mp_node(
             kernel,
             frame.path + (seq,),
             _child_sleep(frame, seq, cfg.por),
-            cfg, result, store, ids,
+            cfg, result, store,
+            frame.ids.after_step(seq, frame.target[seq], frame.snapshot.seq),
         )
         if cfg.stop_on_violation and result.violations:
             result.exhausted = False
@@ -730,210 +876,35 @@ def _run_mp_dfs(
             stack.append(child)
 
 
-def _explore_mp_deepcopy(
-    process_factory, inputs, t, crash_adversary,
-    cfg: _MPConfig,
-    result: ExplorationResult,
-    store: _VisitedStore,
-) -> None:
-    """The legacy engine: fork every branch with ``copy.deepcopy``.
-
-    Kept as the snapshot engine's correctness and benchmark baseline
-    (``engine="deepcopy"``).  Runs full DFS -- POR never applies -- but
-    shares the fingerprint and store, so its state counts match the
-    snapshot engine's full-DFS counts exactly; only the speed differs.
-    """
-    root = _fresh_mp_kernel(process_factory, inputs, t, crash_adversary)
-    stack: List[Tuple[MPKernel, Tuple[int, ...]]] = [(root, ())]
-    while stack:
-        if result.states >= cfg.max_states:
-            result.exhausted = False
-            break
-        kernel, path = stack.pop()
-        result.states += 1
-        if kernel.all_correct_decided() or not kernel._pending:
-            _judge_leaf(kernel, path, cfg.judge, result)
-            if cfg.stop_on_violation and result.violations:
-                result.exhausted = False
-                break
-            continue
-        for seq in sorted(kernel._pending):
-            branch = copy.deepcopy(kernel)
-            branch.step(seq)
-            if cfg.dedup:
-                fp = _fingerprint_mp(
-                    branch, _state_ids(branch, cfg.table),
-                    cfg.include_counters,
-                )
-                if store.probe(fp, _NO_SLEEP) is None:
-                    continue
-            stack.append((branch, path + (seq,)))
-
-
-@dataclasses.dataclass(frozen=True)
-class _MPFrontierTask:
-    """Everything a worker needs to explore one frontier subtree."""
-
-    process_factory: Callable[[], Sequence[Process]]
-    inputs: Tuple[Value, ...]
-    k: int
-    t: int
-    validity: ValidityCondition
-    crash_adversary: Optional[CrashAdversary]
-    max_states: int
-    dedup: bool
-    verify: bool
-    por: bool
-    visited: str
-    symmetry: bool
-    snapshot: Any
-    path: Tuple[int, ...]
-    sleep: Tuple[int, ...]
-    stop_on_violation: bool = False
-
-
-def _mp_symmetry_for(
+def _mp_children(
     kernel: MPKernel,
-    inputs: Sequence[Value],
-    t: int,
-    crash_adversary,
-    requested: bool,
-    engine: str,
-    dedup: bool,
-    stats: ExplorationStats,
-):
-    """Resolve the symmetry canonicalizer and record why when disabled."""
-    if not requested:
-        return None
-    if engine != "snapshot":
-        stats.symmetry_reason = "deepcopy engine is the full-DFS baseline"
-        return None
-    if not dedup:
-        stats.symmetry_reason = "dedup disabled (no visited store to key)"
-        return None
-    from repro.harness.symmetry import mp_symmetry_context
-
-    sym, reason = mp_symmetry_context(
-        kernel._processes, inputs, t, crash_adversary
-    )
-    if sym is None:
-        stats.symmetry_reason = reason
-        return None
-    stats.symmetry = True
-    stats.group_size = sym.group_size
-    return sym
-
-
-def _mp_frontier_worker(task: _MPFrontierTask) -> ExplorationResult:
-    """Explore one frontier subtree in a fresh process (or inline)."""
-    problem = SCProblem(
-        n=len(task.inputs), k=task.k, t=task.t, validity=task.validity
-    )
-    adversary = task.crash_adversary
-    kernel = _fresh_mp_kernel(
-        task.process_factory, task.inputs, task.t, adversary
-    )
-    result = _empty_result()
-    store = _make_store(task.visited)
-    result.stats.visited_store = store.kind
-    sym = _mp_symmetry_for(
-        kernel, task.inputs, task.t, adversary,
-        task.symmetry, "snapshot", task.dedup, result.stats,
-    )
-    cfg = _MPConfig(
-        judge=_make_judge(problem, task.verify),
-        max_states=task.max_states,
-        dedup=task.dedup,
-        por=task.por,
-        include_counters=_mp_counters_matter(adversary),
-        may_crash=_may_crash_set(adversary),
-        sym=sym,
-        stop_on_violation=task.stop_on_violation,
-    )
-    kernel.restore(task.snapshot)
-    _run_mp_dfs(kernel, task.path, set(task.sleep), cfg, result, store)
-    result.cache_hits = store.hits
-    result.cache_misses = store.misses
-    return result
-
-
-def _mp_counters_matter(adversary: Optional[CrashAdversary]) -> bool:
-    return bool(_may_crash_set(adversary)) or _is_dynamic(adversary)
-
-
-def _may_crash_set(adversary: Optional[CrashAdversary]) -> FrozenSet[int]:
-    return adversary.potentially_faulty() if adversary is not None else frozenset()
-
-
-def _explore_mp_frontier(
-    process_factory, inputs, k, t, validity, crash_adversary,
-    cfg: _MPConfig,
-    verify: bool,
-    jobs: int,
+    cfg: _Config,
     result: ExplorationResult,
-    store: _VisitedStore,
-    visited: str,
-    symmetry: bool,
-) -> None:
-    """Breadth-first root expansion, then parallel per-subtree DFS.
+    store: ExactStore,
+    node: Tuple[Any, Tuple[int, ...], Tuple[int, ...]],
+) -> List[Tuple]:
+    """Process one MP frontier node; return its children as new roots."""
+    snapshot, path, sleep = node
+    kernel.restore(snapshot)
+    frame = _process_mp_node(
+        kernel, path, set(sleep), cfg, result, store,
+        _state_ids(kernel, cfg.table),
+    )
+    children = []
+    while frame is not None and frame.idx < len(frame.choices):
+        seq = frame.advance(kernel)
+        child_sleep = tuple(sorted(_child_sleep(frame, seq, cfg.por)))
+        children.append((kernel.snapshot(), path + (seq,), child_sleep))
+    return children
 
-    The frontier width is a constant (not a function of ``jobs``) and
-    subtree results are merged in frontier order, so the merged result
-    is identical for every worker count.  Worker subtrees use private
-    stores; cross-subtree duplicates are re-explored rather than shared,
-    which costs work but keeps the decomposition deterministic.
-    """
-    kernel = _fresh_mp_kernel(process_factory, inputs, t, crash_adversary)
-    queue: deque = deque([(kernel.snapshot(), (), ())])
-    while queue and len(queue) < _FRONTIER_WIDTH:
-        if result.states >= cfg.max_states:
-            result.exhausted = False
-            return
-        snapshot, path, sleep = queue.popleft()
-        kernel.restore(snapshot)
-        frame = _process_mp_node(
-            kernel, path, set(sleep), cfg, result, store,
-            _root_ids(kernel, cfg),
-        )
-        if cfg.stop_on_violation and result.violations:
-            result.exhausted = False
-            break
-        if frame is None:
-            continue
-        for _ in range(len(frame.choices)):
-            seq = frame.choices[frame.idx]
-            frame.idx += 1
-            if not frame.fresh:
-                kernel.restore(frame.snapshot)
-            frame.fresh = False
-            kernel.step(seq)
-            child_sleep = tuple(sorted(_child_sleep(frame, seq, cfg.por)))
-            queue.append((kernel.snapshot(), path + (seq,), child_sleep))
-    result.cache_hits = store.hits
-    result.cache_misses = store.misses
-    if not queue or (cfg.stop_on_violation and result.violations):
-        return
-    tasks = [
-        _MPFrontierTask(
-            process_factory=process_factory,
-            inputs=tuple(inputs),
-            k=k, t=t, validity=validity,
-            crash_adversary=crash_adversary,
-            max_states=cfg.max_states,
-            dedup=cfg.dedup,
-            verify=verify,
-            por=cfg.por,
-            visited=visited,
-            symmetry=symmetry,
-            snapshot=snapshot,
-            path=path,
-            sleep=tuple(sleep),
-            stop_on_violation=cfg.stop_on_violation,
-        )
-        for snapshot, path, sleep in queue
-    ]
-    for part in parallel_map(_mp_frontier_worker, tasks, jobs=jobs):
-        _merge_into(result, part)
+
+def _mp_frontier_worker(task: _Subtree) -> ExplorationResult:
+    """Explore one MP frontier subtree in a fresh process (or inline)."""
+    kernel, cfg, result, store = _setup_mp(task.search)
+    snapshot, path, sleep = task.root
+    kernel.restore(snapshot)
+    _run_mp_dfs(kernel, path, set(sleep), cfg, result, store)
+    return _finish(result, store)
 
 
 def explore_mp(
@@ -944,10 +915,8 @@ def explore_mp(
     validity: ValidityCondition,
     crash_adversary=None,
     max_states: int = 200_000,
-    dedup: bool = True,
     verify: bool = False,
     por: bool = True,
-    engine: str = "snapshot",
     jobs: Optional[int] = None,
     visited: str = "exact",
     symmetry: bool = False,
@@ -964,7 +933,6 @@ def explore_mp(
             the schedules (use :func:`crash_patterns` to enumerate).
         max_states: search budget; when hit, ``exhausted`` is ``False``.
             The parallel engine applies it per subtree.
-        dedup: collapse states via the visited-state store.
         verify: judge each leaf with the :mod:`repro.verify.oracles`
             stack instead of the bare outcome checks; violation records
             then map oracle names to findings.  Exploration runs with
@@ -972,8 +940,6 @@ def explore_mp(
         por: prune commuting interleavings with sleep sets.  Sound for
             static crash adversaries; automatically disabled for dynamic
             ones.  ``por=False`` is the full-DFS correctness reference.
-        engine: ``"snapshot"`` (default) or ``"deepcopy"`` (the legacy
-            forking strategy, kept as baseline; implies full DFS).
         jobs: when set, split the root fan-out across this many worker
             processes (frontier search).  Results are bit-identical for
             every value of ``jobs``, including 1.
@@ -983,68 +949,41 @@ def explore_mp(
         symmetry: canonicalize states modulo process renaming (see
             :mod:`repro.harness.symmetry`).  Automatically disabled --
             with the reason recorded in ``result.stats`` -- for
-            undeclared protocols, symmetry-breaking adversaries, and
-            the deepcopy engine.
+            undeclared protocols and symmetry-breaking adversaries.
         stop_on_violation: abandon the search at the first recorded
             violation (``exhausted`` is then ``False``).  Searches that
             find no violation are unaffected.
     """
-    if engine not in ("snapshot", "deepcopy"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if jobs is not None and engine != "snapshot":
-        raise ValueError("parallel exploration requires engine='snapshot'")
-
-    problem = SCProblem(n=len(inputs), k=k, t=t, validity=validity)
-    result = _empty_result()
-    store = _make_store(visited)
-    result.stats.visited_store = store.kind
-    kernel = _fresh_mp_kernel(process_factory, inputs, t, crash_adversary)
-    sym = _mp_symmetry_for(
-        kernel, inputs, t, crash_adversary,
-        symmetry, engine, dedup, result.stats,
+    search = _Search(
+        factory=process_factory, inputs=tuple(inputs), k=k, t=t,
+        validity=validity, crash_adversary=crash_adversary,
+        max_states=max_states, verify=verify, visited=visited,
+        symmetry=symmetry, stop_on_violation=stop_on_violation, por=por,
     )
-    cfg = _MPConfig(
-        judge=_make_judge(problem, verify),
-        max_states=max_states,
-        dedup=dedup,
-        por=(
-            por and engine == "snapshot"
-            and not _is_dynamic(crash_adversary)
-        ),
-        include_counters=_mp_counters_matter(crash_adversary),
-        may_crash=_may_crash_set(crash_adversary),
-        sym=sym,
-        stop_on_violation=stop_on_violation,
-    )
-
-    if jobs is not None:
-        _explore_mp_frontier(
-            process_factory, inputs, k, t, validity, crash_adversary,
-            cfg, verify, jobs, result, store, visited, symmetry,
-        )
-        return result
-
-    if engine == "deepcopy":
-        _explore_mp_deepcopy(
-            process_factory, inputs, t, crash_adversary, cfg, result,
-            store,
-        )
-    else:
+    setup = _setup_mp(search)
+    kernel, cfg, result, store = setup
+    if jobs is None:
         _run_mp_dfs(kernel, (), set(), cfg, result, store)
-    result.cache_hits = store.hits
-    result.cache_misses = store.misses
-    return result
+    else:
+        _explore_frontier(
+            search, setup, (kernel.snapshot(), (), ()), _mp_children,
+            _mp_frontier_worker, jobs,
+        )
+    return _finish(result, store)
 
 
 # ---------------------------------------------------------------------------
 # shared-memory exploration
 
 
-def _fresh_sm_kernel(
-    programs_factory, inputs, t, crash_adversary, max_ticks
-):
-    from repro.shm.kernel import SMKernel
+#: Tick budget of one shared-memory run: a safety valve against
+#: non-terminating programs.
+_SM_MAX_TICKS = 5_000
 
+
+def _fresh_sm_kernel(
+    programs_factory, inputs, t, crash_adversary
+) -> SMKernel:
     kernel = SMKernel(
         list(programs_factory()),
         list(inputs),
@@ -1052,136 +991,101 @@ def _fresh_sm_kernel(
         scheduler=None,
         crash_adversary=copy.deepcopy(crash_adversary),
         stop_when_decided=True,
-        max_ticks=max_ticks,
+        max_ticks=_SM_MAX_TICKS,
         trace_mode=TraceMode.OFF,
     )
     kernel._apply_dynamic_crashes()
     return kernel
 
 
-def _run_sm_dfs(
-    kernel,
-    judge,
-    max_states: int,
-    dedup: bool,
+def _setup_sm(search: _Search) -> _Setup:
+    """``(kernel, config, result, store)`` of one SM search."""
+    return _setup(search, _fresh_sm_kernel(
+        search.factory, search.inputs, search.t, search.crash_adversary,
+    ))
+
+
+def _process_sm_node(
+    kernel: SMKernel,
+    prefix: Tuple[int, ...],
+    cfg: _Config,
     result: ExplorationResult,
-    store: _VisitedStore,
-    sym=None,
-    stop_on_violation: bool = False,
+    store: ExactStore,
+) -> List[Tuple[int, ...]]:
+    """Count/dedup/judge the live SM kernel state; return child prefixes.
+
+    Cache hits and leaves have no children.
+    """
+    if cfg.sym is not None:
+        fingerprint, identity = cfg.sym.canonical(kernel)
+        result.stats.canonicalizations += 1
+    else:
+        fingerprint, identity = _fingerprint_sm(kernel), True
+    if store.probe(fingerprint, NO_SLEEP) is None:
+        if not identity:
+            result.stats.orbit_hits += 1
+        return []
+    result.states += 1
+    if kernel.all_correct_decided() or not kernel.runnable_pids():
+        _judge_leaf(kernel, prefix, cfg.judge, result)
+        return []
+    return [prefix + (pid,) for pid in sorted(kernel.runnable_pids())]
+
+
+def _run_sm_dfs(
+    kernel: SMKernel,
+    root: Tuple[int, ...],
+    cfg: _Config,
+    result: ExplorationResult,
+    store: ExactStore,
 ) -> None:
     """Prefix-sharing DFS over scheduling choices of one live SM kernel.
 
     The stack holds choice prefixes.  Thanks to LIFO order, the next
     prefix usually extends the live kernel's current one by a single
-    step (cost 1); only backtracks replay a prefix from the root
+    step (cost 1); only backtracks (and the root) replay a prefix
     (:meth:`SMKernel.restore`), and the replay totals are reported in
     ``replays``/``replayed_steps``.
     """
-    from repro.shm.kernel import SMSnapshot
-
-    stack: List[Tuple[int, ...]] = [tuple(kernel.choices)]
+    stack: List[Tuple[int, ...]] = [root]
     live = None  # the prefix the kernel currently sits at
     while stack:
-        if result.states >= max_states:
+        if result.states >= cfg.max_states:
             result.exhausted = False
             return
         prefix = stack.pop()
-        if prefix == live:
-            pass
-        elif live is not None and prefix[:-1] == live:
+        if prefix[:-1] == live:
             kernel.step_pid(prefix[-1])
         else:
             kernel.restore(SMSnapshot(choices=prefix))
             result.replays += 1
             result.replayed_steps += len(prefix)
         live = prefix
-        if dedup:
-            if sym is not None:
-                fingerprint, identity = sym.canonical(kernel)
-                result.stats.canonicalizations += 1
-            else:
-                fingerprint, identity = _fingerprint_sm(kernel), True
-            if store.probe(fingerprint, _NO_SLEEP) is None:
-                if not identity:
-                    result.stats.orbit_hits += 1
-                continue
-        result.states += 1
-        if kernel.all_correct_decided() or not kernel.runnable_pids():
-            _judge_leaf(kernel, prefix, judge, result)
-            if stop_on_violation and result.violations:
-                result.exhausted = False
-                return
-            continue
-        for pid in sorted(kernel.runnable_pids()):
-            stack.append(prefix + (pid,))
+        stack.extend(_process_sm_node(kernel, prefix, cfg, result, store))
+        if cfg.stop_on_violation and result.violations:
+            result.exhausted = False
+            return
 
 
-@dataclasses.dataclass(frozen=True)
-class _SMFrontierTask:
-    programs_factory: Callable[[], Sequence]
-    inputs: Tuple[Value, ...]
-    k: int
-    t: int
-    validity: ValidityCondition
-    crash_adversary: Optional[CrashAdversary]
-    max_states: int
-    max_ticks: int
-    dedup: bool
-    verify: bool
-    prefix: Tuple[int, ...]
-    visited: str = "exact"
-    symmetry: bool = False
-    stop_on_violation: bool = False
+def _sm_children(
+    kernel: SMKernel,
+    cfg: _Config,
+    result: ExplorationResult,
+    store: ExactStore,
+    prefix: Tuple[int, ...],
+) -> List[Tuple[int, ...]]:
+    """Process one SM frontier prefix (replayed); return its children."""
+    kernel.restore(SMSnapshot(choices=prefix))
+    result.replays += 1
+    result.replayed_steps += len(prefix)
+    return _process_sm_node(kernel, prefix, cfg, result, store)
 
 
-def _sm_symmetry_for(
-    kernel, inputs, t, crash_adversary, requested: bool, dedup: bool, stats
-):
-    """Resolve the SM symmetry context (or record why it is off)."""
-    from repro.harness.symmetry import sm_symmetry_context
-
-    if not requested:
-        return None
-    if not dedup:
-        stats.symmetry_reason = "dedup disabled (no visited store to key)"
-        return None
-    sym, reason = sm_symmetry_context(
-        kernel._programs, inputs, t, crash_adversary
-    )
-    if sym is None:
-        stats.symmetry_reason = reason
-        return None
-    stats.symmetry = True
-    stats.group_size = sym.group_size
-    return sym
-
-
-def _sm_frontier_worker(task: _SMFrontierTask) -> ExplorationResult:
-    from repro.shm.kernel import SMSnapshot
-
-    problem = SCProblem(
-        n=len(task.inputs), k=task.k, t=task.t, validity=task.validity
-    )
-    judge = _make_judge(problem, task.verify)
-    kernel = _fresh_sm_kernel(
-        task.programs_factory, task.inputs, task.t,
-        task.crash_adversary, task.max_ticks,
-    )
-    kernel.restore(SMSnapshot(choices=task.prefix))
-    result = _empty_result()
-    store = _make_store(task.visited)
-    result.stats.visited_store = store.kind
-    sym = _sm_symmetry_for(
-        kernel, task.inputs, task.t, task.crash_adversary,
-        task.symmetry, task.dedup, result.stats,
-    )
-    _run_sm_dfs(
-        kernel, judge, task.max_states, task.dedup, result, store, sym,
-        stop_on_violation=task.stop_on_violation,
-    )
-    result.cache_hits = store.hits
-    result.cache_misses = store.misses
-    return result
+def _sm_frontier_worker(task: _Subtree) -> ExplorationResult:
+    """Explore one SM frontier subtree in a fresh process (or inline)."""
+    kernel, cfg, result, store = _setup_sm(task.search)
+    _run_sm_dfs(kernel, task.root, cfg, result, store)
+    return _finish(result, store)
 
 
 def explore_sm(
@@ -1192,9 +1096,7 @@ def explore_sm(
     validity: ValidityCondition,
     crash_adversary=None,
     max_states: int = 100_000,
-    max_ticks_per_run: int = 5_000,
     verify: bool = False,
-    dedup: bool = True,
     jobs: Optional[int] = None,
     visited: str = "exact",
     symmetry: bool = False,
@@ -1204,115 +1106,32 @@ def explore_sm(
 
     Generator-based SM programs cannot be forked, so exploration shares
     prefixes: one live kernel is extended step-by-step along depth-first
-    descents and replayed (:meth:`SMKernel.restore`) only on backtracks,
-    replacing the old from-scratch re-execution of every prefix.  States
-    are deduplicated via :func:`_fingerprint_sm` (a generator's hidden
-    state is a pure function of its logged operation results).  No POR
-    applies: distinct processes' register operations do not commute.
+    descents and replayed (:meth:`SMKernel.restore`) only on backtracks.
+    States are deduplicated via :func:`_fingerprint_sm` (a generator's
+    hidden state is a pure function of its logged operation results).
+    No POR applies: distinct processes' register operations do not
+    commute.  Each run gets a budget of ``_SM_MAX_TICKS`` kernel ticks.
 
     ``jobs`` distributes the frontier of choice prefixes across worker
     processes, merged deterministically (``programs_factory`` must then
-    be picklable, e.g. a :class:`SpecFactory`).  ``visited`` and
-    ``stop_on_violation`` match :func:`explore_mp`.
+    be picklable, e.g. a :class:`SpecFactory`).  ``visited``,
+    ``symmetry`` and ``stop_on_violation`` match :func:`explore_mp`.
     """
-    problem = SCProblem(n=len(inputs), k=k, t=t, validity=validity)
-    judge = _make_judge(problem, verify)
-    result = _empty_result()
-    store = _make_store(visited)
-    result.stats.visited_store = store.kind
-
-    kernel = _fresh_sm_kernel(
-        programs_factory, inputs, t, crash_adversary, max_ticks_per_run
+    search = _Search(
+        factory=programs_factory, inputs=tuple(inputs), k=k, t=t,
+        validity=validity, crash_adversary=crash_adversary,
+        max_states=max_states, verify=verify, visited=visited,
+        symmetry=symmetry, stop_on_violation=stop_on_violation,
     )
-    sym = _sm_symmetry_for(
-        kernel, inputs, t, crash_adversary, symmetry, dedup, result.stats
-    )
-
-    if jobs is not None:
-        _explore_sm_frontier(
-            programs_factory, inputs, k, t, validity, crash_adversary,
-            max_states, max_ticks_per_run, dedup, verify, judge,
-            jobs, result, store, sym, visited, symmetry,
-            stop_on_violation,
+    setup = _setup_sm(search)
+    kernel, cfg, result, store = setup
+    if jobs is None:
+        _run_sm_dfs(kernel, (), cfg, result, store)
+    else:
+        _explore_frontier(
+            search, setup, (), _sm_children, _sm_frontier_worker, jobs,
         )
-        return result
-
-    _run_sm_dfs(
-        kernel, judge, max_states, dedup, result, store, sym,
-        stop_on_violation=stop_on_violation,
-    )
-    result.cache_hits = store.hits
-    result.cache_misses = store.misses
-    return result
-
-
-def _explore_sm_frontier(
-    programs_factory, inputs, k, t, validity, crash_adversary,
-    max_states, max_ticks, dedup, verify, judge,
-    jobs: int,
-    result: ExplorationResult,
-    store: _VisitedStore,
-    sym,
-    visited: str,
-    symmetry: bool,
-    stop_on_violation: bool = False,
-) -> None:
-    from repro.shm.kernel import SMSnapshot
-
-    kernel = _fresh_sm_kernel(
-        programs_factory, inputs, t, crash_adversary, max_ticks
-    )
-    queue: deque = deque([()])
-    while queue and len(queue) < _FRONTIER_WIDTH:
-        if result.states >= max_states:
-            result.exhausted = False
-            return
-        prefix = queue.popleft()
-        kernel.restore(SMSnapshot(choices=prefix))
-        result.replays += 1
-        result.replayed_steps += len(prefix)
-        if dedup:
-            if sym is not None:
-                fingerprint, identity = sym.canonical(kernel)
-                result.stats.canonicalizations += 1
-            else:
-                fingerprint, identity = _fingerprint_sm(kernel), True
-            if store.probe(fingerprint, _NO_SLEEP) is None:
-                if not identity:
-                    result.stats.orbit_hits += 1
-                continue
-        result.states += 1
-        if kernel.all_correct_decided() or not kernel.runnable_pids():
-            _judge_leaf(kernel, prefix, judge, result)
-            if stop_on_violation and result.violations:
-                result.exhausted = False
-                break
-            continue
-        for pid in sorted(kernel.runnable_pids()):
-            queue.append(prefix + (pid,))
-    result.cache_hits = store.hits
-    result.cache_misses = store.misses
-    if not queue or (stop_on_violation and result.violations):
-        return
-    tasks = [
-        _SMFrontierTask(
-            programs_factory=programs_factory,
-            inputs=tuple(inputs),
-            k=k, t=t, validity=validity,
-            crash_adversary=crash_adversary,
-            max_states=max_states,
-            max_ticks=max_ticks,
-            dedup=dedup,
-            verify=verify,
-            prefix=prefix,
-            visited=visited,
-            symmetry=symmetry,
-            stop_on_violation=stop_on_violation,
-        )
-        for prefix in queue
-    ]
-    for part in parallel_map(_sm_frontier_worker, tasks, jobs=jobs):
-        _merge_into(result, part)
+    return _finish(result, store)
 
 
 # ---------------------------------------------------------------------------

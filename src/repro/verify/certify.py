@@ -377,7 +377,6 @@ def certify_claims(
     max_states: int = 500_000,
     jobs: Optional[int] = None,
     max_sends: int = 1,
-    include_sim: bool = False,
     witness_dir: Optional[Union[str, pathlib.Path]] = None,
     progress=None,
     stop_on_violation: bool = False,
@@ -387,7 +386,10 @@ def certify_claims(
     Args:
         n: system size; the grid is ``k in 1..n`` x ``t in 0..n-1``
             (restrictable via ``ks``/``ts``).
-        specs: spec-name filter (default: every claim).
+        specs: spec-name filter (default: every claim except the
+            ``sim-*`` simulation claims, whose points multiply the grid
+            by the simulated protocol's own exploration; name one here
+            to certify it).
         visited: visited-store kind for the underlying explorer,
             ``"exact"`` or ``"compact"``.  Compact runs escalate absent
             counterexamples to ``exact``.
@@ -401,9 +403,6 @@ def certify_claims(
             every value, including the default serial ``None``.
         max_sends: partial-broadcast crash depth for MP crash plans
             (see :func:`repro.harness.exhaustive.crash_patterns`).
-        include_sim: also certify the ``sim-*`` simulation claims
-            (skipped by default: each point multiplies the grid by the
-            simulated protocol's own exploration).
         witness_dir: when set, counterexample witnesses are saved here.
         progress: optional callable invoked as ``progress(message)``
             after every finished point, in grid order (the CLI prints
@@ -428,10 +427,9 @@ def certify_claims(
     for claim in CLAIMED_REGIONS:
         if wanted is not None and claim.spec_name not in wanted:
             continue
-        if claim.spec_name.startswith("sim-") and not include_sim:
-            if wanted is None:
-                report.skipped_specs.append(claim.spec_name)
-                continue
+        if claim.spec_name.startswith("sim-") and wanted is None:
+            report.skipped_specs.append(claim.spec_name)
+            continue
         result = ClaimResult(
             spec_name=claim.spec_name,
             protocol=claim.protocol,

@@ -176,6 +176,12 @@ class TestSweepFilters:
             not claim.spec_name.startswith("sim-")
             for claim in report.claims
         )
+        # Naming a sim-* spec is how its claim gets certified.
+        named = certify_claims(
+            n=3, specs=["sim-chaudhuri@sm-cr"], ks=[], ts=[],
+        )
+        assert [c.spec_name for c in named.claims] == ["sim-chaudhuri@sm-cr"]
+        assert "sim-chaudhuri@sm-cr" not in named.skipped_specs
 
     def test_grid_restriction(self):
         report = certify_claims(n=3, specs=["trivial@mp-cr"], ks=[3], ts=[0])

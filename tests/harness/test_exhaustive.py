@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.validity import RV1, RV2, SV2
 from repro.failures.crash import CrashPlan, CrashPoint
-from repro.harness.exhaustive import crash_patterns, explore_mp
+from repro.harness.exhaustive import (
+    SpecFactory,
+    crash_patterns,
+    explore_mp,
+    explore_sm,
+)
 from repro.protocols.chaudhuri import ChaudhuriKSet
 from repro.protocols.protocol_a import ProtocolA
 from repro.protocols.protocol_b import ProtocolB
@@ -107,19 +112,6 @@ class TestExplorerMechanics:
         assert not result.exhausted
         assert result.states == 500
 
-    def test_dedup_reduces_state_count(self):
-        with_dedup = explore_mp(
-            lambda: [ProtocolA() for _ in range(3)],
-            ["v", "v", "v"], k=2, t=1, validity=RV2,
-            dedup=True,
-        )
-        without = explore_mp(
-            lambda: [ProtocolA() for _ in range(3)],
-            ["v", "v", "v"], k=2, t=1, validity=RV2,
-            dedup=False, max_states=with_dedup.states * 3 + 1000,
-        )
-        assert with_dedup.states < without.states
-
     def test_fixed_crash_plan(self):
         result = explore_mp(
             lambda: [ProtocolA() for _ in range(3)],
@@ -127,6 +119,34 @@ class TestExplorerMechanics:
             crash_adversary=CrashPlan({0: CrashPoint(after_sends=1)}),
         )
         assert result.exhausted and result.all_ok
+
+    @pytest.mark.parametrize(
+        "max_states", [1, 5, None], ids=["cap1", "cap5", "uncapped"]
+    )
+    @pytest.mark.parametrize(
+        "jobs", [None, 1, 2], ids=["serial", "jobs1", "jobs2"]
+    )
+    @pytest.mark.parametrize("kernel", ["mp", "sm"])
+    def test_every_expansion_is_a_store_miss(self, kernel, jobs, max_states):
+        """Each expanded state or partial re-expansion is one store miss.
+
+        Holds for every search, capped or not, and for the frontier
+        search also when the cap is hit while the breadth-first root
+        expansion is still running (its counters must be reported).
+        """
+        budget = {} if max_states is None else {"max_states": max_states}
+        if kernel == "mp":
+            result = explore_mp(
+                SpecFactory("protocol-a@mp-cr", 3, 2, 1), ["v", "v", "w"],
+                k=2, t=1, validity=RV2, jobs=jobs, **budget,
+            )
+        else:
+            result = explore_sm(
+                SpecFactory("protocol-e@sm-cr", 3, 2, 0), ["a", "a", "b"],
+                k=2, t=0, validity=RV2, jobs=jobs, **budget,
+            )
+        assert result.exhausted == (max_states is None)
+        assert result.cache_misses == result.states + result.reexpansions
 
 
 class TestCrashPatterns:

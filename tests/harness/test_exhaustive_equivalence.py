@@ -1,8 +1,9 @@
 """Equivalence of the exploration modes.
 
 The fast-fork explorer ships three mechanisms that must never change
-*what* is found, only how fast: snapshot/restore forking (vs the legacy
-deepcopy engine), sleep-set partial-order reduction (vs the full DFS),
+*what* is found, only how fast: snapshot/restore forking with
+incremental state ids (vs a DFS in this file that replays every path on
+a fresh kernel), sleep-set partial-order reduction (vs the full DFS),
 and the parallel frontier search (vs serial).  These tests pin the
 equivalences on instances small enough to exhaust, including a known-
 violating ablation -- the reductions must find the same counterexamples,
@@ -12,18 +13,23 @@ per worker count and may only ever report violations the full search
 finds.
 """
 
-import pytest
-
+from repro.core.problem import SCProblem
 from repro.core.validity import RV2, SV2
 from repro.failures.crash import CrashPlan, CrashPoint, CrashWhenOthersDecide
 from repro.harness.exhaustive import (
+    ExplorationResult,
     SpecFactory,
+    _fingerprint_mp,
+    _state_ids,
+    _StateTable,
     crash_patterns,
     explore_mp,
     explore_sm,
 )
 from repro.protocols.ablations import ProtocolBStrictQuorum
 from repro.protocols.protocol_a import ProtocolA
+from repro.runtime.kernel import MPKernel
+from repro.runtime.traces import TraceMode
 
 
 def _explore_a(n=3, inputs=("v", "v", "w"), **kwargs):
@@ -93,32 +99,97 @@ class TestPorVsFullDfs:
         _same_findings(full, por)
 
 
-class TestSnapshotVsDeepcopyEngine:
-    def test_engines_agree_exactly(self):
-        """Same fingerprints, same DFS: state and run counts match
-        exactly, not just the verdicts."""
-        snap = _explore_a(por=False, engine="snapshot")
-        deep = _explore_a(por=False, engine="deepcopy")
-        assert snap.exhausted and deep.exhausted
-        assert snap.states == deep.states
-        assert snap.runs == deep.runs
-        _same_findings(snap, deep)
+def _fresh_replay_dfs(factory, inputs, k, t, validity, plan=None):
+    """Full DFS that reaches every node by replaying its path.
 
-    def test_engines_agree_under_crash_plan(self):
-        plan = CrashPlan({0: CrashPoint(after_sends=1)})
-        snap = _explore_a(crash_adversary=plan, por=False, engine="snapshot")
-        deep = _explore_a(crash_adversary=plan, por=False, engine="deepcopy")
-        assert snap.states == deep.states
-        assert snap.runs == deep.runs
-        _same_findings(snap, deep)
+    No snapshot, no restore, no copy: each node is a fresh kernel driven
+    through the node's event path, and its fingerprint comes from state
+    ids built from scratch.  Distinct fingerprints are expanded once, so
+    the state and run counts must equal ``explore_mp(por=False)``'s.
+    """
+    problem = SCProblem(n=len(inputs), k=k, t=t, validity=validity)
+    table = _StateTable()
+    # The explorer's rule: counters matter exactly under a crash plan.
+    include_counters = plan is not None
+    seen = set()
+    reference = ExplorationResult(
+        runs=0, states=0, exhausted=True, violations=[],
+        max_distinct_decisions=0, decision_sets=set(),
+    )
+    stack = [()]
+    while stack:
+        path = stack.pop()
+        kernel = MPKernel(
+            factory(), list(inputs), t=t, scheduler=None,
+            crash_adversary=plan, stop_when_decided=True,
+            trace_mode=TraceMode.OFF,
+        )
+        for seq in path:
+            kernel.step(seq)
+        fingerprint = _fingerprint_mp(
+            kernel, _state_ids(kernel, table), include_counters
+        )
+        if fingerprint in seen:
+            continue
+        seen.add(fingerprint)
+        reference.states += 1
+        if kernel.all_correct_decided() or not kernel._pending:
+            outcome = kernel._result().outcome
+            reference.runs += 1
+            decided = frozenset(outcome.correct_decision_values())
+            reference.decision_sets.add(decided)
+            reference.max_distinct_decisions = max(
+                reference.max_distinct_decisions, len(decided)
+            )
+            failures = {
+                name: str(verdict)
+                for name, verdict in problem.check(outcome).items()
+                if not verdict
+            }
+            if failures:
+                reference.violations.append((path, failures))
+            continue
+        stack.extend(path + (seq,) for seq in sorted(kernel._pending))
+    return reference
 
-    def test_deepcopy_engine_rejects_jobs(self):
-        with pytest.raises(ValueError):
-            _explore_a(engine="deepcopy", jobs=2)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            _explore_a(engine="telepathy")
+class TestFreshReplayReference:
+    """The snapshot engine against the fresh-kernel replay reference:
+    same fingerprints, so exact state and run counts, not just the
+    same verdicts."""
+
+    def _agree(self, factory, inputs, k, t, validity, plan=None):
+        explored = explore_mp(
+            factory, inputs, k=k, t=t, validity=validity,
+            crash_adversary=plan, por=False,
+        )
+        reference = _fresh_replay_dfs(factory, inputs, k, t, validity, plan)
+        assert explored.exhausted
+        assert explored.states == reference.states
+        assert explored.runs == reference.runs
+        _same_findings(explored, reference)
+        return explored
+
+    def test_failure_free(self):
+        self._agree(
+            lambda: [ProtocolA() for _ in range(3)],
+            ["v", "v", "w"], 2, 1, RV2,
+        )
+
+    def test_crash_plan(self):
+        self._agree(
+            lambda: [ProtocolA() for _ in range(3)],
+            ["v", "v", "w"], 2, 1, RV2,
+            CrashPlan({0: CrashPoint(after_sends=1)}),
+        )
+
+    def test_violating_ablation(self):
+        explored = self._agree(
+            lambda: [ProtocolBStrictQuorum() for _ in range(3)],
+            ["w", "v", "v"], 2, 1, SV2,
+            CrashPlan({0: CrashPoint(after_steps=1)}),
+        )
+        assert not explored.all_ok
 
 
 class TestSerialVsParallelFrontier:
@@ -265,9 +336,8 @@ class TestSymmetryVisitedMatrix:
                     assert run.states < full.states
 
     def test_violating_ablation_matrix(self):
-        """The counterexample must survive every store, the symmetry
-        quotient, and both engines -- same violation kinds, and the same
-        first violating schedule wherever a schedule is reported."""
+        """The counterexample must survive every store and the symmetry
+        quotient -- same violation kinds and decision sets."""
         def run(**kwargs):
             return explore_mp(
                 lambda: [ProtocolBStrictQuorum() for _ in range(3)],
@@ -283,9 +353,6 @@ class TestSymmetryVisitedMatrix:
                 got = run(visited=visited, symmetry=symmetry)
                 assert got.exhausted, (visited, symmetry)
                 _same_findings(full, got)
-        deep = run(engine="deepcopy", symmetry=True)
-        _same_findings(full, deep)
-        assert not deep.stats.symmetry  # the full-DFS baseline opts out
 
     def test_jobs_bit_identical_for_every_store_and_symmetry(self):
         factory = SpecFactory("protocol-a@mp-cr", n=3, k=2, t=1)

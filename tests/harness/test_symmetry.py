@@ -183,8 +183,8 @@ class TestSMCanonicalInvariance:
         factory = SpecFactory(spec.name, N, k, t)
         rng = random.Random(11)
         for _ in range(3):
-            kernel_a = _fresh_sm_kernel(factory, INPUTS, t, None, 5000)
-            kernel_b = _fresh_sm_kernel(factory, INPUTS, t, None, 5000)
+            kernel_a = _fresh_sm_kernel(factory, INPUTS, t, None)
+            kernel_b = _fresh_sm_kernel(factory, INPUTS, t, None)
             ctx, reason = sm_symmetry_context(
                 kernel_a._programs, INPUTS, t, None
             )
@@ -243,7 +243,7 @@ class TestSMCanonicalInvariance:
         for name in ("sim-chaudhuri@sm-cr", "sim-protocol-b@sm-cr"):
             spec = get_spec(name)
             factory = SpecFactory(name, N, 2, 1)
-            kernel = _fresh_sm_kernel(factory, INPUTS, 1, None, 5000)
+            kernel = _fresh_sm_kernel(factory, INPUTS, 1, None)
             ctx, reason = sm_symmetry_context(
                 kernel._programs, INPUTS, 1, None
             )

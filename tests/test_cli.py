@@ -181,12 +181,6 @@ class TestExhaustiveCommand:
         assert "exhaustive" in out and "violations: 0" in out
         assert "prefix sharing" in out  # replay-based SM snapshots
 
-    def test_sm_spec_rejects_deepcopy_engine(self, capsys):
-        assert main([
-            "exhaustive", "protocol-e@sm-cr", "--n", "2", "--k", "2",
-            "--t", "2", "--engine", "deepcopy",
-        ]) == 2
-
 
 class TestCampaignCommand:
     def test_small_campaign(self, tmp_path, capsys):
