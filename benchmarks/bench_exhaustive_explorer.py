@@ -18,7 +18,11 @@ same instances in the same run:
 * **event allocation** -- ``__slots__``-backed frozen events against a
   ``__dict__``-backed clone (the pre-slots layout);
 * **early exit** -- ``stop_on_violation`` wall time against the full
-  sweep on outside-region (violating) points.
+  sweep on outside-region (violating) points;
+* **shared memory** -- PROTOCOL E at n=3 with symmetry on (states,
+  cache hits, restores, re-fed results, states/sec), plus one
+  timing-only PROTOCOL F point whose results logs grow with its state
+  cap, run in a fresh process for its own peak RSS.
 
 Run as a script to (re)generate ``BENCH_exhaustive.json`` at the
 repository root::
@@ -27,10 +31,10 @@ repository root::
     python benchmarks/bench_exhaustive_explorer.py --smoke    # quick CI run
     python benchmarks/bench_exhaustive_explorer.py --check-baseline
 
-``--check-baseline`` re-explores the pinned POR grid and fails (exit 1)
-if any point now expands *more* states than the committed artifact
-records -- the partial-order-reduction regression guard.  It never
-rewrites the artifact.
+``--check-baseline`` re-explores the pinned POR, symmetry, early-exit
+and shared-memory points and fails (exit 1) if any point now expands
+*more* states than the committed artifact records -- the state-count
+regression guard.  It never rewrites the artifact.
 
 The artifact is stamped with the machine it ran on (``cpu_count``, the
 Python version) and the worker count of every series (``jobs``); every
@@ -43,18 +47,21 @@ runs without touching the JSON artifact.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
 import pathlib
 import platform
+import resource
 import sys
 import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.validity import RV1, RV2, SV2
 from repro.failures.crash import CrashPlan, CrashPoint
-from repro.harness.exhaustive import SpecFactory, explore_mp
+from repro.harness.exhaustive import SpecFactory, explore_mp, explore_sm
 from repro.io import atomic_write_json
 from repro.protocols.ablations import ProtocolBStrictQuorum
 from repro.protocols.chaudhuri import ChaudhuriKSet
@@ -162,6 +169,30 @@ EARLY_EXIT_GRID = (
         "smoke": False, "guard": False,
     },
 )
+
+
+#: Shared-memory series: PROTOCOL E (``protocol-e@sm-cr``) at n=3,
+#: k=2, t=0 with symmetry on and the exact store.  Every point
+#: exhausts; ``--check-baseline`` re-checks each state count.
+SM_SPEC = "protocol-e@sm-cr"
+SM_K, SM_T = 2, 0
+SM_GRID = (
+    {"name": "protocol-e n=3 distinct (a,b,c)", "inputs": ("a", "b", "c")},
+    {"name": "protocol-e n=3 split (v,v,w)", "inputs": ("v", "v", "w")},
+    {"name": "protocol-e n=3 uniform (v,v,v)", "inputs": ("v", "v", "v")},
+)
+
+#: Timing-only shared-memory point: PROTOCOL F scans until enough
+#: registers are written, so the search descends one ever-longer path
+#: and every results log on it grows with the cap.  Skipped by
+#: ``--smoke``.
+SM_TIMING_POINT = {
+    "name": "protocol-f n=3 (v,v,w) capped",
+    "spec": "protocol-f@sm-cr",
+    "inputs": ("v", "v", "w"),
+    "k": 2, "t": 0,
+    "cap": 3_000,
+}
 
 
 def _grid_factory(point: Dict[str, Any]):
@@ -346,6 +377,82 @@ def _measure_early_exit_point(point: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _measure_sm_point(point: Dict[str, Any]) -> Dict[str, Any]:
+    """One exhaustive shared-memory search with symmetry on."""
+    n = len(point["inputs"])
+    started = time.perf_counter()
+    result = explore_sm(
+        SpecFactory(SM_SPEC, n, SM_K, SM_T), list(point["inputs"]),
+        k=SM_K, t=SM_T, validity=RV2, symmetry=True, visited="exact",
+    )
+    elapsed = time.perf_counter() - started
+    assert result.exhausted and result.all_ok, point["name"]
+    return {
+        "point": point["name"],
+        "inputs": list(point["inputs"]),
+        "symmetry": result.stats.symmetry,
+        "states": result.states,
+        "runs": result.runs,
+        "cache_hits": result.cache_hits,
+        "restores": result.replays,
+        "refed_results": result.replayed_steps,
+        "seconds": round(elapsed, 4),
+        "states_per_sec": (
+            round(result.states / elapsed, 1) if elapsed > 0 else None
+        ),
+    }
+
+
+def _sm_timing_run(point: Dict[str, Any]) -> Dict[str, Any]:
+    """The timing-only point; meant to run alone in a fresh process."""
+    n = len(point["inputs"])
+    started = time.perf_counter()
+    result = explore_sm(
+        SpecFactory(point["spec"], n, point["k"], point["t"]),
+        list(point["inputs"]), k=point["k"], t=point["t"], validity=SV2,
+        symmetry=True, max_states=point["cap"],
+    )
+    elapsed = time.perf_counter() - started
+    return {
+        "point": point["name"],
+        "cap": point["cap"],
+        "states": result.states,
+        "exhausted": result.exhausted,
+        "restores": result.replays,
+        "refed_results": result.replayed_steps,
+        "seconds": round(elapsed, 4),
+        "states_per_sec": round(result.states / elapsed, 1),
+        "peak_rss_mib": round(_peak_rss_mib(), 1),
+    }
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size, in MiB.
+
+    Linux's ``VmHWM`` covers only the current program image.  The
+    fallback where ``/proc`` is missing, ``ru_maxrss``, also counts the
+    parent image a spawned worker was forked from before ``exec``.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _measure_sm_timing_point(point: Dict[str, Any]) -> Dict[str, Any]:
+    """Run :func:`_sm_timing_run` in a freshly spawned interpreter, so
+    its peak RSS is the point's own and not this process's."""
+    context = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=1, mp_context=context
+    ) as pool:
+        return pool.submit(_sm_timing_run, point).result()
+
+
 def _measure_event_allocation(count: int) -> Dict[str, Any]:
     """``__slots__`` events against the pre-slots ``__dict__`` layout."""
 
@@ -400,6 +507,10 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
         for point in EARLY_EXIT_GRID
         if point["smoke"] or not smoke
     ]
+    sm_points = [_measure_sm_point(point) for point in SM_GRID]
+    sm_timing = (
+        None if smoke else _measure_sm_timing_point(SM_TIMING_POINT)
+    )
 
     return {
         "benchmark": "exhaustive_explorer",
@@ -412,6 +523,8 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
             "por_reduction": 1,
             "symmetry_reduction": 1,
             "early_exit": 1,
+            "shared_memory": 1,
+            "sm_timing": 1,
             "event_allocation": 1,
         },
         "instance": {
@@ -435,6 +548,15 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
             point["point"]: point["early_exit_states"]
             for point in early_points
         },
+        "shared_memory": {
+            "spec": SM_SPEC, "n": 3, "k": SM_K, "t": SM_T,
+            "symmetry": True, "visited": "exact",
+            "points": sm_points,
+        },
+        "sm_states_baseline": {
+            point["point"]: point["states"] for point in sm_points
+        },
+        "sm_timing": sm_timing,
         "event_allocation": _measure_event_allocation(
             ALLOC_COUNT_SMOKE if smoke else ALLOC_COUNT_FULL
         ),
@@ -442,7 +564,7 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
 
 
 def check_baseline(artifact_path: pathlib.Path) -> List[str]:
-    """POR regression guard: re-run the pinned grid, compare states.
+    """State-count regression guard: re-run the pinned points, compare.
 
     Returns human-readable failures (empty = guard passed).  A point
     may explore *fewer* states than recorded (an improvement); more is
@@ -493,6 +615,20 @@ def check_baseline(artifact_path: pathlib.Path) -> List[str]:
                 f"{name}: early exit now takes {early.states} states to "
                 f"the first violation (baseline {recorded_early[name]})"
             )
+    recorded_sm = json.loads(artifact_path.read_text()).get(
+        "sm_states_baseline", {}
+    )
+    for point in SM_GRID:
+        name = point["name"]
+        if name not in recorded_sm:
+            failures.append(f"{name}: missing from {artifact_path.name}")
+            continue
+        measured = _measure_sm_point(point)
+        if measured["states"] > recorded_sm[name]:
+            failures.append(
+                f"{name}: shared memory now expands {measured['states']} "
+                f"states (baseline {recorded_sm[name]})"
+            )
     return failures
 
 
@@ -509,6 +645,7 @@ def test_exhaustive_throughput_smoke(benchmark):
     assert payload["early_exit"], "no early-exit points measured"
     for point in payload["early_exit"]:
         assert point["early_exit_states"] < point["full_states"], point
+    assert payload["shared_memory"]["points"], "no SM points measured"
     print(json.dumps(throughput, indent=2))
 
 
@@ -519,16 +656,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(DEFAULT_OUT),
                         help="output JSON path")
     parser.add_argument("--check-baseline", action="store_true",
-                        help="POR regression guard against the committed "
-                             "artifact; writes nothing")
+                        help="state-count regression guard against the "
+                             "committed artifact; writes nothing")
     args = parser.parse_args(argv)
 
     if args.check_baseline:
         failures = check_baseline(pathlib.Path(args.out))
         for failure in failures:
-            print(f"POR REGRESSION: {failure}")
+            print(f"STATE-COUNT REGRESSION: {failure}")
         if not failures:
-            print("POR baseline guard passed")
+            print("state-count baseline guard passed")
         return 1 if failures else 0
 
     payload = run_suite(smoke=args.smoke)
@@ -559,6 +696,18 @@ def main(argv=None) -> int:
             f"EARLY-EXIT {point['point']}: {point['full_states']} -> "
             f"{point['early_exit_states']} states, "
             f"x{point['early_exit_speedup']} wall time"
+        )
+    for point in payload["shared_memory"]["points"]:
+        print(
+            f"SM {point['point']}: {point['states']} states, "
+            f"{point['restores']} restores, {point['refed_results']} "
+            f"re-fed results, {point['states_per_sec']}/s"
+        )
+    timing = payload["sm_timing"]
+    if timing is not None:
+        print(
+            f"SM {timing['point']}: {timing['states']} states in "
+            f"{timing['seconds']} s, peak RSS {timing['peak_rss_mib']} MiB"
         )
     alloc = payload["event_allocation"]
     print(

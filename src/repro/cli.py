@@ -676,8 +676,8 @@ def _cmd_exhaustive(args) -> int:
         )
     if result.replays:
         print(
-            f"prefix sharing: {result.replays} replays / "
-            f"{result.replayed_steps} replayed steps"
+            f"backtracking: {result.replays} restores / "
+            f"{result.replayed_steps} re-fed results"
         )
     print(f"max distinct decisions: {result.max_distinct_decisions}")
     print(f"violations: {len(result.violations)}")

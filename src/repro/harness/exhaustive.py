@@ -11,11 +11,14 @@ Three cooperating mechanisms keep the search fast:
 
 * **Snapshot/restore forking.**  Branch points capture kernel state with
   the plain-data snapshot protocol (:meth:`MPKernel.snapshot` /
-  :meth:`MPKernel.restore`).  Shared-memory programs are generators and
-  cannot be copied at all, so :func:`explore_sm` shares prefixes: one
-  live kernel is *extended* along depth-first descents and replayed only
-  on backtracks.  The independent references are the full DFS
-  (``por=False``) and the fresh-kernel replay of every recorded
+  :meth:`MPKernel.restore`, :meth:`SMKernel.snapshot` /
+  :meth:`SMKernel.restore`).  Shared-memory programs are generators and
+  cannot be copied at all, so an SM snapshot holds each process's
+  results log instead, and a restore drops only the generators whose log
+  changed; their next step rebuilds them by re-feeding the logged
+  results (a program's generator is a pure function of its context and
+  of the results fed to it).  The independent references are the full
+  DFS (``por=False``) and the fresh-kernel replay of every recorded
   violation in :func:`repro.verify.confirm_exploration`.
 
 * **Partial-order reduction** (``por=True``, the default for
@@ -35,11 +38,13 @@ Three cooperating mechanisms keep the search fast:
   expansion then covered every continuation the revisit needs), which
   is what makes caching sound under sleep sets.  Every state goes
   through the store, and its hit/miss counters are reported on every
-  result.  Message-passing fingerprints are hash-consed: a
-  per-exploration table (:class:`_StateTable`) numbers each distinct
-  process local state and pending-event signature in first-seen order,
-  DFS frames carry the resulting id vector, and a step re-freezes only
-  the process it targeted.
+  result.  Fingerprints are hash-consed: a per-exploration table
+  (:class:`_StateTable`) numbers each distinct value in first-seen
+  order -- process local states and pending-event signatures on message
+  passing; results-log chains, local states and register values on
+  shared memory.  DFS entries carry the resulting id vectors, and a
+  step re-interns only the process it targeted (on shared memory, plus
+  that process's own register).
 
 :func:`explore_mp` and :func:`explore_sm` also take ``jobs``: the root
 fan-out is expanded breadth-first into a fixed-width frontier whose
@@ -164,9 +169,11 @@ class ExplorationResult:
     #: was incomparable to the stored coverage (POR bookkeeping; not
     #: counted in ``states``, which counts *distinct* states expanded).
     reexpansions: int = 0
-    #: Shared-memory engine only: prefix replays performed on backtrack...
+    #: Shared-memory engine only: kernel restores (backtracks and
+    #: frontier roots)...
     replays: int = 0
-    #: ...and the total steps re-executed by those replays.
+    #: ...and the logged results re-fed into the generators those
+    #: restores dropped, when their processes next stepped.
     replayed_steps: int = 0
     #: Symmetry / visited-store observability (see ExplorationStats).
     stats: ExplorationStats = dataclasses.field(
@@ -340,16 +347,18 @@ def _local_state(process: Process, ctx) -> Tuple:
 
 
 class _StateTable:
-    """Hash-consing table of one message-passing exploration.
+    """Hash-consing table of one exploration.
 
-    Numbers every distinct per-process local state
-    (:func:`_local_state`) and every distinct pending-event signature
-    (:func:`_event_sig`) with a small int, in first-seen order, so a
-    global state collapses to a flat tuple of ints (SPIN's COLLAPSE
-    compression).  Equal values always get the same id, which makes the
-    id fingerprint exactly as discriminating as the frozen state it
-    stands for.  One table serves one exploration; ids from different
-    tables are unrelated.
+    Numbers every distinct value a fingerprint is made of with a small
+    int, in first-seen order, so a global state collapses to a flat
+    tuple of ints (SPIN's COLLAPSE compression): per-process local
+    states (:func:`_local_state`) and pending-event signatures
+    (:func:`_event_sig`) on message passing, results-log chain links,
+    local states (:func:`_sm_local`) and register values on shared
+    memory (see :class:`_SMStateIds`).  Equal values always get the
+    same id, which makes the id fingerprint exactly as discriminating
+    as the frozen state it stands for.  One table serves one
+    exploration; ids from different tables are unrelated.
     """
 
     __slots__ = ("_ids",)
@@ -465,26 +474,134 @@ def _fingerprint_mp(
     )
 
 
-def _fingerprint_sm(kernel) -> Tuple:
-    """Structural state of an SM kernel.
+#: Chain id of an empty results log.  A log ``L + [r]`` has the id of
+#: ``(id of L, _freeze(r))``, so equal logs share an id.
+_EMPTY_LOG = -1
 
-    Generator frames are opaque, but a deterministic generator's
-    internal state is a pure function of the operation results fed into
-    it (``results_log``), so logging results makes SM states
-    fingerprintable.
+
+def _sm_local(state, log_id: int) -> Tuple:
+    """Hash-consing key of one SM process's local state.
+
+    ``log_id`` is the chain id of its results log, which also fixes the
+    number of operations it has taken.
     """
-    states = tuple(
-        (
-            st.finished,
-            st.decided,
-            _freeze(st.decision),
-            st.ops_taken,
-            tuple(_freeze(r) for r in st.results_log),
-        )
-        for st in kernel._states
+    return (state.finished, state.decided, _freeze(state.decision), log_id)
+
+
+def _chain(table: _StateTable, log_id: int, results) -> int:
+    """Chain-intern ``results`` onto the log with id ``log_id``."""
+    intern = table.intern
+    for entry in results:
+        log_id = intern((log_id, _freeze(entry)))
+    return log_id
+
+
+class _SMStateIds:
+    """The hash-consed coordinates of one SM kernel state.
+
+    ``logs[pid]`` is the chain id of process ``pid``'s results log and
+    ``lens[pid]`` its length, ``procs[pid]`` the id of its local state
+    (:func:`_sm_local`) and ``regs[owner]`` the id of register
+    ``owner``'s value, interned as the 1-tuple ``(_freeze(value),)``.
+    Chain keys are pairs and local-state keys 4-tuples, so the three
+    kinds never share an id.  Built from scratch by
+    :func:`_sm_state_ids`.  A DFS child starts as :meth:`after_step` of
+    its parent's coordinates and is completed by :meth:`resolve`, which
+    re-interns only the process that stepped and that process's own
+    register (registers are single-writer).  The fingerprint layer
+    (:func:`_fingerprint_sm`, or the symmetry canonicalizer) resolves,
+    so that work counts as fingerprinting.
+    """
+
+    __slots__ = ("table", "logs", "lens", "procs", "regs", "_step")
+
+    def __init__(
+        self,
+        table: _StateTable,
+        logs: Optional[Tuple[int, ...]],
+        lens: Optional[Tuple[int, ...]],
+        procs: Optional[Tuple[int, ...]],
+        regs: Optional[Tuple[int, ...]],
+        step: Optional[Tuple["_SMStateIds", int]] = None,
+    ) -> None:
+        self.table = table
+        self.logs = logs
+        self.lens = lens
+        self.procs = procs
+        self.regs = regs
+        #: ``(parent coordinates, stepped pid)`` of a step not yet
+        #: folded in; the other fields are ``None`` until then.
+        self._step = step
+
+    def after_step(self, pid: int) -> "_SMStateIds":
+        """Unresolved coordinates of the state ``kernel.step_pid(pid)`` reaches."""
+        return _SMStateIds(self.table, None, None, None, None, (self, pid))
+
+    def resolve(self, kernel: SMKernel) -> "_SMStateIds":
+        """Fold a pending step in (a no-op once resolved).
+
+        A step appends at most one result to the stepped process's log
+        and writes at most its own register; crashes are read from the
+        kernel and are not part of the coordinates.
+        """
+        if self._step is None:
+            return self
+        parent, pid = self._step
+        self._step = None
+        intern = self.table.intern
+        state = kernel._states[pid]
+        log = state.results_log
+        logs, lens = parent.logs, parent.lens
+        if len(log) != lens[pid]:
+            changed = list(logs)
+            changed[pid] = intern((logs[pid], _freeze(log[-1])))
+            logs = tuple(changed)
+            changed = list(lens)
+            changed[pid] = len(log)
+            lens = tuple(changed)
+        self.logs, self.lens = logs, lens
+        changed = list(parent.procs)
+        changed[pid] = intern(_sm_local(state, logs[pid]))
+        self.procs = tuple(changed)
+        changed = list(parent.regs)
+        changed[pid] = intern((_freeze(kernel.registers.current(pid)),))
+        self.regs = tuple(changed)
+        return self
+
+
+def _sm_state_ids(kernel: SMKernel, table: _StateTable) -> _SMStateIds:
+    """Build a state's coordinates from scratch (roots, references)."""
+    intern = table.intern
+    logs = tuple([
+        _chain(table, _EMPTY_LOG, state.results_log)
+        for state in kernel._states
+    ])
+    return _SMStateIds(
+        table,
+        logs,
+        tuple([len(state.results_log) for state in kernel._states]),
+        tuple([
+            intern(_sm_local(state, log_id))
+            for state, log_id in zip(kernel._states, logs)
+        ]),
+        tuple([
+            intern((_freeze(value),))
+            for value in kernel.registers.current_values()
+        ]),
     )
-    registers = tuple(_freeze(v) for v in kernel.registers.current_values())
-    return (states, registers, tuple(sorted(kernel._crashed)))
+
+
+def _fingerprint_sm(kernel: SMKernel, ids: _SMStateIds) -> Tuple:
+    """Structural state of an SM kernel, as hash-consed ids.
+
+    The per-process local-state ids, the register ids and the sorted
+    crashed set.  Generator frames are opaque, but a program's
+    generator is a pure function of its context and of the operation
+    results fed into it (``results_log``), so logging results makes SM
+    states fingerprintable.
+    """
+    ids.resolve(kernel)
+    return (ids.procs, ids.regs, tuple(sorted(kernel._crashed)))
 
 
 #: Visited-store kinds the ``visited`` argument selects by name.
@@ -530,8 +647,8 @@ class _Search:
 class _Subtree:
     """A frontier task: the search and the root of one of its subtrees.
 
-    The root is ``(snapshot, path, sleep)`` on message passing and a
-    choice prefix on shared memory.
+    The root is ``(snapshot, path, sleep)`` on message passing and an
+    :class:`SMSnapshot` on shared memory.
     """
 
     search: _Search
@@ -1005,66 +1122,79 @@ def _setup_sm(search: _Search) -> _Setup:
     ))
 
 
+#: A shared-memory DFS entry: ``(parent snapshot, parent ids, pid)``.
+_SMEntry = Tuple[SMSnapshot, _SMStateIds, int]
+
+
 def _process_sm_node(
     kernel: SMKernel,
-    prefix: Tuple[int, ...],
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
-) -> List[Tuple[int, ...]]:
-    """Count/dedup/judge the live SM kernel state; return child prefixes.
+    ids: _SMStateIds,
+) -> List[_SMEntry]:
+    """Count/dedup/judge the live SM kernel state; return its children.
 
-    Cache hits and leaves have no children.
+    ``ids`` are the state's hash-consed coordinates; fingerprinting
+    resolves them before they are read here.  Cache hits and leaves
+    have no children; the children of an expanded node share one
+    snapshot of it.
     """
     if cfg.sym is not None:
-        fingerprint, identity = cfg.sym.canonical(kernel)
+        fingerprint, identity = cfg.sym.canonical(kernel, ids)
         result.stats.canonicalizations += 1
     else:
-        fingerprint, identity = _fingerprint_sm(kernel), True
+        fingerprint, identity = _fingerprint_sm(kernel, ids), True
     if store.probe(fingerprint, NO_SLEEP) is None:
         if not identity:
             result.stats.orbit_hits += 1
         return []
     result.states += 1
-    if kernel.all_correct_decided() or not kernel.runnable_pids():
-        _judge_leaf(kernel, prefix, cfg.judge, result)
+    runnable = kernel.runnable_pids()
+    if kernel.all_correct_decided() or not runnable:
+        _judge_leaf(kernel, kernel.choices, cfg.judge, result)
         return []
-    return [prefix + (pid,) for pid in sorted(kernel.runnable_pids())]
+    snapshot = kernel.snapshot()
+    return [(snapshot, ids, pid) for pid in runnable]
 
 
 def _run_sm_dfs(
     kernel: SMKernel,
-    root: Tuple[int, ...],
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
 ) -> None:
-    """Prefix-sharing DFS over scheduling choices of one live SM kernel.
+    """Depth-first search from the live SM kernel's current state.
 
-    The stack holds choice prefixes.  Thanks to LIFO order, the next
-    prefix usually extends the live kernel's current one by a single
-    step (cost 1); only backtracks (and the root) replay a prefix
-    (:meth:`SMKernel.restore`), and the replay totals are reported in
-    ``replays``/``replayed_steps``.
+    One live kernel serves the whole search.  Descending into the child
+    pushed last costs a single :meth:`SMKernel.step_pid`; every other
+    child first restores its parent's snapshot (:meth:`SMKernel.restore`,
+    counted in ``replays``), which re-feeds generators only for the
+    processes whose log changed, and only when they next step.  A
+    child's state ids derive from its parent's by re-interning only the
+    process that stepped.
     """
-    stack: List[Tuple[int, ...]] = [root]
-    live = None  # the prefix the kernel currently sits at
-    while stack:
+    ids = _sm_state_ids(kernel, cfg.table)
+    stack: List[_SMEntry] = []
+    live: Optional[SMSnapshot] = None  # the snapshot the kernel sits at
+    while True:
         if result.states >= cfg.max_states:
             result.exhausted = False
             return
-        prefix = stack.pop()
-        if prefix[:-1] == live:
-            kernel.step_pid(prefix[-1])
-        else:
-            kernel.restore(SMSnapshot(choices=prefix))
-            result.replays += 1
-            result.replayed_steps += len(prefix)
-        live = prefix
-        stack.extend(_process_sm_node(kernel, prefix, cfg, result, store))
+        children = _process_sm_node(kernel, cfg, result, store, ids)
         if cfg.stop_on_violation and result.violations:
             result.exhausted = False
             return
+        stack.extend(children)
+        live = children[0][0] if children else None
+        if not stack:
+            return
+        snapshot, parent, pid = stack.pop()
+        if snapshot is not live:
+            kernel.restore(snapshot)
+            result.replays += 1
+        kernel.step_pid(pid)
+        ids = parent.after_step(pid)
 
 
 def _sm_children(
@@ -1072,19 +1202,30 @@ def _sm_children(
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
-    prefix: Tuple[int, ...],
-) -> List[Tuple[int, ...]]:
-    """Process one SM frontier prefix (replayed); return its children."""
-    kernel.restore(SMSnapshot(choices=prefix))
+    node: SMSnapshot,
+) -> List[SMSnapshot]:
+    """Process one SM frontier node; return its children's snapshots."""
+    kernel.restore(node)
     result.replays += 1
-    result.replayed_steps += len(prefix)
-    return _process_sm_node(kernel, prefix, cfg, result, store)
+    children = []
+    for snapshot, _, pid in _process_sm_node(
+        kernel, cfg, result, store, _sm_state_ids(kernel, cfg.table)
+    ):
+        if children:
+            kernel.restore(snapshot)
+            result.replays += 1
+        kernel.step_pid(pid)
+        children.append(kernel.snapshot())
+    return children
 
 
 def _sm_frontier_worker(task: _Subtree) -> ExplorationResult:
     """Explore one SM frontier subtree in a fresh process (or inline)."""
     kernel, cfg, result, store = _setup_sm(task.search)
-    _run_sm_dfs(kernel, task.root, cfg, result, store)
+    kernel.restore(task.root)
+    result.replays += 1
+    _run_sm_dfs(kernel, cfg, result, store)
+    result.replayed_steps += kernel.refed_results
     return _finish(result, store)
 
 
@@ -1104,15 +1245,16 @@ def explore_sm(
 ) -> ExplorationResult:
     """Explore every process interleaving of a shared-memory instance.
 
-    Generator-based SM programs cannot be forked, so exploration shares
-    prefixes: one live kernel is extended step-by-step along depth-first
-    descents and replayed (:meth:`SMKernel.restore`) only on backtracks.
+    Generator-based SM programs cannot be forked, so one live kernel is
+    extended step-by-step along depth-first descents and a backtrack
+    restores a snapshot of the results logs (:meth:`SMKernel.restore`),
+    which re-feeds generators only for the processes whose log changed.
     States are deduplicated via :func:`_fingerprint_sm` (a generator's
     hidden state is a pure function of its logged operation results).
     No POR applies: distinct processes' register operations do not
     commute.  Each run gets a budget of ``_SM_MAX_TICKS`` kernel ticks.
 
-    ``jobs`` distributes the frontier of choice prefixes across worker
+    ``jobs`` distributes the frontier of snapshots across worker
     processes, merged deterministically (``programs_factory`` must then
     be picklable, e.g. a :class:`SpecFactory`).  ``visited``,
     ``symmetry`` and ``stop_on_violation`` match :func:`explore_mp`.
@@ -1126,11 +1268,13 @@ def explore_sm(
     setup = _setup_sm(search)
     kernel, cfg, result, store = setup
     if jobs is None:
-        _run_sm_dfs(kernel, (), cfg, result, store)
+        _run_sm_dfs(kernel, cfg, result, store)
     else:
         _explore_frontier(
-            search, setup, (), _sm_children, _sm_frontier_worker, jobs,
+            search, setup, kernel.snapshot(), _sm_children,
+            _sm_frontier_worker, jobs,
         )
+    result.replayed_steps += kernel.refed_results
     return _finish(result, store)
 
 

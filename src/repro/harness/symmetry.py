@@ -44,8 +44,13 @@ renames those ids through per-group-element memo tables, interning each
 renamed value into the same table.  Equal values share an id, so the
 minimum is an orbit invariant; ids are assigned in the order of a
 deterministic search, which keeps parallel frontier merges
-bit-identical.  Shared-memory fingerprints are canonicalized as the
-``repr``-minimum over the group of the fully renamed fingerprint.
+bit-identical.  Shared-memory canonical fingerprints work the same way
+on the shared-memory ids (each process's results log chain-interned,
+each local state and register value numbered): :class:`SMSymmetryContext`
+renames local-state ids through per-group-element memo tables, moves
+register ids and crashed pids by the permutation, and takes the
+minimum int tuple over the permutations that pass its per-state scan
+filter.
 """
 
 from __future__ import annotations
@@ -470,96 +475,131 @@ class SMSymmetryContext:
     programs read owners ``0, 1, ...`` in order, so a renaming yields a
     reachable log shape only when it stabilizes every in-progress scan
     prefix ``{0 .. m-1}``.  The identity permutation always qualifies.
+    :meth:`canonical` works on the node's hash-consed state ids (see
+    :class:`repro.harness.exhaustive._SMStateIds`): ``_renamed[index]``
+    maps the id of a process local state to the id of its image under
+    ``perms[index]``, so each distinct local state is renamed once per
+    group element per exploration.  The memo holds ids of one
+    exploration's state table, so a context serves exactly one
+    exploration.
     """
 
-    __slots__ = ("_shape", "_perms", "_inverses", "_n")
+    __slots__ = ("_shape", "_perms", "_inverses", "_n", "_renamed")
 
     def __init__(self, shape: str, perms: List[Perm], n: int) -> None:
         self._shape = shape
         self._perms = perms
         self._inverses = [_inverse(perm) for perm in perms]
         self._n = n
+        self._renamed: List[Dict[int, int]] = [{} for _ in perms]
 
     @property
     def group_size(self) -> int:
         return len(self._perms)
 
-    def canonical(self, kernel) -> Tuple[Tuple, bool]:
-        """Canonical fingerprint; returns ``(fingerprint, is_identity)``."""
-        parsed = [self._parse_log(state) for state in kernel._states]
-        prefix_lengths = sorted(
-            {len(partial) for _, _, partial, _ in parsed if partial}
-        )
-        best: Optional[Tuple] = None
-        best_repr = ""
-        best_identity = False
-        for index, perm in enumerate(self._perms):
-            if index and not all(
-                all(perm[pid] < m for pid in range(m)) for m in prefix_lengths
+    def canonical(self, kernel, ids) -> Tuple[Tuple, bool]:
+        """Canonical fingerprint; returns ``(fingerprint, is_identity)``.
+
+        The representative is the minimum, over the permutations that
+        pass the per-state scan filter, of the renamed id fingerprint
+        ``(process ids, register ids, sorted crashed)``: position
+        ``perm[pid]`` takes process ``pid``'s renamed local state and
+        register.  ``is_identity`` says whether the representative is
+        the unrenamed state itself.
+        """
+        ids.resolve(kernel)
+        procs = ids.procs
+        regs = ids.regs
+        crashed = sorted(kernel._crashed)
+        best = (procs, regs, tuple(crashed))
+        best_index = 0
+        scans = self._open_scans(kernel)
+        for index in range(1, len(self._perms)):
+            perm = self._perms[index]
+            if not all(
+                all(perm[pid] < m for pid in range(m)) for m in scans
             ):
                 continue
-            fingerprint = self._renamed_fingerprint(
-                kernel, parsed, perm, self._inverses[index]
+            renamed = self._renamed[index]
+            inverse = self._inverses[index]
+            try:
+                head = tuple([renamed[procs[pid]] for pid in inverse])
+            except KeyError:
+                self._learn(kernel, ids, index)
+                head = tuple([renamed[procs[pid]] for pid in inverse])
+            if head > best[0]:
+                continue
+            fingerprint = (
+                head,
+                tuple([regs[pid] for pid in inverse]),
+                tuple(sorted([perm[pid] for pid in crashed])),
             )
-            key = repr(fingerprint)
-            if best is None or key < best_repr:
+            if fingerprint < best:
                 best = fingerprint
-                best_repr = key
-                best_identity = index == 0
-        assert best is not None
-        return best, best_identity
+                best_index = index
+        return best, best_index == 0
 
-    # -- log parsing and renaming -------------------------------------------
+    # -- scans and renaming ---------------------------------------------------
 
-    def _parse_log(
-        self, state
-    ) -> Tuple[Optional[Any], List[List[Any]], List[Any], List[Any]]:
-        """Split a results log into (write ack, full scans, partial, tail).
+    def _open_scan(self, state) -> int:
+        """Reads done so far in the process's in-progress scan.
 
         ``write_then_scan`` logs are ``[write ack] + reads + [decide
-        ack]?``; reads cycle through owners ``0 .. n-1``, so position
-        alone identifies each read's owner.  ``decide_only`` logs carry
-        no owner information and pass through unrenamed.
+        ack]?`` and reads cycle through owners ``0 .. n-1``;
+        ``decide_only`` logs have no scans.
         """
         log = state.results_log
         if self._shape == "decide_only" or not log:
-            return None, [], [], list(log)
-        reads = log[1:-1] if state.decided else log[1:]
-        tail = [log[-1]] if state.decided else []
-        n = self._n
-        full = len(reads) // n
-        blocks = [reads[i * n:(i + 1) * n] for i in range(full)]
-        return log[0], blocks, reads[full * n:], tail
+            return 0
+        return (len(log) - 1 - state.decided) % self._n
 
-    def _renamed_fingerprint(
-        self, kernel, parsed, perm: Perm, inverse: Perm
-    ) -> Tuple:
-        from repro.harness.exhaustive import _freeze
+    def _open_scans(self, kernel) -> List[int]:
+        """Lengths ``m > 0`` of the in-progress scan prefixes, ascending."""
+        return sorted(
+            {self._open_scan(state) for state in kernel._states} - {0}
+        )
 
+    def _rename_log(self, state, inverse: Perm) -> List[Any]:
+        """The image of ``state.results_log`` under a renaming.
+
+        Scan position alone identifies each read's owner, so a renaming
+        permutes the reads within every scan block: position ``j`` of a
+        block takes the read of owner ``inverse[j]``.  The write ack and
+        the decide ack stay in place, so the identity renaming gives the
+        log back unchanged.  Only defined for renamings that stabilize
+        the open scan prefix (see :meth:`canonical`).
+        """
+        log = state.results_log
+        if self._shape == "decide_only" or not log:
+            return list(log)
         n = self._n
-        states: List[Any] = [None] * n
-        for pid, state in enumerate(kernel._states):
-            ack, blocks, partial, tail = parsed[pid]
-            if self._shape == "decide_only":
-                log: List[Any] = tail
-            else:
-                log = [] if ack is None and not blocks and not partial else [ack]
-                for block in blocks:
-                    log.extend(block[inverse[j]] for j in range(n))
-                log.extend(partial[inverse[j]] for j in range(len(partial)))
-                log.extend(tail)
-            states[perm[pid]] = (
-                state.finished,
-                state.decided,
-                _freeze(state.decision),
-                state.ops_taken,
-                tuple(_freeze(entry) for entry in log),
-            )
-        registers: List[Any] = [None] * n
-        for owner, value in enumerate(kernel.registers.current_values()):
-            registers[perm[owner]] = _freeze(value)
-        crashed = tuple(sorted(perm[pid] for pid in kernel._crashed))
-        return (tuple(states), tuple(registers), crashed)
+        end = len(log) - 1 if state.decided else len(log)
+        renamed = [log[0]]
+        for start in range(1, end, n):
+            block = log[start:min(start + n, end)]
+            renamed.extend([block[inverse[j]] for j in range(len(block))])
+        renamed.extend(log[end:])
+        return renamed
+
+    def _learn(self, kernel, ids, index: int) -> None:
+        """Memoize the images of every local-state id under ``perms[index]``.
+
+        A miss renames the live log of the process at that position
+        block-wise, chain-interns the result into the exploration's
+        state table and interns the renamed local state there too.
+        """
+        from repro.harness.exhaustive import _EMPTY_LOG, _chain, _sm_local
+
+        renamed = self._renamed[index]
+        inverse = self._inverses[index]
+        table = ids.table
+        for pid, local in enumerate(ids.procs):
+            if local not in renamed:
+                state = kernel._states[pid]
+                log_id = _chain(
+                    table, _EMPTY_LOG, self._rename_log(state, inverse)
+                )
+                renamed[local] = table.intern(_sm_local(state, log_id))
 
 
 def sm_symmetry_context(

@@ -15,6 +15,7 @@ Section 4 of the paper).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import Outcome
@@ -61,25 +62,33 @@ class _ProcessState:
         self.decision: Optional[Value] = None
         self.decided = False
         #: Every operation result fed (or about to be fed) into the
-        #: generator, in order.  A deterministic generator's internal
-        #: state is a pure function of this sequence, which is what
-        #: makes shared-memory states fingerprintable without copying
-        #: generator frames.
+        #: generator, in order.  A program's generator is a pure function
+        #: of its context and of the results fed to it, which is what
+        #: makes shared-memory states fingerprintable, and restorable,
+        #: without copying generator frames.
         self.results_log: List[Any] = []
 
 
 @dataclasses.dataclass(frozen=True)
 class SMSnapshot:
-    """Replay-based capture of an :class:`SMKernel` execution state.
+    """Plain-data capture of an :class:`SMKernel` execution state.
 
-    Generator frames cannot be copied, so an SM snapshot records the
-    *choice sequence* that produced the state instead of the state
-    itself; :meth:`SMKernel.restore` re-executes the sequence against
-    fresh generators.  Deterministic programs plus a deterministic
-    crash adversary make the replay reproduce the state exactly.
+    Generator frames cannot be copied, so a snapshot records what a
+    generator's state is a function of instead: each process's results
+    log.  Alongside the logs it holds the choice prefix that produced
+    the state, each process's ``finished``/``decided``/``decision``
+    flags, the register values and the crashed set.  Logs, register
+    values and decisions are shared with the live kernel, not copied
+    (programs treat the values they read and write as immutable).
+    Snapshots are picklable, which is what lets the parallel frontier
+    search ship subtree roots to worker processes.
     """
 
     choices: Tuple[int, ...]
+    #: Per process: ``(results_log, finished, decided, decision)``.
+    processes: Tuple[Tuple[Tuple[Any, ...], bool, bool, Any], ...]
+    registers: Tuple[Any, ...]
+    crashed: frozenset
 
 
 class SMKernel:
@@ -140,12 +149,14 @@ class SMKernel:
                 )
 
         self.registers = RegisterFile(self.n)
-        self._trace_mode = trace_mode
         self.trace = Trace(trace_mode)
         self.tick = 0
         self._crashed: Set[int] = set()
         self._states = [_ProcessState() for _ in range(self.n)]
         self._choices: List[int] = []
+        #: Logged results fed back into generators rebuilt after a
+        #: :meth:`restore` (each rebuild re-feeds its process's whole log).
+        self.refed_results = 0
         self._contexts = [
             SMContext(pid, self.n, t, self._inputs[pid]) for pid in range(self.n)
         ]
@@ -234,7 +245,10 @@ class SMKernel:
             return
         if state.generator is None:
             state.generator = self._programs[pid](self._contexts[pid])
-            self.trace.record(self.tick, "start", pid)
+            if state.results_log:
+                self._refeed(state)
+            else:
+                self.trace.record(self.tick, "start", pid)
         try:
             op = state.generator.send(state.pending_result)
         except StopIteration:
@@ -244,6 +258,19 @@ class SMKernel:
         state.pending_result = self._execute_op(pid, op)
         state.results_log.append(state.pending_result)
         state.ops_taken += 1
+
+    def _refeed(self, state: _ProcessState) -> None:
+        """Bring a rebuilt generator up to its process's results log.
+
+        Sends every logged result but the last, which :meth:`_step`
+        sends next as the pending result.
+        """
+        log = state.results_log
+        send = state.generator.send
+        send(None)
+        for result in itertools.islice(log, len(log) - 1):
+            send(result)
+        self.refed_results += len(log)
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -260,30 +287,51 @@ class SMKernel:
         self.tick += 1
 
     def snapshot(self) -> SMSnapshot:
-        """Capture the state as the choice sequence that produced it."""
-        return SMSnapshot(choices=tuple(self._choices))
+        """Capture the execution state as plain data (see :class:`SMSnapshot`)."""
+        return SMSnapshot(
+            choices=tuple(self._choices),
+            processes=tuple([
+                (tuple(st.results_log), st.finished, st.decided, st.decision)
+                for st in self._states
+            ]),
+            registers=self.registers.current_values(),
+            crashed=frozenset(self._crashed),
+        )
 
     def restore(self, snapshot: SMSnapshot) -> None:
-        """Rebuild the snapshot state by replaying its choice sequence.
+        """Reset the kernel to a previously captured snapshot.
 
-        Resets registers, generators, crash state, and the trace, then
-        re-executes every recorded choice.  Cost is linear in the prefix
-        length; the exhaustive explorer amortizes this by extending one
-        live kernel along depth-first descents and replaying only on
-        backtracks (see :mod:`repro.harness.exhaustive`).
+        Executes no operation.  A process whose live results log or
+        ``finished`` flag differs from the snapshot's takes the
+        snapshot's data and drops its generator; the next :meth:`_step`
+        of that process rebuilds the generator by re-feeding the logged
+        results, which is sound because a program's generator is a pure
+        function of its context and of the results fed to it.  Every
+        other process keeps its live generator.  A snapshot may be
+        restored any number of times, into this kernel or a fresh one.
+        Like :meth:`MPKernel.restore`, this leaves the trace and the
+        register histories alone.
         """
-        self.registers = RegisterFile(self.n)
-        self.trace = Trace(self._trace_mode)
-        self.tick = 0
-        self._crashed = set()
-        self._states = [_ProcessState() for _ in range(self.n)]
-        choices = snapshot.choices
-        self._choices = []
-        self._apply_dynamic_crashes()
-        for pid in choices:
-            self._step(pid)
-            self._apply_dynamic_crashes()
-            self.tick += 1
+        self.tick = len(snapshot.choices)
+        self._choices = list(snapshot.choices)
+        self._crashed = set(snapshot.crashed)
+        self.registers.load(snapshot.registers)
+        for state, (log, finished, decided, decision) in zip(
+            self._states, snapshot.processes
+        ):
+            live = state.results_log
+            if (
+                state.finished != finished
+                or len(live) != len(log)
+                or tuple(live) != log
+            ):
+                state.generator = None
+                state.results_log = list(log)
+                state.pending_result = log[-1] if log else None
+                state.ops_taken = len(log)
+                state.finished = finished
+            state.decided = decided
+            state.decision = decision
 
     def run(self) -> ExecutionResult:
         """Execute until a stop state and return the result.

@@ -12,7 +12,7 @@ atomicity (reads return the latest preceding write).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, List, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.core.values import EMPTY
 
@@ -81,7 +81,10 @@ class RegisterFile:
         return index, value
 
     def current(self, owner: int) -> Any:
-        """Peek at a register without a stamped operation (testing only)."""
+        """Peek at a register without a stamped operation.
+
+        For tests and the exhaustive explorer's fingerprints.
+        """
         return self._values[owner]
 
     def current_values(self) -> Tuple[Any, ...]:
@@ -91,6 +94,16 @@ class RegisterFile:
         explorer's structural fingerprint.
         """
         return tuple(self._values)
+
+    def load(self, values: Sequence[Any]) -> None:
+        """Install every register's content without a stamped operation.
+
+        Used by :meth:`~repro.shm.kernel.SMKernel.restore`; the write and
+        read histories are left alone.
+        """
+        if len(values) != self.n:
+            raise ValueError(f"expected {self.n} register values")
+        self._values = list(values)
 
     def history(self, owner: int) -> Tuple[RegisterHistoryEntry, ...]:
         return tuple(self._histories[owner])

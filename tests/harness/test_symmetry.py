@@ -35,6 +35,7 @@ from repro.harness.exhaustive import (
     _fresh_mp_kernel,
     _fresh_sm_kernel,
     _mp_counters_matter,
+    _sm_state_ids,
     _state_ids,
     _StateTable,
     explore_mp,
@@ -167,7 +168,7 @@ def _step_block(kernel, ctx, pid):
     kernel.step_pid(pid)
     while (
         pid in kernel.runnable_pids()
-        and ctx._parse_log(kernel._states[pid])[2]
+        and ctx._open_scan(kernel._states[pid])
     ):
         kernel.step_pid(pid)
 
@@ -190,6 +191,13 @@ class TestSMCanonicalInvariance:
             )
             assert ctx is not None, f"{spec.name}: {reason}"
             pi = ctx._perms[rng.randrange(1, len(ctx._perms))]
+            # Both kernels intern into one table, as one exploration
+            # would.
+            table = _StateTable()
+
+            def canonical(kernel):
+                return ctx.canonical(kernel, _sm_state_ids(kernel, table))[0]
+
             blocks = 0
             while kernel_a.runnable_pids() and blocks < 30:
                 pid = rng.choice(sorted(kernel_a.runnable_pids()))
@@ -199,8 +207,8 @@ class TestSMCanonicalInvariance:
                 )
                 _step_block(kernel_a, ctx, pid)
                 _step_block(kernel_b, ctx, pi[pid])
-                fp_a = ctx.canonical(kernel_a)[0]
-                fp_b = ctx.canonical(kernel_b)[0]
+                fp_a = canonical(kernel_a)
+                fp_b = canonical(kernel_b)
                 assert fp_a == fp_b, (
                     f"{spec.name}: diverged after {blocks} blocks"
                 )

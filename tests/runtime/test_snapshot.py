@@ -1,20 +1,24 @@
 """Snapshot/restore round-trips for both kernels, across the registry.
 
 The exhaustive explorer's fast-fork path is sound only if ``restore()``
-reproduces exactly the state a ``copy.deepcopy`` fork would have: the
-same structural fingerprint at the restore point, and the same
-behaviour on every subsequent step.  These tests pin that equivalence
-for every protocol in the registry, not just the ones the explorer
-happens to exercise.
+reproduces exactly the state an independent fork would have: the same
+structural fingerprint at the restore point, and the same behaviour on
+every subsequent step.  The message-passing fork is a
+``copy.deepcopy``; generator frames cannot be copied, so the
+shared-memory fork is a fresh kernel stepping the same choices.  These
+tests pin that equivalence for every protocol in the registry, not just
+the ones the explorer happens to exercise.
 """
 
 import copy
+import pickle
 
 import pytest
 
 from repro.harness.exhaustive import (
     _fingerprint_mp,
     _fingerprint_sm,
+    _sm_state_ids,
     _state_ids,
     _StateTable,
 )
@@ -53,6 +57,11 @@ def _mp_fp(kernel, table):
     return _fingerprint_mp(
         kernel, _state_ids(kernel, table), include_counters=True
     )
+
+
+def _sm_fp(kernel, table):
+    """SM counterpart of :func:`_mp_fp`: ids built from scratch."""
+    return _fingerprint_sm(kernel, _sm_state_ids(kernel, table))
 
 
 def _mp_kernel(spec_name):
@@ -132,53 +141,139 @@ class TestMPSnapshotRoundTrip:
         assert _mp_fp(kernel, table) == before
 
 
+def _sm_walk(kernel, pick, steps):
+    """Step ``pick(runnable pids)`` up to ``steps`` times."""
+    for _ in range(steps):
+        runnable = kernel.runnable_pids()
+        if not runnable:
+            break
+        kernel.step_pid(pick(runnable))
+
+
+def _sm_fork(spec_name, choices):
+    """The independent reference: a fresh kernel stepping ``choices``
+    with ``step_pid``, never ``restore``."""
+    fork = _sm_kernel(spec_name)
+    fork._apply_dynamic_crashes()
+    for pid in choices:
+        fork.step_pid(pid)
+    return fork
+
+
+def _sm_lockstep(kernel, fork, table):
+    """Equal fingerprints now and after every step of a common schedule.
+
+    Bounded: a fixed schedule may starve a looping program, so this
+    compares a window, not a complete run.
+    """
+    assert _sm_fp(kernel, table) == _sm_fp(fork, table)
+    for _ in range(40):
+        if not kernel.runnable_pids() or kernel.all_correct_decided():
+            break
+        pid = min(kernel.runnable_pids())
+        kernel.step_pid(pid)
+        fork.step_pid(pid)
+        assert _sm_fp(kernel, table) == _sm_fp(fork, table)
+    assert kernel.choices == fork.choices
+
+
 class TestSMSnapshotRoundTrip:
-    """Generator frames cannot be deepcopied -- that impossibility is
-    why SM snapshots are replay-based.  The fork reference here is a
-    *fresh kernel replaying the same choice prefix*, which is exactly
-    what a deepcopy fork would have produced if one existed."""
+    """Generator frames cannot be deepcopied, so an SM snapshot holds
+    the results logs and ``restore`` re-feeds rebuilt generators.  The
+    fork reference here is a *fresh kernel stepping the same choice
+    prefix* with ``step_pid``, which is exactly what a deepcopy fork
+    would have produced if one existed."""
 
     @pytest.mark.parametrize("spec_name", SM_SPECS)
     def test_replay_restore_equals_fresh_replay(self, spec_name):
+        """Restore after the live kernel ran a different branch."""
         kernel = _sm_kernel(spec_name)
         kernel._apply_dynamic_crashes()
-        for _ in range(4):
-            runnable = kernel.runnable_pids()
-            if not runnable:
-                break
-            kernel.step_pid(min(runnable))
-
+        _sm_walk(kernel, min, 4)
         snap = kernel.snapshot()
-        fork = _sm_kernel(spec_name)
-        fork.restore(snap)  # fresh kernel, same prefix
+        fork = _sm_fork(spec_name, snap.choices)
 
-        for _ in range(5):
-            runnable = kernel.runnable_pids()
-            if not runnable:
-                break
-            kernel.step_pid(max(runnable))
+        _sm_walk(kernel, max, 5)  # diverge, then rewind
         kernel.restore(snap)
+        _sm_lockstep(kernel, fork, _StateTable())
 
-        assert _fingerprint_sm(kernel) == _fingerprint_sm(fork)
+    @pytest.mark.parametrize("spec_name", SM_SPECS)
+    def test_restore_into_fresh_kernel(self, spec_name):
+        """A frontier root: the snapshot of one kernel restored into
+        another that never ran."""
+        kernel = _sm_kernel(spec_name)
+        kernel._apply_dynamic_crashes()
+        _sm_walk(kernel, max, 5)
+        snap = pickle.loads(pickle.dumps(kernel.snapshot()))
+        fresh = _sm_kernel(spec_name)
+        fresh.restore(snap)
+        _sm_lockstep(fresh, _sm_fork(spec_name, snap.choices), _StateTable())
 
-        # bounded lockstep: a fixed schedule may starve a looping
-        # program, so this compares a window, not a complete run
-        for _ in range(40):
-            if not kernel.runnable_pids() or kernel.all_correct_decided():
-                break
-            pid = min(kernel.runnable_pids())
-            kernel.step_pid(pid)
-            fork.step_pid(pid)
-            assert _fingerprint_sm(kernel) == _fingerprint_sm(fork)
+    @pytest.mark.parametrize("spec_name", SM_SPECS)
+    def test_restore_twice(self, spec_name):
+        """Restoring is idempotent, and a snapshot is a value, not a
+        view of the live kernel."""
+        kernel = _sm_kernel(spec_name)
+        kernel._apply_dynamic_crashes()
+        _sm_walk(kernel, min, 3)
+        snap = kernel.snapshot()
+        table = _StateTable()
+        before = _sm_fp(kernel, table)
+        _sm_walk(kernel, max, 6)
+        kernel.restore(snap)
+        kernel.restore(snap)
+        assert _sm_fp(kernel, table) == before
+        assert kernel.snapshot() == snap
+        _sm_lockstep(kernel, _sm_fork(spec_name, snap.choices), table)
+
+    def test_restore_refeeds_only_changed_logs(self):
+        """Only a process whose log differs from the snapshot's -- here
+        equally long but with other results -- loses its generator, and
+        it is re-fed its whole log when it next steps."""
+        spec = get_spec("protocol-e@sm-cr")
+
+        def kernel_after(choices):
+            kernel = SMKernel(
+                [spec.make(3, 2, 0)] * 3, ["a", "b", "c"], t=0,
+                scheduler=None, trace_mode=TraceMode.OFF,
+            )
+            for pid in choices:
+                kernel.step_pid(pid)
+            return kernel
+
+        # Both branches: p2 writes; p0 scans owners 0 and 1, p1 owner 0.
+        # Only the order of the p0/p1 operations differs, so p0 reads
+        # owner 1 empty in one branch and "b" in the other.
+        snap = kernel_after((2, 0, 0, 0, 1, 1)).snapshot()
+        kernel = kernel_after((2, 1, 1, 0, 0, 0))
+        live = [state.generator for state in kernel._states]
+        kernel.restore(snap)
+        kept = [
+            state.generator is generator
+            for state, generator in zip(kernel._states, live)
+        ]
+        assert kept == [False, False, True]
+        assert kernel.refed_results == 0
+
+        kernel.step_pid(2)
+        assert kernel.refed_results == 0
+        kernel.step_pid(0)
+        assert kernel.refed_results == 3
+        kernel.step_pid(1)
+        assert kernel.refed_results == 5
+        _sm_lockstep(kernel, kernel_after(kernel.choices), _StateTable())
 
     def test_snapshot_is_choice_prefix(self):
-        """SM snapshots record the schedule, not copied generator frames."""
+        """SM snapshots record the schedule and the results logs, not
+        copied generator frames; they are plain, picklable data."""
         kernel = _sm_kernel("trivial@sm-cr")
         kernel._apply_dynamic_crashes()
         kernel.step_pid(0)
         kernel.step_pid(1)
         snap = kernel.snapshot()
         assert snap.choices == (0, 1)
+        assert [log for log, *_ in snap.processes] == [(None,), (None,), ()]
+        assert pickle.loads(pickle.dumps(snap)) == snap
 
 
 class TestEventSlots:

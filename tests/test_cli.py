@@ -179,7 +179,7 @@ class TestExhaustiveCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "exhaustive" in out and "violations: 0" in out
-        assert "prefix sharing" in out  # replay-based SM snapshots
+        assert "restores /" in out and "re-fed results" in out
 
 
 class TestCampaignCommand:
