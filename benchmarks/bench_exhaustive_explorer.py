@@ -5,7 +5,8 @@ same instances in the same run:
 
 * **states/sec** -- snapshot+POR (the default) against the snapshot
   full DFS, both expanding the same budget of distinct states on the
-  n=4 PROTOCOL A grid;
+  n=4 PROTOCOL A grid, with the process copies and re-installs the
+  copy-on-write kernel snapshots made on the way;
 * **POR reduction** -- states/runs/probes of sleep-set exploration
   against the unreduced full DFS on exhaustible n=3 points, asserting
   both see identical decision sets and violation kinds;
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -67,6 +69,7 @@ from repro.protocols.ablations import ProtocolBStrictQuorum
 from repro.protocols.chaudhuri import ChaudhuriKSet
 from repro.protocols.protocol_a import ProtocolA
 from repro.runtime.events import Delivery
+from repro.runtime.process import Process
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_exhaustive.json"
@@ -224,16 +227,46 @@ def _grid_validity(point: Dict[str, Any]):
     return RV2
 
 
+@contextlib.contextmanager
+def _count_process_forks():
+    """Count ``Process.snapshot_state`` calls (process copies) and
+    ``Process.restore_state`` calls (process re-installs) while active.
+
+    Counted from outside ``src/`` by wrapping the two hooks on the class;
+    the wrappers add well under a microsecond per call to the timing.
+    """
+    counts = {"process_copies": 0, "process_installs": 0}
+    snapshot_state = Process.snapshot_state
+    restore_state = Process.restore_state
+
+    def counted_snapshot(process):
+        counts["process_copies"] += 1
+        return snapshot_state(process)
+
+    def counted_restore(process, state):
+        counts["process_installs"] += 1
+        restore_state(process, state)
+
+    Process.snapshot_state = counted_snapshot
+    Process.restore_state = counted_restore
+    try:
+        yield counts
+    finally:
+        Process.snapshot_state = snapshot_state
+        Process.restore_state = restore_state
+
+
 def _measure_throughput(por: bool, cap: int) -> Dict[str, Any]:
     """One throughput point: states/sec at a fixed expansion budget."""
-    started = time.perf_counter()
-    result = explore_mp(
-        lambda: [ProtocolA() for _ in range(THROUGHPUT_N)],
-        list(THROUGHPUT_INPUTS),
-        k=THROUGHPUT_K, t=THROUGHPUT_T, validity=RV2,
-        max_states=cap, por=por,
-    )
-    elapsed = time.perf_counter() - started
+    with _count_process_forks() as forks:
+        started = time.perf_counter()
+        result = explore_mp(
+            lambda: [ProtocolA() for _ in range(THROUGHPUT_N)],
+            list(THROUGHPUT_INPUTS),
+            k=THROUGHPUT_K, t=THROUGHPUT_T, validity=RV2,
+            max_states=cap, por=por,
+        )
+        elapsed = time.perf_counter() - started
     assert result.all_ok, result.violations[:2]
     return {
         "por": por,
@@ -248,6 +281,7 @@ def _measure_throughput(por: bool, cap: int) -> Dict[str, Any]:
         "cache_hit_rate": round(result.cache_hit_rate, 4),
         "sleep_pruned": result.sleep_pruned,
         "reexpansions": result.reexpansions,
+        **forks,
     }
 
 
@@ -677,6 +711,12 @@ def main(argv=None) -> int:
         f"{throughput['snapshot_full_dfs']['states_per_sec']}/s, "
         f"snapshot+POR {throughput['snapshot_por']['states_per_sec']}/s"
     )
+    for mode in ("snapshot_full_dfs", "snapshot_por"):
+        point = throughput[mode]
+        print(
+            f"{mode}: {point['process_copies']} process copies, "
+            f"{point['process_installs']} process re-installs"
+        )
     for point in payload["por_reduction"]:
         print(
             f"POR {point['point']}: {point['full_states']} -> "

@@ -12,14 +12,19 @@ Three cooperating mechanisms keep the search fast:
 * **Snapshot/restore forking.**  Branch points capture kernel state with
   the plain-data snapshot protocol (:meth:`MPKernel.snapshot` /
   :meth:`MPKernel.restore`, :meth:`SMKernel.snapshot` /
-  :meth:`SMKernel.restore`).  Shared-memory programs are generators and
-  cannot be copied at all, so an SM snapshot holds each process's
-  results log instead, and a restore drops only the generators whose log
-  changed; their next step rebuilds them by re-feeding the logged
-  results (a program's generator is a pure function of its context and
-  of the results fed to it).  The independent references are the full
-  DFS (``por=False``) and the fresh-kernel replay of every recorded
-  violation in :func:`repro.verify.confirm_exploration`.
+  :meth:`SMKernel.restore`).  MP snapshots are copy-on-write per
+  process: a snapshot copies only the processes that ran a handler since
+  their last copy, and a restore re-installs only the processes whose
+  live state is not the snapshot's, so a backtrack re-installs the
+  processes the abandoned branch stepped and no other.  Shared-memory
+  programs are generators and cannot be copied at all, so an SM
+  snapshot holds each process's results log instead, and a restore
+  drops only the generators whose log changed; their next step rebuilds
+  them by re-feeding the logged results (a program's generator is a
+  pure function of its context and of the results fed to it).  The
+  independent references are the full DFS (``por=False``) and the
+  fresh-kernel replay of every recorded violation in
+  :func:`repro.verify.confirm_exploration`.
 
 * **Partial-order reduction** (``por=True``, the default for
   :func:`explore_mp`).  Deliveries to distinct processes that cannot

@@ -121,7 +121,10 @@ class LEchoEngine:
         Returns an engine with independent bookkeeping; the
         ``on_accept`` callback is shared, which is correct because the
         kernel restores state *in place* -- the process a bound callback
-        points at is the same object before and after a restore.
+        points at is the same object before and after a restore.  A
+        state restored into another kernel's process is rebound by its
+        owner (:meth:`ProtocolC.restore_state
+        <repro.protocols.protocol_c.ProtocolC.restore_state>`).
         """
         fork = LEchoEngine(self.ell, self._on_accept)
         fork._echoed_for = set(self._echoed_for)

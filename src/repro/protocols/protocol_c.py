@@ -56,6 +56,14 @@ class ProtocolC(Process):
     def on_message(self, ctx: Context, sender: int, payload: Any) -> None:
         self._engine.handle(ctx, sender, payload)
 
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        super().restore_state(state)
+        # The engine's callback is bound to the process the state was
+        # copied from.  A state taken in another kernel (a frontier
+        # root, or one unpickled in a worker) must call back into this
+        # process, not into that one.
+        self._engine._on_accept = self._accepted
+
     def _accepted(self, ctx: Context, origin: int, message: Any) -> None:
         if origin not in self._first_value:
             self._first_value[origin] = message

@@ -135,17 +135,27 @@ class ExecutionStats:
         )
 
 
+#: One process's part of a snapshot: its
+#: :meth:`~repro.runtime.process.Process.snapshot_state` copy and its
+#: context's ``(decided, decision)``.
+_Entry = Tuple[Dict[str, Any], Tuple[bool, Any]]
+
+
 @dataclasses.dataclass(frozen=True)
 class MPSnapshot:
     """Plain-data capture of an :class:`MPKernel` execution state.
 
     Everything the kernel's future behaviour depends on, and nothing
     else: no handler code, no scheduler, no trace records.  Events are
-    frozen dataclasses and are shared, not copied; the mutable parts
-    (process state, crash sets, counters) are plain-data copies, so a
-    snapshot stays valid however the live kernel moves on.  Snapshots
-    are picklable, which is what lets the parallel frontier search ship
-    subtree roots to worker processes.
+    frozen dataclasses and are shared, not copied; the crash sets and
+    counters are immutable copies.  ``processes`` holds one
+    ``(state, (decided, decision))`` entry per process.  An entry is
+    plain data that nothing mutates once it is taken, so snapshots share
+    entries: a process that ran no handler between two snapshots appears
+    in both as the same entry object.  A snapshot therefore stays valid
+    however the live kernel moves on.  Snapshots are picklable, which is
+    what lets the parallel frontier search ship subtree roots to worker
+    processes.
     """
 
     tick: int
@@ -155,8 +165,7 @@ class MPSnapshot:
     halted_at_send: frozenset
     steps_taken: Tuple[int, ...]
     sends_made: Tuple[int, ...]
-    process_states: Tuple[Dict[str, Any], ...]
-    context_states: Tuple[Tuple[bool, Any], ...]
+    processes: Tuple[_Entry, ...]
 
 
 class _KernelContext(Context):
@@ -249,6 +258,10 @@ class MPKernel:
             _KernelContext(self, pid, self._inputs[pid]) for pid in range(self.n)
         ]
         self._executing: Optional[int] = None
+        # Per process, the snapshot entry its live state equals, or None
+        # once one of its handlers ran since that entry was taken or
+        # installed.  A fresh kernel matches no snapshot.
+        self._entries: List[Optional[_Entry]] = [None] * self.n
         for pid in range(self.n):
             self._schedule(Start(self._next_seq(), pid))
 
@@ -361,6 +374,7 @@ class MPKernel:
         ):
             self._crash(pid)
             return
+        self._entries[pid] = None
         self._executing = pid
         try:
             call(self._contexts[pid])
@@ -388,7 +402,21 @@ class MPKernel:
         adversary keys on.  The trace is deliberately *not* captured --
         it is monitoring state, not execution state -- so snapshot users
         (the exhaustive explorer) run with ``TraceMode.OFF``.
+
+        Copy-on-write per process: only a process that ran a handler
+        since its last copy is copied; every other process's entry is
+        shared with the snapshot it came from.  This rests on one
+        contract: a process's state and decision change only while the
+        kernel runs one of its handlers.
         """
+        entries = self._entries
+        for pid, entry in enumerate(entries):
+            if entry is None:
+                ctx = self._contexts[pid]
+                entries[pid] = (
+                    self._processes[pid].snapshot_state(),
+                    (ctx._decided, copy_plain(ctx._decision)),
+                )
         return MPSnapshot(
             tick=self.tick,
             seq=self._seq,
@@ -397,22 +425,19 @@ class MPKernel:
             halted_at_send=frozenset(self._halted_at_send),
             steps_taken=tuple(self._steps_taken),
             sends_made=tuple(self._sends_made),
-            process_states=tuple(
-                p.snapshot_state() for p in self._processes
-            ),
-            context_states=tuple(
-                (ctx._decided, copy_plain(ctx._decision))
-                for ctx in self._contexts
-            ),
+            processes=tuple(entries),
         )
 
     def restore(self, snapshot: MPSnapshot) -> None:
         """Reset the kernel to a previously captured snapshot.
 
-        A snapshot may be restored any number of times; each restore
-        installs fresh plain-data copies, so branches forked from the
-        same snapshot never share mutable state.  The scheduler and the
-        trace are left untouched.
+        Re-installs only the processes whose live state is not, by
+        identity, the snapshot's entry: those that ran a handler since
+        that entry was taken or installed, and every process of a kernel
+        that never saw the entry (a fresh kernel, a deep copy, an
+        unpickled one).  Installing copies the entry, so a snapshot may
+        seed any number of branches and none of them shares mutable
+        state with it.  The scheduler and the trace are left untouched.
         """
         self.tick = snapshot.tick
         self._seq = snapshot.seq
@@ -421,13 +446,16 @@ class MPKernel:
         self._halted_at_send = set(snapshot.halted_at_send)
         self._steps_taken = list(snapshot.steps_taken)
         self._sends_made = list(snapshot.sends_made)
-        for process, state in zip(self._processes, snapshot.process_states):
-            process.restore_state(state)
-        for ctx, (decided, decision) in zip(
-            self._contexts, snapshot.context_states
-        ):
+        entries = self._entries
+        for pid, entry in enumerate(snapshot.processes):
+            if entries[pid] is entry:
+                continue
+            state, (decided, decision) = entry
+            self._processes[pid].restore_state(state)
+            ctx = self._contexts[pid]
             ctx._decided = decided
             ctx._decision = copy_plain(decision)
+            entries[pid] = entry
 
     def step(self, seq: int) -> None:
         """Execute one pending event by sequence number.

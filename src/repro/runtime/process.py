@@ -152,6 +152,13 @@ class Process:
         copies ``__dict__`` with :func:`copy_plain`, which is correct
         for any process holding only plain data (all protocols in this
         library); subclasses with exotic state may override both hooks.
+
+        :class:`~repro.runtime.kernel.MPKernel` snapshots copy-on-write:
+        it calls this only for a process that ran a handler since its
+        state was last copied or installed, and shares the earlier copy
+        otherwise.  A process's state must therefore change only while
+        the kernel runs one of its handlers, and nothing may mutate the
+        returned copy.
         """
         return {
             key: copy_plain(item) for key, item in self.__dict__.items()
@@ -162,7 +169,10 @@ class Process:
 
         The snapshot may be restored many times (once per explored
         branch), so the installed state is copied again rather than
-        aliased.
+        aliased.  :class:`~repro.runtime.kernel.MPKernel` calls this only
+        for a process whose live state is not already ``state``: one
+        that ran a handler since ``state`` was taken or installed, or
+        any process of a kernel that never saw ``state``.
         """
         self.__dict__.clear()
         self.__dict__.update(

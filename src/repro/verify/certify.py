@@ -21,6 +21,12 @@ checked artifact: for one ``n`` it sweeps every claim over the full
 * outside the region where the classifier says ``POSSIBLE`` or ``OPEN``
   the point is ``SKIPPED``: the claim says nothing there.
 
+The factory is asked once per point, before any exploration, and only
+its refusal (a ``ValueError``) is read as a guard.  Any exception an
+exploration raises -- a ``MemoryError`` under an address-space cap, say
+-- makes the point ``ABORTED``, a failing verdict whose note names the
+exception and the instance; the other points still settle.
+
 The compact visited store may *miss* violations (a digest collision can
 cut an unexplored branch), so a compact "no counterexample found" is
 never trusted: the point is re-run on the exact store before any
@@ -83,6 +89,7 @@ REPORT_FORMAT = "repro-certification/1"
 VERDICTS = (
     "REFUTED",                   # claimed solvable, violation found
     "COUNTEREXAMPLE_MISSING",    # claimed impossible, no violation found
+    "ABORTED",                   # an exploration raised (e.g. MemoryError)
     "INCONCLUSIVE",              # exploration hit its state budget
     "COUNTEREXAMPLE_CONFIRMED",  # impossibility witnessed + re-proven
     "CONFIRMED_SOLVABLE",        # clean exhaustive sweep inside region
@@ -90,7 +97,7 @@ VERDICTS = (
     "SKIPPED",                   # claim says nothing at this point
 )
 
-_FAILING = frozenset({"REFUTED", "COUNTEREXAMPLE_MISSING"})
+_FAILING = frozenset({"REFUTED", "COUNTEREXAMPLE_MISSING", "ABORTED"})
 
 
 @dataclasses.dataclass
@@ -270,6 +277,32 @@ def _explore_point(
     )
 
 
+def _explore_or_abort(
+    task: _PointTask,
+    spec,
+    point: PointResult,
+    instance: Tuple[str, List[str], Optional[CrashPlan]],
+    visited: str,
+):
+    """:func:`_explore_point`, or ``None`` after marking the point
+    ``ABORTED`` if the exploration raised.
+
+    The factory already built once before any exploration, so nothing
+    raised here is a region guard: it is the search running out of a
+    resource (or a bug), and it must not pass for a verdict about the
+    claim.
+    """
+    label, inputs, plan = instance
+    try:
+        return _explore_point(task, spec, inputs, plan, visited)
+    except Exception as exc:
+        point.verdict = "ABORTED"
+        point.note = f"{type(exc).__name__} under inputs={label} plan={plan!r}"
+        if str(exc):
+            point.note += f": {exc}"
+        return None
+
+
 def _note_stats(point: PointResult, result) -> None:
     """Fold one exploration's observability stats into the point."""
     point.explorations += 1
@@ -287,12 +320,10 @@ def _certify_inside(
     instances: List[Tuple[str, List[str], Optional[CrashPlan]]],
 ) -> None:
     """Inside the claimed region every instance must come back clean."""
-    for label, inputs, plan in instances:
-        try:
-            result = _explore_point(task, spec, inputs, plan, task.visited)
-        except Exception as exc:  # pragma: no cover - claim must build
-            point.verdict = "REFUTED"
-            point.note = f"factory failed inside region ({label}): {exc}"
+    for instance in instances:
+        label, _, plan = instance
+        result = _explore_or_abort(task, spec, point, instance, task.visited)
+        if result is None:
             return
         _note_stats(point, result)
         if result.violations:
@@ -314,20 +345,20 @@ def _certify_outside_impossible(
     instances: List[Tuple[str, List[str], Optional[CrashPlan]]],
 ) -> None:
     """Outside + IMPOSSIBLE: find, re-prove, and save one counterexample."""
-    for label, inputs, plan in instances:
-        try:
-            result = _explore_point(task, spec, inputs, plan, task.visited)
-        except Exception as exc:
-            point.verdict = "REGION_GUARDED"
-            point.note = f"factory refuses outside region: {exc}"
+    for instance in instances:
+        label, inputs, plan = instance
+        result = _explore_or_abort(task, spec, point, instance, task.visited)
+        if result is None:
             return
         _note_stats(point, result)
         if not result.violations and task.visited != "exact":
             # The compact store may have cut the violating branch on a
             # digest collision; only the exact store may testify to
             # absence.
-            result = _explore_point(task, spec, inputs, plan, "exact")
             point.escalated = True
+            result = _explore_or_abort(task, spec, point, instance, "exact")
+            if result is None:
+                return
             _note_stats(point, result)
         if result.violations:
             # Re-prove only the first violation: one independently
@@ -490,6 +521,22 @@ def _certify_point(task: _PointTask) -> PointResult:
         classification=classification.status.value,
         verdict="SKIPPED",
     )
+    if not inside and classification.status is not Solvability.IMPOSSIBLE:
+        point.note = (
+            f"outside claimed region, classifier says "
+            f"{classification.status.value}: nothing to certify"
+        )
+        return point
+    try:
+        SpecFactory(spec.name, n, k, t)()
+    except ValueError as exc:
+        if inside:
+            point.verdict = "REFUTED"
+            point.note = f"factory failed inside region: {exc}"
+        else:
+            point.verdict = "REGION_GUARDED"
+            point.note = f"factory refuses outside region: {exc}"
+        return point
     if spec.is_shared_memory:
         plans = _sm_crash_plans(n, t)
     else:
@@ -501,11 +548,6 @@ def _certify_point(task: _PointTask) -> PointResult:
     ]
     if inside:
         _certify_inside(task, spec, point, instances)
-    elif classification.status is Solvability.IMPOSSIBLE:
-        _certify_outside_impossible(task, spec, point, instances)
     else:
-        point.note = (
-            f"outside claimed region, classifier says "
-            f"{classification.status.value}: nothing to certify"
-        )
+        _certify_outside_impossible(task, spec, point, instances)
     return point

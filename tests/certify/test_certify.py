@@ -15,6 +15,7 @@ import json
 import pytest
 
 import repro.harness.visited as visited_stores
+import repro.verify.certify as certify_module
 from repro.verify.certify import (
     REPORT_FORMAT,
     VERDICTS,
@@ -128,6 +129,75 @@ class TestLossyStores:
             [p.verdict for p in exact.claims[0].points]
             == [p.verdict for p in compact.claims[0].points]
         )
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("address space exhausted")
+
+
+class TestAborted:
+    """An exploration that raises settles its point as ``ABORTED``: never
+    a region guard, never a refutation, and never a passing report."""
+
+    @pytest.mark.parametrize("k, inside", [(3, True), (1, False)])
+    def test_memory_error_aborts_the_point(self, monkeypatch, k, inside):
+        monkeypatch.setattr(certify_module, "_explore_point", _out_of_memory)
+        report = certify_claims(n=3, specs=["trivial@mp-cr"], ks=[k], ts=[1])
+        (point,) = report.claims[0].points
+        assert point.inside is inside
+        assert point.verdict == "ABORTED"
+        assert "MemoryError" in point.note
+        assert "inputs=distinct" in point.note
+        assert not report.ok
+        assert report.verdict_counts()["ABORTED"] == 1
+
+    def test_other_points_settle_and_the_cli_fails(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.cli import main
+
+        explore = certify_module._explore_point
+
+        def exhausted_at_k1(task, *args):
+            if task.k == 1:
+                raise MemoryError
+            return explore(task, *args)
+
+        monkeypatch.setattr(certify_module, "_explore_point", exhausted_at_k1)
+        out = tmp_path / "report.json"
+        code = main([
+            "certify", "--n", "3", "--specs", "trivial@mp-cr",
+            "--ks", "1", "3", "--ts", "1", "--quiet", "--out", str(out),
+        ])
+        assert code == 1
+        data = json.loads(out.read_text())
+        assert data["ok"] is False
+        verdicts = {
+            (p["k"], p["t"]): p["verdict"] for p in data["claims"][0]["points"]
+        }
+        assert verdicts == {(1, 1): "ABORTED", (3, 1): "CONFIRMED_SOLVABLE"}
+
+    def test_factory_refusal_outside_region_is_still_a_guard(self):
+        report = certify_claims(
+            n=3, specs=["protocol-c@mp-byz"], ks=[1], ts=[1],
+        )
+        (point,) = report.claims[0].points
+        assert not point.inside
+        assert point.verdict == "REGION_GUARDED"
+        assert point.explorations == 0
+        assert report.ok
+
+    def test_factory_refusal_inside_region_refutes(self, monkeypatch):
+        class Refusing(certify_module.SpecFactory):
+            def __call__(self):
+                raise ValueError("refuses")
+
+        monkeypatch.setattr(certify_module, "SpecFactory", Refusing)
+        report = certify_claims(n=3, specs=["trivial@mp-cr"], ks=[3], ts=[1])
+        (point,) = report.claims[0].points
+        assert point.inside
+        assert point.verdict == "REFUTED"
+        assert "factory failed inside region" in point.note
 
 
 class TestReportModes:

@@ -8,10 +8,19 @@ every subsequent step.  The message-passing fork is a
 shared-memory fork is a fresh kernel stepping the same choices.  These
 tests pin that equivalence for every protocol in the registry, not just
 the ones the explorer happens to exercise.
+
+Message-passing snapshots are copy-on-write per process: a snapshot
+copies only the processes that ran a handler since their last copy,
+and a restore re-installs only the processes whose live state is not
+the snapshot's entry.  :class:`TestMPCopyOnWrite` compares restored
+kernels with deep copies field by field, dicts in insertion order,
+because iteration order decides the order of sends.
 """
 
 import copy
 import pickle
+import random
+import types
 
 import pytest
 
@@ -22,9 +31,12 @@ from repro.harness.exhaustive import (
     _state_ids,
     _StateTable,
 )
+from repro.failures.crash import CrashPlan, CrashPoint
+from repro.net.schedulers import RandomScheduler
 from repro.protocols.base import all_specs, get_spec
 from repro.runtime.events import Delivery, Event, Start
 from repro.runtime.kernel import MPKernel
+from repro.runtime.process import Process
 from repro.runtime.traces import TraceMode
 from repro.shm.kernel import SMKernel
 
@@ -64,14 +76,20 @@ def _sm_fp(kernel, table):
     return _fingerprint_sm(kernel, _sm_state_ids(kernel, table))
 
 
-def _mp_kernel(spec_name):
+def _mp_kernel(spec_name, scheduler=None, crash_sends=None):
+    """A fresh kernel of the spec's small instance.  ``crash_sends``
+    makes p0 crash after that many sends when the instance has t >= 1."""
     spec = get_spec(spec_name)
     n, k, t = _instance(spec)
+    plan = None
+    if crash_sends is not None and t >= 1:
+        plan = CrashPlan({0: CrashPoint(after_sends=crash_sends)})
     return MPKernel(
         [spec.make(n, k, t) for _ in range(n)],
         _inputs(n),
         t=t,
-        scheduler=None,
+        scheduler=scheduler,
+        crash_adversary=plan,
         stop_when_decided=True,
         trace_mode=TraceMode.OFF,
     )
@@ -139,6 +157,153 @@ class TestMPSnapshotRoundTrip:
         assert _mp_fp(kernel, table) == before
         kernel.restore(snap)  # restoring twice is idempotent
         assert _mp_fp(kernel, table) == before
+
+
+def _plain(value):
+    """A comparable image of ``value``: dicts as item lists in insertion
+    order, objects as their ``__dict__``, bound methods as their
+    function (whose binding :func:`_assert_bound_to_owner` checks)."""
+    cls = value.__class__
+    if cls is dict:
+        return ("dict", [(key, _plain(item)) for key, item in value.items()])
+    if cls in (list, tuple):
+        return (cls.__name__, [_plain(item) for item in value])
+    if cls in (set, frozenset):
+        return (cls.__name__, frozenset(value))
+    if isinstance(value, types.MethodType):
+        return ("method", value.__func__)
+    if hasattr(value, "__dict__") and not callable(value):
+        return (cls.__name__, _plain(vars(value)))
+    return value
+
+
+def _image(kernel):
+    """Everything a restore must reproduce, kernel and processes."""
+    return (
+        kernel.tick,
+        kernel._seq,
+        list(kernel._pending.items()),
+        kernel._crashed,
+        kernel._halted_at_send,
+        kernel._steps_taken,
+        kernel._sends_made,
+        [_plain(process) for process in kernel._processes],
+        [(ctx._decided, _plain(ctx._decision)) for ctx in kernel._contexts],
+    )
+
+
+def _assert_bound_to_owner(kernel):
+    """PROTOCOL C's l-echo engine calls back into the process that owns
+    it; a restore must never hand it another process's callback."""
+    for process in kernel._processes:
+        engine = getattr(process, "_engine", None)
+        if engine is not None:
+            assert engine._on_accept.__self__ is process
+
+
+def _undecided(kernel):
+    return kernel._pending and not kernel.all_correct_decided()
+
+
+class TestMPCopyOnWrite:
+    """Restores against deep copies taken at snapshot time."""
+
+    @pytest.mark.parametrize("spec_name", MP_SPECS)
+    def test_random_step_snapshot_restore_run(self, spec_name):
+        rng = random.Random(f"cow {spec_name}")
+        for trial in range(6):
+            kernel = _mp_kernel(
+                spec_name, RandomScheduler(trial),
+                crash_sends=trial % 3 if trial % 2 else None,
+            )
+            taken = []  # (snapshot, deep copy at that snapshot)
+            for _ in range(40):
+                op = rng.random()
+                if op < 0.5:
+                    if _undecided(kernel):
+                        kernel.step(rng.choice(sorted(kernel._pending)))
+                elif op < 0.7:
+                    taken.append((kernel.snapshot(), copy.deepcopy(kernel)))
+                elif op < 0.9:
+                    if taken:
+                        snap, fork = rng.choice(taken)
+                        kernel.restore(snap)
+                        assert _image(kernel) == _image(fork)
+                        _assert_bound_to_owner(kernel)
+                elif _undecided(kernel):
+                    kernel.run()
+
+    @pytest.mark.parametrize("spec_name", MP_SPECS)
+    def test_restore_after_run(self, spec_name):
+        """``run()`` executes handlers without ``step()``: the processes
+        it ran must be re-installed too."""
+        kernel = _mp_kernel(spec_name, RandomScheduler(0))
+        kernel.step(min(kernel._pending))
+        snap, fork = kernel.snapshot(), copy.deepcopy(kernel)
+        kernel.run()
+        kernel.restore(snap)
+        assert _image(kernel) == _image(fork)
+        _assert_bound_to_owner(kernel)
+        assert kernel.snapshot() == snap
+
+    def test_copies_and_installs_only_processes_that_ran(self, monkeypatch):
+        installed = []
+        restore_state = Process.restore_state
+
+        def counting(process, state):
+            installed.append(process)
+            restore_state(process, state)
+
+        monkeypatch.setattr(Process, "restore_state", counting)
+        kernel = _mp_kernel("protocol-a@mp-cr")
+        first = kernel.snapshot()
+        seq = min(kernel._pending)
+        target = kernel._pending[seq].pid
+        kernel.step(seq)
+        second = kernel.snapshot()
+        assert [a is b for a, b in zip(first.processes, second.processes)] \
+            == [pid != target for pid in range(kernel.n)]
+        kernel.restore(first)
+        assert installed == [kernel._processes[target]]
+        kernel.restore(second)
+        kernel.restore(second)
+        assert installed == [kernel._processes[target]] * 2
+        # Kernels that never saw the entries re-install everyone.
+        for other in (
+            _mp_kernel("protocol-a@mp-cr"),
+            copy.deepcopy(kernel),
+            pickle.loads(pickle.dumps(kernel)),
+        ):
+            del installed[:]
+            other.restore(first)
+            assert installed == other._processes
+
+    @pytest.mark.parametrize("spec_name", MP_SPECS)
+    def test_pickled_snapshots_sharing_an_entry(self, spec_name):
+        kernel = _mp_kernel(spec_name)
+        kernel.step(min(kernel._pending))
+        first, first_fork = kernel.snapshot(), copy.deepcopy(kernel)
+        kernel.step(min(kernel._pending))
+        second, second_fork = kernel.snapshot(), copy.deepcopy(kernel)
+        assert any(
+            a is b for a, b in zip(first.processes, second.processes)
+        )
+        for snap, fork in ((first, first_fork), (second, second_fork)):
+            fresh = _mp_kernel(spec_name)
+            fresh.restore(pickle.loads(pickle.dumps(snap)))
+            assert _image(fresh) == _image(fork)
+            _assert_bound_to_owner(fresh)
+        # Pickled together, the pair keeps its shared entry.
+        first, second = pickle.loads(pickle.dumps((first, second)))
+        assert any(
+            a is b for a, b in zip(first.processes, second.processes)
+        )
+        fresh = _mp_kernel(spec_name)
+        fresh.restore(first)
+        assert _image(fresh) == _image(first_fork)
+        fresh.restore(second)
+        assert _image(fresh) == _image(second_fork)
+        _assert_bound_to_owner(fresh)
 
 
 def _sm_walk(kernel, pick, steps):
