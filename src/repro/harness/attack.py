@@ -20,7 +20,9 @@ Uses:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -30,9 +32,9 @@ from repro.failures.byzantine import (
     MuteProcess,
 )
 from repro.failures.crash import CrashPlan, CrashPoint
-from repro.harness.parallel import parallel_map
+from repro.harness.parallel import fan_out
 from repro.harness.runner import ExperimentReport, run_spec
-from repro.protocols.base import get_spec
+from repro.protocols.base import get_spec, is_registered
 from repro.runtime.traces import TraceMode
 from repro.net.schedulers import (
     FairDeliveryWrapper,
@@ -270,9 +272,9 @@ def _summarize_attempt(
     return _AttemptSummary(distinct, False, "; ".join(details))
 
 
-def _attack_task(task) -> _AttemptSummary:
+def _attack_task(spec_name: str, n: int, k: int, t: int, attempt_seed: int,
+                 max_ticks: int, verify: bool = False) -> _AttemptSummary:
     """Module-level worker: one attack attempt, spec resolved by name."""
-    spec_name, n, k, t, attempt_seed, max_ticks, verify = task
     return _summarize_attempt(
         get_spec(spec_name), n, k, t, attempt_seed, max_ticks, verify=verify
     )
@@ -300,6 +302,8 @@ def search_worst_run(
     Per-attempt seeds are all drawn from the master RNG up front, so
     attempts are independent; with ``jobs > 1`` (``0`` = all cores) they
     run in worker processes and the result is bit-identical to serial.
+    Attempts fold in order, so ``stop_on_violation`` stops at the first
+    violation for every ``jobs`` (attempts still in flight are killed).
     Attempts execute with ``TraceMode.COUNTERS`` (no trace records); the
     winning attempt is re-run once in ``FULL`` mode so
     :attr:`AttackResult.best_report` still carries a complete trace for
@@ -317,47 +321,38 @@ def search_worst_run(
         attempts=0, best_distinct=0, best_report=None, violations_found=0,
     )
 
-    registered = False
-    if jobs != 1:
-        try:
-            registered = get_spec(spec.name) is spec
-        except ValueError:
-            registered = False
-    if registered:
-        tasks = [
-            (spec.name, n, k, t, attempt_seed, max_ticks, verify)
-            for attempt_seed in attempt_seeds
-        ]
-        summaries = parallel_map(_attack_task, tasks, jobs=jobs)
-    else:
-        # Lazy generator: with stop_on_violation the fold below breaks
-        # early and later attempts are never executed.
-        summaries = (
-            _summarize_attempt(spec, n, k, t, attempt_seed, max_ticks, verify=verify)
-            for attempt_seed in attempt_seeds
-        )
+    if jobs != 1 and is_registered(spec):
+        attempt = functools.partial(_attack_task, spec.name, n, k, t,
+                                    max_ticks=max_ticks, verify=verify)
+    else:  # an ad-hoc spec does not resolve by name in a worker
+        jobs = 1
+        attempt = functools.partial(_summarize_attempt, spec, n, k, t,
+                                    max_ticks=max_ticks, verify=verify)
 
     best_index: Optional[int] = None
-    for index, summary in enumerate(summaries):
-        result.attempts += 1
-        if summary.distinct is None:  # termination violation
-            result.violations_found += 1
-            if result.first_violation is None:
-                result.first_violation = summary.detail
-            if stop_on_violation:
-                break
-            continue
-        if summary.distinct > result.best_distinct:
-            result.best_distinct = summary.distinct
-            best_index = index
-        if not summary.ok:
-            result.violations_found += 1
-            if result.first_violation is None:
-                result.first_violation = summary.detail
-            if best_index is None or summary.distinct >= result.best_distinct:
+    # Closing the stream (the with block) kills attempts still running.
+    with contextlib.closing(fan_out(attempt, attempt_seeds, jobs)) as outcomes:
+        for index, outcome in enumerate(outcomes):
+            summary = outcome.result()
+            result.attempts += 1
+            if summary.distinct is None:  # termination violation
+                result.violations_found += 1
+                if result.first_violation is None:
+                    result.first_violation = summary.detail
+                if stop_on_violation:
+                    break
+                continue
+            if summary.distinct > result.best_distinct:
+                result.best_distinct = summary.distinct
                 best_index = index
-            if stop_on_violation:
-                break
+            if not summary.ok:
+                result.violations_found += 1
+                if result.first_violation is None:
+                    result.first_violation = summary.detail
+                if best_index is None or summary.distinct >= result.best_distinct:
+                    best_index = index
+                if stop_on_violation:
+                    break
 
     if best_index is not None:
         result.best_attempt_seed = attempt_seeds[best_index]

@@ -25,13 +25,14 @@ Two persistence modes:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import pathlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import sample_solvable_points
-from repro.harness.parallel import derive_seed, parallel_map
+from repro.harness.parallel import derive_seed, fan_out
 from repro.harness.sweep import SweepConfig, SweepStats, sweep_spec
 from repro.io import atomic_write_json
 from repro.protocols.base import ProtocolSpec, all_specs, get_spec
@@ -208,15 +209,16 @@ def _point_seed(campaign_seed: int, key: str) -> int:
     return derive_seed("campaign-point", campaign_seed, key) % (1 << 30)
 
 
-def _campaign_points(campaign: Campaign) -> List[Tuple[str, int, int, int, int]]:
-    """Every point of the campaign, in deterministic campaign order.
+def campaign_shards(campaign: Campaign) -> List[Tuple[str, Dict]]:
+    """Every point of the campaign as a ``(key, payload)`` shard, in
+    deterministic campaign order.
 
-    Each entry is ``(spec_name, n, k, t, point_seed)``; the per-point
-    seed depends only on ``(campaign.seed, point key)``, so any subset
-    of points can run anywhere, in any order, and still reproduce the
-    same sweeps exactly.
+    The payload is self-contained (spec name, point, seed, run count,
+    engine) and the per-point seed depends only on ``(campaign.seed,
+    key)``, so any subset of points can run in any process, in any
+    order, and still produce the identical :class:`PointRecord`.
     """
-    points: List[Tuple[str, int, int, int, int]] = []
+    shards: List[Tuple[str, Dict]] = []
     for spec in campaign.specs():
         for n in campaign.n_values:
             point_rng = random.Random(f"{campaign.seed}:{spec.name}:{n}")
@@ -224,32 +226,27 @@ def _campaign_points(campaign: Campaign) -> List[Tuple[str, int, int, int, int]]
                 spec, n, campaign.points_per_spec, point_rng
             ):
                 key = f"{spec.name}|n={n}|k={k}|t={t}"
-                points.append(
-                    (spec.name, n, k, t,
-                     _point_seed(campaign.seed, key))
-                )
-    return points
+                shards.append((key, {
+                    "spec": spec.name,
+                    "n": n,
+                    "k": k,
+                    "t": t,
+                    "seed": _point_seed(campaign.seed, key),
+                    "runs": campaign.runs_per_point,
+                    "engine": campaign.engine,
+                }))
+    return shards
 
 
-def _pending_points(
-    campaign: Campaign, done: set
-) -> List[Tuple[str, int, int, int, int]]:
-    """Points still to sweep, in deterministic campaign order."""
-    return [
-        point for point in _campaign_points(campaign)
-        if f"{point[0]}|n={point[1]}|k={point[2]}|t={point[3]}" not in done
-    ]
-
-
-def _campaign_point(task) -> PointRecord:
-    """Module-level worker: sweep one campaign point."""
-    spec_name, n, k, t, point_seed, runs_per_point, engine = task
+def campaign_shard_worker(payload: Dict) -> Dict:
+    """Module-level worker of both modes: sweep one point, return its
+    record."""
     stats = sweep_spec(
-        get_spec(spec_name), n, k, t,
-        SweepConfig(runs=runs_per_point, seed=point_seed),
-        engine=engine,
+        get_spec(payload["spec"]), payload["n"], payload["k"], payload["t"],
+        SweepConfig(runs=payload["runs"], seed=payload["seed"]),
+        engine=payload["engine"],
     )
-    return PointRecord.from_stats(stats)
+    return PointRecord.from_stats(stats).to_json()
 
 
 def run_campaign(
@@ -261,15 +258,14 @@ def run_campaign(
 
     When ``result_path`` exists, previously completed points are loaded
     and skipped; new records are appended and the file rewritten
-    (atomically) after every point, so an interrupted campaign loses at
-    most one sweep.  For crash-safe execution with supervised workers
-    and retries, see :func:`run_campaign_durable`.
+    (atomically) after every point, so an interrupted campaign loses
+    only the points not yet recorded.  For crash-safe execution with
+    supervised workers and retries, see :func:`run_campaign_durable`.
 
     With ``jobs > 1`` (``0`` = all cores) points are swept in parallel
-    worker processes.  Records are appended in the same deterministic
-    campaign order as the serial path, so the result file is
-    bit-identical; the result file is written once per completed batch
-    rather than per point.
+    worker processes.  Records arrive in the same deterministic
+    campaign order as the serial path and are saved the same way, one
+    point at a time, so the result file is bit-identical.
     """
     if result_path is not None and result_path.exists():
         result = CampaignResult.load(result_path)
@@ -283,57 +279,16 @@ def run_campaign(
         result = CampaignResult(campaign=campaign.name, seed=campaign.seed)
     done = {record.key for record in result.records}
 
-    tasks = [
-        point + (campaign.runs_per_point, campaign.engine)
-        for point in _pending_points(campaign, done)
-    ]
-    if jobs != 1:
-        for record in parallel_map(_campaign_point, tasks, jobs=jobs):
-            result.records.append(record)
-        if tasks and result_path is not None:
-            result.save(result_path)
-        return result
-
-    for task in tasks:
-        result.records.append(_campaign_point(task))
-        if result_path is not None:
-            result.save(result_path)
+    tasks = [task for key, task in campaign_shards(campaign) if key not in done]
+    with contextlib.closing(fan_out(campaign_shard_worker, tasks, jobs)) as records:
+        for outcome in records:
+            result.records.append(PointRecord.from_json(outcome.result()))
+            if result_path is not None:
+                result.save(result_path)
     return result
 
 
 # -- durable mode (repro.jobs) -----------------------------------------
-
-
-def campaign_shards(campaign: Campaign) -> List[Tuple[str, Dict]]:
-    """Decompose a campaign into durable ``(shard_id, payload)`` units.
-
-    One shard per point; the payload is self-contained (spec name,
-    point, seed, run count, engine), so a shard can execute in any
-    process at any time and produce the identical
-    :class:`PointRecord`.
-    """
-    shards: List[Tuple[str, Dict]] = []
-    for spec_name, n, k, t, point_seed in _campaign_points(campaign):
-        key = f"{spec_name}|n={n}|k={k}|t={t}"
-        shards.append((key, {
-            "spec": spec_name,
-            "n": n,
-            "k": k,
-            "t": t,
-            "seed": point_seed,
-            "runs": campaign.runs_per_point,
-            "engine": campaign.engine,
-        }))
-    return shards
-
-
-def campaign_shard_worker(payload: Dict) -> Dict:
-    """Module-level shard worker: sweep one point, return its record."""
-    record = _campaign_point((
-        payload["spec"], payload["n"], payload["k"], payload["t"],
-        payload["seed"], payload["runs"], payload["engine"],
-    ))
-    return record.to_json()
 
 
 def run_campaign_durable(

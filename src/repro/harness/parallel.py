@@ -6,9 +6,10 @@ per-task seed, never from shared mutable state.  This module provides
 the shared machinery to shard those task lists across worker processes
 while keeping results **bit-identical** to serial execution:
 
-* :func:`parallel_map` -- order-preserving ``map`` over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (serial when
-  ``jobs <= 1``), so aggregation code is independent of where tasks ran;
+* :class:`WorkerPool` -- long-lived children, one task each at a time, a
+  dead child costing only its task; :func:`fan_out` streams its outcomes
+  lazily in task order and :func:`parallel_map` is an order-preserving
+  ``map`` over it (both serial when ``jobs <= 1``);
 * :func:`derive_seed` -- a stable hash-based seed mixer (SHA-256, not
   Python's randomized ``hash``) turning ``(base_seed, spec, n, k, t,
   run_index)``-style tuples into per-task seeds that are reproducible
@@ -26,19 +27,29 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
+import itertools
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TypeVar
+import signal
+import time
+import traceback
+from multiprocessing import connection
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import TypeVar
 
 __all__ = [
     "ExecutionPlan",
+    "TaskOutcome",
+    "WorkerDied",
+    "WorkerPool",
     "available_jobs",
     "derive_seed",
+    "fan_out",
     "parallel_map",
     "plan_execution",
     "resolve_jobs",
-    "supervised_pool",
 ]
 
 _T = TypeVar("_T")
@@ -143,67 +154,178 @@ def _run_serial(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> List[_R]:
     return [fn(task) for task in tasks]
 
 
-def _warm_registry() -> None:
-    """Worker initializer: populate the protocol registry.
+#: How a task ended (:attr:`TaskOutcome.kind`).
+DONE, RAISED, DIED, TIMED_OUT = "done", "raised", "died", "timed out"
 
-    Needed only under the ``spawn`` start method (fresh interpreter);
-    under ``fork`` the registry is inherited.  Importing is idempotent.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+_SIGNALS = {sig.value: sig.name for sig in signal.Signals}
+
+
+class WorkerDied(RuntimeError):
+    """A worker process ended before it reported its task's result."""
+
+
+@dataclasses.dataclass(frozen=True)
+class TaskOutcome:
+    """How one task ended: its result or exception (``value``), or the
+    exit code of the worker that ended first (negative: a signal)."""
+
+    task: Any
+    kind: str
+    value: Any = None
+    exitcode: int = 0
+
+    @property
+    def cause(self) -> str:
+        """Why the worker ended, e.g. ``killed by SIGKILL``."""
+        if self.exitcode >= 0:
+            return f"exited with code {self.exitcode}"
+        return f"killed by {_SIGNALS.get(-self.exitcode, f'signal {-self.exitcode}')}"
+
+    def result(self) -> Any:
+        """The result; re-raises the task's exception, or raises
+        :class:`WorkerDied` if its worker ended first."""
+        if self.kind == RAISED:
+            raise self.value
+        if self.kind != DONE:
+            raise WorkerDied(f"worker {self.cause} running task {self.task!r}")
+        return self.value
+
+
+def _child_main(conn: Any, fn: Callable[[Any], Any], ends: List[Any]) -> None:
+    """A worker's loop: run ``fn`` on each task the parent sends."""
+    import repro.protocols  # noqa: F401 -- the registry, for spawn-only platforms
+
+    for end in ends:  # parent ends: this pipe reads EOF once the parent is gone
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent answers Ctrl-C
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send((DONE, fn(task)))
+        except Exception as error:  # raised, or a result that does not pickle
+            if hasattr(error, "add_note"):  # Python 3.11+: keep the traceback
+                error.add_note(f"in worker {os.getpid()}:\n{traceback.format_exc()}")
+            conn.send((RAISED, error))
+
+
+@dataclasses.dataclass
+class _Child:
+    process: Any
+    conn: Any
+    key: Any = None
+    task: Any = None
+    deadline: Optional[float] = None
+
+    def reap(self) -> int:
+        self.process.join()
+        self.conn.close()
+        return self.process.exitcode
+
+
+class WorkerPool:
+    """Up to ``jobs`` long-lived worker processes running ``fn``, one
+    task each at a time.  A task goes to an idle child, or to one forked
+    into a free slot (a failed fork raises ``OSError``), so a slot whose
+    child died gets a fresh one; :meth:`close` kills and reaps all."""
+
+    def __init__(self, fn: Callable[[Any], Any], jobs: int) -> None:
+        self._fn, self._jobs = fn, jobs
+        self._idle: List[_Child] = []
+        self._busy: List[_Child] = []
+
+    @property
+    def free(self) -> int:
+        return self._jobs - len(self._busy)
+
+    def submit(self, key: Any, task: Any, timeout: Optional[float] = None) -> None:
+        """Start ``task``, killing its child if it runs past ``timeout``."""
+        child = self._idle.pop() if self._idle else self._fork()
+        if not child.process.is_alive():  # died between tasks
+            child.reap()
+            child = self._fork()
+        self._idle.append(child)  # so close() reaps it if the send fails
+        child.conn.send(task)
+        self._idle.remove(child)
+        child.key, child.task = key, task
+        child.deadline = None if timeout is None else time.monotonic() + timeout
+        self._busy.append(child)
+
+    def _fork(self) -> _Child:
+        parent_end, child_end = _CONTEXT.Pipe()
+        ends = [parent_end] + [c.conn for c in self._busy + self._idle]
+        process = _CONTEXT.Process(
+            target=_child_main, args=(child_end, self._fn, ends), daemon=True
+        )
+        try:
+            process.start()
+        finally:
+            child_end.close()
+        return _Child(process, parent_end)
+
+    def wait(self, timeout: Optional[float] = None) -> List[Tuple[Any, TaskOutcome]]:
+        """Block until a task settles, or ``timeout`` seconds or a task's
+        deadline pass; the settled tasks as ``(key, TaskOutcome)`` pairs."""
+        if not self._busy:
+            return []
+        deadlines = [c.deadline for c in self._busy if c.deadline is not None]
+        if deadlines:
+            left = max(0.0, min(deadlines) - time.monotonic())
+            timeout = left if timeout is None else min(timeout, left)
+        ready = connection.wait([c.conn for c in self._busy], timeout)
+        settled = []
+        for child in list(self._busy):
+            if child.conn in ready:
+                try:
+                    outcome = TaskOutcome(child.task, *child.conn.recv())
+                    self._idle.append(child)
+                except (EOFError, OSError):  # the pipe closed: child is gone
+                    outcome = TaskOutcome(child.task, DIED, exitcode=child.reap())
+            elif child.deadline is not None and time.monotonic() >= child.deadline:
+                child.process.kill()
+                outcome = TaskOutcome(child.task, TIMED_OUT, exitcode=child.reap())
+            else:
+                continue
+            self._busy.remove(child)
+            settled.append((child.key, outcome))
+        return settled
+
+    def close(self) -> None:
+        children, self._busy, self._idle = self._busy + self._idle, [], []
+        for child in children:
+            child.process.kill()
+            child.reap()
+
+
+def fan_out(
+    fn: Callable[[_T], Any], tasks: Iterable[_T], jobs: int = 1
+) -> Generator[TaskOutcome, None, None]:
+    """Each task's :class:`TaskOutcome`, lazily and in task order.
+
+    With one worker (``jobs`` as for :func:`resolve_jobs`, capped at the
+    task count) tasks run in-process and an exception propagates; else a
+    :class:`WorkerPool` keeps every child busy.  Closing the stream (use
+    :func:`contextlib.closing`) kills the children still running.
     """
-    import repro.protocols  # noqa: F401  (imported for registration)
-
-
-@contextlib.contextmanager
-def supervised_pool(jobs: int) -> Iterator[ProcessPoolExecutor]:
-    """A :class:`ProcessPoolExecutor` with guaranteed clean teardown.
-
-    The executor's own context manager blocks in ``shutdown(wait=True)``
-    on exit, which on KeyboardInterrupt or a worker death (pre-3.9
-    semantics, and still the case for in-flight ``map`` chunks) leaves
-    live children and queued work behind.  This wrapper makes the error
-    path explicit: pending work is **cancelled**, surviving workers are
-    **reaped** (terminated, then killed if necessary, then joined), and
-    the interruption is **reported** by annotating the propagating
-    exception -- so a Ctrl-C'd sweep neither orphans processes nor dies
-    silently mid-aggregation.
-    """
-    executor = ProcessPoolExecutor(
-        max_workers=jobs, initializer=_warm_registry
-    )
-    try:
-        yield executor
-    except BaseException as error:
-        # Snapshot the children and the pool's manager thread first:
-        # shutdown() clears both references.
-        processes = list((getattr(executor, "_processes", None) or {}).values())
-        manager = getattr(executor, "_executor_manager_thread", None)
-        # Cancel: drop everything not yet running.
-        executor.shutdown(wait=False, cancel_futures=True)
-        # Reap: no orphaned children, whatever state the pool is in.
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=1)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-        # After a worker death the manager thread joins the same children.
-        # When its waitpid wins the race, a child's exit code is recorded
-        # only once that thread runs again, and until then is_alive() still
-        # reports the dead child as running.
-        if manager is not None:
-            manager.join(timeout=5)
-        # Report: annotate rather than replace, so callers still see
-        # the original exception type (KeyboardInterrupt included).
-        if hasattr(error, "add_note"):
-            error.add_note(
-                f"supervised_pool: tore down {len(processes)} worker "
-                f"process(es) after {type(error).__name__}; pending "
-                f"tasks cancelled"
-            )
-        raise
-    else:
-        executor.shutdown(wait=True)
+    tasks = list(tasks)
+    jobs = min(resolve_jobs(jobs), len(tasks))
+    if jobs <= 1:
+        yield from (TaskOutcome(task, DONE, fn(task)) for task in tasks)
+        return
+    queue = enumerate(tasks)
+    settled: Dict[int, TaskOutcome] = {}
+    with contextlib.closing(WorkerPool(fn, jobs)) as pool:
+        for index in range(len(tasks)):
+            while index not in settled:
+                for key, task in itertools.islice(queue, pool.free):
+                    pool.submit(key, task)
+                settled.update(pool.wait())
+            yield settled.pop(index)
 
 
 def parallel_map(
@@ -215,11 +337,11 @@ def parallel_map(
     """Apply ``fn`` to every task, preserving input order in the result.
 
     With ``jobs <= 1`` (or at most one task) this is a plain list
-    comprehension -- the serial reference path.  Otherwise tasks are
-    dispatched to a process pool; because results come back in input
+    comprehension -- the serial reference path.  Otherwise chunks of
+    tasks go through :func:`fan_out`; because results come back in input
     order, any deterministic aggregation over the returned list is
-    bit-identical to the serial path.  On interruption or worker death
-    the pool is torn down cleanly (see :func:`supervised_pool`).
+    bit-identical to the serial path.  A worker's exception is re-raised,
+    a dead worker raises :class:`WorkerDied`.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
@@ -229,5 +351,7 @@ def parallel_map(
     if chunksize is None:
         # A few chunks per worker amortizes IPC without starving the pool.
         chunksize = max(1, len(tasks) // (jobs * 4))
-    with supervised_pool(jobs) as executor:
-        return list(executor.map(fn, tasks, chunksize=chunksize))
+    chunks = [tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize)]
+    stream = fan_out(functools.partial(_run_serial, fn), chunks, jobs)
+    with contextlib.closing(stream):
+        return [result for outcome in stream for result in outcome.result()]

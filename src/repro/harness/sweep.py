@@ -39,7 +39,7 @@ from repro.harness.inputs import INPUT_PATTERNS, make_inputs
 from repro.harness.parallel import parallel_map, plan_execution
 from repro.harness.runner import ExperimentReport, run_spec
 from repro.net.schedulers import RandomScheduler
-from repro.protocols.base import ProtocolSpec, get_spec
+from repro.protocols.base import ProtocolSpec, get_spec, is_registered
 from repro.runtime.kernel import KernelLimitError
 from repro.runtime.traces import TraceMode
 from repro.shm.schedulers import RandomProcessScheduler
@@ -303,13 +303,7 @@ def sweep_spec(
     )
 
     plan = plan_execution(jobs, config.runs, _estimate_run_seconds(n))
-    registered = False
-    if plan.parallel:
-        try:
-            registered = get_spec(spec.name) is spec
-        except ValueError:
-            registered = False
-    if plan.parallel and registered:
+    if plan.parallel and is_registered(spec):
         tasks = [
             (spec.name, n, k, t, config, index) for index in range(config.runs)
         ]

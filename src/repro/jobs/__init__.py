@@ -16,11 +16,12 @@ same bar.  ``repro.jobs`` provides that bar in three pieces:
   single-statement UPDATE, so a crash between any two statements leaves
   a consistent queue that the next run can resume.
 * :mod:`repro.jobs.supervisor` -- :func:`run_shards`, a worker
-  supervisor that leases shards, executes them in child processes with
+  supervisor that leases shards, runs them on the repo's one worker
+  pool (:class:`~repro.harness.parallel.WorkerPool`, no executor) with
   per-shard timeouts, detects dead workers (SIGKILL, OOM) and re-leases
   their shards, retries transient failures with exponential backoff and
   deterministic jitter, and degrades gracefully to serial in-process
-  execution when a pool cannot be sustained -- recording *why* in the
+  execution when no child can be started -- recording *why* in the
   run's event log, mirroring the ``plan_execution`` convention.
 * :mod:`repro.jobs.chaos` -- :class:`ChaosPolicy`, deterministic fault
   injection (worker SIGKILL, artificial hangs, transient exceptions)

@@ -1,17 +1,17 @@
 """Worker supervision: leases, timeouts, retries, and re-lease on death.
 
-:func:`run_shards` drains one run's shard queue through a supervised
-pool of child processes.  Unlike the ``ProcessPoolExecutor`` used by
-:func:`repro.harness.parallel.parallel_map` (which collapses entirely
-when any worker dies), the supervisor owns one child process per
-in-flight shard, so every failure mode has a local, recoverable
-response:
+:func:`run_shards` drains one run's shard queue through the
+:class:`~repro.harness.parallel.WorkerPool` every fan-out in the repo
+uses: long-lived child processes, one shard attempt in flight per
+child, each settling on its own.  A dead or killed child costs only its
+shard, and a fresh child takes its slot, so every failure mode has a
+local, recoverable response:
 
 * **worker death** (SIGKILL, OOM, segfault) -- detected by exit code,
   the shard is failed-with-retry and re-leased; other shards keep
   running;
-* **hang** -- a per-shard deadline; on expiry the worker is terminated
-  (then killed) and the shard retried;
+* **hang** -- a per-shard deadline; on expiry the worker is killed and
+  the shard retried;
 * **transient exception** -- reported over the result pipe, retried
   with exponential backoff and deterministic jitter (the jitter is
   derived from ``(shard_id, attempt)`` via
@@ -19,7 +19,7 @@ response:
   racing on one store spread out identically and reproducibly);
 * **retry exhaustion** -- the shard moves to ``failed`` with its last
   error; the run completes degraded rather than wedging;
-* **pool collapse** -- if child processes cannot be spawned at all, the
+* **pool collapse** -- if a child process cannot be started at all, the
   supervisor falls back to serial in-process execution and records the
   reason as a ``serial-fallback`` event, mirroring the
   ``plan_execution`` reason convention.
@@ -34,19 +34,22 @@ interrupted runs at a deterministic point.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import multiprocessing
 import time
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.harness.parallel import derive_seed
+from repro.harness.parallel import (
+    DONE, RAISED, TIMED_OUT, TaskOutcome, WorkerPool, derive_seed, resolve_jobs,
+)
 from repro.jobs import chaos as chaos_mod
 from repro.jobs.chaos import ChaosPolicy, apply_chaos
 from repro.jobs.store import JobStore, Shard, ShardState
 
 __all__ = ["RetryPolicy", "SupervisorReport", "run_shards"]
 
-#: Seconds between supervisor poll sweeps while workers are in flight.
+#: Seconds between queue polls while no shard is runnable yet.
 POLL_INTERVAL = 0.02
 
 #: Longest single sleep while waiting out a backoff gate.
@@ -139,42 +142,12 @@ class SupervisorReport:
         )
 
 
-@dataclasses.dataclass
-class _Active:
-    """One in-flight worker child."""
-
-    shard: Shard
-    process: multiprocessing.process.BaseProcess
-    conn: object  # multiprocessing.connection.Connection
-    deadline: Optional[float]
-
-
-def _worker_main(
-    conn,
-    worker: Callable[[Dict], Dict],
-    payload: Dict,
-    shard_id: str,
-    attempt: int,
-    chaos: Optional[ChaosPolicy],
-) -> None:
-    """Child entry point: chaos hook, payload, result over the pipe."""
-    try:
-        apply_chaos(chaos, shard_id, attempt)
-        result = worker(payload)
-    except BaseException as error:
-        conn.send(("error", f"{type(error).__name__}: {error}"))
-    else:
-        conn.send(("ok", result))
-    finally:
-        conn.close()
-
-
-def _spawn_context():
-    """Prefer ``fork`` (cheap, inherits registries) where available."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
+def _attempt(worker: Callable[[Dict], Dict], chaos: Optional[ChaosPolicy],
+             task: Tuple[Dict, str, int]) -> Dict:
+    """One shard attempt in a worker child: chaos hook, then payload."""
+    payload, shard_id, attempt = task
+    apply_chaos(chaos, shard_id, attempt)
+    return worker(payload)
 
 
 def run_shards(
@@ -197,8 +170,6 @@ def run_shards(
     so this function may be killed at any point and re-invoked.
     """
     policy = policy or RetryPolicy()
-    from repro.harness.parallel import resolve_jobs
-
     workers = resolve_jobs(jobs)
     serial = workers <= 1
     reason = (
@@ -210,8 +181,7 @@ def run_shards(
         reason=reason,
         jobs=1 if serial else workers,
     )
-    context = _spawn_context()
-    active: Dict[str, _Active] = {}
+    active: Dict[str, Shard] = {}
     finalized = 0  # shards settled (done/failed) by THIS session
 
     def handle_failure(shard: Shard, error: str) -> None:
@@ -238,7 +208,6 @@ def run_shards(
         report.retries += 1
 
     def run_serial_shard(shard: Shard) -> None:
-        nonlocal finalized
         if chaos is not None:
             action = chaos.action(shard.shard_id, shard.attempts)
             if action in (chaos_mod.KILL, chaos_mod.HANG):
@@ -250,81 +219,42 @@ def run_shards(
         try:
             apply_chaos(chaos, shard.shard_id, shard.attempts,
                         in_process=True)
-            result = worker(shard.payload)
+            outcome = TaskOutcome(shard, DONE, worker(shard.payload))
         except Exception as error:
-            handle_failure(shard, f"{type(error).__name__}: {error}")
-        else:
-            store.complete(run_id, shard.shard_id, result)
+            outcome = TaskOutcome(shard, RAISED, error)
+        settle(shard, outcome)
+
+    def settle(shard: Shard, outcome: TaskOutcome) -> None:
+        nonlocal finalized
+        if outcome.kind == DONE:
+            store.complete(run_id, shard.shard_id, outcome.value)
             report.completed += 1
             finalized += 1
+            return
+        if outcome.kind == RAISED:
+            error = outcome.value
+            handle_failure(shard, f"{type(error).__name__}: {error}")
+            return
+        if outcome.kind == TIMED_OUT:
+            report.timeouts += 1
+            kind = "timeout"
+            detail = f"no result within {policy.timeout}s; worker terminated"
+            error = f"shard timed out after {policy.timeout}s"
+        else:
+            report.worker_deaths += 1
+            kind = "worker-death"
+            detail = (f"worker exited with code {outcome.exitcode} "
+                      f"({outcome.cause}) before reporting a result")
+            error = f"worker died (exit code {outcome.exitcode})"
+        store.record_event(run_id, kind, detail, shard_id=shard.shard_id)
+        handle_failure(shard, error)
 
-    def reap(now: float) -> None:
-        nonlocal finalized
-        for shard_id, act in list(active.items()):
-            message = None
-            if act.conn.poll():
-                try:
-                    message = act.conn.recv()
-                except (EOFError, OSError):
-                    message = None
-            if message is not None:
-                status, payload = message
-                act.process.join(timeout=5)
-                act.conn.close()
-                if status == "ok":
-                    store.complete(run_id, shard_id, payload)
-                    report.completed += 1
-                    finalized += 1
-                else:
-                    handle_failure(act.shard, payload)
-                del active[shard_id]
-            elif not act.process.is_alive():
-                exitcode = act.process.exitcode
-                act.conn.close()
-                store.record_event(
-                    run_id, "worker-death",
-                    f"worker exited with code {exitcode} before "
-                    f"reporting a result",
-                    shard_id=shard_id,
-                )
-                report.worker_deaths += 1
-                handle_failure(
-                    act.shard, f"worker died (exit code {exitcode})"
-                )
-                del active[shard_id]
-            elif act.deadline is not None and now >= act.deadline:
-                act.process.terminate()
-                act.process.join(timeout=1)
-                if act.process.is_alive():
-                    act.process.kill()
-                    act.process.join(timeout=5)
-                act.conn.close()
-                store.record_event(
-                    run_id, "timeout",
-                    f"no result within {policy.timeout}s; worker "
-                    f"terminated",
-                    shard_id=shard_id,
-                )
-                report.timeouts += 1
-                handle_failure(
-                    act.shard,
-                    f"shard timed out after {policy.timeout}s",
-                )
-                del active[shard_id]
-
-    def spawn(shard: Shard) -> bool:
-        """Start a child for ``shard``; False on pool collapse."""
+    def start(shard: Shard) -> None:
+        """Hand ``shard`` to a child; on pool collapse, go serial."""
         nonlocal serial
+        task = (shard.payload, shard.shard_id, shard.attempts)
         try:
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_worker_main,
-                args=(child_conn, worker, shard.payload, shard.shard_id,
-                      shard.attempts, chaos),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
+            pool.submit(shard.shard_id, task, timeout=policy.timeout)
         except OSError as error:
             serial = True
             report.mode = "serial"
@@ -335,18 +265,12 @@ def run_shards(
             report.jobs = 1
             store.record_event(run_id, "serial-fallback", report.reason)
             run_serial_shard(shard)
-            return False
-        deadline = (
-            time.time() + policy.timeout
-            if policy.timeout is not None else None
-        )
-        active[shard.shard_id] = _Active(
-            shard=shard, process=process, conn=parent_conn,
-            deadline=deadline,
-        )
-        return True
+            return
+        active[shard.shard_id] = shard
 
-    try:
+    # Leaving the block kills whatever is still in flight, whatever
+    # interrupted the loop (KeyboardInterrupt included).
+    with contextlib.closing(WorkerPool(partial(_attempt, worker, chaos), workers)) as pool:
         while True:
             now = time.time()
             for shard_id in store.release_expired(run_id, now):
@@ -356,7 +280,6 @@ def run_shards(
                     shard_id=shard_id,
                 )
                 report.releases += 1
-            reap(now)
 
             budget = None
             if max_shards is not None:
@@ -378,15 +301,20 @@ def run_shards(
                     if serial:
                         run_serial_shard(shard)
                     else:
-                        spawn(shard)
+                        start(shard)
 
             counts = store.counts(run_id)
-            if not active and not counts[ShardState.PENDING] and (
-                not counts[ShardState.LEASED]
-            ):
+            queued = counts[ShardState.PENDING] or (
+                counts[ShardState.LEASED] > len(active)
+            )
+            if not active and not queued:
                 break
             if active:
-                time.sleep(POLL_INTERVAL)
+                # Block on the children; poll only while a free slot
+                # waits for a shard that is not runnable yet.
+                polling = queued and capacity > len(leased)
+                for shard_id, outcome in pool.wait(POLL_INTERVAL if polling else None):
+                    settle(active.pop(shard_id), outcome)
             elif not leased:
                 # Nothing in flight and nothing leasable right now:
                 # wait out the earliest backoff gate (or a foreign
@@ -396,21 +324,6 @@ def run_shards(
                     time.sleep(min(gate - now, BACKOFF_WAIT_SLICE))
                 else:
                     time.sleep(POLL_INTERVAL)
-    finally:
-        # Supervisor teardown: never leave orphaned workers behind,
-        # whatever interrupted the loop (KeyboardInterrupt included).
-        for act in active.values():
-            if act.process.is_alive():
-                act.process.terminate()
-        for act in active.values():
-            act.process.join(timeout=1)
-            if act.process.is_alive():
-                act.process.kill()
-                act.process.join(timeout=5)
-            try:
-                act.conn.close()
-            except OSError:
-                pass  # connection already torn down with the worker
 
     report.remaining = store.counts(run_id)
     report.stopped_early = not report.drained

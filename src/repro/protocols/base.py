@@ -24,6 +24,7 @@ __all__ = [
     "ProtocolSpec",
     "all_specs",
     "get_spec",
+    "is_registered",
     "register",
     "tagged",
 ]
@@ -80,6 +81,11 @@ def get_spec(name: str) -> ProtocolSpec:
         raise ValueError(
             f"unknown protocol {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
+
+
+def is_registered(spec: ProtocolSpec) -> bool:
+    """Does ``spec`` resolve by its name, so a worker process can get it?"""
+    return _REGISTRY.get(spec.name) is spec
 
 
 def all_specs(

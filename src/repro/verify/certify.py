@@ -35,10 +35,12 @@ flagged ``escalated``).  A collision can cost re-verification work,
 never a wrong verdict.
 
 Grid points are independent ``SC(k, t, C)`` instances, so ``jobs``
-fans whole points out over a worker pool
-(:func:`repro.harness.parallel.supervised_pool`) while each point's
+fans whole points out over long-lived worker processes
+(:func:`repro.harness.parallel.fan_out`) while each point's
 explorations run serially inside its worker.  The report is therefore
-identical for every ``jobs``.
+identical for every ``jobs``.  A worker that dies mid-point (the OOM
+killer, a SIGKILL) makes that point ``ABORTED`` with the signal in its
+note; the other points settle and the report is still written.
 
 Byzantine-model claims are certified under the crash-restricted
 sub-adversary the explorer models; crash failures are a subset of
@@ -56,7 +58,7 @@ import contextlib
 import dataclasses
 import json
 import pathlib
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.solvability import Solvability, classify
 from repro.core.validity import by_code
@@ -67,7 +69,7 @@ from repro.harness.exhaustive import (
     explore_mp,
     explore_sm,
 )
-from repro.harness.parallel import resolve_jobs, supervised_pool
+from repro.harness.parallel import DIED, fan_out
 from repro.paper import CLAIMED_REGIONS, ClaimedRegion
 from repro.verify.witness import (
     confirm_exploration,
@@ -484,14 +486,17 @@ def certify_claims(
                 ))
                 owners.append(result)
 
-    workers = 1 if jobs is None else min(resolve_jobs(jobs), len(tasks))
-    with contextlib.ExitStack() as stack:
-        # Both maps yield in task order, so points land in grid order.
-        points: Iterator[PointResult] = map(_certify_point, tasks)
-        if workers > 1:
-            pool = stack.enter_context(supervised_pool(workers))
-            points = pool.map(_certify_point, tasks)
-        for owner, task, point in zip(owners, tasks, points):
+    # The stream yields in task order, so points land in grid order.
+    with contextlib.closing(
+        fan_out(_certify_point, tasks, 1 if jobs is None else jobs)
+    ) as outcomes:
+        for owner, task, outcome in zip(owners, tasks, outcomes):
+            if outcome.kind == DIED:
+                point = _new_point(task, _registry_spec(task.claim))
+                point.verdict = "ABORTED"
+                point.note = f"worker {outcome.cause} before the point settled"
+            else:
+                point = outcome.result()
             owner.points.append(point)
             if progress is not None:
                 progress(
@@ -508,23 +513,29 @@ def _registry_spec(claim: ClaimedRegion):
     return get_spec(claim.spec_name)
 
 
-def _certify_point(task: _PointTask) -> PointResult:
-    """Certify one grid point (runs in a pool worker under ``jobs``)."""
+def _new_point(task: _PointTask, spec: Any) -> PointResult:
+    """The point's place and classification, verdict ``SKIPPED``."""
     claim, n, k, t = task.claim, task.n, task.k, task.t
-    spec = _registry_spec(claim)
     classification = classify(
         claim.model, by_code(claim.validity), n, k, t
     )
-    inside = bool(spec.solvable(n, k, t))
-    point = PointResult(
-        k=k, t=t, inside=inside,
+    return PointResult(
+        k=k, t=t, inside=bool(spec.solvable(n, k, t)),
         classification=classification.status.value,
         verdict="SKIPPED",
     )
-    if not inside and classification.status is not Solvability.IMPOSSIBLE:
+
+
+def _certify_point(task: _PointTask) -> PointResult:
+    """Certify one grid point (runs in a worker under ``jobs``)."""
+    n, k, t = task.n, task.k, task.t
+    spec = _registry_spec(task.claim)
+    point = _new_point(task, spec)
+    inside = point.inside
+    if not inside and point.classification != Solvability.IMPOSSIBLE.value:
         point.note = (
             f"outside claimed region, classifier says "
-            f"{classification.status.value}: nothing to certify"
+            f"{point.classification}: nothing to certify"
         )
         return point
     try:

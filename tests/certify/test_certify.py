@@ -11,6 +11,9 @@ the certify-smoke CI job.
 """
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -176,6 +179,51 @@ class TestAborted:
             (p["k"], p["t"]): p["verdict"] for p in data["claims"][0]["points"]
         }
         assert verdicts == {(1, 1): "ABORTED", (3, 1): "CONFIRMED_SOLVABLE"}
+
+    @pytest.fixture
+    def killed_at_k1(self, monkeypatch):
+        """``_explore_point`` SIGKILLs its own worker at k=1; the forked
+        workers inherit the patch."""
+        explore = certify_module._explore_point
+        parent = os.getpid()
+
+        def explore_or_die(task, *args):
+            if task.k == 1:
+                assert os.getpid() != parent, "must run in a worker"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return explore(task, *args)
+
+        monkeypatch.setattr(certify_module, "_explore_point", explore_or_die)
+
+    def test_dead_worker_aborts_only_its_point(self, killed_at_k1):
+        report = certify_claims(
+            n=3, specs=["trivial@mp-cr"], ks=[1, 3], ts=[1], jobs=2,
+        )
+        killed, solvable = report.claims[0].points
+        assert (killed.k, killed.verdict) == (1, "ABORTED")
+        assert "SIGKILL" in killed.note
+        assert not killed.inside and killed.states == 0
+        assert (solvable.k, solvable.verdict) == (3, "CONFIRMED_SOLVABLE")
+        assert not report.ok
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_cli_fails_with_the_report_written(
+        self, killed_at_k1, tmp_path
+    ):
+        from repro.cli import main
+
+        out = tmp_path / "report.json"
+        code = main([
+            "certify", "--n", "3", "--specs", "trivial@mp-cr",
+            "--ks", "1", "3", "--ts", "1", "--jobs", "2", "--quiet",
+            "--out", str(out),
+        ])
+        assert code == 1
+        points = json.loads(out.read_text())["claims"][0]["points"]
+        assert [p["verdict"] for p in points] == [
+            "ABORTED", "CONFIRMED_SOLVABLE",
+        ]
+        assert "SIGKILL" in points[0]["note"]
 
     def test_factory_refusal_outside_region_is_still_a_guard(self):
         report = certify_claims(

@@ -5,22 +5,31 @@ bit-identical to serial — any ``jobs`` value changes only wall-clock
 time, never results.
 """
 
+import contextlib
 import dataclasses
+import multiprocessing
 import os
 import signal
-from concurrent.futures.process import BrokenProcessPool
+import time
 
 import pytest
 
+import repro.harness.attack as attack_module
+import repro.harness.campaign as campaign_module
 from repro.harness.attack import search_worst_run
-from repro.harness.campaign import Campaign, run_campaign
+from repro.harness.campaign import Campaign, CampaignResult, run_campaign
 from repro.harness.parallel import (
+    DIED,
     POOL_AMORTIZATION_SECONDS,
+    RAISED,
+    TIMED_OUT,
+    WorkerDied,
+    WorkerPool,
     derive_seed,
+    fan_out,
     parallel_map,
     plan_execution,
     resolve_jobs,
-    supervised_pool,
 )
 from repro.harness.sweep import SweepConfig, sweep_spec
 from repro.protocols.base import get_spec
@@ -45,46 +54,123 @@ class TestParallelMap:
         assert parallel_map(_square, [], jobs=4) == []
 
 
-def _kill_self():
-    os.kill(os.getpid(), signal.SIGKILL)
+def _pid(_task):
+    return os.getpid()
 
 
-class TestSupervisedPool:
-    def test_clean_exit_reaps_workers(self):
-        with supervised_pool(2) as executor:
-            assert executor.submit(_square, 3).result() == 9
-            workers = list(executor._processes.values())
-        for process in workers:
-            assert not process.is_alive()
+def _die_on(task):
+    """Kill this worker on the task ``"die"``; otherwise its pid."""
+    if task == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return os.getpid()
 
-    def test_worker_death_tears_down_and_annotates(self):
-        # A SIGKILLed worker breaks the pool; the context manager must
-        # reap every surviving child and annotate the propagating error
-        # instead of leaking orphans (the old unclean-shutdown bug).
-        workers = []
-        with pytest.raises(BrokenProcessPool) as excinfo:
-            with supervised_pool(2) as executor:
-                executor.submit(_square, 1).result()  # pool is warm
-                workers = list(executor._processes.values())
-                executor.submit(_kill_self).result()
-        assert workers
-        for process in workers:
-            process.join(timeout=5)
-            assert not process.is_alive()
-        notes = getattr(excinfo.value, "__notes__", [])
-        assert any("supervised_pool" in note for note in notes)
 
-    def test_user_exception_inside_block_still_cleans_up(self):
-        workers = []
-        with pytest.raises(RuntimeError, match="abort"):
-            with supervised_pool(2) as executor:
-                executor.submit(_square, 1).result()
-                workers = list(executor._processes.values())
-                raise RuntimeError("abort")
-        assert workers
-        for process in workers:
-            process.join(timeout=5)
-            assert not process.is_alive()
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _boom(task):
+    raise KeyError(task)
+
+
+def _gone(pid):
+    """The process ``pid`` has exited and been reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestWorkerPool:
+    def test_clean_run_leaves_no_live_child(self):
+        pids = parallel_map(_pid, range(8), jobs=2, chunksize=1)
+        # Long-lived children: two processes serve all eight tasks.
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert all(_gone(pid) for pid in pids)
+        assert not multiprocessing.active_children()
+
+    def test_sigkilled_child_is_worker_died(self):
+        with contextlib.closing(
+            fan_out(_die_on, ["a", "die", "b", "c"], jobs=2)
+        ) as stream:
+            outcomes = list(stream)
+        assert [o.task for o in outcomes] == ["a", "die", "b", "c"]
+        died = outcomes[1]
+        assert died.kind == DIED and died.exitcode == -signal.SIGKILL
+        with pytest.raises(WorkerDied, match="SIGKILL.*'die'"):
+            died.result()
+        # The other tasks settle and no child outlives the stream.
+        pids = [outcomes[i].result() for i in (0, 2, 3)]
+        assert all(_gone(pid) for pid in pids)
+        assert not multiprocessing.active_children()
+        with pytest.raises(WorkerDied, match="SIGKILL"):
+            parallel_map(_die_on, ["a", "die"], jobs=2)
+        assert not multiprocessing.active_children()
+
+    def test_dead_slot_gets_a_fresh_child(self):
+        with contextlib.closing(WorkerPool(_die_on, 1)) as pool:
+            pool.submit("first", "die")
+            ((key, outcome),) = pool.wait(timeout=60)
+            assert key == "first" and outcome.kind == DIED
+            pool.submit("second", "b")
+            ((key, outcome),) = pool.wait(timeout=60)
+            assert key == "second" and not _gone(outcome.result())
+        assert _gone(outcome.result())
+
+    def test_deadline_kills_the_child(self):
+        with contextlib.closing(WorkerPool(_sleep, 1)) as pool:
+            pool.submit("slow", 60, timeout=0.2)
+            start = time.monotonic()
+            ((_, outcome),) = pool.wait(timeout=30)
+            assert outcome.kind == TIMED_OUT
+            assert outcome.exitcode == -signal.SIGKILL
+            assert time.monotonic() - start < 10
+            pool.submit("fast", 0)
+            ((_, outcome),) = pool.wait(timeout=60)
+            assert outcome.result() == 0
+
+    def test_consumer_exception_kills_in_flight_children(self):
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="consumer"):
+            with contextlib.closing(
+                fan_out(_sleep, [0, 60, 60], jobs=2)
+            ) as stream:
+                for _ in stream:
+                    assert multiprocessing.active_children()
+                    raise RuntimeError("consumer")
+        assert not multiprocessing.active_children()
+        assert time.monotonic() - start < 30
+
+    def test_closing_the_stream_early_kills_in_flight_children(self):
+        start = time.monotonic()
+        stream = fan_out(_sleep, [0, 60, 60], jobs=2)
+        assert next(stream).result() == 0
+        assert multiprocessing.active_children()
+        stream.close()
+        assert not multiprocessing.active_children()
+        assert time.monotonic() - start < 30
+
+    def test_results_stay_in_task_order(self):
+        # The first task finishes last.
+        tasks = [0.5, 0, 0, 0.1, 0]
+        with contextlib.closing(fan_out(_sleep, tasks, jobs=2)) as stream:
+            outcomes = list(stream)
+        assert [o.task for o in outcomes] == tasks
+        assert [o.result() for o in outcomes] == tasks
+        assert parallel_map(_sleep, tasks, jobs=2, chunksize=1) == tasks
+
+    def test_worker_exception_keeps_its_type(self):
+        with pytest.raises(KeyError, match="7") as excinfo:
+            parallel_map(_boom, [7, 8], jobs=2)
+        if hasattr(excinfo.value, "add_note"):  # the worker's traceback
+            assert "_boom" in "".join(excinfo.value.__notes__)
+        with contextlib.closing(fan_out(_boom, [7, 8], jobs=2)) as stream:
+            outcome = next(stream)
+            assert outcome.kind == RAISED
+            assert isinstance(outcome.value, KeyError)
+        assert not multiprocessing.active_children()
 
 
 class TestResolveJobs:
@@ -205,6 +291,37 @@ class TestParallelCampaign:
             r.to_json() for r in fresh.records
         ]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_run_keeps_finished_points(
+        self, monkeypatch, tmp_path, jobs
+    ):
+        campaign = dataclasses.replace(self.CAMPAIGN, points_per_spec=2)
+        (_, third), = campaign_module.campaign_shards(campaign)[2:3]
+        sweep = campaign_module.campaign_shard_worker
+
+        def fails_on_third(payload):
+            if payload == third:
+                raise RuntimeError("interrupted")
+            return sweep(payload)
+
+        path = tmp_path / "campaign.json"
+        monkeypatch.setattr(
+            campaign_module, "campaign_shard_worker", fails_on_third
+        )
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_campaign(campaign, result_path=path, jobs=jobs)
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(campaign_module, "campaign_shard_worker", sweep)
+        fresh = run_campaign(campaign)
+        kept = CampaignResult.load(path).records
+        assert [r.to_json() for r in kept] == [
+            r.to_json() for r in fresh.records[:2]
+        ]
+        resumed = run_campaign(campaign, result_path=path, jobs=jobs)
+        assert [r.to_json() for r in resumed.records] == [
+            r.to_json() for r in fresh.records
+        ]
+
 
 class TestParallelAttack:
     def test_matches_serial(self):
@@ -217,6 +334,42 @@ class TestParallelAttack:
         assert (serial.first_violation is None) == (
             parallel.first_violation is None
         )
+        assert (
+            serial.best_report.result.outcome.decisions
+            == parallel.best_report.result.outcome.decisions
+        )
+
+    def test_stop_on_violation_stops_the_workers(self, monkeypatch, tmp_path):
+        log = tmp_path / "calls"
+        summarize = attack_module._summarize_attempt
+
+        def counted(*args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write("call\n")
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(attack_module, "_summarize_attempt", counted)
+        spec = get_spec("trivial@mp-cr")
+        results = {}
+        for jobs in (1, 2):
+            log.write_text("")
+            results[jobs] = search_worst_run(
+                spec, 3, 1, 0, attempts=60, seed=0,
+                stop_on_violation=True, jobs=jobs,
+            )
+            calls = len(log.read_text().splitlines())
+            # The search folds attempt 1 and stops; only attempts that
+            # were already in flight ran (the winner's FULL re-run is
+            # not a worker call).
+            assert calls <= 20, (jobs, calls)
+        assert not multiprocessing.active_children()
+        serial, parallel = results[1], results[2]
+        assert serial.attempts == parallel.attempts == 1
+        for field in (
+            "best_distinct", "violations_found", "first_violation",
+            "best_attempt_seed",
+        ):
+            assert getattr(serial, field) == getattr(parallel, field), field
         assert (
             serial.best_report.result.outcome.decisions
             == parallel.best_report.result.outcome.decisions

@@ -239,3 +239,22 @@ class TestReport:
         payload = report.to_json()
         assert payload["completed"] == 2
         assert payload["remaining"][ShardState.DONE] == 2
+
+
+class TestPoolCollapse:
+    def test_fork_failure_falls_back_to_serial(self, store, monkeypatch):
+        import errno
+        import os
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        run = _seed_run(store, n=3)
+        report = run_shards(store, run, _double, jobs=2, policy=FAST)
+        assert report.mode == "serial" and report.jobs == 1
+        assert "pool collapse" in report.reason
+        assert report.completed == 3 and report.drained
+        assert store.results(run) == [{"value": 0}, {"value": 2}, {"value": 4}]
+        (event,) = store.events(run, kind="serial-fallback")
+        assert "Resource temporarily unavailable" in event.detail
