@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint staticcheck-flow bench bench-throughput bench-exhaustive figures experiments examples all clean
+.PHONY: install test lint bench bench-throughput bench-exhaustive figures experiments examples all clean
 
 install:
 	pip install -e .
@@ -25,12 +25,6 @@ lint:
 		echo "lint: mypy not installed, skipping (pip install -e .[lint])"; \
 	fi
 	PYTHONPATH=src $(PYTHON) -m repro staticcheck src --strict
-
-# The interprocedural pass on its own (the per-file rules still run;
-# --flow merely makes the default explicit).  `make lint` already
-# includes it -- this target exists for iterating on FLOW rules.
-staticcheck-flow:
-	PYTHONPATH=src $(PYTHON) -m repro staticcheck src --strict --flow
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -1,37 +1,9 @@
 """Command-line interface: ``python -m repro <subcommand>``.
 
-Subcommands:
-
-* ``classify``  -- classify one ``SC(k, t, C)`` instance in a model;
-* ``panel``     -- render one figure panel (region map) as text or CSV;
-* ``figure``    -- render a full six-panel paper figure;
-* ``lattice``   -- print and verify the Fig. 1 validity lattice;
-* ``run``       -- run a registered protocol once and report verdicts;
-* ``sweep``     -- Monte-Carlo sweep of a protocol at one point;
-* ``attack``    -- adversarial search for a protocol's worst run;
-* ``construct`` -- execute the impossibility-proof counterexample runs;
-* ``protocols`` -- list the protocol registry;
-* ``paper``     -- the paper-artifact -> code index;
-* ``summary``   -- the Section 2.1 summary of results;
-* ``svg``       -- write a figure/panel as a paper-style SVG file;
-* ``trace``     -- run a protocol or construction and print its
-  space-time diagram;
-* ``exhaustive``-- verify a protocol over ALL schedules of a tiny
-  instance;
-* ``campaign``  -- run a persisted validation campaign; with ``--store``
-  it runs crash-safe on the :mod:`repro.jobs` layer (supervised
-  workers, per-shard timeouts, retries with backoff, ``--resume``,
-  deterministic chaos injection);
-* ``diff-resumed`` -- assert a resumed campaign result is
-  bit-identical to an uninterrupted reference result;
-* ``verify-run``-- replay a witness file through the oracle stack;
-* ``staticcheck`` -- AST lint for determinism & protocol conformance
-  (DET/PROTO/SM/BATCH/ROB rule families, SARIF output, committed
-  baseline).
-
-``run``, ``sweep``, ``attack``, and ``exhaustive`` all accept
-``--verify`` to additionally judge executions with the
-:mod:`repro.verify.oracles` conformance stack.
+``python -m repro --help`` lists the subcommands and ``python -m repro
+<subcommand> --help`` their arguments.  Each subcommand is declared
+once, by :func:`command` on its handler; an argument several
+subcommands share is declared once below and used by name.
 
 Examples::
 
@@ -46,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.adversary.constructions import all_constructions
 from repro.analysis.figures import panel_csv, render_figure, render_panel
 from repro.analysis.lattice import render_lattice, verify_lattice
 from repro.core.regions import region_map
 from repro.core.solvability import classify
-from repro.core.validity import ALL_VALIDITY_CONDITIONS, by_code
+from repro.core.validity import by_code
 from repro.harness.attack import search_worst_run
 from repro.harness.runner import run_spec
 from repro.harness.sweep import SweepConfig, sweep_spec
@@ -62,6 +34,38 @@ from repro.protocols.base import all_specs, get_spec
 
 __all__ = ["build_parser", "main"]
 
+#: Adds one argument, or one argument group, to a subcommand's parser.
+Declaration = Callable[[Any], object]
+Handler = Callable[[argparse.Namespace], int]
+
+#: Every subcommand, in ``--help`` order: name -> (help line, argument
+#: declarations, handler returning the exit code).
+_COMMANDS: Dict[str, Tuple[str, Tuple[Declaration, ...], Handler]] = {}
+
+
+def arg(*flags: str, **options: Any) -> Declaration:
+    """One ``add_argument`` call, declared once and made per subparser."""
+    return lambda parser: parser.add_argument(*flags, **options)
+
+
+def group(
+    title: str, description: str, *arguments: Declaration
+) -> Declaration:
+    """Arguments listed under their own heading in ``--help``."""
+    def add(parser):
+        section = parser.add_argument_group(title, description)
+        for declare in arguments:
+            declare(section)
+    return add
+
+
+def command(name: str, help_line: str, *arguments: Declaration):
+    """Register the decorated handler as subcommand ``name``."""
+    def register(handler: Handler) -> Handler:
+        _COMMANDS[name] = (help_line, arguments, handler)
+        return handler
+    return register
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,327 +73,65 @@ def build_parser() -> argparse.ArgumentParser:
         description="k-set consensus reproduction (De Prisco-Malkhi-Reiter).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_instance_args(p, with_validity=True):
-        p.add_argument("--model", default="MP/CR", help="MP/CR MP/Byz SM/CR SM/Byz")
-        if with_validity:
-            p.add_argument("--validity", default="RV1",
-                           help="SV1 SV2 RV1 RV2 WV1 WV2")
-        p.add_argument("--n", type=int, default=64)
-
-    p = sub.add_parser("classify", help="classify one SC(k, t, C) instance")
-    add_instance_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    p = sub.add_parser("panel", help="render one region panel")
-    add_instance_args(p)
-    p.add_argument("--csv", action="store_true", help="frontier CSV output")
-
-    p = sub.add_parser("figure", help="render a full six-panel figure")
-    add_instance_args(p, with_validity=False)
-
-    sub.add_parser("lattice", help="print and verify the Fig. 1 lattice")
-
-    def add_verify_arg(p):
-        p.add_argument(
-            "--verify", action="store_true",
-            help="also judge executions with the repro.verify oracle stack",
-        )
-
-    p = sub.add_parser("run", help="run a registered protocol once")
-    p.add_argument("spec", help="protocol spec name (see `protocols`)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--inputs", nargs="*", default=None,
-                   help="input values (default: v0 v1 ...)")
-    add_verify_arg(p)
-
-    def add_jobs_arg(p):
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker processes (1 = serial, 0 = all cores); "
-                 "results are identical for any value",
-        )
-
-    def add_engine_arg(p):
-        p.add_argument(
-            "--engine", choices=("scalar", "batch", "auto"),
-            default="scalar",
-            help="execution engine: scalar discrete-event kernel (default) "
-                 "or vectorized numpy batch engine; batch/auto fall back "
-                 "to scalar for specs the batch engine does not model",
-        )
-
-    p = sub.add_parser("sweep", help="Monte-Carlo sweep at one point")
-    p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    add_jobs_arg(p)
-    add_engine_arg(p)
-    add_verify_arg(p)
-
-    p = sub.add_parser("attack", help="adversarial search for the worst run")
-    p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--attempts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_jobs_arg(p)
-    add_verify_arg(p)
-    p.add_argument(
-        "--save-witness", default=None, metavar="PATH",
-        help="record the winning attempt as a replayable witness file "
-             "(crash-model specs only; the schedule is shrunk when it "
-             "violates a safety oracle)",
-    )
-
-    p = sub.add_parser("construct", help="run impossibility constructions")
-    p.add_argument("--lemma", default=None,
-                   help='restrict to one lemma, e.g. "Lemma 3.3"')
-
-    sub.add_parser("protocols", help="list the protocol registry")
-
-    p = sub.add_parser("recommend",
-                       help="which protocol solves an instance, and best")
-    add_instance_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    p = sub.add_parser("solve",
-                       help="pick the best protocol and run it once")
-    add_instance_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--inputs", nargs="*", default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    sub.add_parser("paper", help="paper artifact -> code index")
-
-    sub.add_parser("summary", help="Section 2.1 summary of results")
-
-    p = sub.add_parser("svg", help="write a figure/panel as SVG")
-    add_instance_args(p)
-    p.add_argument("--out", required=True, help="output .svg path")
-    p.add_argument("--full-figure", action="store_true",
-                   help="all six panels instead of one")
-
-    p = sub.add_parser("trace", help="space-time diagram of one run")
-    p.add_argument("spec", nargs="?", default=None,
-                   help="protocol spec name (omit with --lemma)")
-    p.add_argument("--lemma", default=None,
-                   help='trace a construction instead, e.g. "Lemma 3.3"')
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--rows", type=int, default=120)
-
-    def add_search_args(p, max_states):
-        """The explorer flags ``exhaustive`` and ``certify`` share."""
-        p.add_argument(
-            "--max-states", type=int, default=max_states,
-            help="state budget per exploration; a search that hits it is "
-                 "not exhaustive (certify marks the point INCONCLUSIVE)",
-        )
-        p.add_argument(
-            "--visited", choices=["exact", "compact"], default="exact",
-            help="visited-state store: exact dict or 64-bit "
-                 "hash-compacted digests",
-        )
-        p.add_argument(
-            "--stop-on-violation", action="store_true",
-            help="abandon each exploration at its first violation",
-        )
-
-    p = sub.add_parser("exhaustive",
-                       help="verify a protocol over ALL schedules (tiny n)")
-    p.add_argument("spec")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--inputs", nargs="*", default=None)
-    add_search_args(p, max_states=200_000)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="split the root fan-out over N worker processes "
-                        "(results are identical for every N)")
-    p.add_argument("--full-dfs", action="store_true",
-                   help="disable partial-order reduction (the unreduced "
-                        "correctness reference)")
-    p.add_argument("--symmetry", action="store_true",
-                   help="canonicalize states modulo renaming of "
-                        "interchangeable processes (auto-disabled where "
-                        "unsound, with the reason reported)")
-    add_verify_arg(p)
-
-    p = sub.add_parser(
-        "certify",
-        help="machine-certify the paper's claimed regions at one n",
-    )
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--specs", nargs="*", default=None,
-                   help="spec-name filter (default: every claim; sim-* "
-                        "claims are skipped unless named here)")
-    p.add_argument("--ks", type=int, nargs="*", default=None,
-                   help="restrict the k grid (default 1..n)")
-    p.add_argument("--ts", type=int, nargs="*", default=None,
-                   help="restrict the t grid (default 0..n-1)")
-    add_search_args(p, max_states=500_000)
-    p.add_argument("--no-symmetry", action="store_true",
-                   help="disable symmetry reduction (on by default here)")
-    p.add_argument("--max-sends", type=int, default=1,
-                   help="partial-broadcast crash depth for MP crash plans")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="certify grid points on N worker processes "
-                        "(the report is identical for every N)")
-    p.add_argument("--out", default=None,
-                   help="write the repro-certification/1 JSON report here")
-    p.add_argument("--witness-dir", default=None,
-                   help="save counterexample witness files here")
-    p.add_argument("--check-baseline", default=None,
-                   help="compare state counts against a committed baseline "
-                        "(fail if symmetry reduction regressed)")
-    p.add_argument("--write-baseline", default=None,
-                   help="write the state-count baseline file and exit")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-point progress lines")
-
-    p = sub.add_parser(
-        "verify-run",
-        help="replay a witness file and run the oracle stack over it",
-    )
-    p.add_argument("witness", help="path to a repro-witness/1 JSON file")
-
-    p = sub.add_parser(
-        "staticcheck",
-        help="AST lint: determinism & protocol-conformance rules",
-    )
-    p.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files/directories to lint (default: src)",
-    )
-    p.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (sarif is SARIF 2.1.0)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the report to a file instead of stdout",
-    )
-    p.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline of accepted findings "
-             "(default: staticcheck-baseline.json when present)",
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    p.add_argument(
-        "--strict", action="store_true",
-        help="warnings also fail the run (default: errors only)",
-    )
-    p.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept every current finding into the baseline file "
-             "(existing justifications are preserved; rewrites the "
-             "file in the v2 fingerprint format)",
-    )
-    flow_group = p.add_mutually_exclusive_group()
-    flow_group.add_argument(
-        "--flow", dest="flow", action="store_true", default=True,
-        help="run the whole-program FLOW rules (interprocedural "
-             "taint, cross-helper decide-once, jobs lease automaton); "
-             "on by default",
-    )
-    flow_group.add_argument(
-        "--no-flow", dest="flow", action="store_false",
-        help="per-file rules only; skip the whole-program analysis",
-    )
-    p.add_argument(
-        "--explain", default=None, metavar="RULE",
-        help="print what a rule id checks and how to suppress it, "
-             "then exit",
-    )
-
-    p = sub.add_parser("campaign", help="run a persisted validation campaign")
-    p.add_argument("--name", default="default")
-    p.add_argument("--n", type=int, nargs="*", default=[6, 8])
-    p.add_argument("--points", type=int, default=2)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--specs", nargs="*", default=None, metavar="SPEC",
-        help="restrict to these protocol specs (default: all registered)",
-    )
-    p.add_argument("--out", default=None, help="JSON result path (resumable)")
-    add_jobs_arg(p)
-    add_engine_arg(p)
-    durable = p.add_argument_group(
-        "durable execution (repro.jobs)",
-        "crash-safe sqlite-backed job queue with supervised workers, "
-        "per-shard timeouts, bounded retries with backoff, and resume",
-    )
-    durable.add_argument(
-        "--store", default=None, metavar="DB",
-        help="sqlite job-store path; enables durable execution",
-    )
-    durable.add_argument(
-        "--run-id", default=None,
-        help="run identifier inside the store (default: campaign name)",
-    )
-    durable.add_argument(
-        "--resume", default=None, metavar="RUN_ID",
-        help="resume an interrupted run from the store (requires --store; "
-             "the campaign definition is loaded from the run row)",
-    )
-    durable.add_argument(
-        "--timeout", type=float, default=300.0,
-        help="per-shard timeout in seconds (durable mode)",
-    )
-    durable.add_argument(
-        "--retries", type=int, default=3,
-        help="max attempts per shard before it is marked failed",
-    )
-    durable.add_argument(
-        "--backoff", type=float, default=0.1,
-        help="base retry backoff in seconds (exponential, jittered)",
-    )
-    durable.add_argument(
-        "--max-shards", type=int, default=None,
-        help="stop after settling N shards (interruption drills; the "
-             "run stays resumable)",
-    )
-    chaos = p.add_argument_group(
-        "chaos injection (repro.jobs.chaos)",
-        "deterministically sabotage worker attempts to exercise the "
-        "supervisor; rates are per shard attempt and must sum to <= 1",
-    )
-    chaos.add_argument("--chaos-kill", type=float, default=0.0,
-                       metavar="RATE", help="SIGKILL the worker")
-    chaos.add_argument("--chaos-hang", type=float, default=0.0,
-                       metavar="RATE",
-                       help="hang the worker past its timeout")
-    chaos.add_argument("--chaos-error", type=float, default=0.0,
-                       metavar="RATE", help="raise a transient exception")
-    chaos.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed of the deterministic fault schedule")
-
-    p = sub.add_parser(
-        "diff-resumed",
-        help="assert a resumed campaign result is bit-identical to an "
-             "uninterrupted reference result",
-    )
-    p.add_argument("resumed", help="result JSON of the resumed run")
-    p.add_argument("reference", help="result JSON of the uninterrupted run")
-
+    for name, (help_line, arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for declare in arguments:
+            declare(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def worker_count(text: str) -> int:
+    """A ``--jobs`` value: a worker count, ``0`` meaning one per core."""
+    jobs = int(text)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {jobs}")
+    return jobs
+
+
+MODEL = arg("--model", default="MP/CR", help="MP/CR MP/Byz SM/CR SM/Byz")
+TABLE_N = arg("--n", type=int, default=64)
+#: The region-table instance: a model, a validity condition and ``n``.
+INSTANCE = (
+    MODEL,
+    arg("--validity", default="RV1", help="SV1 SV2 RV1 RV2 WV1 WV2"),
+    TABLE_N,
+)
+K_T = (
+    arg("--k", type=int, required=True),
+    arg("--t", type=int, required=True),
+)
+#: The required point of the subcommands that run one protocol instance.
+POINT = (arg("--n", type=int, required=True), *K_T)
+INPUTS = arg("--inputs", nargs="*", default=None,
+             help="input values (default: v0 v1 ...)")
+SEED = arg("--seed", type=int, default=0)
+VERIFY = arg("--verify", action="store_true",
+             help="also judge executions with the repro.verify oracle stack")
+ENGINE = arg("--engine", choices=("scalar", "batch", "auto"), default="scalar",
+             help="execution engine: scalar discrete-event kernel (default) "
+                  "or vectorized numpy batch engine; batch/auto fall back "
+                  "to scalar for specs the batch engine does not model")
+JOBS = arg("--jobs", type=worker_count, default=1,
+           help="worker processes (1 = serial, 0 = all cores); "
+                "results are identical for any value")
+
+
+def search_args(max_states: int) -> Tuple[Declaration, ...]:
+    """The explorer flags ``exhaustive`` and ``certify`` share."""
+    return (
+        arg("--max-states", type=int, default=max_states,
+            help="state budget per exploration; a search that hits it is "
+                 "not exhaustive (certify marks the point INCONCLUSIVE)"),
+        arg("--visited", choices=["exact", "compact"], default="exact",
+            help="visited-state store: exact dict or 64-bit "
+                 "hash-compacted digests"),
+        arg("--stop-on-violation", action="store_true",
+            help="abandon each exploration at its first violation"),
+    )
+
+
+@command("classify", "classify one SC(k, t, C) instance", *INSTANCE, *K_T)
 def _cmd_classify(args) -> int:
     model = Model.from_shorthand(args.model)
     validity = by_code(args.validity)
@@ -403,6 +145,10 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+@command(
+    "panel", "render one region panel",
+    *INSTANCE, arg("--csv", action="store_true", help="frontier CSV output"),
+)
 def _cmd_panel(args) -> int:
     model = Model.from_shorthand(args.model)
     region = region_map(model, by_code(args.validity), args.n)
@@ -410,11 +156,13 @@ def _cmd_panel(args) -> int:
     return 0
 
 
+@command("figure", "render a full six-panel figure", MODEL, TABLE_N)
 def _cmd_figure(args) -> int:
     print(render_figure(Model.from_shorthand(args.model), n=args.n))
     return 0
 
 
+@command("lattice", "print and verify the Fig. 1 lattice")
 def _cmd_lattice(args) -> int:
     print(render_lattice())
     check = verify_lattice()
@@ -425,6 +173,11 @@ def _cmd_lattice(args) -> int:
     return 0 if check.ok else 1
 
 
+@command(
+    "run", "run a registered protocol once",
+    arg("spec", help="protocol spec name (see `protocols`)"),
+    *POINT, INPUTS, VERIFY,
+)
 def _cmd_run(args) -> int:
     spec = get_spec(args.spec)
     inputs = args.inputs or [f"v{i}" for i in range(args.n)]
@@ -435,6 +188,11 @@ def _cmd_run(args) -> int:
     return 0 if report.ok else 1
 
 
+@command(
+    "sweep", "Monte-Carlo sweep at one point",
+    arg("spec"), *POINT, arg("--runs", type=int, default=50),
+    SEED, JOBS, ENGINE, VERIFY,
+)
 def _cmd_sweep(args) -> int:
     spec = get_spec(args.spec)
     stats = sweep_spec(
@@ -454,6 +212,15 @@ def _cmd_sweep(args) -> int:
     return 0 if stats.clean else 1
 
 
+@command(
+    "attack", "adversarial search for the worst run",
+    arg("spec"), *POINT, arg("--attempts", type=int, default=200),
+    SEED, JOBS, VERIFY,
+    arg("--save-witness", default=None, metavar="PATH",
+        help="record the winning attempt as a replayable witness file "
+             "(crash-model specs only; the schedule is shrunk when it "
+             "violates a safety oracle)"),
+)
 def _cmd_attack(args) -> int:
     spec = get_spec(args.spec)
     result = search_worst_run(
@@ -481,6 +248,11 @@ def _cmd_attack(args) -> int:
     return 0 if not result.violations_found else 1
 
 
+@command(
+    "construct", "run impossibility constructions",
+    arg("--lemma", default=None,
+        help='restrict to one lemma, e.g. "Lemma 3.3"'),
+)
 def _cmd_construct(args) -> int:
     failures = 0
     for result in all_constructions():
@@ -492,6 +264,7 @@ def _cmd_construct(args) -> int:
     return 0 if not failures else 1
 
 
+@command("protocols", "list the protocol registry")
 def _cmd_protocols(args) -> int:
     for spec in all_specs():
         print(
@@ -501,6 +274,10 @@ def _cmd_protocols(args) -> int:
     return 0
 
 
+@command(
+    "recommend", "which protocol solves an instance, and best",
+    *INSTANCE, *K_T,
+)
 def _cmd_recommend(args) -> int:
     from repro.protocols.select import NoProtocolAvailable, candidates
 
@@ -524,6 +301,10 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
+@command(
+    "solve", "pick the best protocol and run it once",
+    *INSTANCE, *K_T, INPUTS, SEED,
+)
 def _cmd_solve(args) -> int:
     from repro.protocols.select import NoProtocolAvailable, solve
 
@@ -540,6 +321,7 @@ def _cmd_solve(args) -> int:
     return 0 if report.ok else 1
 
 
+@command("paper", "paper artifact -> code index")
 def _cmd_paper(args) -> int:
     from repro.paper import render_index
 
@@ -547,6 +329,7 @@ def _cmd_paper(args) -> int:
     return 0
 
 
+@command("summary", "Section 2.1 summary of results")
 def _cmd_summary(args) -> int:
     from repro.analysis.summary import render_summary
 
@@ -554,6 +337,13 @@ def _cmd_summary(args) -> int:
     return 0
 
 
+@command(
+    "svg", "write a figure/panel as SVG",
+    *INSTANCE,
+    arg("--out", required=True, help="output .svg path"),
+    arg("--full-figure", action="store_true",
+        help="all six panels instead of one"),
+)
 def _cmd_svg(args) -> int:
     import pathlib
 
@@ -573,6 +363,17 @@ def _cmd_svg(args) -> int:
     return 0
 
 
+@command(
+    "trace", "space-time diagram of one run",
+    arg("spec", nargs="?", default=None,
+        help="protocol spec name (omit with --lemma)"),
+    arg("--lemma", default=None,
+        help='trace a construction instead, e.g. "Lemma 3.3"'),
+    arg("--n", type=int, default=4),
+    arg("--k", type=int, default=2),
+    arg("--t", type=int, default=1),
+    arg("--rows", type=int, default=120),
+)
 def _cmd_trace(args) -> int:
     from repro.analysis.spacetime import render_spacetime
 
@@ -612,35 +413,43 @@ def _cmd_trace(args) -> int:
     return 0 if report.ok else 1
 
 
+@command(
+    "exhaustive", "verify a protocol over ALL schedules (tiny n)",
+    arg("spec"), arg("--n", type=int, default=3), *K_T, INPUTS,
+    *search_args(max_states=200_000),
+    arg("--jobs", type=worker_count, default=None,
+        help="split the root fan-out over N worker processes "
+             "(results are identical for every N)"),
+    arg("--full-dfs", action="store_true",
+        help="disable partial-order reduction (the unreduced "
+             "correctness reference)"),
+    arg("--symmetry", action="store_true",
+        help="canonicalize states modulo renaming of "
+             "interchangeable processes (auto-disabled where "
+             "unsound, with the reason reported)"),
+    VERIFY,
+)
 def _cmd_exhaustive(args) -> int:
     from repro.harness.exhaustive import SpecFactory, explore_mp, explore_sm
 
     spec = get_spec(args.spec)
     inputs = args.inputs or [f"v{i}" for i in range(args.n)]
-    validity = by_code(spec.validity)
-    # A SpecFactory (not a lambda) so worker processes can unpickle it.
-    factory = SpecFactory(spec.name, args.n, args.k, args.t)
     if spec.is_shared_memory:
-        result = explore_sm(
-            factory, inputs, args.k, args.t, validity,
-            max_states=args.max_states,
-            verify=args.verify,
-            jobs=args.jobs,
-            visited=args.visited,
-            symmetry=args.symmetry,
-            stop_on_violation=args.stop_on_violation,
-        )
-    else:
-        result = explore_mp(
-            factory, inputs, args.k, args.t, validity,
-            max_states=args.max_states,
-            verify=args.verify,
-            por=not args.full_dfs,
-            jobs=args.jobs,
-            visited=args.visited,
-            symmetry=args.symmetry,
-            stop_on_violation=args.stop_on_violation,
-        )
+        explore, options = explore_sm, {}
+    else:  # partial-order reduction is a message-passing option only
+        explore, options = explore_mp, {"por": not args.full_dfs}
+    # A SpecFactory (not a lambda) so worker processes can unpickle it.
+    result = explore(
+        SpecFactory(spec.name, args.n, args.k, args.t),
+        inputs, args.k, args.t, by_code(spec.validity),
+        max_states=args.max_states,
+        verify=args.verify,
+        jobs=args.jobs,
+        visited=args.visited,
+        symmetry=args.symmetry,
+        stop_on_violation=args.stop_on_violation,
+        **options,
+    )
     if result.exhausted:
         coverage = "exhaustive"
     elif args.stop_on_violation and result.violations:
@@ -686,27 +495,59 @@ def _cmd_exhaustive(args) -> int:
     return 0 if result.all_ok else 1
 
 
+@command(
+    "certify", "machine-certify the paper's claimed regions at one n",
+    arg("--n", type=int, default=4),
+    arg("--specs", nargs="*", default=None,
+        help="spec-name filter (default: every claim; sim-* "
+             "claims are skipped unless named here)"),
+    arg("--ks", type=int, nargs="*", default=None,
+        help="restrict the k grid (default 1..n)"),
+    arg("--ts", type=int, nargs="*", default=None,
+        help="restrict the t grid (default 0..n-1)"),
+    *search_args(max_states=500_000),
+    arg("--no-symmetry", action="store_true",
+        help="disable symmetry reduction (on by default here)"),
+    arg("--max-sends", type=int, default=1,
+        help="partial-broadcast crash depth for MP crash plans"),
+    JOBS,
+    arg("--out", default=None,
+        help="write the repro-certification/1 JSON report here"),
+    arg("--witness-dir", default=None,
+        help="save counterexample witness files here"),
+    arg("--check-baseline", default=None,
+        help="compare state counts against a committed baseline "
+             "(fail if symmetry reduction regressed)"),
+    arg("--write-baseline", default=None,
+        help="write the state-count baseline file and exit"),
+    arg("--quiet", action="store_true",
+        help="suppress per-point progress lines"),
+)
 def _cmd_certify(args) -> int:
     import json
     import pathlib
 
-    from repro.verify.certify import certify_claims
+    from repro.verify.certify import UnknownSpecs, certify_claims
 
     progress = None if args.quiet else (lambda line: print(f"  {line}"))
-    report = certify_claims(
-        n=args.n,
-        specs=args.specs,
-        ks=args.ks,
-        ts=args.ts,
-        visited=args.visited,
-        symmetry=not args.no_symmetry,
-        max_states=args.max_states,
-        jobs=args.jobs,
-        max_sends=args.max_sends,
-        witness_dir=args.witness_dir,
-        progress=progress,
-        stop_on_violation=args.stop_on_violation,
-    )
+    try:
+        report = certify_claims(
+            n=args.n,
+            specs=args.specs,
+            ks=args.ks,
+            ts=args.ts,
+            visited=args.visited,
+            symmetry=not args.no_symmetry,
+            max_states=args.max_states,
+            jobs=args.jobs,
+            max_sends=args.max_sends,
+            witness_dir=args.witness_dir,
+            progress=progress,
+            stop_on_violation=args.stop_on_violation,
+        )
+    except UnknownSpecs as reason:
+        print(f"certify: {reason}", file=sys.stderr)
+        return 2
     counts = report.verdict_counts()
     summary = ", ".join(
         f"{count} {verdict}" for verdict, count in counts.items() if count
@@ -748,6 +589,10 @@ def _cmd_certify(args) -> int:
     return 0 if ok else 1
 
 
+#: The run configuration a certify baseline records next to its points.
+_BASELINE_CONFIG = ("n", "visited", "symmetry")
+
+
 def _certify_baseline(report) -> dict:
     """State-count baseline: the certified verdict and cost per point."""
     points = {}
@@ -757,21 +602,28 @@ def _certify_baseline(report) -> dict:
             points[key] = {"verdict": point.verdict, "states": point.states}
     return {
         "format": "repro-certify-baseline/1",
-        "n": report.n,
-        "visited": report.visited,
-        "symmetry": report.symmetry,
+        **{field: getattr(report, field) for field in _BASELINE_CONFIG},
         "points": points,
     }
 
 
 def _check_certify_baseline(report, baseline: dict) -> List[str]:
-    """Fail on changed verdicts or state counts above the baseline.
+    """Fail on a changed configuration, changed verdicts, or state counts
+    above the baseline.
 
     Exploration is deterministic, so equal configurations must reproduce
     the baseline verdicts exactly; a state count *above* the recorded
-    one means the symmetry/POR reduction regressed.
+    one means the symmetry/POR reduction regressed.  Points of a run
+    configured differently from the baseline are not compared.
     """
-    failures = []
+    failures = [
+        f"baseline recorded {field}={baseline.get(field)}, "
+        f"this run used {getattr(report, field)}"
+        for field in _BASELINE_CONFIG
+        if baseline.get(field) != getattr(report, field)
+    ]
+    if failures:
+        return failures
     recorded = baseline.get("points", {})
     current = _certify_baseline(report)["points"]
     for key, expected in sorted(recorded.items()):
@@ -792,108 +644,10 @@ def _check_certify_baseline(report, baseline: dict) -> List[str]:
     return failures
 
 
-def _cmd_campaign(args) -> int:
-    import pathlib
-
-    from repro.harness.campaign import (
-        Campaign,
-        run_campaign,
-        run_campaign_durable,
-    )
-
-    result_path = pathlib.Path(args.out) if args.out else None
-    if args.resume and not args.store:
-        print("--resume requires --store", file=sys.stderr)
-        return 2
-    spec_names = tuple(args.specs) if args.specs else None
-    if not args.store:
-        campaign = Campaign(
-            name=args.name,
-            n_values=tuple(args.n),
-            points_per_spec=args.points,
-            runs_per_point=args.runs,
-            seed=args.seed,
-            spec_names=spec_names,
-            engine=args.engine,
-        )
-        result = run_campaign(campaign, result_path=result_path,
-                              jobs=args.jobs)
-        print(result.summary())
-        for record in result.violating()[:10]:
-            print(f"  !! {record.key}: {record.violations} violations")
-        return 0 if result.clean else 1
-
-    from repro.jobs import ChaosPolicy, JobStore, RetryPolicy
-
-    policy = RetryPolicy(
-        max_attempts=args.retries,
-        timeout=args.timeout,
-        backoff_base=args.backoff,
-    )
-    chaos = None
-    if args.chaos_kill or args.chaos_hang or args.chaos_error:
-        chaos = ChaosPolicy(
-            seed=args.chaos_seed,
-            kill_rate=args.chaos_kill,
-            hang_rate=args.chaos_hang,
-            error_rate=args.chaos_error,
-        )
-    if args.resume:
-        campaign, run_id = None, args.resume
-    else:
-        campaign = Campaign(
-            name=args.name,
-            n_values=tuple(args.n),
-            points_per_spec=args.points,
-            runs_per_point=args.runs,
-            seed=args.seed,
-            spec_names=spec_names,
-            engine=args.engine,
-        )
-        run_id = args.run_id or campaign.name
-    with JobStore(args.store) as store:
-        try:
-            result, report = run_campaign_durable(
-                store,
-                campaign=campaign,
-                run_id=run_id,
-                jobs=args.jobs,
-                policy=policy,
-                chaos=chaos,
-                max_shards=args.max_shards,
-                result_path=result_path,
-            )
-        except KeyError as err:
-            print(f"cannot resume: {err.args[0]}", file=sys.stderr)
-            return 2
-    print(result.summary())
-    print(f"  execution: {report.describe()}")
-    remaining = report.remaining
-    if report.stopped_early:
-        print(
-            f"  INCOMPLETE: {remaining.get('pending', 0)} pending / "
-            f"{remaining.get('leased', 0)} leased / "
-            f"{remaining.get('failed', 0)} failed shards remain; "
-            f"resume with: repro campaign --store {args.store} "
-            f"--resume {run_id}"
-        )
-    for record in result.violating()[:10]:
-        print(f"  !! {record.key}: {record.violations} violations")
-    if report.stopped_early:
-        return 3
-    return 0 if result.clean and not report.failed else 1
-
-
-def _cmd_diff_resumed(args) -> int:
-    from repro.verify.differential import diff_resumed_files
-
-    diff = diff_resumed_files(args.resumed, args.reference)
-    print(diff.summary())
-    for index, got, want in diff.mismatches[:10]:
-        print(f"  !! record {index}: resumed={got} reference={want}")
-    return 0 if diff.ok else 1
-
-
+@command(
+    "verify-run", "replay a witness file and run the oracle stack over it",
+    arg("witness", help="path to a repro-witness/1 JSON file"),
+)
 def _cmd_verify_run(args) -> int:
     import pathlib
 
@@ -915,6 +669,31 @@ def _cmd_verify_run(args) -> int:
     return 1 if report.violations else 0
 
 
+@command(
+    "staticcheck", "AST lint: determinism & protocol-conformance rules",
+    arg("paths", nargs="*", default=["src"],
+        help="files/directories to lint (default: src)"),
+    arg("--format", choices=("text", "json", "sarif"), default="text",
+        help="output format (sarif is SARIF 2.1.0)"),
+    arg("--out", default=None, metavar="PATH",
+        help="write the report to a file instead of stdout"),
+    arg("--baseline", default=None, metavar="FILE",
+        help="baseline of accepted findings "
+             "(default: staticcheck-baseline.json when present)"),
+    arg("--no-baseline", action="store_true",
+        help="ignore any baseline file"),
+    arg("--strict", action="store_true",
+        help="warnings also fail the run (default: errors only)"),
+    arg("--write-baseline", action="store_true",
+        help="accept every current finding into the baseline file "
+             "(existing justifications are preserved; rewrites the "
+             "file in the v2 fingerprint format)"),
+    arg("--no-flow", dest="flow", action="store_false",
+        help="per-file rules only; skip the whole-program analysis"),
+    arg("--explain", default=None, metavar="RULE",
+        help="print what a rule id checks and how to suppress it, "
+             "then exit"),
+)
 def _cmd_staticcheck(args) -> int:
     from repro.staticcheck import (
         DEFAULT_BASELINE_NAME,
@@ -968,34 +747,153 @@ def _cmd_staticcheck(args) -> int:
     return report.exit_code
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "panel": _cmd_panel,
-    "figure": _cmd_figure,
-    "lattice": _cmd_lattice,
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "attack": _cmd_attack,
-    "construct": _cmd_construct,
-    "protocols": _cmd_protocols,
-    "recommend": _cmd_recommend,
-    "solve": _cmd_solve,
-    "paper": _cmd_paper,
-    "summary": _cmd_summary,
-    "svg": _cmd_svg,
-    "trace": _cmd_trace,
-    "exhaustive": _cmd_exhaustive,
-    "certify": _cmd_certify,
-    "campaign": _cmd_campaign,
-    "diff-resumed": _cmd_diff_resumed,
-    "verify-run": _cmd_verify_run,
-    "staticcheck": _cmd_staticcheck,
-}
+@command(
+    "campaign", "run a persisted validation campaign",
+    arg("--name", default="default"),
+    arg("--n", type=int, nargs="*", default=[6, 8]),
+    arg("--points", type=int, default=2),
+    arg("--runs", type=int, default=10),
+    SEED,
+    arg("--specs", nargs="*", default=None, metavar="SPEC",
+        help="restrict to these protocol specs (default: all registered)"),
+    arg("--out", default=None, help="JSON result path (resumable)"),
+    JOBS, ENGINE,
+    group(
+        "durable execution (repro.jobs)",
+        "crash-safe sqlite-backed job queue with supervised workers, "
+        "per-shard timeouts, bounded retries with backoff, and resume",
+        arg("--store", default=None, metavar="DB",
+            help="sqlite job-store path; enables durable execution"),
+        arg("--run-id", default=None,
+            help="run identifier inside the store (default: campaign name)"),
+        arg("--resume", default=None, metavar="RUN_ID",
+            help="resume an interrupted run from the store (requires "
+                 "--store; the campaign definition is loaded from the "
+                 "run row)"),
+        arg("--timeout", type=float, default=300.0,
+            help="per-shard timeout in seconds (durable mode)"),
+        arg("--retries", type=int, default=3,
+            help="max attempts per shard before it is marked failed"),
+        arg("--backoff", type=float, default=0.1,
+            help="base retry backoff in seconds (exponential, jittered)"),
+        arg("--max-shards", type=int, default=None,
+            help="stop after settling N shards (interruption drills; the "
+                 "run stays resumable)"),
+    ),
+    group(
+        "chaos injection (repro.jobs.chaos)",
+        "deterministically sabotage worker attempts to exercise the "
+        "supervisor; rates are per shard attempt and must sum to <= 1",
+        arg("--chaos-kill", type=float, default=0.0, metavar="RATE",
+            help="SIGKILL the worker"),
+        arg("--chaos-hang", type=float, default=0.0, metavar="RATE",
+            help="hang the worker past its timeout"),
+        arg("--chaos-error", type=float, default=0.0, metavar="RATE",
+            help="raise a transient exception"),
+        arg("--chaos-seed", type=int, default=0,
+            help="seed of the deterministic fault schedule"),
+    ),
+)
+def _cmd_campaign(args) -> int:
+    import pathlib
+
+    from repro.harness.campaign import (
+        Campaign,
+        run_campaign,
+        run_campaign_durable,
+    )
+
+    result_path = pathlib.Path(args.out) if args.out else None
+    if args.resume and not args.store:
+        print("--resume requires --store", file=sys.stderr)
+        return 2
+    # A resumed run loads its definition from the store.
+    campaign = None if args.resume else Campaign(
+        name=args.name,
+        n_values=tuple(args.n),
+        points_per_spec=args.points,
+        runs_per_point=args.runs,
+        seed=args.seed,
+        spec_names=tuple(args.specs) if args.specs else None,
+        engine=args.engine,
+    )
+    if not args.store:
+        result = run_campaign(campaign, result_path=result_path,
+                              jobs=args.jobs)
+        print(result.summary())
+        for record in result.violating()[:10]:
+            print(f"  !! {record.key}: {record.violations} violations")
+        return 0 if result.clean else 1
+
+    from repro.jobs import ChaosPolicy, JobStore, RetryPolicy
+
+    policy = RetryPolicy(
+        max_attempts=args.retries,
+        timeout=args.timeout,
+        backoff_base=args.backoff,
+    )
+    chaos = None
+    if args.chaos_kill or args.chaos_hang or args.chaos_error:
+        chaos = ChaosPolicy(
+            seed=args.chaos_seed,
+            kill_rate=args.chaos_kill,
+            hang_rate=args.chaos_hang,
+            error_rate=args.chaos_error,
+        )
+    run_id = args.resume or args.run_id or campaign.name
+    with JobStore(args.store) as store:
+        try:
+            result, report = run_campaign_durable(
+                store,
+                campaign=campaign,
+                run_id=run_id,
+                jobs=args.jobs,
+                policy=policy,
+                chaos=chaos,
+                max_shards=args.max_shards,
+                result_path=result_path,
+            )
+        except KeyError as err:
+            print(f"cannot resume: {err.args[0]}", file=sys.stderr)
+            return 2
+    print(result.summary())
+    print(f"  execution: {report.describe()}")
+    remaining = report.remaining
+    if report.stopped_early:
+        print(
+            f"  INCOMPLETE: {remaining.get('pending', 0)} pending / "
+            f"{remaining.get('leased', 0)} leased / "
+            f"{remaining.get('failed', 0)} failed shards remain; "
+            f"resume with: repro campaign --store {args.store} "
+            f"--resume {run_id}"
+        )
+    for record in result.violating()[:10]:
+        print(f"  !! {record.key}: {record.violations} violations")
+    if report.stopped_early:
+        return 3
+    return 0 if result.clean and not report.failed else 1
+
+
+@command(
+    "diff-resumed",
+    "assert a resumed campaign result is bit-identical to an "
+    "uninterrupted reference result",
+    arg("resumed", help="result JSON of the resumed run"),
+    arg("reference", help="result JSON of the uninterrupted run"),
+)
+def _cmd_diff_resumed(args) -> int:
+    from repro.verify.differential import diff_resumed_files
+
+    diff = diff_resumed_files(args.resumed, args.reference)
+    print(diff.summary())
+    for index, got, want in diff.mismatches[:10]:
+        print(f"  !! record {index}: resumed={got} reference={want}")
+    return 0 if diff.ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _DISPATCH[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

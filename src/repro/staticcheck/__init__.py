@@ -25,7 +25,7 @@ the :mod:`repro.verify` layer can only check per-execution:
   pending->leased->done/failed lease automaton (FLOW003).
 
 Run it as ``repro staticcheck [paths] [--format text|json|sarif]
-[--baseline FILE] [--strict] [--flow/--no-flow] [--explain RULE]``;
+[--baseline FILE] [--strict] [--no-flow] [--explain RULE]``;
 accepted findings live in a committed baseline file with per-entry
 justifications.  The linter lints its own package (``staticcheck`` is
 in the DET scope).

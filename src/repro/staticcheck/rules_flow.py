@@ -28,7 +28,7 @@ facts (:class:`~repro.staticcheck.flow.FlowAnalysis`):
 The rules register in the ordinary rule registry (so ``--explain``,
 SARIF metadata and noqa hygiene know them) but their per-file
 ``check`` is a no-op; :func:`check_program` is the entry point the
-runner calls when ``--flow`` is on.
+runner calls unless ``--no-flow`` is given.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ from repro.harness.exhaustive import (
     explore_sm,
 )
 from repro.harness.parallel import DIED, fan_out
-from repro.paper import CLAIMED_REGIONS, ClaimedRegion
+from repro.paper import CLAIMED_REGIONS, ClaimedRegion, claimed_region_by_spec
 from repro.verify.witness import (
     confirm_exploration,
     exploration_witnesses,
@@ -82,6 +82,7 @@ __all__ = [
     "ClaimResult",
     "PointResult",
     "REPORT_FORMAT",
+    "UnknownSpecs",
     "certify_claims",
 ]
 
@@ -100,6 +101,10 @@ VERDICTS = (
 )
 
 _FAILING = frozenset({"REFUTED", "COUNTEREXAMPLE_MISSING", "ABORTED"})
+
+
+class UnknownSpecs(ValueError):
+    """A ``specs`` filter names a spec with no claim, or selects none."""
 
 
 @dataclasses.dataclass
@@ -422,7 +427,9 @@ def certify_claims(
         specs: spec-name filter (default: every claim except the
             ``sim-*`` simulation claims, whose points multiply the grid
             by the simulated protocol's own exploration; name one here
-            to certify it).
+            to certify it).  A filter that names a spec with no claim,
+            or selects no claim at all, raises :class:`UnknownSpecs`
+            before any point runs.
         visited: visited-store kind for the underlying explorer,
             ``"exact"`` or ``"compact"``.  Compact runs escalate absent
             counterexamples to ``exact``.
@@ -452,6 +459,14 @@ def certify_claims(
     )
     directory = pathlib.Path(witness_dir) if witness_dir else None
     wanted = set(specs) if specs is not None else None
+    if wanted is not None:
+        unknown = sorted(
+            name for name in wanted if claimed_region_by_spec(name) is None
+        )
+        if unknown:
+            raise UnknownSpecs(f"no claim for spec(s): {', '.join(unknown)}")
+        if not wanted:
+            raise UnknownSpecs("the spec filter selects no claim")
     k_values = list(ks) if ks is not None else list(range(1, n + 1))
     t_values = list(ts) if ts is not None else list(range(n))
 

@@ -25,6 +25,7 @@ from repro.verify.certify import (
     CertificationReport,
     ClaimResult,
     PointResult,
+    UnknownSpecs,
     certify_claims,
 )
 from repro.verify.witness import load_witness, verify_witness
@@ -322,6 +323,17 @@ class TestSweepFilters:
             for line, point in zip(lines, grid):
                 assert line.startswith(point), (jobs, line)
 
+    def test_unknown_spec_is_rejected_before_any_point(self, monkeypatch):
+        def explode(task):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(certify_module, "_certify_point", explode)
+        with pytest.raises(UnknownSpecs, match="nope@mp-cr") as info:
+            certify_claims(n=3, specs=["trivial@mp-cr", "nope@mp-cr"])
+        assert "trivial@mp-cr" not in str(info.value)
+        with pytest.raises(ValueError, match="selects no claim"):
+            certify_claims(n=3, specs=[])
+
 
 class TestGridFanOut:
     """``jobs`` fans whole grid points out; nothing in the report moves."""
@@ -420,6 +432,34 @@ class TestBaselineGuard:
         failures = _check_certify_baseline(report, baseline)
         assert failures and "missing" in failures[0]
 
+    @pytest.mark.parametrize("field, value, line", [
+        ("visited", "compact",
+         "baseline recorded visited=exact, this run used compact"),
+        ("symmetry", False,
+         "baseline recorded symmetry=True, this run used False"),
+        ("n", 4, "baseline recorded n=3, this run used 4"),
+    ])
+    def test_config_mismatch_is_one_line(self, field, value, line):
+        from repro.cli import _certify_baseline, _check_certify_baseline
+
+        report = _fake_report()
+        baseline = _certify_baseline(report)
+        setattr(report, field, value)
+        # The points of another configuration are not compared.
+        report.claims[0].points[0].states = 101
+        assert _check_certify_baseline(report, baseline) == [line]
+
+    def test_every_config_mismatch_reported(self):
+        from repro.cli import _certify_baseline, _check_certify_baseline
+
+        report = _fake_report()
+        baseline = _certify_baseline(report)
+        report.visited, report.symmetry = "compact", False
+        failures = _check_certify_baseline(report, baseline)
+        assert [line.split("=")[0] for line in failures] == [
+            "baseline recorded visited", "baseline recorded symmetry",
+        ]
+
 
 class TestCli:
     def test_certify_exit_zero_and_report(self, tmp_path, capsys):
@@ -462,3 +502,32 @@ class TestCli:
         baseline.write_text(json.dumps(data))
         assert main(argv + ["--check-baseline", str(baseline)]) == 1
         assert "regressed" in capsys.readouterr().out
+
+    def test_compact_run_fails_an_exact_baseline(self, tmp_path, capsys):
+        from repro.cli import main
+
+        baseline = tmp_path / "baseline.json"
+        argv = [
+            "certify", "--n", "3", "--specs", "trivial@mp-cr",
+            "--ks", "3", "--ts", "0", "--quiet",
+        ]
+        assert main(argv + ["--write-baseline", str(baseline)]) == 0
+        assert main(argv + [
+            "--visited", "compact", "--check-baseline", str(baseline),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "BASELINE: baseline recorded visited=exact, this run used compact"
+            in out
+        )
+        assert "baseline check passed" not in out
+
+    def test_unknown_spec_exit_two(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "certify", "--n", "3", "--specs", "nope@mp-cr", "--quiet",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "nope@mp-cr" in captured.err
+        assert "certified" not in captured.out

@@ -272,11 +272,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0 and "FLOW001" not in out
 
-    def test_flow_and_no_flow_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([
-                "staticcheck", str(tmp_path), "--flow", "--no-flow",
-            ])
+    def test_flow_flag_is_rejected(self, tmp_path, capsys):
+        # The flow pass is on by default; only --no-flow is an option.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["staticcheck", str(tmp_path), "--flow"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --flow" in capsys.readouterr().err
 
     def test_explain_known_rule(self, capsys):
         code = main(["staticcheck", "--explain", "FLOW001"])

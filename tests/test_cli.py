@@ -359,3 +359,42 @@ class TestVerifyRun:
     def test_missing_file_exit_two(self, capsys, tmp_path):
         assert main(["verify-run", str(tmp_path / "absent.json")]) == 2
         assert "cannot load witness" in capsys.readouterr().out
+
+
+class TestRegistry:
+    #: Every subcommand ``python -m repro --help`` lists, in its order.
+    NAMES = [
+        "classify", "panel", "figure", "lattice", "run", "sweep", "attack",
+        "construct", "protocols", "recommend", "solve", "paper", "summary",
+        "svg", "trace", "exhaustive", "certify", "verify-run",
+        "staticcheck", "campaign", "diff-resumed",
+    ]
+
+    def test_registry_holds_every_subcommand(self):
+        from repro.cli import _COMMANDS
+
+        assert list(_COMMANDS) == self.NAMES
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_help_exits_zero(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: repro {name}" in capsys.readouterr().out
+
+
+class TestJobsUsage:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "trivial@mp-cr", "--n", "3", "--k", "1", "--t", "0"],
+        ["attack", "trivial@mp-cr", "--n", "3", "--k", "1", "--t", "0"],
+        ["campaign"],
+        ["certify", "--n", "3"],
+        ["exhaustive", "trivial@mp-cr", "--n", "3", "--k", "1", "--t", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--jobs", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: repro {argv[0]}" in err
+        assert "argument --jobs: must be >= 0, got -1" in err

@@ -76,7 +76,7 @@ class TestSpecReferences:
 
 class TestCLIReferences:
     def test_every_referenced_subcommand_exists(self):
-        from repro.cli import _DISPATCH
+        from repro.cli import _COMMANDS
 
         failures = []
         for path, text in _doc_text().items():
@@ -84,9 +84,19 @@ class TestCLIReferences:
                 subcommand = match.group(1)
                 if subcommand in ("repro",):  # module invocations
                     continue
-                if subcommand not in _DISPATCH:
+                if subcommand not in _COMMANDS:
                     failures.append((path.name, subcommand))
         assert not failures, failures
+
+    def test_design_cli_row_names_every_subcommand(self):
+        from repro.cli import _COMMANDS
+
+        (row,) = [
+            line for line in (REPO / "DESIGN.md").read_text().splitlines()
+            if line.startswith("| CLI |")
+        ]
+        listed = row.split("|")[3].strip().rstrip(".").split(" / ")
+        assert sorted(listed) == sorted(_COMMANDS)
 
 
 class TestLemmaReferences:
