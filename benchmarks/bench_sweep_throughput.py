@@ -20,6 +20,13 @@ cross-checks every batch-supported spec with
 crash sets, and verdicts must match run-by-run scalar replays of the
 identical plan.
 
+A fourth series, ``batch_memory``, runs one batch sweep per run count
+in a freshly spawned interpreter and records its peak RSS (``VmHWM``):
+a batch sweep holds one chunk at a time, so the peak should stay flat
+as the run count grows.  The artifact is stamped with the machine it
+ran on (``cpu_count``, the Python version) and the worker count of
+every series (``jobs``).
+
 Run as a script to (re)generate ``BENCH_sweep_throughput.json`` at the
 repository root::
 
@@ -33,13 +40,17 @@ runs without touching the JSON artifact.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import pathlib
+import platform
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
+from bench_exhaustive_explorer import _peak_rss_mib
 from repro.harness.parallel import available_jobs, derive_seed
 from repro.io import atomic_write_json
 from repro.harness.sweep import SweepConfig, sweep_spec
@@ -65,6 +76,12 @@ BULK_FACTOR = 32
 
 #: Per-spec differential sample size (batch vs scalar replays).
 DIFFERENTIAL_RUNS = 12
+
+#: The batch memory series: run counts of one spawned sweep each at
+#: ``MEMORY_N``, where a batch chunk holds 1,736 runs.
+MEMORY_N = 24
+FULL_MEMORY_RUNS = (2_000, 8_000, 32_000)
+SMOKE_MEMORY_RUNS = (200, 800)
 
 
 def _point_for(n: int) -> Dict[str, int]:
@@ -119,6 +136,7 @@ def _measure_batch(n: int, k: int, t: int, runs: int) -> Dict:
     return {
         "runs": runs,
         "engine": stats.engine,
+        "jobs": 1,
         "seconds": round(elapsed, 4),
         "runs_per_sec": round(runs / elapsed, 2) if elapsed > 0 else None,
         "violations": len(stats.violations),
@@ -126,6 +144,37 @@ def _measure_batch(n: int, k: int, t: int, runs: int) -> Dict:
             str(key): value
             for key, value in sorted(stats.decisions_histogram.items())
         },
+    }
+
+
+def _batch_memory_run(n: int, k: int, t: int, runs: int) -> Dict:
+    """One batch sweep; meant to run alone in a freshly spawned process."""
+    measured = _measure_batch(n, k, t, runs)
+    return {**measured, "peak_rss_mib": round(_peak_rss_mib(), 1)}
+
+
+def _measure_batch_memory(run_counts: Sequence[int]) -> Dict:
+    """Peak RSS of a batch sweep at each run count.
+
+    Each sweep runs in its own spawned interpreter, so its peak is the
+    sweep's own and not this process's.
+    """
+    point = _point_for(MEMORY_N)
+    context = multiprocessing.get_context("spawn")
+    series = []
+    for runs in run_counts:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, mp_context=context
+        ) as pool:
+            series.append(
+                pool.submit(_batch_memory_run, **point, runs=runs).result()
+            )
+    return {
+        **point,
+        "series": series,
+        "peak_rss_ratio": round(
+            series[-1]["peak_rss_mib"] / series[0]["peak_rss_mib"], 3
+        ),
     }
 
 
@@ -255,9 +304,13 @@ def run_suite(smoke: bool = False, jobs: Optional[int] = None) -> Dict:
         "base_seed": BASE_SEED,
         "smoke": smoke,
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "parallel_jobs": parallel_jobs,
         "bulk_factor": BULK_FACTOR,
         "points": points,
+        "batch_memory": _measure_batch_memory(
+            SMOKE_MEMORY_RUNS if smoke else FULL_MEMORY_RUNS
+        ),
         "differential": _differential_suite(DIFFERENTIAL_RUNS),
     }
 
@@ -299,6 +352,15 @@ def main(argv=None) -> int:
             f"{point['batch_bulk']['runs_per_sec']}/s "
             f"(x{point['speedup_batch_bulk_vs_serial']})"
         )
+    memory = payload["batch_memory"]
+    print(
+        f"batch memory at n={memory['n']}: "
+        + ", ".join(
+            f"{m['runs']} runs {m['peak_rss_mib']} MiB in {m['seconds']} s"
+            for m in memory["series"]
+        )
+        + f" (peak x{memory['peak_rss_ratio']})"
+    )
     checked = [c["spec"] for c in payload["differential"]]
     print(f"differential batch-vs-scalar OK for {len(checked)} specs: "
           + ", ".join(checked))

@@ -37,7 +37,8 @@ received).  The verdicts (termination / agreement / validity) replicate
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,9 +88,10 @@ BATCH_FAMILIES: Dict[str, str] = {
 _MAXKEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 _UNDECIDED_SORT = np.int64(1) << np.int64(40)
 
-#: Element budget per chunk for the [B, n, n] key arrays (~64 MB of
-#: uint64 per array at the default).
-_CHUNK_ELEMENTS = 4_000_000
+#: Element budget per chunk for the [B, n, n] arrays (8 MB per uint64
+#: array at the default).  A sweep holds one chunk at a time, so this
+#: bounds its memory whatever the run count.
+_CHUNK_ELEMENTS = 1_000_000
 
 
 def supports_spec(spec: ProtocolSpec) -> bool:
@@ -179,6 +181,16 @@ def sweep_unsupported_reason(
     return None
 
 
+def _batch_stats(
+    spec: ProtocolSpec, n: int, k: int, t: int, runs: int
+) -> SweepStats:
+    """Empty batch-engine stats for a sweep of ``runs`` runs."""
+    return SweepStats(
+        spec_name=spec.name, n=n, k=k, t=t, engine="batch",
+        execution=f"vectorized batch of {runs} runs",
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class BatchResult:
     """Per-run outcomes and verdicts of one batch execution."""
@@ -202,11 +214,7 @@ class BatchResult:
     def stats(self) -> SweepStats:
         """Aggregate into the same :class:`SweepStats` shape sweeps emit."""
         plan = self.plan
-        stats = SweepStats(
-            spec_name=plan.spec_name, n=plan.n, k=plan.k, t=plan.t,
-            engine="batch",
-            execution=f"vectorized batch of {self.batch_size} runs",
-        )
+        stats = _batch_stats(self.spec, plan.n, plan.k, plan.t, self.batch_size)
         stats.runs = self.batch_size
         counts = np.bincount(self.distinct)
         stats.decisions_histogram = {
@@ -511,38 +519,67 @@ def _solve_chunk(spec: ProtocolSpec, plan: BatchPlan) -> BatchResult:
     )
 
 
+def _chunks(
+    spec: ProtocolSpec,
+    n: int,
+    k: int,
+    t: int,
+    config: SweepConfig,
+    indices: Sequence[int],
+) -> Iterator[BatchResult]:
+    """Plan and solve runs ``indices`` one chunk at a time.
+
+    A chunk holds at most ``_CHUNK_ELEMENTS // n**2`` runs, so its
+    ``[B, n, n]`` working set stays bounded; an empty ``indices`` makes
+    one empty chunk.  Chunking never changes results because every draw
+    is a pure function of the run seed.
+    """
+    if not supports_point(spec, n, k, t):
+        raise ValueError(
+            f"batch engine does not support {spec.name} at "
+            f"(n={n}, k={k}, t={t})"
+        )
+    size = max(1, _CHUNK_ELEMENTS // (n * n))
+    for lo in range(0, max(1, len(indices)), size):
+        yield _solve_chunk(spec, build_plan(
+            spec.name, n, k, t, config.seed, indices[lo:lo + size],
+            patterns=tuple(config.input_patterns),
+        ))
+
+
+def _fold(total: SweepStats, part: SweepStats) -> None:
+    """Add one chunk's stats to ``total``.
+
+    Runs add up, violations stay in run-index order and the histogram
+    stays key-sorted, so the folded stats equal one whole-batch pass.
+    """
+    total.runs += part.runs
+    total.violations.extend(part.violations)
+    histogram = Counter(total.decisions_histogram)
+    histogram.update(part.decisions_histogram)
+    total.decisions_histogram = dict(sorted(histogram.items()))
+
+
 def batch_run(
     spec: ProtocolSpec,
     n: int,
     k: int,
     t: int,
     config: Optional[SweepConfig] = None,
-    indices: Optional[Tuple[int, ...]] = None,
+    indices: Optional[Sequence[int]] = None,
 ) -> BatchResult:
     """Execute a batch of planned runs entirely as array operations.
 
     ``indices`` selects which global run indices to execute (default:
-    ``range(config.runs)``).  Runs are planned and solved in chunks
-    bounding the ``[B, n, n]`` working-set size; chunking never changes
-    results because every draw is a pure function of the run seed.
+    ``range(config.runs)``).  The result holds every run's arrays at
+    once; :func:`batch_sweep` and :func:`batch_vs_replay` fold chunk by
+    chunk instead.
     """
     config = config or SweepConfig()
-    if not supports_point(spec, n, k, t):
-        raise ValueError(
-            f"batch engine does not support {spec.name} at "
-            f"(n={n}, k={k}, t={t})"
-        )
-    run_indices = tuple(indices) if indices is not None else tuple(
-        range(config.runs)
+    run_indices = tuple(indices) if indices is not None else range(
+        config.runs
     )
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n))
-    parts: List[BatchResult] = []
-    for lo in range(0, len(run_indices), chunk):
-        plan = build_plan(
-            spec.name, n, k, t, config.seed, run_indices[lo:lo + chunk],
-            patterns=tuple(config.input_patterns),
-        )
-        parts.append(_solve_chunk(spec, plan))
+    parts = list(_chunks(spec, n, k, t, config, run_indices))
     if len(parts) == 1:
         return parts[0]
     return BatchResult(
@@ -564,8 +601,14 @@ def batch_sweep(
     t: int,
     config: Optional[SweepConfig] = None,
 ) -> SweepStats:
-    """Sweep entry point: run the batch engine and aggregate stats."""
-    return batch_run(spec, n, k, t, config).stats()
+    """Sweep entry point: fold each chunk's stats, holding one chunk."""
+    config = config or SweepConfig()
+    runs = range(config.runs)
+    stats = _batch_stats(spec, n, k, t, len(runs))
+    for part in _chunks(spec, n, k, t, config, runs):
+        _fold(stats, part.stats())
+        del part  # drop the chunk before the next one is planned
+    return stats
 
 
 def batch_vs_replay(
@@ -579,16 +622,23 @@ def batch_vs_replay(
 
     Replays every planned run through the scalar kernel under the plan's
     scheduler and compares decisions, crash sets, and verdicts run by
-    run.  Returns ``(batch_stats, replay_stats, mismatched_runs,
-    mismatch_details)``; a correct engine yields 0 mismatches and
-    identical histogram/violation aggregates.
+    run, one chunk at a time.  Returns ``(batch_stats, replay_stats,
+    mismatched_runs, mismatch_details)``; a correct engine yields 0
+    mismatches and identical histogram/violation aggregates.
     """
     from repro.batch.replay import replay_stats
 
     config = config or SweepConfig()
-    result = batch_run(spec, n, k, t, config)
-    mismatches: List[str] = []
-    scalar_stats = replay_stats(
-        result, max_ticks=config.max_ticks, mismatches=mismatches
+    runs = range(config.runs)
+    batch = _batch_stats(spec, n, k, t, len(runs))
+    scalar = SweepStats(
+        spec_name=spec.name, n=n, k=k, t=t, engine="scalar",
+        execution=f"scalar replay of a {len(runs)}-run batch plan",
     )
-    return result.stats(), scalar_stats, len(mismatches), mismatches
+    mismatches: List[str] = []
+    for part in _chunks(spec, n, k, t, config, runs):
+        _fold(batch, part.stats())
+        _fold(scalar, replay_stats(
+            part, max_ticks=config.max_ticks, mismatches=mismatches
+        ))
+    return batch, scalar, len(mismatches), mismatches

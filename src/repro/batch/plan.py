@@ -19,7 +19,9 @@ of runs before any protocol logic executes:
   messages from origin ``o`` at receiver ``p``; ``accept_keys[b, p, o]``
   orders second-phase (echo) message *groups* by origin.  The decision
   kernels and the scalar replay scheduler consume the same keys, which
-  is what makes batch-vs-scalar comparison exact run-by-run.
+  is what makes batch-vs-scalar comparison exact run-by-run.  Only the
+  echo families (C, D) and the replay read ``accept_keys``, so it is
+  drawn from ``run_seeds`` when first read.
 
 Every array is a pure function of ``(config.seed, run_index)`` via
 :mod:`repro.batch.prng`, so plans are bit-identical across batch sizes
@@ -29,6 +31,7 @@ and chunk boundaries.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -79,11 +82,21 @@ class BatchPlan:
     send_victim: np.ndarray  # [B, n] bool: crash mid-broadcast
     send_point: np.ndarray  # [B, n] int64: sends before the crash
     arrival_keys: np.ndarray  # [B, n, n] uint64: [receiver, origin]
-    accept_keys: np.ndarray  # [B, n, n] uint64: [receiver, origin]
 
     @property
     def batch_size(self) -> int:
         return int(self.indices.shape[0])
+
+    @functools.cached_property
+    def accept_keys(self) -> np.ndarray:
+        """``[B, n, n]`` uint64 echo-group keys: ``[receiver, origin]``.
+
+        A pure function of ``run_seeds``, drawn when first read, so the
+        families that never read it do not hold a second key tensor.
+        """
+        return prng.stream_u64(
+            self.run_seeds, prng.STREAM_ACCEPT, (self.n, self.n)
+        )
 
 
 def decode_code(pattern: str, code: int) -> Value:
@@ -195,12 +208,15 @@ def build_plan(
         send_victim=send_victim,
         send_point=send_point,
         arrival_keys=prng.stream_u64(seeds, prng.STREAM_ARRIVAL, (n, n)),
-        accept_keys=prng.stream_u64(seeds, prng.STREAM_ACCEPT, (n, n)),
     )
 
 
 def concat_plans(plans: Sequence[BatchPlan]) -> BatchPlan:
-    """Concatenate chunked plans back into one batch-axis plan."""
+    """Concatenate chunked plans back into one batch-axis plan.
+
+    The result draws its own ``accept_keys`` from the concatenated run
+    seeds, which equals concatenating the parts' keys.
+    """
     if len(plans) == 1:
         return plans[0]
     first = plans[0]
@@ -211,7 +227,6 @@ def concat_plans(plans: Sequence[BatchPlan]) -> BatchPlan:
     for name in (
         "indices", "run_seeds", "pattern_index", "input_codes", "victim",
         "pre_crash", "send_victim", "send_point", "arrival_keys",
-        "accept_keys",
     ):
         merged[name] = np.concatenate([getattr(p, name) for p in plans])
     return BatchPlan(**merged)

@@ -81,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def worker_count(text: str) -> int:
-    """A ``--jobs`` value: a worker count, ``0`` meaning one per core."""
-    jobs = int(text)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {jobs}")
-    return jobs
+def count(text: str) -> int:
+    """A count flag's value (``--runs``, ``--jobs``, ...): zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 MODEL = arg("--model", default="MP/CR", help="MP/CR MP/Byz SM/CR SM/Byz")
@@ -112,7 +112,7 @@ ENGINE = arg("--engine", choices=("scalar", "batch", "auto"), default="scalar",
              help="execution engine: scalar discrete-event kernel (default) "
                   "or vectorized numpy batch engine; batch/auto fall back "
                   "to scalar for specs the batch engine does not model")
-JOBS = arg("--jobs", type=worker_count, default=1,
+JOBS = arg("--jobs", type=count, default=1,
            help="worker processes (1 = serial, 0 = all cores); "
                 "results are identical for any value")
 
@@ -190,7 +190,7 @@ def _cmd_run(args) -> int:
 
 @command(
     "sweep", "Monte-Carlo sweep at one point",
-    arg("spec"), *POINT, arg("--runs", type=int, default=50),
+    arg("spec"), *POINT, arg("--runs", type=count, default=50),
     SEED, JOBS, ENGINE, VERIFY,
 )
 def _cmd_sweep(args) -> int:
@@ -214,7 +214,7 @@ def _cmd_sweep(args) -> int:
 
 @command(
     "attack", "adversarial search for the worst run",
-    arg("spec"), *POINT, arg("--attempts", type=int, default=200),
+    arg("spec"), *POINT, arg("--attempts", type=count, default=200),
     SEED, JOBS, VERIFY,
     arg("--save-witness", default=None, metavar="PATH",
         help="record the winning attempt as a replayable witness file "
@@ -417,7 +417,7 @@ def _cmd_trace(args) -> int:
     "exhaustive", "verify a protocol over ALL schedules (tiny n)",
     arg("spec"), arg("--n", type=int, default=3), *K_T, INPUTS,
     *search_args(max_states=200_000),
-    arg("--jobs", type=worker_count, default=None,
+    arg("--jobs", type=count, default=None,
         help="split the root fan-out over N worker processes "
              "(results are identical for every N)"),
     arg("--full-dfs", action="store_true",
@@ -751,8 +751,8 @@ def _cmd_staticcheck(args) -> int:
     "campaign", "run a persisted validation campaign",
     arg("--name", default="default"),
     arg("--n", type=int, nargs="*", default=[6, 8]),
-    arg("--points", type=int, default=2),
-    arg("--runs", type=int, default=10),
+    arg("--points", type=count, default=2),
+    arg("--runs", type=count, default=10),
     SEED,
     arg("--specs", nargs="*", default=None, metavar="SPEC",
         help="restrict to these protocol specs (default: all registered)"),

@@ -96,12 +96,71 @@ class TestBatchRun:
         spec = get_spec("chaudhuri@mp-cr")
         config = SweepConfig(runs=10, seed=13)
         one_chunk = batch_run(spec, 5, 2, 1, config)
+        violating = SweepConfig(runs=24, seed=5)
+
+        def folds():
+            # Every field, plus the histogram's key order.
+            batch, scalar, _, details = batch_vs_replay(
+                spec, 6, 2, 3, violating
+            )
+            sweep = batch_sweep(spec, 6, 2, 3, violating)
+            return [
+                (dataclasses.asdict(stats), list(stats.decisions_histogram))
+                for stats in (sweep, batch, scalar)
+            ], details
+
+        whole, details = folds()
+        assert whole[0] == whole[1]
+        assert whole[0][0]["violations"] and not details
+        for runs_per_chunk in (1, 3):
+            monkeypatch.setattr(
+                engine_mod, "_CHUNK_ELEMENTS", runs_per_chunk * 6 * 6
+            )
+            assert folds() == (whole, details)
         monkeypatch.setattr(engine_mod, "_CHUNK_ELEMENTS", 3 * 5 * 5)
         chunked = batch_run(spec, 5, 2, 1, config)
         assert np.array_equal(one_chunk.decisions, chunked.decisions)
         assert np.array_equal(one_chunk.distinct, chunked.distinct)
         assert one_chunk.stats().decisions_histogram == \
             chunked.stats().decisions_histogram
+
+    @pytest.mark.parametrize("spec_name", sorted(BATCH_FAMILIES))
+    def test_no_runs_is_an_empty_batch(self, spec_name):
+        spec = get_spec(spec_name)
+        n, k, t = _solvable_point(spec)
+        stats = batch_sweep(spec, n, k, t, SweepConfig(runs=0))
+        assert (stats.runs, stats.violations, stats.decisions_histogram) \
+            == (0, [], {})
+        assert stats.execution == "vectorized batch of 0 runs"
+        result = batch_run(spec, n, k, t, SweepConfig(runs=4), indices=())
+        assert result.decisions.shape == (0, n)
+        assert result.stats().runs == 0
+
+    @pytest.mark.parametrize(
+        "spec_name", ["protocol-a@mp-cr", "protocol-b@mp-cr", "chaudhuri@mp-cr"]
+    )
+    def test_first_phase_families_draw_no_accept_keys(self, spec_name):
+        result = batch_run(get_spec(spec_name), 6, 2, 1, SweepConfig(runs=8))
+        assert "accept_keys" not in result.plan.__dict__
+
+    def test_memory_is_flat_in_the_run_count(self, monkeypatch):
+        import tracemalloc
+
+        import repro.batch.engine as engine_mod
+
+        spec = get_spec("protocol-b@mp-cr")
+        monkeypatch.setattr(engine_mod, "_CHUNK_ELEMENTS", 100 * 12 * 12)
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                batch_sweep(spec, 12, 6, 3, SweepConfig(runs=runs, seed=3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200), peak(3200)
+        assert large < 1.3 * small, (small, large)
 
     def test_unsupported_point_raises(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 """Tests for batch plan construction (struct-of-arrays run plans)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.batch import prng
 from repro.batch.plan import (
     DEFAULT_CODE,
     build_plan,
@@ -59,6 +62,30 @@ class TestBuildPlan:
             build_plan("protocol-a@mp-cr", 5, 2, 5, 11, range(4))  # t >= n
         with pytest.raises(ValueError):
             build_plan("protocol-a@mp-cr", 1000, 2, 1, 11, range(4))
+
+
+class TestAcceptKeys:
+    def test_drawn_from_the_run_seeds(self):
+        plan = _plan()
+        assert "accept_keys" not in plan.__dict__
+        assert np.array_equal(
+            plan.accept_keys,
+            prng.stream_u64(plan.run_seeds, prng.STREAM_ACCEPT, (5, 5)),
+        )
+
+    def test_concat_keys_are_the_parts_keys(self):
+        head, tail = _plan(range(5)), _plan(range(5, 12))
+        assert np.array_equal(
+            concat_plans([head, tail]).accept_keys,
+            np.concatenate([head.accept_keys, tail.accept_keys]),
+        )
+
+    def test_survive_a_pickle_round_trip(self):
+        drawn = _plan()
+        keys = drawn.accept_keys
+        for plan in (_plan(), drawn):
+            clone = pickle.loads(pickle.dumps(plan))
+            assert np.array_equal(clone.accept_keys, keys)
 
 
 class TestDecodeCode:

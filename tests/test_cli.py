@@ -87,6 +87,18 @@ class TestSweep:
         ]) == 0
         assert "clean" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["batch", "auto"])
+    def test_batch_sweep_of_no_runs_is_clean(self, engine, capsys):
+        argv = ["sweep", "protocol-a@mp-cr", "--n", "6", "--k", "3",
+                "--t", "2", "--runs", "0"]
+        assert main(argv) == 0
+        scalar = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--engine", engine]) == 0
+        batch = capsys.readouterr().out.splitlines()
+        assert batch[0] == scalar[0]
+        assert "0 runs, clean" in batch[0]
+        assert batch[1] == "  engine batch: vectorized batch of 0 runs"
+
 
 class TestAttack:
     def test_attack_inside_region(self, capsys):
@@ -398,3 +410,21 @@ class TestJobsUsage:
         err = capsys.readouterr().err
         assert f"usage: repro {argv[0]}" in err
         assert "argument --jobs: must be >= 0, got -1" in err
+
+
+class TestCountUsage:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "trivial@mp-cr", "--n", "3", "--k", "1", "--t", "0",
+         "--runs"],
+        ["campaign", "--runs"],
+        ["campaign", "--points"],
+        ["attack", "trivial@mp-cr", "--n", "3", "--k", "1", "--t", "0",
+         "--attempts"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_negative_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: repro {argv[0]}" in err
+        assert f"argument {argv[-1]}: must be >= 0, got -1" in err
