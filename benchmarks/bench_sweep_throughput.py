@@ -108,6 +108,7 @@ def _measure(
     elapsed = time.perf_counter() - started
     return {
         "jobs": jobs,
+        "execution": stats.execution,
         "trace_mode": str(trace_mode),
         "seconds": round(elapsed, 4),
         "runs_per_sec": round(runs / elapsed, 2) if elapsed > 0 else None,

@@ -314,6 +314,8 @@ def search_worst_run(
     findings (e.g. a revoked decision invisible to the outcome checks)
     count as violations too.
     """
+    if attempts < 0:
+        raise ValueError(f"attempts must be >= 0, got {attempts}")
     master = random.Random(seed)
     attempt_seeds = [master.randrange(1 << 62) for _ in range(attempts)]
     result = AttackResult(

@@ -65,6 +65,12 @@ class Campaign:
     #: where supported, scalar fallback) -- see :func:`sweep_spec`.
     engine: str = "scalar"
 
+    def __post_init__(self) -> None:
+        for name in ("points_per_spec", "runs_per_point"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+
     def specs(self) -> List[ProtocolSpec]:
         if self.spec_names is not None:
             return [get_spec(name) for name in self.spec_names]

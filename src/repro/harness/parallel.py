@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Seq
 from typing import TypeVar
 
 __all__ = [
-    "ExecutionPlan",
     "TaskOutcome",
     "WorkerDied",
     "WorkerPool",
@@ -48,19 +47,11 @@ __all__ = [
     "derive_seed",
     "fan_out",
     "parallel_map",
-    "plan_execution",
     "resolve_jobs",
 ]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Estimated total work (seconds) below which a process pool loses to
-#: plain serial execution.  Pool spin-up (worker fork/spawn + registry
-#: warm-up + IPC) costs a few hundred milliseconds; batches cheaper than
-#: this ran at 0.86-0.89x serial speed in BENCH_sweep_throughput.json.
-POOL_AMORTIZATION_SECONDS = 0.75
-
 
 def available_jobs() -> int:
     """Number of workers a ``--jobs 0`` ("auto") request resolves to."""
@@ -89,65 +80,6 @@ def derive_seed(*parts: object) -> int:
     """
     blob = "\x1f".join(repr(part) for part in parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 2
-
-
-@dataclasses.dataclass(frozen=True)
-class ExecutionPlan:
-    """How a task batch will run, and why that mode was chosen."""
-
-    mode: str  # "serial" or "parallel"
-    jobs: int  # worker count (1 for serial)
-    chunksize: int
-    reason: str
-
-    @property
-    def parallel(self) -> bool:
-        return self.mode == "parallel"
-
-    def describe(self) -> str:
-        if self.parallel:
-            return (
-                f"parallel x{self.jobs} (chunksize {self.chunksize}): "
-                f"{self.reason}"
-            )
-        return f"serial: {self.reason}"
-
-
-def plan_execution(
-    jobs: Optional[int],
-    task_count: int,
-    est_task_seconds: Optional[float] = None,
-) -> ExecutionPlan:
-    """Decide serial vs pool execution for ``task_count`` uniform tasks.
-
-    A pool only pays off when the batch is big enough to amortize its
-    spin-up cost: with a per-task cost estimate, batches whose estimated
-    total is under :data:`POOL_AMORTIZATION_SECONDS` run serial even
-    when ``jobs > 1`` was requested (the parallel result is
-    bit-identical, so the fallback is safe).  Without an estimate the
-    request is honoured as-is.
-    """
-    workers = resolve_jobs(jobs)
-    if workers <= 1:
-        return ExecutionPlan("serial", 1, 1, "jobs <= 1 requested")
-    if task_count <= 1:
-        return ExecutionPlan("serial", 1, 1, f"{task_count} task(s)")
-    if est_task_seconds is not None:
-        est_total = est_task_seconds * task_count
-        if est_total < POOL_AMORTIZATION_SECONDS:
-            return ExecutionPlan(
-                "serial",
-                1,
-                1,
-                f"estimated {est_total:.2f}s of work does not amortize "
-                f"pool spin-up (threshold {POOL_AMORTIZATION_SECONDS}s)",
-            )
-    workers = min(workers, task_count)
-    chunksize = max(1, task_count // (workers * 4))
-    return ExecutionPlan(
-        "parallel", workers, chunksize, f"{task_count} tasks across "
-        f"{workers} workers"
-    )
 
 
 def _run_serial(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> List[_R]:
@@ -329,10 +261,7 @@ def fan_out(
 
 
 def parallel_map(
-    fn: Callable[[_T], _R],
-    tasks: Iterable[_T],
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
+    fn: Callable[[_T], _R], tasks: Iterable[_T], jobs: int = 1
 ) -> List[_R]:
     """Apply ``fn`` to every task, preserving input order in the result.
 
@@ -348,9 +277,8 @@ def parallel_map(
     if jobs <= 1 or len(tasks) <= 1:
         return _run_serial(fn, tasks)
     jobs = min(jobs, len(tasks))
-    if chunksize is None:
-        # A few chunks per worker amortizes IPC without starving the pool.
-        chunksize = max(1, len(tasks) // (jobs * 4))
+    # A few chunks per worker amortizes IPC without starving the pool.
+    chunksize = max(1, len(tasks) // (jobs * 4))
     chunks = [tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize)]
     stream = fan_out(functools.partial(_run_serial, fn), chunks, jobs)
     with contextlib.closing(stream):

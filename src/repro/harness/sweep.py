@@ -36,7 +36,7 @@ from repro.failures.byzantine_sm import (
 )
 from repro.failures.crash import RandomCrashes
 from repro.harness.inputs import INPUT_PATTERNS, make_inputs
-from repro.harness.parallel import parallel_map, plan_execution
+from repro.harness.parallel import parallel_map, resolve_jobs
 from repro.harness.runner import ExperimentReport, run_spec
 from repro.net.schedulers import RandomScheduler
 from repro.protocols.base import ProtocolSpec, get_spec, is_registered
@@ -59,6 +59,10 @@ class SweepConfig:
     #: also run the :mod:`repro.verify.oracles` stack over every run;
     #: oracle findings are reported as :class:`Violation` records.
     verify: bool = False
+
+    def __post_init__(self) -> None:
+        if self.runs < 0:
+            raise ValueError(f"runs must be >= 0, got {self.runs}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,17 +240,6 @@ def _sweep_task(task) -> Tuple[Optional[Violation], Optional[int]]:
     return _sweep_run(get_spec(spec_name), n, k, t, config, index)
 
 
-def _estimate_run_seconds(n: int) -> float:
-    """Rough per-run cost of one scalar Monte-Carlo execution.
-
-    Fitted against BENCH_sweep_throughput.json: a run schedules O(n^2)
-    deliveries (one broadcast per process) at roughly 4.5 us per event
-    on top of a fixed setup cost.  Only used to decide whether a batch
-    of runs is worth a process pool, so a factor-of-two error is fine.
-    """
-    return 2e-4 + 4.5e-6 * n * n
-
-
 def sweep_spec(
     spec: ProtocolSpec,
     n: int,
@@ -275,12 +268,11 @@ def sweep_spec(
     and scalar sweeps agree in aggregate but not run-by-run;
     :func:`repro.batch.batch_vs_replay` checks exact per-run agreement.
 
-    With ``jobs > 1`` (``0`` = all cores) scalar runs are sharded across
+    With ``jobs != 1`` (``0`` = all cores) scalar runs are sharded across
     worker processes; results are aggregated in run-index order and
-    therefore bit-identical to the serial path, so the planner falls
-    back to serial whenever the batch is too cheap to amortize pool
-    spin-up.  Parallel execution requires the spec to be resolvable by
-    name in the registry (ad-hoc specs fall back to serial).
+    therefore bit-identical to the serial path.  Parallel execution
+    requires the spec to be resolvable by name in the registry (ad-hoc
+    specs run serially).
     """
     config = config or SweepConfig()
     if engine not in ("scalar", "batch", "auto"):
@@ -302,27 +294,26 @@ def sweep_spec(
         fallback_reason=fallback_code,
     )
 
-    plan = plan_execution(jobs, config.runs, _estimate_run_seconds(n))
-    if plan.parallel and is_registered(spec):
+    requested = resolve_jobs(jobs)
+    workers = min(requested, config.runs)
+    if workers > 1 and is_registered(spec):
         tasks = [
             (spec.name, n, k, t, config, index) for index in range(config.runs)
         ]
-        results = parallel_map(
-            _sweep_task, tasks, jobs=plan.jobs, chunksize=plan.chunksize
-        )
-        stats.execution = fallback_note + plan.describe()
+        results = parallel_map(_sweep_task, tasks, jobs=workers)
+        execution = f"parallel x{workers}: {config.runs} runs"
     else:
         results = [
             _sweep_run(spec, n, k, t, config, index)
             for index in range(config.runs)
         ]
-        if plan.parallel:  # requested, but the spec is not registered
-            stats.execution = (
-                fallback_note + "serial: spec not resolvable by name in the "
-                "registry"
-            )
+        if workers > 1:
+            execution = "serial: spec not resolvable by name in the registry"
+        elif requested > 1:
+            execution = f"serial: {config.runs} run(s)"
         else:
-            stats.execution = fallback_note + plan.describe()
+            execution = "serial: jobs <= 1 requested"
+    stats.execution = fallback_note + execution
 
     for violation, distinct in results:
         stats.runs += 1

@@ -22,7 +22,7 @@ same bar.  ``repro.jobs`` provides that bar in three pieces:
   their shards, retries transient failures with exponential backoff and
   deterministic jitter, and degrades gracefully to serial in-process
   execution when no child can be started -- recording *why* in the
-  run's event log, mirroring the ``plan_execution`` convention.
+  run's event log.
 * :mod:`repro.jobs.chaos` -- :class:`ChaosPolicy`, deterministic fault
   injection (worker SIGKILL, artificial hangs, transient exceptions)
   aimed at the harness itself.  The same adversarial mindset the repo

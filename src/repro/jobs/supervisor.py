@@ -21,8 +21,7 @@ local, recoverable response:
   error; the run completes degraded rather than wedging;
 * **pool collapse** -- if a child process cannot be started at all, the
   supervisor falls back to serial in-process execution and records the
-  reason as a ``serial-fallback`` event, mirroring the
-  ``plan_execution`` reason convention.
+  reason as a ``serial-fallback`` event.
 
 Because all progress lives in the :class:`~repro.jobs.store.JobStore`,
 killing the *supervisor* at any point is also recoverable: a later
@@ -103,7 +102,7 @@ class SupervisorReport:
     """What one supervision session did (embedded in run stats)."""
 
     mode: str  # "parallel" or "serial"
-    reason: str  # why that mode (plan_execution convention)
+    reason: str  # why that mode
     jobs: int
     completed: int = 0
     failed: int = 0

@@ -10,53 +10,42 @@ scheduler.  The same :class:`~repro.runtime.process.Process` objects run
 unchanged on both backends; tests cross-check that decisions satisfy the
 same conditions.
 
-Crash failures are supported via the same
-:class:`~repro.failures.adversary.CrashAdversary` step/send budgets;
-Byzantine behaviour, as in the deterministic kernel, is a misbehaving
-process object at a faulty index.
+Failures follow the same fault model as the deterministic kernels
+(:class:`~repro.runtime.kernel.KernelBase`): the failure budget is
+enforced, a :class:`~repro.failures.adversary.CrashAdversary` halts
+processes before a step, at a send or dynamically, and Byzantine
+behaviour is a misbehaving process object at a faulty index.  As in
+:class:`~repro.runtime.kernel.MPKernel`, one tick is one executed start
+or delivery.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence
 
-from repro.core.problem import Outcome
 from repro.core.values import Value
-from repro.failures.adversary import CrashAdversary, NoCrashes
-from repro.runtime.kernel import ExecutionResult
-from repro.runtime.process import Context, Process
-from repro.runtime.traces import Trace
+from repro.failures.adversary import CrashAdversary
+from repro.runtime.kernel import ExecutionResult, KernelBase, _KernelContext
+from repro.runtime.process import Process
 
 __all__ = ["AsyncMPRuntime", "run_async"]
 
 
-class _AsyncContext(Context):
-    def __init__(self, runtime: "AsyncMPRuntime", pid: int, input_value: Value) -> None:
-        super().__init__(pid, runtime.n, runtime.t, input_value)
-        self._runtime = runtime
-
-    def _emit_send(self, dst: int, payload: Any) -> None:
-        self._runtime._send(self.pid, dst, payload)
-
-    def _emit_decide(self, value: Value) -> None:
-        self._runtime._note_decide(self.pid, value)
-
-
-class AsyncMPRuntime:
+class AsyncMPRuntime(KernelBase):
     """Run a message-passing protocol over asyncio tasks and queues.
 
     Args:
         processes: one process object per id; misbehaving objects at
             indices listed in ``byzantine`` model Byzantine failures.
         inputs: nominal input per process.
-        t: failure budget (contexts expose it to the protocol).
+        t: failure budget; like the deterministic kernels, the runtime
+            refuses Byzantine ids and crash victims that exceed it.
         seed: drives delivery jitter -- each message sleeps a small
             random time before the receiver handles it.
         max_jitter: upper bound, in seconds, of the per-message delay.
-        settle_rounds: after all correct processes decided, how many
-            zero-jitter drain iterations to run before stopping.
+        timeout: seconds to wait for every correct process to decide.
     """
 
     def __init__(
@@ -70,103 +59,58 @@ class AsyncMPRuntime:
         max_jitter: float = 0.002,
         timeout: float = 30.0,
     ) -> None:
-        if len(processes) != len(inputs):
-            raise ValueError("processes and inputs must have equal length")
-        self.n = len(processes)
-        self.t = t
+        super().__init__(processes, inputs, t, crash_adversary, byzantine)
         self._processes = list(processes)
-        self._inputs = list(inputs)
-        self._crash_adversary = crash_adversary or NoCrashes()
-        self._byzantine: Set[int] = set(byzantine)
         self._rng = random.Random(seed)
         self._max_jitter = max_jitter
         self._timeout = timeout
-
-        self.trace = Trace()
-        self._tick = 0
+        self._contexts = self._deciders = [
+            _KernelContext(self, pid, self._inputs[pid]) for pid in range(self.n)
+        ]
         self._queues: List[asyncio.Queue] = []
-        self._contexts: List[_AsyncContext] = []
-        self._crashed: Set[int] = set()
-        self._steps_taken = [0] * self.n
-        self._sends_made = [0] * self.n
-        self._halted_at_send: Set[int] = set()
-        self._all_decided: Optional[asyncio.Event] = None  # created in run()
+        self._all_decided: Optional[asyncio.Event] = None  # made in run_async()
 
     # -- internals ----------------------------------------------------------
 
-    def _note_decide(self, pid: int, value: Value) -> None:
-        self._tick += 1
-        self.trace.record(self._tick, "decide", pid, payload=value)
-        if self._all_decided is not None and self._all_correct_decided():
-            self._all_decided.set()
-
-    def _all_correct_decided(self) -> bool:
-        return all(
-            self._contexts[p].decided
-            for p in range(self.n)
-            if p not in self._crashed and p not in self._byzantine
-        )
-
-    def _send(self, sender: int, dst: int, payload: Any) -> None:
-        self._tick += 1
-        if sender in self._halted_at_send:
-            self.trace.record(self._tick, "send-suppressed", sender, dst, payload)
-            return
-        if sender not in self._byzantine and self._crash_adversary.crashes_at_send(
-            sender, self._sends_made[sender]
-        ):
-            self._halted_at_send.add(sender)
-            self.trace.record(self._tick, "send-suppressed", sender, dst, payload)
-            return
-        self._sends_made[sender] += 1
-        self.trace.record(self._tick, "send", sender, dst, payload)
+    def _transmit(self, sender: int, dst: int, payload: Any) -> None:
         self._queues[dst].put_nowait((sender, payload))
 
+    def _quiescent(self) -> bool:
+        return True
+
+    def _advance(self) -> None:
+        """Close one step: dynamic crashes, the tick, the stop check."""
+        self._apply_dynamic_crashes()
+        self.tick += 1
+        if self.all_correct_decided():
+            self._all_decided.set()
+
     async def _process_main(self, pid: int) -> None:
-        ctx = self._contexts[pid]
-        adversary = self._crash_adversary
-        is_byz = pid in self._byzantine
-
-        def crashed_now() -> bool:
-            if is_byz:
-                return False
-            if pid in self._halted_at_send:
-                return True
-            return adversary.crashes_before_step(pid, self._steps_taken[pid])
-
-        def mark_crashed() -> None:
-            self._crashed.add(pid)
-            self._tick += 1
-            self.trace.record(self._tick, "crash", pid)
-            # A crash can be what makes "all correct decided" true.
-            if self._all_decided is not None and self._all_correct_decided():
-                self._all_decided.set()
-
-        if crashed_now():
-            mark_crashed()
-            return
-        self._processes[pid].on_start(ctx)
-        self._steps_taken[pid] += 1
-        queue = self._queues[pid]
-        while True:
+        process, ctx, queue = (
+            self._processes[pid], self._contexts[pid], self._queues[pid]
+        )
+        if self._may_step(pid, self._steps_taken[pid]):
+            self.trace.record(self.tick, "start", pid)
+            process.on_start(ctx)
+            self._end_step(pid)
+        self._advance()
+        while pid not in self._crashed:
             sender, payload = await queue.get()
             if self._max_jitter > 0:
                 await asyncio.sleep(self._rng.random() * self._max_jitter)
-            if crashed_now():
-                mark_crashed()
-                return
-            self._tick += 1
-            self.trace.record(self._tick, "deliver", pid, sender, payload)
-            self._processes[pid].on_message(ctx, sender, payload)
-            self._steps_taken[pid] += 1
+            if pid in self._crashed:
+                break
+            self.trace.record(self.tick, "deliver", pid, sender, payload)
+            if self._may_step(pid, self._steps_taken[pid]):
+                process.on_message(ctx, sender, payload)
+                self._end_step(pid)
+            self._advance()
 
     async def run_async(self) -> ExecutionResult:
         """Execute until every correct process decided (or timeout)."""
         self._queues = [asyncio.Queue() for _ in range(self.n)]
-        self._contexts = [
-            _AsyncContext(self, pid, self._inputs[pid]) for pid in range(self.n)
-        ]
         self._all_decided = asyncio.Event()
+        self._apply_dynamic_crashes()
         tasks = [
             asyncio.create_task(self._process_main(pid)) for pid in range(self.n)
         ]
@@ -181,25 +125,6 @@ class AsyncMPRuntime:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
         return self._result()
-
-    def _result(self) -> ExecutionResult:
-        decisions = {
-            pid: ctx.decision
-            for pid, ctx in enumerate(self._contexts)
-            if ctx.decided
-        }
-        outcome = Outcome(
-            n=self.n,
-            inputs={pid: v for pid, v in enumerate(self._inputs)},
-            decisions=decisions,
-            faulty=frozenset(self._crashed | self._byzantine),
-        )
-        return ExecutionResult(
-            outcome=outcome,
-            trace=self.trace,
-            ticks=self._tick,
-            quiescent=True,
-        )
 
 
 def run_async(

@@ -30,12 +30,13 @@ from repro.core.problem import Outcome
 from repro.core.values import Value
 from repro.failures.adversary import CrashAdversary, NoCrashes
 from repro.runtime.events import Delivery, Event, Start
-from repro.runtime.process import Context, Process, ProtocolError, copy_plain
+from repro.runtime.process import Context, Process, copy_plain
 from repro.runtime.traces import Trace, TraceMode
 
 __all__ = [
     "ExecutionResult",
     "ExecutionStats",
+    "KernelBase",
     "KernelLimitError",
     "MPKernel",
     "MPSnapshot",
@@ -168,10 +169,197 @@ class MPSnapshot:
     processes: Tuple[_Entry, ...]
 
 
-class _KernelContext(Context):
-    """Context wired into an :class:`MPKernel`."""
+class KernelBase:
+    """The fault model every runtime shares.
 
-    def __init__(self, kernel: "MPKernel", pid: int, input_value: Value) -> None:
+    A run of the paper's model has ``n`` processes, their inputs and a
+    budget of ``t`` faulty ones: Byzantine ids, whose process objects
+    misbehave by themselves, and processes the crash adversary halts --
+    before a step, part-way through a broadcast, or dynamically in
+    reaction to the run.  :class:`MPKernel`,
+    :class:`~repro.shm.kernel.SMKernel` and
+    :class:`~repro.runtime.asyncio_runtime.AsyncMPRuntime` take every
+    one of those rules from here, and the outcome a run leaves; each
+    adds only how it drives its processes and when it is quiescent.
+
+    A subclass sets ``_deciders``, one object per process with
+    ``decided``/``decision`` attributes.  The message-passing runtimes
+    hand every process a :class:`_KernelContext`, implement
+    :meth:`_transmit`, and wrap each handler in :meth:`_may_step` and
+    :meth:`_end_step`.  The shared-memory kernel gates each operation
+    with :meth:`_may_step` on its own per-process ``ops_taken`` and
+    leaves ``_steps_taken``, ``_sends_made`` and ``_halted_at_send``
+    alone.
+
+    Raises:
+        ValueError: the inputs do not match the processes, a Byzantine
+            id is out of range, or (with ``enforce_budget``) the
+            Byzantine ids and the crash adversary's potential victims
+            together exceed ``t``.
+    """
+
+    def __init__(
+        self,
+        processes: Sequence[Any],
+        inputs: Sequence[Value],
+        t: int,
+        crash_adversary: Optional[CrashAdversary] = None,
+        byzantine: Sequence[int] = (),
+        enforce_budget: bool = True,
+        trace_mode: TraceMode = TraceMode.FULL,
+    ) -> None:
+        if len(processes) != len(inputs):
+            raise ValueError("processes and inputs must have equal length")
+        self.n = len(processes)
+        self.t = t
+        self._inputs = list(inputs)
+        self._crash_adversary = crash_adversary or NoCrashes()
+        self._byzantine: Set[int] = set(byzantine)
+        bad = self._byzantine - set(range(self.n))
+        if bad:
+            raise ValueError(f"byzantine ids out of range: {sorted(bad)}")
+        if enforce_budget:
+            budget_users = self._byzantine | set(
+                self._crash_adversary.potentially_faulty()
+            )
+            if len(budget_users) > t:
+                raise ValueError(
+                    f"{len(budget_users)} potentially faulty processes exceed "
+                    f"the failure budget t={t}"
+                )
+        self.trace = Trace(trace_mode)
+        self.tick = 0
+        self._crashed: Set[int] = set()
+        self._halted_at_send: Set[int] = set()
+        self._steps_taken: List[int] = [0] * self.n
+        self._sends_made: List[int] = [0] * self.n
+        self._deciders: Sequence[Any] = ()
+
+    # -- fault views ---------------------------------------------------------
+
+    @property
+    def crashed(self) -> frozenset:
+        return frozenset(self._crashed)
+
+    @property
+    def byzantine(self) -> frozenset:
+        return frozenset(self._byzantine)
+
+    @property
+    def faulty(self) -> frozenset:
+        return frozenset(self._crashed | self._byzantine)
+
+    @property
+    def correct(self) -> frozenset:
+        return frozenset(range(self.n)) - self.faulty
+
+    def decision_of(self, pid: int) -> Optional[Value]:
+        return self._deciders[pid].decision
+
+    def has_decided(self, pid: int) -> bool:
+        return self._deciders[pid].decided
+
+    def decided_pids(self) -> frozenset:
+        return frozenset(
+            pid for pid, decider in enumerate(self._deciders) if decider.decided
+        )
+
+    def all_correct_decided(self) -> bool:
+        deciders = self._deciders
+        return all(deciders[pid].decided for pid in self.correct)
+
+    # -- crashes ---------------------------------------------------------------
+
+    def _crash(self, pid: int) -> None:
+        if pid not in self._crashed:
+            self._crashed.add(pid)
+            self.trace.record(self.tick, "crash", pid)
+
+    def _may_step(self, pid: int, steps_taken: int) -> bool:
+        """Whether ``pid`` takes its next step.
+
+        A crashed process takes none; otherwise the crash adversary may
+        halt it here (never a Byzantine one), which is its crash.
+        """
+        if pid in self._crashed:
+            return False
+        if pid not in self._byzantine and self._crash_adversary.crashes_before_step(
+            pid, steps_taken
+        ):
+            self._crash(pid)
+            return False
+        return True
+
+    def _apply_dynamic_crashes(self) -> None:
+        for pid in self._crash_adversary.dynamic_crashes(self):
+            if pid not in self._byzantine:
+                self._crash(pid)
+
+    # -- message passing -------------------------------------------------------
+
+    def _handle_send(self, sender: int, dst: int, payload: Any) -> None:
+        """The halt-at-send gate.
+
+        Once the crash adversary halts a sender at one of its sends,
+        that send and every later one of the sender are suppressed;
+        :meth:`_end_step` crashes it when the handler returns.
+        """
+        if sender in self._halted_at_send or (
+            sender not in self._byzantine
+            and self._crash_adversary.crashes_at_send(
+                sender, self._sends_made[sender]
+            )
+        ):
+            self._halted_at_send.add(sender)
+            self.trace.record(self.tick, "send-suppressed", sender, dst, payload)
+            return
+        self._sends_made[sender] += 1
+        self.trace.record(self.tick, "send", sender, dst, payload)
+        self._transmit(sender, dst, payload)
+
+    def _transmit(self, sender: int, dst: int, payload: Any) -> None:
+        """Put a sent message on its way to ``dst``."""
+        raise NotImplementedError
+
+    def _handle_decide(self, pid: int, value: Value) -> None:
+        self.trace.record(self.tick, "decide", pid, payload=value)
+
+    def _end_step(self, pid: int) -> None:
+        """Count a finished handler; a sender halted in it crashes now."""
+        self._steps_taken[pid] += 1
+        if pid in self._halted_at_send:
+            self._crash(pid)
+
+    # -- outcome ---------------------------------------------------------------
+
+    def _quiescent(self) -> bool:
+        """Whether the run has nothing left to execute."""
+        raise NotImplementedError
+
+    def _result(self) -> ExecutionResult:
+        """The run so far as an :class:`ExecutionResult`."""
+        outcome = Outcome(
+            n=self.n,
+            inputs=dict(enumerate(self._inputs)),
+            decisions={
+                pid: decider.decision
+                for pid, decider in enumerate(self._deciders)
+                if decider.decided
+            },
+            faulty=self.faulty,
+        )
+        return ExecutionResult(
+            outcome=outcome,
+            trace=self.trace,
+            ticks=self.tick,
+            quiescent=self._quiescent(),
+        )
+
+
+class _KernelContext(Context):
+    """Context wired into a message-passing runtime."""
+
+    def __init__(self, kernel: KernelBase, pid: int, input_value: Value) -> None:
         super().__init__(pid, kernel.n, kernel.t, input_value)
         self._kernel = kernel
 
@@ -182,7 +370,7 @@ class _KernelContext(Context):
         self._kernel._handle_decide(self.pid, value)
 
 
-class MPKernel:
+class MPKernel(KernelBase):
     """Simulates one execution of a message-passing protocol.
 
     Args:
@@ -206,6 +394,9 @@ class MPKernel:
         trace_mode: how much the trace retains; ``COUNTERS`` skips all
             :class:`~repro.runtime.traces.TraceRecord` allocation (the
             Monte-Carlo fast path), ``OFF`` records nothing.
+
+    The fault model, its checks and the outcome come from
+    :class:`KernelBase`.
     """
 
     def __init__(
@@ -221,49 +412,26 @@ class MPKernel:
         enforce_budget: bool = True,
         trace_mode: TraceMode = TraceMode.FULL,
     ) -> None:
-        if len(processes) != len(inputs):
-            raise ValueError("processes and inputs must have equal length")
-        self.n = len(processes)
-        self.t = t
+        super().__init__(
+            processes, inputs, t, crash_adversary, byzantine, enforce_budget,
+            trace_mode,
+        )
         self._processes = list(processes)
-        self._inputs = list(inputs)
         self._scheduler = scheduler
-        self._crash_adversary = crash_adversary or NoCrashes()
-        self._byzantine: Set[int] = set(byzantine)
         self._stop_when_decided = stop_when_decided
         self._max_ticks = max_ticks
-
-        bad = self._byzantine - set(range(self.n))
-        if bad:
-            raise ValueError(f"byzantine ids out of range: {sorted(bad)}")
-        if enforce_budget:
-            budget_users = self._byzantine | set(
-                self._crash_adversary.potentially_faulty()
-            )
-            if len(budget_users) > t:
-                raise ValueError(
-                    f"{len(budget_users)} potentially faulty processes exceed "
-                    f"the failure budget t={t}"
-                )
-
-        self.trace = Trace(trace_mode)
-        self.tick = 0
-        self._seq = 0
-        self._pending: Dict[int, Event] = {}
-        self._crashed: Set[int] = set()
-        self._halted_at_send: Set[int] = set()
-        self._steps_taken: List[int] = [0] * self.n
-        self._sends_made: List[int] = [0] * self.n
-        self._contexts = [
+        # Start events take sequence numbers 0..n-1, deliveries the rest.
+        self._pending: Dict[int, Event] = {
+            pid: Start(pid, pid) for pid in range(self.n)
+        }
+        self._seq = self.n
+        self._contexts = self._deciders = [
             _KernelContext(self, pid, self._inputs[pid]) for pid in range(self.n)
         ]
-        self._executing: Optional[int] = None
         # Per process, the snapshot entry its live state equals, or None
         # once one of its handlers ran since that entry was taken or
         # installed.  A fresh kernel matches no snapshot.
         self._entries: List[Optional[_Entry]] = [None] * self.n
-        for pid in range(self.n):
-            self._schedule(Start(self._next_seq(), pid))
 
     # -- introspection for schedulers and adversaries ----------------------
 
@@ -272,123 +440,38 @@ class MPKernel:
         """Pending events keyed by sequence number (read-only view)."""
         return self._pending
 
-    @property
-    def crashed(self) -> frozenset:
-        return frozenset(self._crashed)
-
-    @property
-    def byzantine(self) -> frozenset:
-        return frozenset(self._byzantine)
-
-    @property
-    def faulty(self) -> frozenset:
-        return frozenset(self._crashed | self._byzantine)
-
-    @property
-    def correct(self) -> frozenset:
-        return frozenset(range(self.n)) - self.faulty
-
-    def decision_of(self, pid: int) -> Optional[Value]:
-        return self._contexts[pid].decision
-
-    def has_decided(self, pid: int) -> bool:
-        return self._contexts[pid].decided
-
-    def decided_pids(self) -> frozenset:
-        return frozenset(p for p in range(self.n) if self._contexts[p].decided)
-
-    def all_correct_decided(self) -> bool:
-        return all(self._contexts[p].decided for p in self.correct)
-
     # -- internals ----------------------------------------------------------
 
-    def _next_seq(self) -> int:
+    def _transmit(self, sender: int, dst: int, payload: Any) -> None:
         seq = self._seq
-        self._seq += 1
-        return seq
-
-    def _schedule(self, event: Event) -> None:
-        self._pending[event.seq] = event
-
-    def _handle_send(self, sender: int, dst: int, payload: Any) -> None:
-        if sender in self._halted_at_send:
-            self.trace.record(self.tick, "send-suppressed", sender, dst, payload)
-            return
-        if sender not in self._byzantine and self._crash_adversary.crashes_at_send(
-            sender, self._sends_made[sender]
-        ):
-            self._halted_at_send.add(sender)
-            self.trace.record(self.tick, "send-suppressed", sender, dst, payload)
-            return
-        self._sends_made[sender] += 1
-        self.trace.record(self.tick, "send", sender, dst, payload)
-        self._schedule(Delivery(self._next_seq(), sender, dst, payload))
-
-    def _handle_decide(self, pid: int, value: Value) -> None:
-        self.trace.record(self.tick, "decide", pid, payload=value)
-
-    def _crash(self, pid: int) -> None:
-        if pid not in self._crashed:
-            self._crashed.add(pid)
-            self.trace.record(self.tick, "crash", pid)
+        self._seq = seq + 1
+        self._pending[seq] = Delivery(seq, sender, dst, payload)
 
     def _execute(self, event: Event) -> None:
         if isinstance(event, Start):
             pid = event.pid
-            will_run = (
-                pid not in self._crashed
-                and (
-                    pid in self._byzantine
-                    or not self._crash_adversary.crashes_before_step(
-                        pid, self._steps_taken[pid]
-                    )
-                )
-            )
-            if will_run:
+            if self._may_step(pid, self._steps_taken[pid]):
                 self.trace.record(self.tick, "start", pid)
-            self._run_handler(pid, lambda ctx: self._processes[pid].on_start(ctx))
+                self._entries[pid] = None
+                self._processes[pid].on_start(self._contexts[pid])
+                self._end_step(pid)
         elif isinstance(event, Delivery):
-            receiver = event.receiver
-            if receiver in self._crashed:
-                self.trace.record(
-                    self.tick, "drop", receiver, event.sender, event.payload
-                )
-                return
-            self.trace.record(
-                self.tick, "deliver", receiver, event.sender, event.payload
-            )
-            self._run_handler(
-                receiver,
-                lambda ctx: self._processes[receiver].on_message(
-                    ctx, event.sender, event.payload
-                ),
-            )
+            pid, sender, payload = event.receiver, event.sender, event.payload
+            if pid in self._crashed:
+                self.trace.record(self.tick, "drop", pid, sender, payload)
+            else:
+                self.trace.record(self.tick, "deliver", pid, sender, payload)
+                if self._may_step(pid, self._steps_taken[pid]):
+                    self._entries[pid] = None
+                    self._processes[pid].on_message(
+                        self._contexts[pid], sender, payload
+                    )
+                    self._end_step(pid)
         else:  # pragma: no cover - future event kinds
             raise TypeError(f"unknown event type: {event!r}")
 
-    def _run_handler(self, pid: int, call) -> None:
-        if pid in self._crashed:
-            return
-        if pid not in self._byzantine and self._crash_adversary.crashes_before_step(
-            pid, self._steps_taken[pid]
-        ):
-            self._crash(pid)
-            return
-        self._entries[pid] = None
-        self._executing = pid
-        try:
-            call(self._contexts[pid])
-        finally:
-            self._executing = None
-        self._steps_taken[pid] += 1
-        if pid in self._halted_at_send:
-            self._crash(pid)
-
-    def _apply_dynamic_crashes(self) -> None:
-        for pid in self._crash_adversary.dynamic_crashes(self):
-            if pid in self._byzantine:
-                continue
-            self._crash(pid)
+    def _quiescent(self) -> bool:
+        return not self._pending
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -506,22 +589,3 @@ class MPKernel:
             self._apply_dynamic_crashes()
             self.tick += 1
         return self._result()
-
-    def _result(self) -> ExecutionResult:
-        decisions = {
-            pid: ctx.decision
-            for pid, ctx in enumerate(self._contexts)
-            if ctx.decided
-        }
-        outcome = Outcome(
-            n=self.n,
-            inputs={pid: v for pid, v in enumerate(self._inputs)},
-            decisions=decisions,
-            faulty=frozenset(self._crashed | self._byzantine),
-        )
-        return ExecutionResult(
-            outcome=outcome,
-            trace=self.trace,
-            ticks=self.tick,
-            quiescent=not self._pending,
-        )

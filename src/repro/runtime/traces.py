@@ -20,7 +20,8 @@ recording modes (:class:`TraceMode`):
   per-process sends/deliveries/register ops, first decision tick); no
   ``TraceRecord`` is ever allocated, which is the sweep fast path;
 * ``OFF`` -- record nothing at all (the exhaustive explorer forks
-  kernels by deep copy and wants the trace to weigh nothing).
+  kernels by snapshot and restore; a snapshot leaves the trace out, so
+  the explorer keeps none).
 
 In every mode the counters that *are* maintained agree exactly with
 what a ``FULL`` trace of the same run would report.

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.problem import Outcome
 from repro.core.values import Value
-from repro.failures.adversary import CrashAdversary, NoCrashes
-from repro.runtime.kernel import ExecutionResult, KernelLimitError, SchedulerStall
+from repro.failures.adversary import CrashAdversary
+from repro.runtime.kernel import (
+    ExecutionResult, KernelBase, KernelLimitError, SchedulerStall,
+)
 from repro.runtime.process import ProtocolError
-from repro.runtime.traces import Trace, TraceMode
+from repro.runtime.traces import TraceMode
 from repro.shm.ops import Decide, Op, Read, Write
 from repro.shm.registers import RegisterFile
 
@@ -91,7 +92,7 @@ class SMSnapshot:
     crashed: frozenset
 
 
-class SMKernel:
+class SMKernel(KernelBase):
     """Simulates one execution of a shared-memory protocol.
 
     Args:
@@ -108,6 +109,10 @@ class SMKernel:
         trace_mode: how much the trace retains; ``COUNTERS`` skips all
             :class:`~repro.runtime.traces.TraceRecord` allocation (the
             Monte-Carlo fast path), ``OFF`` records nothing.
+
+    The fault model, its checks and the outcome come from
+    :class:`~repro.runtime.kernel.KernelBase`; a process's steps are
+    its operations, counted in its own ``ops_taken``.
     """
 
     def __init__(
@@ -123,36 +128,18 @@ class SMKernel:
         enforce_budget: bool = True,
         trace_mode: TraceMode = TraceMode.FULL,
     ) -> None:
-        if len(programs) != len(inputs):
-            raise ValueError("programs and inputs must have equal length")
-        self.n = len(programs)
-        self.t = t
+        super().__init__(
+            programs, inputs, t, crash_adversary, byzantine, enforce_budget,
+            trace_mode,
+        )
         self._programs = list(programs)
-        self._inputs = list(inputs)
         self._scheduler = scheduler
-        self._crash_adversary = crash_adversary or NoCrashes()
-        self._byzantine: Set[int] = set(byzantine)
         self._stop_when_decided = stop_when_decided
         self._max_ticks = max_ticks
-
-        bad = self._byzantine - set(range(self.n))
-        if bad:
-            raise ValueError(f"byzantine ids out of range: {sorted(bad)}")
-        if enforce_budget:
-            budget_users = self._byzantine | set(
-                self._crash_adversary.potentially_faulty()
-            )
-            if len(budget_users) > t:
-                raise ValueError(
-                    f"{len(budget_users)} potentially faulty processes exceed "
-                    f"the failure budget t={t}"
-                )
-
         self.registers = RegisterFile(self.n)
-        self.trace = Trace(trace_mode)
-        self.tick = 0
-        self._crashed: Set[int] = set()
-        self._states = [_ProcessState() for _ in range(self.n)]
+        self._states = self._deciders = [
+            _ProcessState() for _ in range(self.n)
+        ]
         self._choices: List[int] = []
         #: Logged results fed back into generators rebuilt after a
         #: :meth:`restore` (each rebuild re-feeds its process's whole log).
@@ -162,34 +149,6 @@ class SMKernel:
         ]
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def crashed(self) -> frozenset:
-        return frozenset(self._crashed)
-
-    @property
-    def byzantine(self) -> frozenset:
-        return frozenset(self._byzantine)
-
-    @property
-    def faulty(self) -> frozenset:
-        return frozenset(self._crashed | self._byzantine)
-
-    @property
-    def correct(self) -> frozenset:
-        return frozenset(range(self.n)) - self.faulty
-
-    def has_decided(self, pid: int) -> bool:
-        return self._states[pid].decided
-
-    def decision_of(self, pid: int) -> Optional[Value]:
-        return self._states[pid].decision
-
-    def decided_pids(self) -> frozenset:
-        return frozenset(p for p in range(self.n) if self._states[p].decided)
-
-    def all_correct_decided(self) -> bool:
-        return all(self._states[p].decided for p in self.correct)
 
     def is_runnable(self, pid: int) -> bool:
         state = self._states[pid]
@@ -203,18 +162,10 @@ class SMKernel:
         """The scheduling choices executed so far, in order."""
         return tuple(self._choices)
 
+    def _quiescent(self) -> bool:
+        return not self.runnable_pids()
+
     # -- execution ------------------------------------------------------------
-
-    def _crash(self, pid: int) -> None:
-        if pid not in self._crashed:
-            self._crashed.add(pid)
-            self.trace.record(self.tick, "crash", pid)
-
-    def _apply_dynamic_crashes(self) -> None:
-        for pid in self._crash_adversary.dynamic_crashes(self):
-            if pid in self._byzantine:
-                continue
-            self._crash(pid)
 
     def _execute_op(self, pid: int, op: Op) -> Any:
         if isinstance(op, Read):
@@ -238,10 +189,7 @@ class SMKernel:
     def _step(self, pid: int) -> None:
         self._choices.append(pid)
         state = self._states[pid]
-        if pid not in self._byzantine and self._crash_adversary.crashes_before_step(
-            pid, state.ops_taken
-        ):
-            self._crash(pid)
+        if not self._may_step(pid, state.ops_taken):
             return
         if state.generator is None:
             state.generator = self._programs[pid](self._contexts[pid])
@@ -368,22 +316,3 @@ class SMKernel:
             self._apply_dynamic_crashes()
             self.tick += 1
         return self._result()
-
-    def _result(self) -> ExecutionResult:
-        decisions = {
-            pid: state.decision
-            for pid, state in enumerate(self._states)
-            if state.decided
-        }
-        outcome = Outcome(
-            n=self.n,
-            inputs={pid: v for pid, v in enumerate(self._inputs)},
-            decisions=decisions,
-            faulty=frozenset(self._crashed | self._byzantine),
-        )
-        return ExecutionResult(
-            outcome=outcome,
-            trace=self.trace,
-            ticks=self.tick,
-            quiescent=not self.runnable_pids(),
-        )

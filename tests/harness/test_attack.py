@@ -1,5 +1,7 @@
 """Tests for the adversarial attack search."""
 
+import pytest
+
 from repro.harness.attack import search_worst_run
 from repro.protocols.base import get_spec
 
@@ -74,6 +76,10 @@ class TestResultShape:
         text = result.summary()
         assert "chaudhuri@mp-cr" in text
         assert "10 attempts" in text
+
+    def test_negative_attempts_rejected(self):
+        with pytest.raises(ValueError, match="attempts"):
+            search_worst_run(get_spec("chaudhuri@mp-cr"), 5, 3, 2, attempts=-4)
 
     def test_best_report_retained(self):
         result = search_worst_run(

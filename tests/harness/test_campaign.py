@@ -112,6 +112,12 @@ class TestCampaignJson:
         campaign = Campaign(name="plain")
         assert Campaign.from_json(campaign.to_json()) == campaign
 
+    @pytest.mark.parametrize("field", ["points_per_spec", "runs_per_point"])
+    def test_negative_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            Campaign(name="neg", **{field: -1})
+        assert Campaign(name="zero", **{field: 0})
+
 
 class TestCampaignShards:
     def test_deterministic_and_unique(self):

@@ -20,7 +20,6 @@ from repro.harness.attack import search_worst_run
 from repro.harness.campaign import Campaign, CampaignResult, run_campaign
 from repro.harness.parallel import (
     DIED,
-    POOL_AMORTIZATION_SECONDS,
     RAISED,
     TIMED_OUT,
     WorkerDied,
@@ -28,7 +27,6 @@ from repro.harness.parallel import (
     derive_seed,
     fan_out,
     parallel_map,
-    plan_execution,
     resolve_jobs,
 )
 from repro.harness.sweep import SweepConfig, sweep_spec
@@ -85,7 +83,7 @@ def _gone(pid):
 
 class TestWorkerPool:
     def test_clean_run_leaves_no_live_child(self):
-        pids = parallel_map(_pid, range(8), jobs=2, chunksize=1)
+        pids = parallel_map(_pid, range(8), jobs=2)
         # Long-lived children: two processes serve all eight tasks.
         assert len(set(pids)) == 2 and os.getpid() not in pids
         assert all(_gone(pid) for pid in pids)
@@ -159,7 +157,7 @@ class TestWorkerPool:
             outcomes = list(stream)
         assert [o.task for o in outcomes] == tasks
         assert [o.result() for o in outcomes] == tasks
-        assert parallel_map(_sleep, tasks, jobs=2, chunksize=1) == tasks
+        assert parallel_map(_sleep, tasks, jobs=2) == tasks
 
     def test_worker_exception_keeps_its_type(self):
         with pytest.raises(KeyError, match="7") as excinfo:
@@ -203,41 +201,6 @@ class TestDeriveSeed:
         # Guards against accidental changes to the mixing scheme, which
         # would silently invalidate recorded campaign/bench seeds.
         assert derive_seed(1, "a") == 2829115043354823610
-
-
-class TestPlanExecution:
-    def test_serial_when_one_job(self):
-        plan = plan_execution(1, 100)
-        assert plan.mode == "serial" and not plan.parallel
-        assert "jobs <= 1" in plan.reason
-
-    def test_serial_when_single_task(self):
-        plan = plan_execution(4, 1)
-        assert plan.mode == "serial"
-
-    def test_serial_when_work_does_not_amortize(self):
-        # A tiny sweep must not pay pool spin-up: this is the
-        # parallel-slower-than-serial regression guard.
-        tiny = POOL_AMORTIZATION_SECONDS / 100
-        plan = plan_execution(4, 10, est_task_seconds=tiny)
-        assert plan.mode == "serial"
-        assert "amortize" in plan.reason
-        assert "serial" in plan.describe()
-
-    def test_parallel_when_work_amortizes(self):
-        plan = plan_execution(4, 10, est_task_seconds=1.0)
-        assert plan.parallel
-        assert plan.jobs == 4
-        assert plan.chunksize >= 1
-        assert "parallel x4" in plan.describe()
-
-    def test_parallel_without_estimate_honours_request(self):
-        plan = plan_execution(2, 4)
-        assert plan.parallel and plan.jobs == 2
-
-    def test_workers_capped_by_task_count(self):
-        plan = plan_execution(16, 3, est_task_seconds=10.0)
-        assert plan.parallel and plan.jobs == 3
 
 
 class TestParallelSweep:

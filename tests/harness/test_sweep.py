@@ -1,10 +1,12 @@
 """Tests for the Monte-Carlo sweep engine."""
 
+import dataclasses
+import multiprocessing
+import random
+
 from repro.harness.inputs import INPUT_PATTERNS, make_inputs
 from repro.harness.sweep import SweepConfig, sweep_spec
 from repro.protocols.base import get_spec
-
-import random
 
 import pytest
 
@@ -123,15 +125,23 @@ class TestSweepEngine:
         assert stats.engine == "scalar"
         assert "Byzantine" in stats.execution
 
-    def test_scalar_records_amortization_fallback(self):
-        # jobs=2 on a tiny sweep must run serial (pool spin-up would
-        # dominate) and say so in the recorded execution mode.
-        stats = sweep_spec(
-            get_spec("chaudhuri@mp-cr"), 5, 2, 1,
-            SweepConfig(runs=4, seed=4), jobs=2,
-        )
-        assert stats.engine == "scalar"
-        assert "amortize" in stats.execution
+    def test_scalar_jobs_fan_out_and_match_serial(self):
+        # jobs=2 fans even a 4-run sweep out, says so, and changes
+        # nothing but the recorded execution mode.
+        spec, config = get_spec("chaudhuri@mp-cr"), SweepConfig(runs=4, seed=4)
+        serial = sweep_spec(spec, 5, 2, 1, config)
+        parallel = sweep_spec(spec, 5, 2, 1, config, jobs=2)
+        assert serial.execution == "serial: jobs <= 1 requested"
+        assert parallel.execution == "parallel x2: 4 runs"
+        assert dataclasses.replace(parallel, execution=serial.execution) == serial
+        assert not multiprocessing.active_children()
+
+    def test_negative_run_count_rejected(self):
+        with pytest.raises(ValueError, match="runs"):
+            SweepConfig(runs=-3)
+        stats = sweep_spec(get_spec("chaudhuri@mp-cr"), 5, 2, 1,
+                           SweepConfig(runs=0), jobs=2)
+        assert stats.runs == 0 and stats.execution == "serial: 0 run(s)"
 
     def test_batch_and_scalar_agree_in_aggregate(self):
         # Not run-by-run (different adversary sampling paths) but both
