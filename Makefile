@@ -45,7 +45,6 @@ examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/byzantine_config_rollout.py
 	$(PYTHON) examples/shared_memory_shortlist.py
-	$(PYTHON) examples/asyncio_backend.py
 	$(PYTHON) examples/verification_lab.py
 	$(PYTHON) examples/open_gap_expedition.py
 

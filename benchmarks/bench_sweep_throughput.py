@@ -12,9 +12,13 @@ axes the harness optimizes:
   sweep's own batch size and again at a 32x bulk batch where the
   vectorization has room to amortize.
 
-For every measured point the benchmark also *verifies* that the
-verdicts and decision histograms are identical across all four scalar
-configurations -- throughput must never change results -- and
+Every leg of a point is timed :data:`REPEATS` times
+(:data:`SMOKE_REPEATS` under ``--smoke``) and recorded as the median
+with its quartiles, so the speedup ratios, taken from the medians, are
+not one noisy timing over another.  For every measured
+point the benchmark also *verifies* that the decision histograms are
+identical across all repeats and all four scalar configurations --
+throughput must never change results -- and
 cross-checks every batch-supported spec with
 ``repro.verify.diff_batch_scalar``: the vectorized engine's decisions,
 crash sets, and verdicts must match run-by-run scalar replays of the
@@ -41,14 +45,16 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import multiprocessing
 import os
 import pathlib
 import platform
+import statistics
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from bench_exhaustive_explorer import _peak_rss_mib
 from repro.harness.parallel import available_jobs, derive_seed
@@ -69,6 +75,12 @@ FULL_N_VALUES = (8, 16, 24)
 FULL_RUNS = 48
 SMOKE_N_VALUES = (8,)
 SMOKE_RUNS = 12
+
+#: Timed repeats of every leg of a point.  One timing of a 48-run
+#: sweep takes 0.03 to 0.24 s on a 2-CPU box, too short to compare
+#: alone; odd counts keep the median an actual repeat.
+REPEATS = 7
+SMOKE_REPEATS = 3
 
 #: Bulk multiplier for the large-batch measurement: one vectorized
 #: evaluation over ``runs * BULK_FACTOR`` runs.
@@ -146,6 +158,33 @@ def _measure_batch(n: int, k: int, t: int, runs: int) -> Dict:
             for key, value in sorted(stats.decisions_histogram.items())
         },
     }
+
+
+def _repeated(
+    label: str, measure: Callable[[], Dict], repeats: int,
+    reference: Optional[Dict[str, int]] = None,
+) -> Dict:
+    """Time one leg ``repeats`` times: the median and quartiles.
+
+    Every repeat's decision histogram must equal ``reference``, or the
+    first repeat's when none is given: timing never changes results.
+    """
+    samples = [measure() for _ in range(repeats)]
+    if reference is None:
+        reference = samples[0]["decisions_histogram"]
+    for sample in samples:
+        assert sample["decisions_histogram"] == reference, (
+            f"determinism broken in {label}: histogram "
+            f"{sample['decisions_histogram']} != {reference}"
+        )
+    leg = {**samples[0], "repeats": repeats}
+    for key, digits in (("seconds", 4), ("runs_per_sec", 2)):
+        q1, median, q3 = statistics.quantiles(
+            [sample[key] for sample in samples], n=4, method="inclusive"
+        )
+        leg[key] = round(median, digits)
+        leg[f"{key}_quartiles"] = [round(q1, digits), round(q3, digits)]
+    return leg
 
 
 def _batch_memory_run(n: int, k: int, t: int, runs: int) -> Dict:
@@ -229,11 +268,13 @@ def _differential_suite(runs: int) -> List[Dict]:
 def run_suite(smoke: bool = False, jobs: Optional[int] = None) -> Dict:
     """Measure the full grid; returns the JSON-ready payload.
 
-    Asserts that every configuration of one point produced identical
-    verdicts and decision histograms (the determinism contract).
+    Asserts that every repeat of every scalar configuration of one
+    point produced the same decision histogram (the determinism
+    contract).
     """
     n_values = SMOKE_N_VALUES if smoke else FULL_N_VALUES
     runs = SMOKE_RUNS if smoke else FULL_RUNS
+    repeats = SMOKE_REPEATS if smoke else REPEATS
     parallel_jobs = jobs if jobs else available_jobs()
 
     # Warm up the batch engine (numpy import, kernel compilation of
@@ -251,29 +292,30 @@ def run_suite(smoke: bool = False, jobs: Optional[int] = None) -> Dict:
             "parallel_full": (parallel_jobs, TraceMode.FULL),
             "parallel_counters": (parallel_jobs, TraceMode.COUNTERS),
         }
-        measured = {
-            label: _measure(n, k, t, runs, j, mode)
-            for label, (j, mode) in configs.items()
-        }
-        measured["batch"] = _measure_batch(n, k, t, runs)
-        measured["batch_bulk"] = _measure_batch(n, k, t, runs * BULK_FACTOR)
         # The four scalar configurations share one run stream and must
-        # be bit-identical.  The batch engine draws its plan from its
-        # own seeded streams (different sampling path, same
-        # distribution), so its correctness is checked run-by-run
+        # be bit-identical to serial_full.  The batch engine draws its
+        # plan from its own seeded streams (different sampling path,
+        # same distribution), so its correctness is checked run-by-run
         # against scalar *replays of that plan* in the differential
         # section below, not against the scalar sweep's histogram.
-        histograms = {
-            label: m["decisions_histogram"]
-            for label, m in measured.items()
-            if not label.startswith("batch")
-        }
-        reference = histograms["serial_full"]
-        for label, histogram in histograms.items():
-            assert histogram == reference, (
-                f"determinism broken at n={n}: {label} histogram "
-                f"{histogram} != serial_full {reference}"
+        measured: Dict[str, Dict] = {}
+        reference = None
+        for label, (j, mode) in configs.items():
+            measured[label] = _repeated(
+                f"n={n} {label}",
+                functools.partial(_measure, n, k, t, runs, j, mode),
+                repeats, reference,
             )
+            reference = measured["serial_full"]["decisions_histogram"]
+        measured["batch"] = _repeated(
+            f"n={n} batch",
+            functools.partial(_measure_batch, n, k, t, runs), repeats,
+        )
+        measured["batch_bulk"] = _repeated(
+            f"n={n} batch_bulk",
+            functools.partial(_measure_batch, n, k, t, runs * BULK_FACTOR),
+            repeats,
+        )
         serial = measured["serial_counters"]["runs_per_sec"]
         parallel = measured["parallel_counters"]["runs_per_sec"]
         full = measured["serial_full"]["runs_per_sec"]
@@ -341,7 +383,8 @@ def main(argv=None) -> int:
     for point in payload["points"]:
         print(
             f"n={point['n']} k={point['k']} t={point['t']} "
-            f"({point['runs']} runs): "
+            f"({point['runs']} runs, medians of "
+            f"{point['serial_full']['repeats']} repeats): "
             f"serial FULL {point['serial_full']['runs_per_sec']}/s, "
             f"serial COUNTERS {point['serial_counters']['runs_per_sec']}/s, "
             f"parallel COUNTERS {point['parallel_counters']['runs_per_sec']}/s "

@@ -14,7 +14,7 @@ The library provides, from scratch:
 * deterministic discrete-event substrates for asynchronous message
   passing and shared memory with crash/Byzantine fault injection
   (:mod:`repro.runtime`, :mod:`repro.net`, :mod:`repro.shm`,
-  :mod:`repro.failures`), plus an asyncio backend;
+  :mod:`repro.failures`);
 * executable versions of the impossibility proofs' adversarial runs
   (:mod:`repro.adversary`) and figure/report generators
   (:mod:`repro.analysis`, :mod:`repro.harness`);

@@ -1,4 +1,4 @@
-"""Simulation runtimes: deterministic MP kernel, asyncio backend, traces."""
+"""Message-passing runtime: the deterministic MP kernel, processes, traces."""
 
 from repro.runtime.events import Delivery, Event, Start
 from repro.runtime.kernel import (

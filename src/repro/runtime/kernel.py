@@ -170,32 +170,27 @@ class MPSnapshot:
 
 
 class KernelBase:
-    """The fault model every runtime shares.
+    """The fault model both kernels share.
 
     A run of the paper's model has ``n`` processes, their inputs and a
     budget of ``t`` faulty ones: Byzantine ids, whose process objects
     misbehave by themselves, and processes the crash adversary halts --
     before a step, part-way through a broadcast, or dynamically in
-    reaction to the run.  :class:`MPKernel`,
-    :class:`~repro.shm.kernel.SMKernel` and
-    :class:`~repro.runtime.asyncio_runtime.AsyncMPRuntime` take every
-    one of those rules from here, and the outcome a run leaves; each
-    adds only how it drives its processes and when it is quiescent.
+    reaction to the run.  :class:`MPKernel` and
+    :class:`~repro.shm.kernel.SMKernel` take the budget check, the fault
+    views, the crash record, crashes before a step, dynamic crashes and
+    the outcome a run leaves from here; each adds how it drives its
+    processes and when it is quiescent.  The halt-at-send gate belongs
+    to :class:`MPKernel` alone: only its processes send messages.
 
     A subclass sets ``_deciders``, one object per process with
-    ``decided``/``decision`` attributes.  The message-passing runtimes
-    hand every process a :class:`_KernelContext`, implement
-    :meth:`_transmit`, and wrap each handler in :meth:`_may_step` and
-    :meth:`_end_step`.  The shared-memory kernel gates each operation
-    with :meth:`_may_step` on its own per-process ``ops_taken`` and
-    leaves ``_steps_taken``, ``_sends_made`` and ``_halted_at_send``
-    alone.
+    ``decided``/``decision`` attributes, and gates each step with
+    :meth:`_may_step` on its own count of the process's steps.
 
     Raises:
         ValueError: the inputs do not match the processes, a Byzantine
-            id is out of range, or (with ``enforce_budget``) the
-            Byzantine ids and the crash adversary's potential victims
-            together exceed ``t``.
+            id is out of range, or the Byzantine ids and the crash
+            adversary's potential victims together exceed ``t``.
     """
 
     def __init__(
@@ -205,7 +200,6 @@ class KernelBase:
         t: int,
         crash_adversary: Optional[CrashAdversary] = None,
         byzantine: Sequence[int] = (),
-        enforce_budget: bool = True,
         trace_mode: TraceMode = TraceMode.FULL,
     ) -> None:
         if len(processes) != len(inputs):
@@ -218,21 +212,17 @@ class KernelBase:
         bad = self._byzantine - set(range(self.n))
         if bad:
             raise ValueError(f"byzantine ids out of range: {sorted(bad)}")
-        if enforce_budget:
-            budget_users = self._byzantine | set(
-                self._crash_adversary.potentially_faulty()
+        budget_users = self._byzantine | set(
+            self._crash_adversary.potentially_faulty()
+        )
+        if len(budget_users) > t:
+            raise ValueError(
+                f"{len(budget_users)} potentially faulty processes exceed "
+                f"the failure budget t={t}"
             )
-            if len(budget_users) > t:
-                raise ValueError(
-                    f"{len(budget_users)} potentially faulty processes exceed "
-                    f"the failure budget t={t}"
-                )
         self.trace = Trace(trace_mode)
         self.tick = 0
         self._crashed: Set[int] = set()
-        self._halted_at_send: Set[int] = set()
-        self._steps_taken: List[int] = [0] * self.n
-        self._sends_made: List[int] = [0] * self.n
         self._deciders: Sequence[Any] = ()
 
     # -- fault views ---------------------------------------------------------
@@ -295,41 +285,6 @@ class KernelBase:
             if pid not in self._byzantine:
                 self._crash(pid)
 
-    # -- message passing -------------------------------------------------------
-
-    def _handle_send(self, sender: int, dst: int, payload: Any) -> None:
-        """The halt-at-send gate.
-
-        Once the crash adversary halts a sender at one of its sends,
-        that send and every later one of the sender are suppressed;
-        :meth:`_end_step` crashes it when the handler returns.
-        """
-        if sender in self._halted_at_send or (
-            sender not in self._byzantine
-            and self._crash_adversary.crashes_at_send(
-                sender, self._sends_made[sender]
-            )
-        ):
-            self._halted_at_send.add(sender)
-            self.trace.record(self.tick, "send-suppressed", sender, dst, payload)
-            return
-        self._sends_made[sender] += 1
-        self.trace.record(self.tick, "send", sender, dst, payload)
-        self._transmit(sender, dst, payload)
-
-    def _transmit(self, sender: int, dst: int, payload: Any) -> None:
-        """Put a sent message on its way to ``dst``."""
-        raise NotImplementedError
-
-    def _handle_decide(self, pid: int, value: Value) -> None:
-        self.trace.record(self.tick, "decide", pid, payload=value)
-
-    def _end_step(self, pid: int) -> None:
-        """Count a finished handler; a sender halted in it crashes now."""
-        self._steps_taken[pid] += 1
-        if pid in self._halted_at_send:
-            self._crash(pid)
-
     # -- outcome ---------------------------------------------------------------
 
     def _quiescent(self) -> bool:
@@ -357,9 +312,9 @@ class KernelBase:
 
 
 class _KernelContext(Context):
-    """Context wired into a message-passing runtime."""
+    """Context wired into an :class:`MPKernel`."""
 
-    def __init__(self, kernel: KernelBase, pid: int, input_value: Value) -> None:
+    def __init__(self, kernel: "MPKernel", pid: int, input_value: Value) -> None:
         super().__init__(pid, kernel.n, kernel.t, input_value)
         self._kernel = kernel
 
@@ -389,14 +344,13 @@ class MPKernel(KernelBase):
             (the default).  When ``False`` the run continues until no
             event is pending.
         max_ticks: safety valve against non-terminating protocols.
-        enforce_budget: validate that byzantine + potentially-crashing
-            processes stay within ``t``.
         trace_mode: how much the trace retains; ``COUNTERS`` skips all
             :class:`~repro.runtime.traces.TraceRecord` allocation (the
             Monte-Carlo fast path), ``OFF`` records nothing.
 
-    The fault model, its checks and the outcome come from
-    :class:`KernelBase`.
+    The budget check, crashes before a step, dynamic crashes and the
+    outcome come from :class:`KernelBase`; the halt-at-send gate is
+    this kernel's own.
     """
 
     def __init__(
@@ -409,12 +363,10 @@ class MPKernel(KernelBase):
         byzantine: Sequence[int] = (),
         stop_when_decided: bool = True,
         max_ticks: int = 1_000_000,
-        enforce_budget: bool = True,
         trace_mode: TraceMode = TraceMode.FULL,
     ) -> None:
         super().__init__(
-            processes, inputs, t, crash_adversary, byzantine, enforce_budget,
-            trace_mode,
+            processes, inputs, t, crash_adversary, byzantine, trace_mode
         )
         self._processes = list(processes)
         self._scheduler = scheduler
@@ -425,6 +377,9 @@ class MPKernel(KernelBase):
             pid: Start(pid, pid) for pid in range(self.n)
         }
         self._seq = self.n
+        self._halted_at_send: Set[int] = set()
+        self._steps_taken: List[int] = [0] * self.n
+        self._sends_made: List[int] = [0] * self.n
         self._contexts = self._deciders = [
             _KernelContext(self, pid, self._inputs[pid]) for pid in range(self.n)
         ]
@@ -442,10 +397,36 @@ class MPKernel(KernelBase):
 
     # -- internals ----------------------------------------------------------
 
-    def _transmit(self, sender: int, dst: int, payload: Any) -> None:
+    def _handle_send(self, sender: int, dst: int, payload: Any) -> None:
+        """The halt-at-send gate.
+
+        Once the crash adversary halts a sender at one of its sends,
+        that send and every later one of the sender are suppressed;
+        :meth:`_end_step` crashes it when the handler returns.
+        """
+        if sender in self._halted_at_send or (
+            sender not in self._byzantine
+            and self._crash_adversary.crashes_at_send(
+                sender, self._sends_made[sender]
+            )
+        ):
+            self._halted_at_send.add(sender)
+            self.trace.record(self.tick, "send-suppressed", sender, dst, payload)
+            return
+        self._sends_made[sender] += 1
+        self.trace.record(self.tick, "send", sender, dst, payload)
         seq = self._seq
         self._seq = seq + 1
         self._pending[seq] = Delivery(seq, sender, dst, payload)
+
+    def _handle_decide(self, pid: int, value: Value) -> None:
+        self.trace.record(self.tick, "decide", pid, payload=value)
+
+    def _end_step(self, pid: int) -> None:
+        """Count a finished handler; a sender halted in it crashes now."""
+        self._steps_taken[pid] += 1
+        if pid in self._halted_at_send:
+            self._crash(pid)
 
     def _execute(self, event: Event) -> None:
         if isinstance(event, Start):

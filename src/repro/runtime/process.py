@@ -12,8 +12,7 @@ object the kernel passes in: ``ctx.send``/``ctx.broadcast`` to
 communicate and ``ctx.decide`` to decide irrevocably.  This keeps
 protocol code independent of the kernel that runs it, which is what lets
 the :mod:`repro.protocols.simulation` transform re-run the same protocol
-objects over shared memory, and the asyncio runtime re-run them over
-real tasks.
+objects over shared memory.
 """
 
 from __future__ import annotations

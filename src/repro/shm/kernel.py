@@ -112,7 +112,8 @@ class SMKernel(KernelBase):
 
     The fault model, its checks and the outcome come from
     :class:`~repro.runtime.kernel.KernelBase`; a process's steps are
-    its operations, counted in its own ``ops_taken``.
+    its operations, counted in its own ``ops_taken``, and its decides
+    are recorded by :meth:`_execute_op`.
     """
 
     def __init__(
@@ -125,12 +126,10 @@ class SMKernel(KernelBase):
         byzantine: Sequence[int] = (),
         stop_when_decided: bool = True,
         max_ticks: int = 1_000_000,
-        enforce_budget: bool = True,
         trace_mode: TraceMode = TraceMode.FULL,
     ) -> None:
         super().__init__(
-            programs, inputs, t, crash_adversary, byzantine, enforce_budget,
-            trace_mode,
+            programs, inputs, t, crash_adversary, byzantine, trace_mode
         )
         self._programs = list(programs)
         self._scheduler = scheduler

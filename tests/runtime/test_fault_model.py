@@ -1,10 +1,10 @@
-"""One fault model for every runtime.
+"""One fault model for both kernels.
 
-``MPKernel``, ``SMKernel`` and the asyncio backend take their instance
-checks, crash bookkeeping and outcome from one base class, so a run
-outside the failure budget is refused everywhere, dynamic adversaries
-apply everywhere, and a sender halted mid-broadcast is crashed at the
-end of that handler on both message-passing runtimes.
+``MPKernel`` and ``SMKernel`` take their instance checks, crash
+bookkeeping and outcome from one base class, so a run outside the
+failure budget is refused by both and dynamic adversaries apply to
+both; a sender halted mid-broadcast is crashed at the end of that
+handler.
 """
 
 import pytest
@@ -13,10 +13,9 @@ from repro.failures.crash import CrashAfterDecide, CrashPlan, CrashPoint
 from repro.net.schedulers import RandomScheduler
 from repro.protocols.base import get_spec
 from repro.protocols.protocol_a import ProtocolA
-from repro.runtime.asyncio_runtime import AsyncMPRuntime, run_async
 from repro.runtime.kernel import MPKernel
 from repro.shm.kernel import SMKernel
-from repro.shm.schedulers import RoundRobinScheduler
+from repro.shm.schedulers import RandomProcessScheduler, RoundRobinScheduler
 
 N, T = 4, 1
 INPUTS = ["v", "v", "w", "w"]
@@ -33,11 +32,7 @@ def _sm(processes, inputs, **faults):
                     scheduler=RoundRobinScheduler(), **faults)
 
 
-def _async(processes, inputs, **faults):
-    return AsyncMPRuntime(processes, inputs, t=T, max_jitter=0.0, **faults)
-
-
-RUNTIMES = [_mp, _sm, _async]
+RUNTIMES = [_mp, _sm]
 #: case -> (inputs, fault arguments, expected error message)
 BAD_INSTANCES = {
     "length mismatch": (INPUTS[:-1], {}, "inputs must have equal length"),
@@ -50,7 +45,7 @@ BAD_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("make", RUNTIMES, ids=["mp", "sm", "asyncio"])
+@pytest.mark.parametrize("make", RUNTIMES, ids=["mp", "sm"])
 @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
 def test_every_runtime_refuses_a_run_outside_the_model(make, case):
     inputs, faults, message = BAD_INSTANCES[case]
@@ -65,19 +60,16 @@ def _run_mp(seed, crash_adversary):
     ).run()
 
 
-def _run_async(seed, crash_adversary):
-    return run_async(
-        [ProtocolA() for _ in range(N)], INPUTS, t=T, seed=seed,
-        crash_adversary=crash_adversary, timeout=10,
-    )
+def _run_sm(seed, crash_adversary):
+    program = get_spec("protocol-e@sm-cr").make(N, 2, T)
+    return SMKernel(
+        [program] * N, INPUTS, t=T,
+        scheduler=RandomProcessScheduler(seed=seed),
+        crash_adversary=crash_adversary,
+    ).run()
 
 
-MP_RUNTIMES = pytest.mark.parametrize(
-    "run", [_run_mp, _run_async], ids=["mp", "asyncio"]
-)
-
-
-@MP_RUNTIMES
+@pytest.mark.parametrize("run", [_run_mp, _run_sm], ids=["mp", "sm"])
 @pytest.mark.parametrize("seed", range(4))
 def test_dynamic_adversary_crashes_the_decided_victim(run, seed):
     result = run(seed, CrashAfterDecide([0]))
@@ -88,7 +80,8 @@ def test_dynamic_adversary_crashes_the_decided_victim(run, seed):
     assert kinds.count("crash") == 1
 
 
-@MP_RUNTIMES
+# Only MPKernel has a send gate: shared-memory processes send nothing.
+@pytest.mark.parametrize("run", [_run_mp], ids=["mp"])
 @pytest.mark.parametrize("seed", range(4))
 def test_sender_halted_mid_broadcast_crashes_at_handler_end(run, seed):
     result = run(seed, CrashPlan({0: CrashPoint(after_sends=1)}))

@@ -163,17 +163,6 @@ class TestCrashInjection:
                 }),
             )
 
-    def test_budget_can_be_disabled(self):
-        result = run_broadcasters(
-            4, 1,
-            crash_adversary=CrashPlan({
-                0: CrashPoint(after_steps=0),
-                1: CrashPoint(after_steps=0),
-            }),
-            enforce_budget=False,
-        )
-        assert result.outcome.failure_count == 2
-
     def test_dynamic_crash_when_others_decide(self):
         adversary = CrashWhenOthersDecide(victims=[3], watch=[0])
         result = run_broadcasters(4, 1, crash_adversary=adversary)

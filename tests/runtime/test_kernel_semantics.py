@@ -97,7 +97,6 @@ class TestCrashSemantics:
             scheduler=FifoScheduler(),
             crash_adversary=CrashPlan({0: CrashPoint(after_steps=0)}),
             byzantine=[0],
-            enforce_budget=False,
             stop_when_decided=False,
         )
         result = kernel.run()

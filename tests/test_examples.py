@@ -42,11 +42,6 @@ class TestFastExamples:
         assert "lone survivor decided" in out
         assert "unanimity among live workers" in out
 
-    def test_asyncio_backend(self):
-        out = run_example("asyncio_backend.py")
-        assert "deterministic kernel" in out
-        assert "asyncio backend" in out
-
     def test_region_explorer_panel(self):
         out = run_example(
             "region_explorer.py", "--model", "SM/CR", "--validity", "RV2",

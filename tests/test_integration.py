@@ -9,7 +9,6 @@ from repro.failures.byzantine import MultiFaceProcess
 from repro.harness.runner import run_mp
 from repro.net.schedulers import RandomScheduler
 from repro.protocols.protocol_d import ProtocolD
-from repro.runtime.asyncio_runtime import run_async
 
 
 class TestExperimentsReport:
@@ -69,27 +68,6 @@ class TestProtocolDZAccounting:
             assert (
                 len(report.outcome.correct_decision_values()) <= k
             ), report.outcome.decisions
-
-
-class TestAsyncioByzantine:
-    def test_flood_min_with_mute_byzantine(self):
-        from repro.core.problem import SCProblem
-        from repro.core.validity import WV2
-        from repro.failures.byzantine import MuteProcess
-        from repro.protocols.chaudhuri import ChaudhuriKSet
-
-        n, k, t = 6, 3, 2
-        processes = [MuteProcess()] + [ChaudhuriKSet() for _ in range(n - 1)]
-        result = run_async(
-            processes,
-            ["v"] * n,
-            t=t,
-            byzantine=[0],
-            seed=17,
-            timeout=10,
-        )
-        problem = SCProblem(n=n, k=k, t=t, validity=WV2)
-        assert problem.satisfied_by(result.outcome)
 
 
 class TestCrossLayerRoundTrip:
