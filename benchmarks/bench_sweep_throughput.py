@@ -13,9 +13,11 @@ axes the harness optimizes:
   vectorization has room to amortize.
 
 Every leg of a point is timed :data:`REPEATS` times
-(:data:`SMOKE_REPEATS` under ``--smoke``) and recorded as the median
-with its quartiles, so the speedup ratios, taken from the medians, are
-not one noisy timing over another.  For every measured
+(:data:`SMOKE_REPEATS` under ``--smoke``), each repeat timing every
+leg once in turn after one untimed run of that leg, and recorded as
+the median with its quartiles, so the speedup ratios, taken from the
+medians, are not one noisy timing over another, nor timings taken
+minutes apart.  For every measured
 point the benchmark also *verifies* that the decision histograms are
 identical across all repeats and all four scalar configurations --
 throughput must never change results -- and
@@ -160,16 +162,35 @@ def _measure_batch(n: int, k: int, t: int, runs: int) -> Dict:
     }
 
 
-def _repeated(
-    label: str, measure: Callable[[], Dict], repeats: int,
-    reference: Optional[Dict[str, int]] = None,
+def _take_turns(
+    legs: Dict[str, Callable[[], Dict]], repeats: int
+) -> Dict[str, List[Dict]]:
+    """Time every leg once per repeat, the legs in turn.
+
+    Host load that drifts during a point then reaches every leg's
+    samples alike, so the ratios of their medians compare timings taken
+    under the same conditions.  Each timed run follows an untimed run of
+    the same leg: on a 2-CPU box a 48-run batch sweep takes about 1.4 ms
+    when it follows itself and 2.4 ms right after a parallel leg, so
+    without it a short leg would be timed on the caches of the leg
+    before.
+    """
+    samples: Dict[str, List[Dict]] = {label: [] for label in legs}
+    for _ in range(repeats):
+        for label, measure in legs.items():
+            measure()
+            samples[label].append(measure())
+    return samples
+
+
+def _summarize(
+    label: str, samples: List[Dict], reference: Optional[Dict[str, int]] = None,
 ) -> Dict:
-    """Time one leg ``repeats`` times: the median and quartiles.
+    """One leg's repeats as the median and quartiles.
 
     Every repeat's decision histogram must equal ``reference``, or the
     first repeat's when none is given: timing never changes results.
     """
-    samples = [measure() for _ in range(repeats)]
     if reference is None:
         reference = samples[0]["decisions_histogram"]
     for sample in samples:
@@ -177,7 +198,7 @@ def _repeated(
             f"determinism broken in {label}: histogram "
             f"{sample['decisions_histogram']} != {reference}"
         )
-    leg = {**samples[0], "repeats": repeats}
+    leg = {**samples[0], "repeats": len(samples)}
     for key, digits in (("seconds", 4), ("runs_per_sec", 2)):
         q1, median, q3 = statistics.quantiles(
             [sample[key] for sample in samples], n=4, method="inclusive"
@@ -298,24 +319,23 @@ def run_suite(smoke: bool = False, jobs: Optional[int] = None) -> Dict:
         # same distribution), so its correctness is checked run-by-run
         # against scalar *replays of that plan* in the differential
         # section below, not against the scalar sweep's histogram.
-        measured: Dict[str, Dict] = {}
-        reference = None
-        for label, (j, mode) in configs.items():
-            measured[label] = _repeated(
-                f"n={n} {label}",
-                functools.partial(_measure, n, k, t, runs, j, mode),
-                repeats, reference,
+        legs: Dict[str, Callable[[], Dict]] = {
+            label: functools.partial(_measure, n, k, t, runs, j, mode)
+            for label, (j, mode) in configs.items()
+        }
+        legs["batch"] = functools.partial(_measure_batch, n, k, t, runs)
+        legs["batch_bulk"] = functools.partial(
+            _measure_batch, n, k, t, runs * BULK_FACTOR
+        )
+        samples = _take_turns(legs, repeats)
+        reference = samples["serial_full"][0]["decisions_histogram"]
+        measured = {
+            label: _summarize(
+                f"n={n} {label}", samples[label],
+                reference if label in configs else None,
             )
-            reference = measured["serial_full"]["decisions_histogram"]
-        measured["batch"] = _repeated(
-            f"n={n} batch",
-            functools.partial(_measure_batch, n, k, t, runs), repeats,
-        )
-        measured["batch_bulk"] = _repeated(
-            f"n={n} batch_bulk",
-            functools.partial(_measure_batch, n, k, t, runs * BULK_FACTOR),
-            repeats,
-        )
+            for label in legs
+        }
         serial = measured["serial_counters"]["runs_per_sec"]
         parallel = measured["parallel_counters"]["runs_per_sec"]
         full = measured["serial_full"]["runs_per_sec"]

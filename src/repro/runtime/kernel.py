@@ -30,7 +30,7 @@ from repro.core.problem import Outcome
 from repro.core.values import Value
 from repro.failures.adversary import CrashAdversary, NoCrashes
 from repro.runtime.events import Delivery, Event, Start
-from repro.runtime.process import Context, Process, copy_plain
+from repro.runtime.process import Context, Process, ProtocolError, copy_plain
 from repro.runtime.traces import Trace, TraceMode
 
 __all__ = [
@@ -167,6 +167,8 @@ class MPSnapshot:
     steps_taken: Tuple[int, ...]
     sends_made: Tuple[int, ...]
     processes: Tuple[_Entry, ...]
+    #: Correct processes that have not decided (the stop test's count).
+    undecided: int
 
 
 class KernelBase:
@@ -184,8 +186,15 @@ class KernelBase:
     to :class:`MPKernel` alone: only its processes send messages.
 
     A subclass sets ``_deciders``, one object per process with
-    ``decided``/``decision`` attributes, and gates each step with
-    :meth:`_may_step` on its own count of the process's steps.
+    ``decided``/``decision`` attributes, gates each step with
+    :meth:`_may_step` on its own count of the process's steps, and
+    calls :meth:`_note_decide` once a process's ``decided`` turns true.
+
+    The stop test :meth:`all_correct_decided` is O(1): it reads
+    ``_undecided``, the number of processes that are neither crashed,
+    Byzantine nor decided.  :meth:`_crash` and :meth:`_note_decide`
+    keep the count; a subclass's ``restore`` must leave it equal to
+    that number.
 
     Raises:
         ValueError: the inputs do not match the processes, a Byzantine
@@ -224,6 +233,7 @@ class KernelBase:
         self.tick = 0
         self._crashed: Set[int] = set()
         self._deciders: Sequence[Any] = ()
+        self._undecided = self.n - len(self._byzantine)
 
     # -- fault views ---------------------------------------------------------
 
@@ -255,14 +265,20 @@ class KernelBase:
         )
 
     def all_correct_decided(self) -> bool:
-        deciders = self._deciders
-        return all(deciders[pid].decided for pid in self.correct)
+        return not self._undecided
+
+    def _note_decide(self, pid: int) -> None:
+        """Count the decide of ``pid``; a faulty process's decide is not one."""
+        if pid not in self._crashed and pid not in self._byzantine:
+            self._undecided -= 1
 
     # -- crashes ---------------------------------------------------------------
 
     def _crash(self, pid: int) -> None:
         if pid not in self._crashed:
             self._crashed.add(pid)
+            if pid not in self._byzantine and not self._deciders[pid].decided:
+                self._undecided -= 1
             self.trace.record(self.tick, "crash", pid)
 
     def _may_step(self, pid: int, steps_taken: int) -> bool:
@@ -420,6 +436,7 @@ class MPKernel(KernelBase):
         self._pending[seq] = Delivery(seq, sender, dst, payload)
 
     def _handle_decide(self, pid: int, value: Value) -> None:
+        self._note_decide(pid)
         self.trace.record(self.tick, "decide", pid, payload=value)
 
     def _end_step(self, pid: int) -> None:
@@ -490,6 +507,7 @@ class MPKernel(KernelBase):
             steps_taken=tuple(self._steps_taken),
             sends_made=tuple(self._sends_made),
             processes=tuple(entries),
+            undecided=self._undecided,
         )
 
     def restore(self, snapshot: MPSnapshot) -> None:
@@ -510,6 +528,7 @@ class MPKernel(KernelBase):
         self._halted_at_send = set(snapshot.halted_at_send)
         self._steps_taken = list(snapshot.steps_taken)
         self._sends_made = list(snapshot.sends_made)
+        self._undecided = snapshot.undecided
         entries = self._entries
         for pid, entry in enumerate(snapshot.processes):
             if entries[pid] is entry:
@@ -546,10 +565,12 @@ class MPKernel(KernelBase):
             KernelLimitError: the tick budget was exhausted first.
             SchedulerStall: the scheduler refused all pending events while
                 some correct process was still undecided.
+            ProtocolError: the scheduler picked a sequence number that is
+                not pending.
         """
         self._apply_dynamic_crashes()
         while self._pending:
-            if self._stop_when_decided and self.all_correct_decided():
+            if self._stop_when_decided and not self._undecided:
                 break
             if self.tick >= self._max_ticks:
                 raise KernelLimitError(
@@ -558,14 +579,19 @@ class MPKernel(KernelBase):
                 )
             choice = self._scheduler.pick(self)
             if choice is None:
-                if self.all_correct_decided():
+                if not self._undecided:
                     break
                 raise SchedulerStall(
                     "scheduler refused all pending events but "
                     f"correct processes {sorted(self.correct - self.decided_pids())} "
                     "have not decided"
                 )
-            event = self._pending.pop(choice)
+            try:
+                event = self._pending.pop(choice)
+            except KeyError:
+                raise ProtocolError(
+                    f"scheduler picked non-pending event {choice!r}"
+                ) from None
             self._execute(event)
             self._apply_dynamic_crashes()
             self.tick += 1

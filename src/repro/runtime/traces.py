@@ -1,6 +1,6 @@
 """Execution traces.
 
-Kernels append :class:`TraceRecord` entries as the run unfolds.  Traces
+Kernels record :class:`TraceRecord` entries as the run unfolds.  Traces
 serve three purposes:
 
 * building the :class:`~repro.core.problem.Outcome` that the condition
@@ -77,10 +77,10 @@ class Trace:
     """An append-only sequence of :class:`TraceRecord` entries.
 
     Per-kind and per-process counters are maintained incrementally on
-    every append, so ``message_count``/``delivery_count`` and the
-    :meth:`~repro.runtime.kernel.ExecutionResult.stats` aggregates never
-    rescan the record list -- and remain available in ``COUNTERS`` mode,
-    where the record list stays empty.
+    every counted :meth:`record`, so ``message_count``/``delivery_count``
+    and the :meth:`~repro.runtime.kernel.ExecutionResult.stats`
+    aggregates never rescan the record list -- and remain available in
+    ``COUNTERS`` mode, where the record list stays empty.
     """
 
     def __init__(self, mode: TraceMode = TraceMode.FULL) -> None:
@@ -91,6 +91,13 @@ class Trace:
         self._deliveries_by_process: Dict[int, int] = {}
         self._register_ops_by_process: Dict[int, int] = {}
         self._decision_tick_by_process: Dict[int, int] = {}
+        #: The per-process counter each counted kind adds to.
+        self._per_process: Dict[str, Dict[int, int]] = {
+            "send": self._sends_by_process,
+            "deliver": self._deliveries_by_process,
+            "read": self._register_ops_by_process,
+            "write": self._register_ops_by_process,
+        }
         self._version = 0
 
     @property
@@ -99,9 +106,9 @@ class Trace:
 
     @property
     def version(self) -> int:
-        """Monotonic append counter (the dirty flag for derived caches).
+        """Monotonic record counter (the dirty flag for derived caches).
 
-        Incremented on every counted append, in ``FULL`` and ``COUNTERS``
+        Incremented on every counted record, in ``FULL`` and ``COUNTERS``
         modes alike; consumers caching aggregates derived from the trace
         (e.g. :meth:`~repro.runtime.kernel.ExecutionResult.stats`) compare
         versions to detect that the trace was extended after the cache
@@ -109,30 +116,7 @@ class Trace:
         """
         return self._version
 
-    # -- appending -----------------------------------------------------------
-
-    def _count(self, tick: int, kind: str, pid: int) -> None:
-        self._version += 1
-        counts = self._kind_counts
-        counts[kind] = counts.get(kind, 0) + 1
-        if kind == "send":
-            per = self._sends_by_process
-            per[pid] = per.get(pid, 0) + 1
-        elif kind == "deliver":
-            per = self._deliveries_by_process
-            per[pid] = per.get(pid, 0) + 1
-        elif kind == "read" or kind == "write":
-            per = self._register_ops_by_process
-            per[pid] = per.get(pid, 0) + 1
-        elif kind == "decide":
-            self._decision_tick_by_process.setdefault(pid, tick)
-
-    def append(self, record: TraceRecord) -> None:
-        if self._mode is TraceMode.OFF:
-            return
-        self._count(record.tick, record.kind, record.pid)
-        if self._mode is TraceMode.FULL:
-            self._records.append(record)
+    # -- recording -----------------------------------------------------------
 
     def record(
         self,
@@ -142,10 +126,19 @@ class Trace:
         peer: Optional[int] = None,
         payload: Any = None,
     ) -> None:
-        if self._mode is TraceMode.OFF:
+        """Count one record of ``kind`` about ``pid``; keep it in ``FULL``."""
+        mode = self._mode
+        if mode is TraceMode.OFF:
             return
-        self._count(tick, kind, pid)
-        if self._mode is TraceMode.FULL:
+        self._version += 1
+        counts = self._kind_counts
+        counts[kind] = counts.get(kind, 0) + 1
+        per = self._per_process.get(kind)
+        if per is not None:
+            per[pid] = per.get(pid, 0) + 1
+        elif kind == "decide":
+            self._decision_tick_by_process.setdefault(pid, tick)
+        if mode is TraceMode.FULL:
             self._records.append(TraceRecord(tick, kind, pid, peer, payload))
 
     # -- record access (FULL mode; empty otherwise) --------------------------
@@ -173,7 +166,7 @@ class Trace:
     # -- counters (all modes except OFF) -------------------------------------
 
     def kind_count(self, kind: str) -> int:
-        """How many records of ``kind`` were appended (any mode but OFF)."""
+        """How many records of ``kind`` were recorded (any mode but OFF)."""
         return self._kind_counts.get(kind, 0)
 
     def message_count(self) -> int:

@@ -113,7 +113,10 @@ class SMKernel(KernelBase):
     The fault model, its checks and the outcome come from
     :class:`~repro.runtime.kernel.KernelBase`; a process's steps are
     its operations, counted in its own ``ops_taken``, and its decides
-    are recorded by :meth:`_execute_op`.
+    are recorded by :meth:`_execute_op`.  The runnable set is state:
+    ``_runnable`` lists, ascending, the processes that are neither
+    crashed nor finished; :meth:`_crash` and :meth:`_step` drop a pid
+    from it, and :meth:`restore` rebuilds it.
     """
 
     def __init__(
@@ -139,6 +142,7 @@ class SMKernel(KernelBase):
         self._states = self._deciders = [
             _ProcessState() for _ in range(self.n)
         ]
+        self._runnable: List[int] = list(range(self.n))
         self._choices: List[int] = []
         #: Logged results fed back into generators rebuilt after a
         #: :meth:`restore` (each rebuild re-feeds its process's whole log).
@@ -153,8 +157,9 @@ class SMKernel(KernelBase):
         state = self._states[pid]
         return pid not in self._crashed and not state.finished
 
-    def runnable_pids(self):
-        return [p for p in range(self.n) if self.is_runnable(p)]
+    def runnable_pids(self) -> List[int]:
+        """The runnable pids, ascending, as a fresh list the caller may keep."""
+        return self._runnable.copy()
 
     @property
     def choices(self) -> Tuple[int, ...]:
@@ -162,9 +167,14 @@ class SMKernel(KernelBase):
         return tuple(self._choices)
 
     def _quiescent(self) -> bool:
-        return not self.runnable_pids()
+        return not self._runnable
 
     # -- execution ------------------------------------------------------------
+
+    def _crash(self, pid: int) -> None:
+        super()._crash(pid)
+        if pid in self._runnable:
+            self._runnable.remove(pid)
 
     def _execute_op(self, pid: int, op: Op) -> Any:
         if isinstance(op, Read):
@@ -181,6 +191,7 @@ class SMKernel(KernelBase):
                 raise ProtocolError(f"p{pid} attempted to decide twice")
             state.decided = True
             state.decision = op.value
+            self._note_decide(pid)
             self.trace.record(self.tick, "decide", pid, payload=op.value)
             return None
         raise ProtocolError(f"p{pid} yielded a non-operation: {op!r}")
@@ -200,6 +211,7 @@ class SMKernel(KernelBase):
             op = state.generator.send(state.pending_result)
         except StopIteration:
             state.finished = True
+            self._runnable.remove(pid)
             self.trace.record(self.tick, "halt", pid)
             return
         state.pending_result = self._execute_op(pid, op)
@@ -257,14 +269,18 @@ class SMKernel(KernelBase):
         other process keeps its live generator.  A snapshot may be
         restored any number of times, into this kernel or a fresh one.
         Like :meth:`MPKernel.restore`, this leaves the trace and the
-        register histories alone.
+        register histories alone.  The runnable list and the count of
+        undecided correct processes are rebuilt in the same pass.
         """
         self.tick = len(snapshot.choices)
         self._choices = list(snapshot.choices)
-        self._crashed = set(snapshot.crashed)
+        crashed = self._crashed = set(snapshot.crashed)
+        byzantine = self._byzantine
         self.registers.load(snapshot.registers)
-        for state, (log, finished, decided, decision) in zip(
-            self._states, snapshot.processes
+        runnable = []
+        undecided = 0
+        for pid, (state, (log, finished, decided, decision)) in enumerate(
+            zip(self._states, snapshot.processes)
         ):
             live = state.results_log
             if (
@@ -279,6 +295,13 @@ class SMKernel(KernelBase):
                 state.finished = finished
             state.decided = decided
             state.decision = decision
+            if pid not in crashed:
+                if not finished:
+                    runnable.append(pid)
+                if not decided and pid not in byzantine:
+                    undecided += 1
+        self._runnable = runnable
+        self._undecided = undecided
 
     def run(self) -> ExecutionResult:
         """Execute until a stop state and return the result.
@@ -290,10 +313,12 @@ class SMKernel(KernelBase):
             KernelLimitError: the tick budget was exhausted first.
             SchedulerStall: the scheduler starved every runnable process
                 while some correct process was still undecided.
+            ProtocolError: the scheduler picked a pid that is not
+                runnable.
         """
         self._apply_dynamic_crashes()
-        while self.runnable_pids():
-            if self._stop_when_decided and self.all_correct_decided():
+        while self._runnable:
+            if self._stop_when_decided and not self._undecided:
                 break
             if self.tick >= self._max_ticks:
                 raise KernelLimitError(
@@ -302,14 +327,14 @@ class SMKernel(KernelBase):
                 )
             pid = self._scheduler.pick(self)
             if pid is None:
-                if self.all_correct_decided():
+                if not self._undecided:
                     break
                 raise SchedulerStall(
                     "scheduler starved all runnable processes but "
                     f"{sorted(self.correct - self.decided_pids())} "
                     "have not decided"
                 )
-            if not self.is_runnable(pid):
+            if pid not in self._runnable:
                 raise ProtocolError(f"scheduler picked non-runnable p{pid}")
             self._step(pid)
             self._apply_dynamic_crashes()

@@ -26,7 +26,11 @@ class ProcessScheduler:
     """Interface: pick the next process to take an operation."""
 
     def pick(self, kernel) -> Optional[int]:
-        """Return a runnable pid, or ``None`` to refuse all."""
+        """Return a runnable pid, or ``None`` to refuse all.
+
+        ``kernel.runnable_pids()`` lists the runnable pids in ascending
+        order, as a fresh list the scheduler may keep or change.
+        """
         raise NotImplementedError
 
 
@@ -40,7 +44,7 @@ class RoundRobinScheduler(ProcessScheduler):
         runnable = kernel.runnable_pids()
         if not runnable:
             return None
-        for pid in sorted(runnable):
+        for pid in runnable:
             if pid > self._last:
                 self._last = pid
                 return pid
@@ -58,7 +62,7 @@ class RandomProcessScheduler(ProcessScheduler):
         runnable = kernel.runnable_pids()
         if not runnable:
             return None
-        return self._rng.choice(sorted(runnable))
+        return self._rng.choice(runnable)
 
 
 class PredicateProcessScheduler(ProcessScheduler):
@@ -80,7 +84,7 @@ class PredicateProcessScheduler(ProcessScheduler):
         self._last = -1
 
     def _rotate(self, candidates: List[int]) -> int:
-        for pid in sorted(candidates):
+        for pid in candidates:
             if pid > self._last:
                 self._last = pid
                 return pid

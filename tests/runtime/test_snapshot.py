@@ -189,6 +189,7 @@ def _image(kernel):
         kernel._sends_made,
         [_plain(process) for process in kernel._processes],
         [(ctx._decided, _plain(ctx._decision)) for ctx in kernel._contexts],
+        kernel.all_correct_decided(),
     )
 
 
@@ -325,20 +326,29 @@ def _sm_fork(spec_name, choices):
     return fork
 
 
+def _sm_view(kernel, table):
+    """The fingerprint, the runnable list and the stop test."""
+    return (
+        _sm_fp(kernel, table),
+        kernel.runnable_pids(),
+        kernel.all_correct_decided(),
+    )
+
+
 def _sm_lockstep(kernel, fork, table):
-    """Equal fingerprints now and after every step of a common schedule.
+    """Equal views now and after every step of a common schedule.
 
     Bounded: a fixed schedule may starve a looping program, so this
     compares a window, not a complete run.
     """
-    assert _sm_fp(kernel, table) == _sm_fp(fork, table)
+    assert _sm_view(kernel, table) == _sm_view(fork, table)
     for _ in range(40):
         if not kernel.runnable_pids() or kernel.all_correct_decided():
             break
         pid = min(kernel.runnable_pids())
         kernel.step_pid(pid)
         fork.step_pid(pid)
-        assert _sm_fp(kernel, table) == _sm_fp(fork, table)
+        assert _sm_view(kernel, table) == _sm_view(fork, table)
     assert kernel.choices == fork.choices
 
 
