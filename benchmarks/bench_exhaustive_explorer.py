@@ -15,7 +15,9 @@ same instances in the same run:
   symmetry on instances with interchangeable processes, asserting equal
   findings and strictly fewer states (the n=4 chaudhuri uniform point
   is the headline: POR alone exhausts its 400k budget, the quotient
-  finishes in ~24k states);
+  finishes in ~24k states), plus one capped timing point with five
+  interchangeable processes (|G| = 120) that records the CPU cost per
+  state and the renamings tried per canonicalization;
 * **event allocation** -- ``__slots__``-backed frozen events against a
   ``__dict__``-backed clone (the pre-slots layout);
 * **early exit** -- ``stop_on_violation`` wall time against the full
@@ -145,6 +147,19 @@ SYM_GRID = (
         "smoke": False, "guard": False, "cap": 400_000,
     },
 )
+
+
+#: Timing-only symmetry point: five interchangeable processes, so the
+#: group has 120 elements, and a state cap (``smoke_cap`` under
+#: ``--smoke``) instead of exhaustion.
+SYM_TIMING_POINT = {
+    "name": "chaudhuri n=5 uniform",
+    "protocol": "chaudhuri",
+    "inputs": ("v",) * 5,
+    "k": 4, "t": 3,
+    "crash": None,
+    "cap": 20_000, "smoke_cap": 1_000,
+}
 
 
 #: Early-exit series: outside-region points where the full sweep keeps
@@ -356,8 +371,37 @@ def _measure_sym_point(point: Dict[str, Any]) -> Dict[str, Any]:
         "group_size": sym.stats.group_size,
         "canonicalizations": sym.stats.canonicalizations,
         "orbit_hits": sym.stats.orbit_hits,
+        "renamings": sym.stats.renamings,
         "states_reduction": round(sym.states / por.states, 4),
         "violations": len(sym.violations),
+    }
+
+
+def _measure_sym_timing_point(point: Dict[str, Any], cap: int) -> Dict[str, Any]:
+    """One capped symmetric search: CPU per state and renamings."""
+    kwargs = _grid_kwargs(point)
+    kwargs["max_states"] = cap
+    started = time.perf_counter()
+    cpu_started = time.process_time()
+    result = explore_mp(_grid_factory(point), symmetry=True, **kwargs)
+    cpu_seconds = time.process_time() - cpu_started
+    elapsed = time.perf_counter() - started
+    stats = result.stats
+    assert stats.symmetry, f"{point['name']}: symmetry was disabled"
+    return {
+        "point": point["name"],
+        "cap": cap,
+        "states": result.states,
+        "exhausted": result.exhausted,
+        "group_size": stats.group_size,
+        "seconds": round(elapsed, 4),
+        "cpu_seconds": round(cpu_seconds, 4),
+        "us_per_state": round(cpu_seconds / result.states * 1e6, 1),
+        "canonicalizations": stats.canonicalizations,
+        "renamings": stats.renamings,
+        "renamings_per_canonicalization": round(
+            stats.renamings / stats.canonicalizations, 3
+        ),
     }
 
 
@@ -536,6 +580,10 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
         for point in SYM_GRID
         if point["smoke"] or not smoke
     ]
+    sym_timing = _measure_sym_timing_point(
+        SYM_TIMING_POINT,
+        SYM_TIMING_POINT["smoke_cap" if smoke else "cap"],
+    )
     early_points = [
         _measure_early_exit_point(point)
         for point in EARLY_EXIT_GRID
@@ -556,6 +604,7 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
             "throughput": 1,
             "por_reduction": 1,
             "symmetry_reduction": 1,
+            "symmetry_timing": 1,
             "early_exit": 1,
             "shared_memory": 1,
             "sm_timing": 1,
@@ -577,6 +626,7 @@ def run_suite(smoke: bool = False) -> Dict[str, Any]:
         "symmetry_states_baseline": {
             point["point"]: point["sym_states"] for point in sym_points
         },
+        "symmetry_timing": sym_timing,
         "early_exit": early_points,
         "early_exit_states_baseline": {
             point["point"]: point["early_exit_states"]
@@ -676,6 +726,11 @@ def test_exhaustive_throughput_smoke(benchmark):
     assert payload["symmetry_reduction"], "no symmetry points measured"
     for point in payload["symmetry_reduction"]:
         assert point["sym_states"] < point["por_states"], point
+    timing = payload["symmetry_timing"]
+    assert timing["states"] == timing["cap"], timing
+    assert timing["renamings"] < timing["canonicalizations"] * (
+        timing["group_size"] - 1
+    ), timing
     assert payload["early_exit"], "no early-exit points measured"
     for point in payload["early_exit"]:
         assert point["early_exit_states"] < point["full_states"], point
@@ -731,6 +786,14 @@ def main(argv=None) -> int:
             f"{point['orbit_hits']} orbit hits{capped}, "
             f"{point['por_seconds']} s -> {point['sym_seconds']} s"
         )
+    timing = payload["symmetry_timing"]
+    print(
+        f"SYM {timing['point']}: {timing['states']} states (cap "
+        f"{timing['cap']}), group {timing['group_size']}, "
+        f"{timing['us_per_state']} us CPU/state, "
+        f"{timing['renamings_per_canonicalization']} renamings per "
+        f"canonicalization"
+    )
     for point in payload["early_exit"]:
         print(
             f"EARLY-EXIT {point['point']}: {point['full_states']} -> "

@@ -463,10 +463,12 @@ def _cmd_exhaustive(args) -> int:
     stats = result.stats
     if args.symmetry:
         if stats.symmetry:
+            per = stats.renamings / max(stats.canonicalizations, 1)
             print(
                 f"symmetry: group of {stats.group_size} permutations, "
                 f"{stats.canonicalizations} canonicalizations, "
-                f"{stats.orbit_hits} orbit hits"
+                f"{stats.orbit_hits} orbit hits, "
+                f"{per:.2f} renamings per canonicalization"
             )
         else:
             print(f"symmetry: disabled ({stats.symmetry_reason})")

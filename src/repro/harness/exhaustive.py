@@ -148,9 +148,14 @@ class ExplorationStats:
     group_size: int = 1
     #: Canonical fingerprints computed (one per deduplicated node).
     canonicalizations: int = 0
-    #: Store hits at states whose canonical representative is a proper
-    #: renaming of the raw state -- hits attributable to symmetry.
+    #: Store hits at states that are not their orbit's chosen
+    #: representative.  Which member represents an orbit is the
+    #: canonicalizer's choice, so this count can fall while the
+    #: reduction (``states``, ``cache_hits``) stays the same.
     orbit_hits: int = 0
+    #: Non-identity renamed fingerprints the canonicalizer computed:
+    #: the renamings it tried, over all canonicalizations.
+    renamings: int = 0
 
 
 @dataclasses.dataclass
@@ -223,6 +228,7 @@ def _merge_into(total: ExplorationResult, part: ExplorationResult) -> None:
     total.replayed_steps += part.replayed_steps
     total.stats.canonicalizations += part.stats.canonicalizations
     total.stats.orbit_hits += part.stats.orbit_hits
+    total.stats.renamings += part.stats.renamings
 
 
 def _empty_result() -> ExplorationResult:
@@ -730,11 +736,14 @@ def _setup(
 
 
 def _finish(
-    result: ExplorationResult, store: ExactStore
+    result: ExplorationResult, store: ExactStore, cfg: _Config
 ) -> ExplorationResult:
-    """The one exit of every search: add its own store's counters."""
+    """The one exit of every search: add its own store's and
+    canonicalizer's counters."""
     result.cache_hits += store.hits
     result.cache_misses += store.misses
+    if cfg.sym is not None:
+        result.stats.renamings += cfg.sym.renamings
     return result
 
 
@@ -1026,7 +1035,7 @@ def _mp_frontier_worker(task: _Subtree) -> ExplorationResult:
     snapshot, path, sleep = task.root
     kernel.restore(snapshot)
     _run_mp_dfs(kernel, path, set(sleep), cfg, result, store)
-    return _finish(result, store)
+    return _finish(result, store, cfg)
 
 
 def explore_mp(
@@ -1091,7 +1100,7 @@ def explore_mp(
             search, setup, (kernel.snapshot(), (), ()), _mp_children,
             _mp_frontier_worker, jobs,
         )
-    return _finish(result, store)
+    return _finish(result, store, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1231,7 +1240,7 @@ def _sm_frontier_worker(task: _Subtree) -> ExplorationResult:
     result.replays += 1
     _run_sm_dfs(kernel, cfg, result, store)
     result.replayed_steps += kernel.refed_results
-    return _finish(result, store)
+    return _finish(result, store, cfg)
 
 
 def explore_sm(
@@ -1280,7 +1289,7 @@ def explore_sm(
             _sm_frontier_worker, jobs,
         )
     result.replayed_steps += kernel.refed_results
-    return _finish(result, store)
+    return _finish(result, store, cfg)
 
 
 # ---------------------------------------------------------------------------

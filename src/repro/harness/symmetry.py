@@ -36,21 +36,28 @@ Soundness is gated explicitly, never assumed:
   permutation is checked per state: it must stabilize every in-progress
   scan prefix (which is always ``{0 .. m-1}`` for ascending scans).
 
-Message-passing canonical fingerprints are the minimum over the group
-of the renamed *id* fingerprint: the explorer hash-conses every
+Message-passing canonical fingerprints are the minimum of the renamed
+*id* fingerprint over the renamings that sort the state (the scalarset
+normalization of Ip & Dill, 1996): each process gets a key that
+renaming cannot change -- the orbit shape of its local state, how many
+of its messages are in flight, whether it crashed, and its counters
+when the fingerprint holds them -- and only the renamings that leave
+every interchangeability class ordered by key are tried, so only
+processes with equal keys are permuted.  The explorer hash-conses every
 per-process local state and pending-event signature into a
 per-exploration table of first-seen ids, and :class:`MPSymmetryContext`
 renames those ids through per-group-element memo tables, interning each
-renamed value into the same table.  Equal values share an id, so the
-minimum is an orbit invariant; ids are assigned in the order of a
-deterministic search, which keeps parallel frontier merges
-bit-identical.  Shared-memory canonical fingerprints work the same way
-on the shared-memory ids (each process's results log chain-interned,
-each local state and register value numbered): :class:`SMSymmetryContext`
-renames local-state ids through per-group-element memo tables, moves
-register ids and crashed pids by the permutation, and takes the
-minimum int tuple over the permutations that pass its per-state scan
-filter.
+renamed value into the same table.  Equal values share an id and the
+key commutes with renaming, so every member of an orbit has the same
+set of sorted images and the minimum is an orbit invariant; ids are
+assigned in the order of a deterministic search, which keeps parallel
+frontier merges bit-identical.  Shared-memory canonical fingerprints
+work on the shared-memory ids (each process's results log
+chain-interned, each local state and register value numbered):
+:class:`SMSymmetryContext` renames local-state ids through
+per-group-element memo tables, moves register ids and crashed pids by
+the permutation, and takes the minimum int tuple over *every*
+permutation that passes its per-state scan filter.
 """
 
 from __future__ import annotations
@@ -234,6 +241,41 @@ def _rename_ids(
     )
 
 
+def _shape_value(kind: str, value: Any, pid: int) -> Any:
+    """The orbit shape of one declared field at ``pid``.
+
+    Each pid the field mentions is reduced to whether it is ``pid``,
+    and each pid set to its size and whether it holds ``pid``; dict
+    entries become a multiset, sorted by ``repr`` as in ``_freeze``.
+    """
+    from repro.harness.exhaustive import _freeze
+
+    if kind == "plain":
+        return _freeze(value)
+    if kind == "pid_keyed":
+        return tuple(sorted(
+            ((key == pid, _freeze(entry)) for key, entry in value.items()),
+            key=repr,
+        ))
+    if kind == "pid_set":
+        return (len(value), pid in value)
+    if kind == "origin_votes":
+        return tuple(sorted(
+            (
+                (origin == pid, _freeze(rest), len(votes), pid in votes)
+                for (origin, *rest), votes in value.items()
+            ),
+            key=repr,
+        ))
+    # "echo_engine": the same reductions on the engine's three tables.
+    return (
+        value.ell,
+        _shape_value("pid_set", value._echoed_for, pid),
+        _shape_value("origin_votes", value._echoers, pid),
+        _shape_value("pid_keyed", value._accepted, pid),
+    )
+
+
 class MPSymmetryContext:
     """Per-exploration canonicalizer for one MP instance.
 
@@ -243,11 +285,21 @@ class MPSymmetryContext:
     element: ``_renamed[index]`` maps the id of a local state or event
     signature to the id of its image under ``perms[index]``, so each
     distinct value is renamed and frozen once per group element per
-    exploration.  The memo holds ids of one exploration's state table,
-    so a context serves exactly one exploration.
+    exploration.  The keys that pick the sorting renamings are memoized
+    too: ``_shapes[pid]`` maps a local-state id to the id of its orbit
+    shape at ``pid`` (a shape asks "is this pid me", so one state has
+    different shapes at different pids), ``_senders`` maps a signature
+    id to its sender, and ``_sorting`` maps a class order and tie
+    pattern to the group indices that respect it.  The memos hold ids
+    of one exploration's state table, so a context serves exactly one
+    exploration.
     """
 
-    __slots__ = ("_decl", "_perms", "_inverses", "_n", "_renamed")
+    __slots__ = (
+        "_decl", "_perms", "_inverses", "_n", "_renamed", "_classes",
+        "_whole_group", "_shapes", "_shape_ids", "_senders", "_sorting",
+        "renamings",
+    )
 
     def __init__(self, decl: MPSymmetry, perms: List[Perm], n: int) -> None:
         self._decl = decl
@@ -255,6 +307,26 @@ class MPSymmetryContext:
         self._inverses = [_inverse(perm) for perm in perms]
         self._n = n
         self._renamed: List[Dict[int, int]] = [{} for _ in perms]
+        #: The interchangeability classes of two or more pids, each
+        #: ascending (the orbits of the pids under the group), when one
+        #: of them has three or more members.  Otherwise there is no
+        #: class to sort: a pair's sorted renamings are half its group
+        #: on average, and its keys cost more than the renaming saved.
+        classes = sorted({
+            tuple(sorted({perm[pid] for perm in perms})) for pid in range(n)
+        } - {(pid,) for pid in range(n)})
+        self._classes: List[Tuple[int, ...]] = (
+            classes if max(map(len, classes), default=0) > 2 else []
+        )
+        self._whole_group = tuple(range(len(perms)))
+        self._shapes: List[Dict[int, int]] = [{} for _ in range(n)]
+        self._shape_ids: Dict[Tuple, int] = {}
+        #: Signature id -> sender pid; ``n`` for an event that is not a
+        #: message.
+        self._senders: Dict[int, int] = {}
+        self._sorting: Dict[Tuple, Tuple[int, ...]] = {}
+        #: Non-identity renamed fingerprints computed so far.
+        self.renamings = 0
 
     @property
     def group_size(self) -> int:
@@ -267,9 +339,11 @@ class MPSymmetryContext:
 
         ``ids`` are the state's hash-consed coordinates (see
         :class:`repro.harness.exhaustive._StateIds`).  The representative
-        is the minimum over the group of the renamed id fingerprint;
-        since the state table gives equal values equal ids, that minimum
-        is the same for every member of an orbit.
+        is the minimum of the renamed id fingerprint over the renamings
+        that sort the state (see :meth:`_sorting_renamings`); those
+        renamings map every member of an orbit onto the same set of
+        sorted images, and the state table gives equal values equal ids,
+        so that minimum is the same for every member of an orbit.
 
         Returns ``(fingerprint, keys, is_identity)`` where ``keys`` maps
         the sequence number of every pending event to its signature id
@@ -280,26 +354,33 @@ class MPSymmetryContext:
         """
         ids.resolve(kernel)
         sigs = ids.sigs
+        procs = ids.procs
         pending = sorted(sigs.values())
         crashed = sorted(kernel._crashed)
         steps = kernel._steps_taken
         sends = kernel._sends_made
-        best = (
-            tuple(pending),
-            ids.procs,
-            tuple(crashed),
-            (tuple(steps), tuple(sends)) if include_counters else (),
-        )
+        candidates = self._sorting_renamings(
+            kernel, ids, pending, include_counters
+        ) if self._classes else self._whole_group
+        best = None
         best_index = 0
-        for index in range(1, len(self._perms)):
+        for index in candidates:
+            if index == 0:
+                best = (
+                    tuple(pending),
+                    procs,
+                    tuple(crashed),
+                    (tuple(steps), tuple(sends)) if include_counters else (),
+                )
+                continue
             renamed = self._renamed[index]
             inverse = self._inverses[index]
             try:
-                head = _rename_ids(renamed, inverse, pending, ids.procs)
+                head = _rename_ids(renamed, inverse, pending, procs)
             except KeyError:
                 self._learn(kernel, ids, index)
-                head = _rename_ids(renamed, inverse, pending, ids.procs)
-            if head[0] > best[0]:
+                head = _rename_ids(renamed, inverse, pending, procs)
+            if best is not None and head[0] > best[0]:
                 continue
             perm = self._perms[index]
             fingerprint = head + (
@@ -309,14 +390,149 @@ class MPSymmetryContext:
                     tuple([sends[pid] for pid in inverse]),
                 ) if include_counters else (),
             )
-            if fingerprint < best:
+            if best is None or fingerprint < best:
                 best = fingerprint
                 best_index = index
+        self.renamings += len(candidates) - (candidates[0] == 0)
         if best_index == 0:
             return best, sigs, True
         renamed = self._renamed[best_index]
-        keys = {seq: renamed[sid] for seq, sid in sorted(sigs.items())}
+        keys = {seq: renamed[sigs[seq]] for seq in sorted(sigs)}
         return best, keys, False
+
+    # -- sorting -------------------------------------------------------------
+
+    def _sorting_renamings(
+        self, kernel, ids, pending: List[int], include_counters: bool
+    ) -> Tuple[int, ...]:
+        """Ascending group indices of the renamings that sort the state.
+
+        A renaming sorts the state when, in its image, the keys of every
+        class's members (see :meth:`_process_keys`) do not decrease in
+        pid order: each process must move to a position whose rank in
+        its class is the rank of its key, so only processes with equal
+        keys may trade places.
+        """
+        keys = self._process_keys(kernel, ids, pending, include_counters)
+        order: List[int] = []
+        ties: List[bool] = []
+        for members in self._classes:
+            ranked = sorted(members, key=keys.__getitem__)
+            previous = keys[ranked[0]]
+            for pid in ranked[1:]:
+                key = keys[pid]
+                ties.append(key == previous)
+                previous = key
+            order += ranked
+        pattern = (tuple(order), tuple(ties))
+        candidates = self._sorting.get(pattern)
+        if candidates is None:
+            candidates = self._sorting[pattern] = self._respecting(
+                order, ties
+            )
+        return candidates
+
+    def _process_keys(
+        self, kernel, ids, pending: List[int], include_counters: bool
+    ) -> List[Tuple]:
+        """Per-pid keys that commute with renaming.
+
+        The key of ``pid`` is its local state's orbit shape at ``pid``,
+        the number of its messages in flight, whether it crashed, and,
+        when the fingerprint holds them, its step and send counters.
+        Each part is read off the fingerprint's own coordinates, so
+        states with one fingerprint get one set of keys, and the image
+        of ``pid`` under a renaming has the key ``pid`` has.
+        """
+        try:
+            senders = list(map(self._senders.__getitem__, pending))
+        except KeyError:
+            self._learn_senders(kernel, ids)
+            senders = list(map(self._senders.__getitem__, pending))
+        shapes = list(map(dict.get, self._shapes, ids.procs))
+        if None in shapes:
+            self._learn_shapes(kernel, ids)
+            shapes = list(map(dict.__getitem__, self._shapes, ids.procs))
+        crashed = kernel._crashed
+        if include_counters:
+            steps = kernel._steps_taken
+            sends = kernel._sends_made
+            return [
+                (shape, senders.count(pid), pid in crashed, steps[pid],
+                 sends[pid])
+                for pid, shape in enumerate(shapes)
+            ]
+        return [
+            (shape, senders.count(pid), pid in crashed)
+            for pid, shape in enumerate(shapes)
+        ]
+
+    def _respecting(
+        self, order: List[int], ties: List[bool]
+    ) -> Tuple[int, ...]:
+        """Group indices that move each pid of ``order`` into its tie block.
+
+        ``order`` lists every class's members ranked by key and ``ties``
+        says, per adjacent pair of one class, whether their keys are
+        equal; the members of a tie block may go to any of the block's
+        positions.
+        """
+        ranked = iter(order)
+        tied = iter(ties)
+        allowed: Dict[int, FrozenSet[int]] = {}
+        for members in self._classes:
+            block: List[int] = []
+            positions: List[int] = []
+            for position in members:
+                block.append(next(ranked))
+                positions.append(position)
+                if position == members[-1] or not next(tied):
+                    for pid in block:
+                        allowed[pid] = frozenset(positions)
+                    block, positions = [], []
+        return tuple([
+            index for index, perm in enumerate(self._perms)
+            if all(perm[pid] in allowed[pid] for pid in order)
+        ])
+
+    def _learn_senders(self, kernel, ids) -> None:
+        """Memoize the sender of every pending signature id."""
+        senders = self._senders
+        for seq, sig in sorted(ids.sigs.items()):
+            if sig not in senders:
+                event = kernel._pending[seq]
+                senders[sig] = (
+                    event.sender if isinstance(event, Delivery) else self._n
+                )
+
+    def _learn_shapes(self, kernel, ids) -> None:
+        """Memoize the shape id of every process's local state."""
+        shape_ids = self._shape_ids
+        for pid, state in enumerate(ids.procs):
+            shapes = self._shapes[pid]
+            if state not in shapes:
+                shape = self._shape(
+                    kernel._processes[pid], kernel._contexts[pid], pid
+                )
+                shapes[state] = shape_ids.setdefault(shape, len(shape_ids))
+
+    def _shape(self, process, ctx, pid: int) -> Tuple:
+        """The orbit shape of ``_local_state(process, ctx)`` at ``pid``.
+
+        Every pid mention becomes "is it ``pid``", so the shape of a
+        renamed state at the renamed pid is the shape of the original.
+        """
+        from repro.harness.exhaustive import _freeze
+
+        fields = self._decl.fields
+        return (
+            tuple([
+                (key, _shape_value(fields[key], value, pid))
+                for key, value in sorted(process.__dict__.items())
+            ]),
+            ctx._decided,
+            _freeze(ctx._decision),
+        )
 
     # -- renaming ------------------------------------------------------------
 
@@ -484,7 +700,9 @@ class SMSymmetryContext:
     exploration.
     """
 
-    __slots__ = ("_shape", "_perms", "_inverses", "_n", "_renamed")
+    __slots__ = (
+        "_shape", "_perms", "_inverses", "_n", "_renamed", "renamings",
+    )
 
     def __init__(self, shape: str, perms: List[Perm], n: int) -> None:
         self._shape = shape
@@ -492,6 +710,8 @@ class SMSymmetryContext:
         self._inverses = [_inverse(perm) for perm in perms]
         self._n = n
         self._renamed: List[Dict[int, int]] = [{} for _ in perms]
+        #: Non-identity renamed fingerprints computed so far.
+        self.renamings = 0
 
     @property
     def group_size(self) -> int:
@@ -520,6 +740,7 @@ class SMSymmetryContext:
                 all(perm[pid] < m for pid in range(m)) for m in scans
             ):
                 continue
+            self.renamings += 1
             renamed = self._renamed[index]
             inverse = self._inverses[index]
             try:

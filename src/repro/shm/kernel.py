@@ -154,8 +154,13 @@ class SMKernel(KernelBase):
     # -- introspection ------------------------------------------------------
 
     def is_runnable(self, pid: int) -> bool:
-        state = self._states[pid]
-        return pid not in self._crashed and not state.finished
+        """Whether ``pid`` names a process that is neither crashed nor
+        finished; false for any pid outside ``range(n)``."""
+        return (
+            0 <= pid < self.n
+            and pid not in self._crashed
+            and not self._states[pid].finished
+        )
 
     def runnable_pids(self) -> List[int]:
         """The runnable pids, ascending, as a fresh list the caller may keep."""
@@ -239,7 +244,7 @@ class SMKernel(KernelBase):
         The single-step entry point for explorers driving the kernel
         without a scheduler.
         """
-        if not self.is_runnable(pid):
+        if pid not in self._runnable:
             raise ProtocolError(f"stepped non-runnable p{pid}")
         self._step(pid)
         self._apply_dynamic_crashes()

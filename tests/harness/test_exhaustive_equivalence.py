@@ -381,6 +381,23 @@ class TestSymmetryVisitedMatrix:
         assert one == fanned
         assert one.stats.symmetry
 
+    def test_mp_jobs_bit_identical_when_a_class_is_sorted(self):
+        """Three interchangeable processes: the canonicalizer sorts their
+        class by key, and each frontier worker learns its own keys."""
+        factory = SpecFactory("protocol-a@mp-cr", n=3, k=2, t=1)
+        one = explore_mp(
+            factory, ["v", "v", "v"], k=2, t=1, validity=RV2,
+            symmetry=True, jobs=1,
+        )
+        fanned = explore_mp(
+            factory, ["v", "v", "v"], k=2, t=1, validity=RV2,
+            symmetry=True, jobs=3,
+        )
+        assert one == fanned
+        stats = one.stats
+        assert stats.group_size == 6
+        assert stats.renamings < stats.canonicalizations * 5
+
     def test_n4_symmetry_agrees_and_reduces(self):
         factory = SpecFactory("protocol-a@mp-cr", n=4, k=2, t=1)
         inputs = ["v", "v", "v", "w"]

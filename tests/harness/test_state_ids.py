@@ -16,6 +16,14 @@ plan, with symmetry off and on, capped so the larger Byzantine
 protocols stay within seconds.  Specs whose factory refuses t=1 at n=3
 (PROTOCOL C) are built for t=0 and run by a t=1 kernel: what is under
 test is the explorer's bookkeeping, not the protocol.
+
+The second group checks the sorting canonicalizer against a reference
+kept below, ``_whole_group_key``: the minimum renamed id fingerprint over
+the *whole* group, which the canonicalizer took before it renamed only
+the processes whose keys tie.  The two choose different
+representatives, but over every state a search without symmetry reaches,
+two states must get equal new keys exactly when they get equal
+whole-group keys.
 """
 
 from collections import Counter
@@ -25,7 +33,10 @@ import pytest
 from repro.core.validity import SV2, by_code
 from repro.failures.crash import CrashPlan, CrashPoint
 from repro.harness import exhaustive
-from repro.harness.symmetry import MPSymmetryContext
+from repro.harness.exhaustive import SpecFactory
+from repro.harness.symmetry import (
+    MPSymmetryContext, _rename_ids, mp_symmetry_context,
+)
 from repro.protocols.ablations import (
     CredulousProcess,
     ProtocolBStrictQuorum,
@@ -131,3 +142,99 @@ def test_incremental_ids_match_rebuild(
     else:
         assert checked["fingerprint"] == probes
         assert checked["canonical"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the reference canonicalizer: the minimum over the whole group
+
+
+def _whole_group_key(ctx, kernel, ids, include_counters):
+    """The minimum renamed id fingerprint over every group element."""
+    ids.resolve(kernel)
+    pending = sorted(ids.sigs.values())
+    crashed = sorted(kernel._crashed)
+    steps = kernel._steps_taken
+    sends = kernel._sends_made
+    best = (
+        tuple(pending),
+        ids.procs,
+        tuple(crashed),
+        (tuple(steps), tuple(sends)) if include_counters else (),
+    )
+    for index in range(1, ctx.group_size):
+        renamed = ctx._renamed[index]
+        inverse = ctx._inverses[index]
+        try:
+            head = _rename_ids(renamed, inverse, pending, ids.procs)
+        except KeyError:
+            ctx._learn(kernel, ids, index)
+            head = _rename_ids(renamed, inverse, pending, ids.procs)
+        perm = ctx._perms[index]
+        fingerprint = head + (
+            tuple(sorted(perm[pid] for pid in crashed)),
+            (
+                tuple(steps[pid] for pid in inverse),
+                tuple(sends[pid] for pid in inverse),
+            ) if include_counters else (),
+        )
+        best = min(best, fingerprint)
+    return best
+
+
+def _partition_cases():
+    cases = []
+    for param in _instances():
+        factory, k, validity = param.values
+        for inputs in (["v", "v", "w"], ["v", "v", "v"]):
+            for plan, plan_id in ((None, "failure-free"), (PLAN, "crash")):
+                cases.append(pytest.param(
+                    factory, inputs, k, T, validity, plan,
+                    id=f"{param.id}-{''.join(inputs)}-{plan_id}",
+                ))
+    # Four interchangeable processes: |G| = 24.
+    for name, k, t in (("chaudhuri@mp-cr", 3, 2), ("protocol-a@mp-cr", 2, 1)):
+        cases.append(pytest.param(
+            SpecFactory(name, 4, k, t), ["v"] * 4, k, t, SV2, None,
+            id=f"{name}-n4-uniform",
+        ))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "factory, inputs, k, t, validity, plan", _partition_cases()
+)
+def test_canonical_keys_partition_like_whole_group(
+    monkeypatch, factory, inputs, k, t, validity, plan
+):
+    """Equal new keys exactly when equal whole-group keys, over every
+    state a capped search without symmetry reaches."""
+    kernel = exhaustive._fresh_mp_kernel(factory, inputs, t, plan)
+    ctx, reason = mp_symmetry_context(kernel._processes, inputs, t, plan)
+    assert ctx is not None, reason
+    pairs = set()
+    fingerprint = exhaustive._fingerprint_mp
+
+    def keyed_fingerprint(kernel, ids, include_counters):
+        pairs.add((
+            ctx.canonical(kernel, ids, include_counters)[0],
+            _whole_group_key(ctx, kernel, ids, include_counters),
+        ))
+        return fingerprint(kernel, ids, include_counters)
+
+    monkeypatch.setattr(exhaustive, "_fingerprint_mp", keyed_fingerprint)
+    result = exhaustive.explore_mp(
+        factory, inputs, k, t, validity,
+        crash_adversary=plan, max_states=MAX_STATES, por=False,
+    )
+    assert not result.stats.symmetry and result.states > 1
+    new_to_whole = {}
+    whole_to_new = {}
+    for new, whole in pairs:
+        new_to_whole.setdefault(new, set()).add(whole)
+        whole_to_new.setdefault(whole, set()).add(new)
+    assert all(len(wholes) == 1 for wholes in new_to_whole.values()), (
+        "the sorting canonicalizer merges states the whole group keeps apart"
+    )
+    assert all(len(news) == 1 for news in whole_to_new.values()), (
+        "the sorting canonicalizer splits states the whole group merges"
+    )

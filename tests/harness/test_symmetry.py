@@ -6,7 +6,8 @@ the renamed image of any reachable execution is itself reachable, and
 both land on the same canonical fingerprint.  These tests *execute*
 that claim with a lockstep permutation fuzz: two identical kernels, one
 driven along a random schedule and one along its renamed image,
-comparing canonical fingerprints as they go.  A wrong declaration (a
+comparing canonical fingerprints -- and, on message passing, the
+per-process sorting keys -- as they go.  A wrong declaration (a
 state field or payload tag whose pid mentions are renamed unfaithfully)
 makes the fingerprints diverge within a few steps.
 
@@ -116,6 +117,12 @@ def _lockstep_mp_fuzz(spec, inputs, t, plan, seed, rounds=3):
             ids = _state_ids(kernel, table)
             return ctx.canonical(kernel, ids, include_counters)[0]
 
+        def process_keys(kernel):
+            ids = _state_ids(kernel, table)
+            return ctx._process_keys(
+                kernel, ids, sorted(ids.sigs.values()), include_counters
+            )
+
         perms = ctx._perms
         pi = perms[rng.randrange(1, len(perms))]
         identity = perms[0]
@@ -124,6 +131,14 @@ def _lockstep_mp_fuzz(spec, inputs, t, plan, seed, rounds=3):
             fp_a = canonical(kernel_a)
             fp_b = canonical(kernel_b)
             assert fp_a == fp_b, f"{spec.name}: diverged after {steps} steps"
+            # The sorting key commutes with renaming: p in A has the key
+            # pi[p] has in B, the renamed state.
+            keys_a = process_keys(kernel_a)
+            keys_b = process_keys(kernel_b)
+            assert [keys_b[pi[pid]] for pid in range(N)] == keys_a, (
+                f"{spec.name}: process keys not renaming-invariant after "
+                f"{steps} steps"
+            )
             seq_a = rng.choice(sorted(kernel_a._pending))
             want = ctx._rename_sig(kernel_a._pending[seq_a], pi)
             matches = [
@@ -161,6 +176,33 @@ class TestMPCanonicalInvariance:
     def test_uniform_inputs_full_group(self):
         spec = get_spec("protocol-b@mp-cr")
         _lockstep_mp_fuzz(spec, ["v"] * N, t=0, plan=None, seed=3)
+
+    def test_keys_ignore_counters_the_fingerprint_leaves_out(self):
+        """Without a crash adversary the fingerprint holds no counters,
+        so neither may the sorting keys: two kernel states with one
+        fingerprint must sort, and canonicalize, alike."""
+        inputs = ["v"] * N
+        factory = SpecFactory("protocol-a@mp-cr", N, 2, 0)
+        kernel = _fresh_mp_kernel(factory, inputs, 0, None)
+        assert not _mp_counters_matter(None)
+        ctx, reason = mp_symmetry_context(kernel._processes, inputs, 0, None)
+        assert ctx is not None, reason
+        for seq in sorted(kernel._pending)[:N]:
+            kernel.step(seq)  # every process starts: all three keys tie
+        table = _StateTable()
+
+        def observe():
+            ids = _state_ids(kernel, table)
+            keys = ctx._process_keys(
+                kernel, ids, sorted(ids.sigs.values()), False
+            )
+            return ctx.canonical(kernel, ids, False)[0], keys
+
+        before = observe()
+        # Same fingerprint, other counters.
+        kernel._steps_taken[0] += 2
+        kernel._sends_made[1] += 1
+        assert observe() == before
 
 
 def _step_block(kernel, ctx, pid):

@@ -119,6 +119,16 @@ class TestSMReplay:
                 scheduler=ReplayProcessScheduler(short),
             )
 
+    def test_out_of_range_pid_diverges(self):
+        recording = Recording(kind="sm", choices=(0, 7, 1))
+        with pytest.raises(ReplayExhausted, match="pid 7 is not runnable"):
+            run_sm(
+                [protocol_f] * 6,
+                ["v"] * 6,
+                5, 3, SV2,
+                scheduler=ReplayProcessScheduler(recording),
+            )
+
     def test_kind_mismatch(self):
         _, recording = self.record_sm_run()
         with pytest.raises(ValueError):

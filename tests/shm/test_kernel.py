@@ -140,6 +140,28 @@ class TestKernelSafety:
         with pytest.raises(SingleWriterViolation):
             kernel.registers.write(1, 0, "intrusion")
 
+    def test_out_of_range_pid_is_not_runnable(self):
+        kernel = SMKernel(
+            [write_scan_decide] * 3, list("abc"), t=0,
+            scheduler=RoundRobinScheduler(),
+        )
+        assert [kernel.is_runnable(pid) for pid in (-1, 0, 2, 3, 7)] == [
+            False, True, True, False, False,
+        ]
+
+    def test_step_pid_out_of_range_touches_no_state(self):
+        kernel = SMKernel(
+            [write_scan_decide] * 3, list("abc"), t=0,
+            scheduler=RoundRobinScheduler(),
+        )
+        kernel.step_pid(0)
+        before = kernel.snapshot()
+        for pid in (-1, 3):
+            with pytest.raises(ProtocolError, match="non-runnable"):
+                kernel.step_pid(pid)
+        assert kernel.snapshot() == before
+        assert kernel.choices == (0,) and kernel.tick == 1
+
     def test_decide_after_generator_keeps_running(self):
         def helper(ctx):
             yield Write(ctx.input)

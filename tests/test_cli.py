@@ -193,6 +193,15 @@ class TestExhaustiveCommand:
         assert "exhaustive" in out and "violations: 0" in out
         assert "restores /" in out and "re-fed results" in out
 
+    def test_symmetry_line_reports_renamings(self, capsys):
+        assert main([
+            "exhaustive", "protocol-a@mp-cr", "--n", "3", "--k", "2",
+            "--t", "1", "--inputs", "v", "v", "w", "--symmetry",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "symmetry: group of 2 permutations" in out
+        assert "renamings per canonicalization" in out
+
 
 class TestCampaignCommand:
     def test_small_campaign(self, tmp_path, capsys):

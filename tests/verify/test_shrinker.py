@@ -136,6 +136,16 @@ def test_subsequence_scheduler_skips_inapplicable_choices():
     assert result.outcome == baseline.outcome
 
 
+def test_subsequence_scheduler_skips_unknown_sm_pid():
+    """A pid the run does not have is inapplicable on SM, as an unknown
+    seq is on MP: tolerant replay skips it."""
+    factory, kind = kernel_factory_for_spec(
+        get_spec("protocol-e@sm-cr"), 3, 2, 0, ["v", "v", "w"]
+    )
+    _, applied = run_choices(factory, [0, 7, 1, 2, -1], kind)
+    assert applied == (0, 1, 2)
+
+
 def test_subsequence_scheduler_rejects_unknown_kind():
     with pytest.raises(ValueError, match="'mp' or 'sm'"):
         SubsequenceScheduler((), "tcp")
