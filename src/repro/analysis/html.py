@@ -95,7 +95,7 @@ def build_html_report(
     ))
 
     # Possible-side empirical validation.
-    campaign = run_campaign(Campaign(
+    campaign, _ = run_campaign(Campaign(
         name="html-report",
         n_values=(7,),
         points_per_spec=1,
@@ -115,7 +115,7 @@ def build_html_report(
     verdict = (
         "<p class='ok'>all sweeps violation-free</p>"
         if campaign.clean
-        else "<p class='bad'>violations found!</p>"
+        else f"<p class='bad'>{html.escape(campaign.summary())}</p>"
     )
     parts.append(_section(
         "Possible side — randomized sweeps inside claimed regions",

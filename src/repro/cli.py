@@ -28,7 +28,7 @@ from repro.core.solvability import classify
 from repro.core.validity import by_code
 from repro.harness.attack import search_worst_run
 from repro.harness.runner import run_spec
-from repro.harness.sweep import SweepConfig, sweep_spec
+from repro.harness.sweep import ENGINES, SweepConfig, sweep_spec
 from repro.models import Model
 from repro.protocols.base import all_specs, get_spec
 
@@ -108,7 +108,7 @@ INPUTS = arg("--inputs", nargs="*", default=None,
 SEED = arg("--seed", type=int, default=0)
 VERIFY = arg("--verify", action="store_true",
              help="also judge executions with the repro.verify oracle stack")
-ENGINE = arg("--engine", choices=("scalar", "batch", "auto"), default="scalar",
+ENGINE = arg("--engine", choices=ENGINES, default="scalar",
              help="execution engine: scalar discrete-event kernel (default) "
                   "or vectorized numpy batch engine; batch/auto fall back "
                   "to scalar for specs the batch engine does not model")
@@ -758,14 +758,18 @@ def _cmd_staticcheck(args) -> int:
     SEED,
     arg("--specs", nargs="*", default=None, metavar="SPEC",
         help="restrict to these protocol specs (default: all registered)"),
-    arg("--out", default=None, help="JSON result path (resumable)"),
+    arg("--out", default=None,
+        help="JSON result path, written when the run ends"),
     JOBS, ENGINE,
     group(
-        "durable execution (repro.jobs)",
-        "crash-safe sqlite-backed job queue with supervised workers, "
-        "per-shard timeouts, bounded retries with backoff, and resume",
+        "job queue (repro.jobs)",
+        "every point is a shard in a sqlite job queue, run by supervised "
+        "workers with per-shard timeouts and bounded retries with "
+        "backoff; the queue is in memory unless --store names a file, "
+        "which makes the run resumable",
         arg("--store", default=None, metavar="DB",
-            help="sqlite job-store path; enables durable execution"),
+            help="sqlite job-store file (default: an in-memory queue "
+                 "that ends with the run)"),
         arg("--run-id", default=None,
             help="run identifier inside the store (default: campaign name)"),
         arg("--resume", default=None, metavar="RUN_ID",
@@ -773,19 +777,21 @@ def _cmd_staticcheck(args) -> int:
                  "--store; the campaign definition is loaded from the "
                  "run row)"),
         arg("--timeout", type=float, default=300.0,
-            help="per-shard timeout in seconds (durable mode)"),
-        arg("--retries", type=int, default=3,
+            help="per-shard timeout in seconds (--jobs 1 runs shards "
+                 "in-process, without one)"),
+        arg("--retries", type=count, default=3,
             help="max attempts per shard before it is marked failed"),
         arg("--backoff", type=float, default=0.1,
             help="base retry backoff in seconds (exponential, jittered)"),
-        arg("--max-shards", type=int, default=None,
-            help="stop after settling N shards (interruption drills; the "
-                 "run stays resumable)"),
+        arg("--max-shards", type=count, default=None,
+            help="stop after settling N shards (interruption drills; "
+                 "requires --store, and the run stays resumable)"),
     ),
     group(
         "chaos injection (repro.jobs.chaos)",
         "deterministically sabotage worker attempts to exercise the "
-        "supervisor; rates are per shard attempt and must sum to <= 1",
+        "supervisor; rates are per shard attempt and must sum to <= 1; "
+        "kills and hangs need worker processes (--jobs other than 1)",
         arg("--chaos-kill", type=float, default=0.0, metavar="RATE",
             help="SIGKILL the worker"),
         arg("--chaos-hang", type=float, default=0.0, metavar="RATE",
@@ -799,16 +805,15 @@ def _cmd_staticcheck(args) -> int:
 def _cmd_campaign(args) -> int:
     import pathlib
 
-    from repro.harness.campaign import (
-        Campaign,
-        run_campaign,
-        run_campaign_durable,
-    )
+    from repro.harness.campaign import Campaign, run_campaign
+    from repro.jobs import ChaosPolicy, JobStore, RetryPolicy
 
-    result_path = pathlib.Path(args.out) if args.out else None
-    if args.resume and not args.store:
-        print("--resume requires --store", file=sys.stderr)
-        return 2
+    # An in-memory queue ends with the run: nothing could resume it.
+    for flag, value in (("--resume", args.resume),
+                        ("--max-shards", args.max_shards)):
+        if value is not None and not args.store:
+            print(f"{flag} requires --store", file=sys.stderr)
+            return 2
     # A resumed run loads its definition from the store.
     campaign = None if args.resume else Campaign(
         name=args.name,
@@ -819,16 +824,6 @@ def _cmd_campaign(args) -> int:
         spec_names=tuple(args.specs) if args.specs else None,
         engine=args.engine,
     )
-    if not args.store:
-        result = run_campaign(campaign, result_path=result_path,
-                              jobs=args.jobs)
-        print(result.summary())
-        for record in result.violating()[:10]:
-            print(f"  !! {record.key}: {record.violations} violations")
-        return 0 if result.clean else 1
-
-    from repro.jobs import ChaosPolicy, JobStore, RetryPolicy
-
     policy = RetryPolicy(
         max_attempts=args.retries,
         timeout=args.timeout,
@@ -843,17 +838,17 @@ def _cmd_campaign(args) -> int:
             error_rate=args.chaos_error,
         )
     run_id = args.resume or args.run_id or campaign.name
-    with JobStore(args.store) as store:
+    with JobStore(args.store or ":memory:") as store:
         try:
-            result, report = run_campaign_durable(
+            result, report = run_campaign(
+                campaign,
                 store,
-                campaign=campaign,
                 run_id=run_id,
                 jobs=args.jobs,
                 policy=policy,
                 chaos=chaos,
                 max_shards=args.max_shards,
-                result_path=result_path,
+                result_path=pathlib.Path(args.out) if args.out else None,
             )
         except KeyError as err:
             print(f"cannot resume: {err.args[0]}", file=sys.stderr)
@@ -869,11 +864,14 @@ def _cmd_campaign(args) -> int:
             f"resume with: repro campaign --store {args.store} "
             f"--resume {run_id}"
         )
+    for failure in result.execution["failed_shards"][:10]:
+        print(f"  !! {failure['shard']}: failed on attempt "
+              f"{failure['attempts']}: {failure['error']}")
     for record in result.violating()[:10]:
         print(f"  !! {record.key}: {record.violations} violations")
     if report.stopped_early:
         return 3
-    return 0 if result.clean and not report.failed else 1
+    return 0 if result.clean else 1
 
 
 @command(

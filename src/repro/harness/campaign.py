@@ -2,38 +2,33 @@
 
 A *campaign* runs Monte-Carlo sweeps for many protocols over many
 ``(n, k, t)`` points and records the results as JSON, so that large
-validations (the kind backing EXPERIMENTS.md) are resumable and
-diffable across library versions.  Re-running a campaign with the same
-seed reproduces it exactly.
+validations (the kind backing EXPERIMENTS.md) are diffable across
+library versions.  Re-running a campaign with the same seed reproduces
+it exactly.
 
-Two persistence modes:
-
-* **Result-file mode** (:func:`run_campaign` with ``result_path``) --
-  the original lightweight path: points already present in the JSON
-  result file are skipped, the file is rewritten (atomically) as
-  points complete.
-* **Durable mode** (:func:`run_campaign_durable`) -- the campaign is
-  decomposed into *shards* (one per point, seeded deterministically via
-  :func:`~repro.harness.parallel.derive_seed`) in a sqlite
-  :class:`~repro.jobs.store.JobStore` and executed by the
-  :mod:`repro.jobs` supervisor: per-shard timeouts, bounded retries
-  with backoff, dead-worker re-lease, and crash-safe ``--resume``.
-  Because every shard's result is a pure function of its payload, a
-  resumed campaign's aggregate is bit-identical to an uninterrupted
-  one (checked by :func:`repro.verify.diff_resumed`).
+:func:`run_campaign` decomposes the campaign into *shards* (one per
+point, seeded deterministically via
+:func:`~repro.harness.parallel.derive_seed`) in a sqlite
+:class:`~repro.jobs.store.JobStore` and executes them under the
+:mod:`repro.jobs` supervisor: per-shard timeouts, bounded retries with
+backoff, dead-worker re-lease, and chaos injection.  The store is an
+in-memory one unless the caller passes a file-backed store, which makes
+the run resumable after a crash.  Because every shard's result is a
+pure function of its payload, a resumed campaign's aggregate is
+bit-identical to an uninterrupted one (checked by
+:func:`repro.verify.diff_resumed`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import pathlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import sample_solvable_points
-from repro.harness.parallel import derive_seed, fan_out
-from repro.harness.sweep import SweepConfig, SweepStats, sweep_spec
+from repro.harness.parallel import derive_seed
+from repro.harness.sweep import ENGINES, SweepConfig, SweepStats, sweep_spec
 from repro.io import atomic_write_json
 from repro.protocols.base import ProtocolSpec, all_specs, get_spec
 from repro.models import Model
@@ -46,7 +41,6 @@ __all__ = [
     "PointRecord",
     "campaign_shards",
     "run_campaign",
-    "run_campaign_durable",
 ]
 
 
@@ -70,6 +64,8 @@ class Campaign:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}")
 
     def specs(self) -> List[ProtocolSpec]:
         if self.spec_names is not None:
@@ -166,12 +162,26 @@ class CampaignResult:
     seed: int
     records: List[PointRecord] = dataclasses.field(default_factory=list)
     #: how the run executed (supervisor report + supervision events);
-    #: observational metadata only -- never part of aggregate equality.
+    #: never part of aggregate equality, though a failed shard or an
+    #: early stop recorded here makes the result not :attr:`clean`.
     execution: Optional[Dict] = None
 
     @property
+    def failed_shards(self) -> int:
+        """Points the supervisor gave up on; they have no record."""
+        return len(self.execution["failed_shards"]) if self.execution else 0
+
+    @property
+    def drained(self) -> bool:
+        """False when the supervisor stopped before its queue drained."""
+        return not (
+            self.execution and self.execution["supervisor"]["stopped_early"]
+        )
+
+    @property
     def clean(self) -> bool:
-        return all(record.violations == 0 for record in self.records)
+        """Every point ran, and none violated its claim."""
+        return self.drained and not self.failed_shards and not self.violating()
 
     @property
     def total_runs(self) -> int:
@@ -201,7 +211,14 @@ class CampaignResult:
         )
 
     def summary(self) -> str:
-        status = "clean" if self.clean else f"{len(self.violating())} violating points"
+        problems = []
+        if self.violating():
+            problems.append(f"{len(self.violating())} violating points")
+        if self.failed_shards:
+            problems.append(f"{self.failed_shards} failed shards")
+        if not self.drained:
+            problems.append("stopped before the queue drained")
+        status = ", ".join(problems) or "clean"
         return (
             f"campaign {self.campaign!r}: {len(self.records)} points, "
             f"{self.total_runs} runs, {status}"
@@ -245,8 +262,7 @@ def campaign_shards(campaign: Campaign) -> List[Tuple[str, Dict]]:
 
 
 def campaign_shard_worker(payload: Dict) -> Dict:
-    """Module-level worker of both modes: sweep one point, return its
-    record."""
+    """Module-level shard worker: sweep one point, return its record."""
     stats = sweep_spec(
         get_spec(payload["spec"]), payload["n"], payload["k"], payload["t"],
         SweepConfig(runs=payload["runs"], seed=payload["seed"]),
@@ -256,50 +272,8 @@ def campaign_shard_worker(payload: Dict) -> Dict:
 
 
 def run_campaign(
-    campaign: Campaign,
-    result_path: Optional[pathlib.Path] = None,
-    jobs: int = 1,
-) -> CampaignResult:
-    """Execute (or resume) a campaign in result-file mode.
-
-    When ``result_path`` exists, previously completed points are loaded
-    and skipped; new records are appended and the file rewritten
-    (atomically) after every point, so an interrupted campaign loses
-    only the points not yet recorded.  For crash-safe execution with
-    supervised workers and retries, see :func:`run_campaign_durable`.
-
-    With ``jobs > 1`` (``0`` = all cores) points are swept in parallel
-    worker processes.  Records arrive in the same deterministic
-    campaign order as the serial path and are saved the same way, one
-    point at a time, so the result file is bit-identical.
-    """
-    if result_path is not None and result_path.exists():
-        result = CampaignResult.load(result_path)
-        if result.campaign != campaign.name or result.seed != campaign.seed:
-            raise ValueError(
-                f"result file {result_path} belongs to campaign "
-                f"{result.campaign!r} (seed {result.seed}), not "
-                f"{campaign.name!r} (seed {campaign.seed})"
-            )
-    else:
-        result = CampaignResult(campaign=campaign.name, seed=campaign.seed)
-    done = {record.key for record in result.records}
-
-    tasks = [task for key, task in campaign_shards(campaign) if key not in done]
-    with contextlib.closing(fan_out(campaign_shard_worker, tasks, jobs)) as records:
-        for outcome in records:
-            result.records.append(PointRecord.from_json(outcome.result()))
-            if result_path is not None:
-                result.save(result_path)
-    return result
-
-
-# -- durable mode (repro.jobs) -----------------------------------------
-
-
-def run_campaign_durable(
-    store,
     campaign: Optional[Campaign] = None,
+    store=None,
     run_id: Optional[str] = None,
     jobs: int = 1,
     policy=None,
@@ -307,14 +281,20 @@ def run_campaign_durable(
     max_shards: Optional[int] = None,
     result_path: Optional[pathlib.Path] = None,
 ):
-    """Execute (or resume) a campaign through the crash-safe job layer.
+    """Execute (or resume) a campaign on the job store's supervisor.
 
-    With ``campaign`` given, the run is registered in ``store`` under
+    With ``store`` omitted the shards live in a private in-memory
+    :class:`~repro.jobs.store.JobStore` that ends with the call.  With
+    ``campaign`` given, the run is registered in the store under
     ``run_id`` (default: the campaign name) and its shard grid
-    submitted -- both idempotently, so invoking again after a crash
-    resumes exactly where the queue stands.  With ``campaign`` omitted,
-    the campaign specification is loaded from the store (the
-    ``--resume <run-id>`` path).
+    submitted -- both idempotently, so invoking again on a file-backed
+    store after a crash resumes exactly where the queue stands.  With
+    ``campaign`` omitted, the campaign specification is loaded from the
+    store (the ``--resume <run-id>`` path).
+
+    ``jobs``, ``policy`` (:class:`~repro.jobs.supervisor.RetryPolicy`),
+    ``chaos`` and ``max_shards`` go to
+    :func:`~repro.jobs.supervisor.run_shards`.
 
     Returns ``(result, report)``: the aggregate
     :class:`CampaignResult` assembled from completed shards in
@@ -322,9 +302,20 @@ def run_campaign_durable(
     run once the queue drains -- and the supervisor's
     :class:`~repro.jobs.supervisor.SupervisorReport`.  Retry, timeout,
     worker-death, and serial-fallback events are embedded in
-    ``result.execution`` and persisted to ``result_path`` when given.
+    ``result.execution`` and the result is written to ``result_path``
+    when given.
     """
-    from repro.jobs import run_shards
+    # Imported here, not at module level: every benchmark workload
+    # imports this module while setting up and none runs a campaign,
+    # so the job store and sqlite3 stay out of their imports.
+    from repro.jobs import JobStore, run_shards
+
+    if store is None:
+        with JobStore(":memory:") as private:
+            return run_campaign(
+                campaign, private, run_id, jobs, policy, chaos, max_shards,
+                result_path,
+            )
 
     if campaign is None:
         if run_id is None:

@@ -44,7 +44,10 @@ from repro.runtime.kernel import KernelLimitError
 from repro.runtime.traces import TraceMode
 from repro.shm.schedulers import RandomProcessScheduler
 
-__all__ = ["SweepConfig", "SweepStats", "Violation", "sweep_spec"]
+__all__ = ["ENGINES", "SweepConfig", "SweepStats", "Violation", "sweep_spec"]
+
+#: The execution engines :func:`sweep_spec` accepts.
+ENGINES = ("scalar", "batch", "auto")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,7 +278,7 @@ def sweep_spec(
     specs run serially).
     """
     config = config or SweepConfig()
-    if engine not in ("scalar", "batch", "auto"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     fallback_note = ""
     fallback_code = ""

@@ -1,11 +1,12 @@
-"""Crash-safe execution layer for sweeps and campaigns.
+"""Crash-safe execution layer for campaigns.
 
-The Monte-Carlo harnesses were, until this package, only as durable as
-the single process running them: a SIGKILLed campaign restarted from
-zero, a hung worker hung ``--jobs`` forever, and nothing proved
-otherwise.  For a repo whose *subject* is computation that survives
-crashes in asynchronous systems, the harness itself should meet the
-same bar.  ``repro.jobs`` provides that bar in three pieces:
+Every campaign (:func:`repro.harness.campaign.run_campaign`) runs its
+points here, as shards of a job queue that lives in memory or, for a
+resumable run, in a sqlite file.  A SIGKILLed worker costs one attempt
+of one shard, a hung worker meets its deadline, and a killed campaign
+resumes from its store.  For a repo whose *subject* is computation
+that survives crashes in asynchronous systems, the harness itself
+meets the same bar, in three pieces:
 
 * :mod:`repro.jobs.store` -- :class:`JobStore`, a sqlite-backed job
   queue + result store.  Work is decomposed into *shards* (one

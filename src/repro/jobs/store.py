@@ -132,8 +132,8 @@ class JobStore:
     """Durable queue + result store over one sqlite file.
 
     Use as a context manager (closes the connection) or call
-    :meth:`close` explicitly.  ``":memory:"`` gives an ephemeral store
-    for tests.
+    :meth:`close` explicitly.  ``":memory:"`` gives an ephemeral store,
+    the one a campaign without ``--store`` runs on.
     """
 
     def __init__(self, path: Union[str, pathlib.Path]) -> None:

@@ -1,18 +1,20 @@
 """Tests for persistent sweep campaigns."""
 
-import pathlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.harness.campaign import (
     Campaign,
     CampaignResult,
     PointRecord,
     campaign_shards,
     run_campaign,
-    run_campaign_durable,
 )
-from repro.jobs import JobStore, RetryPolicy, StoreConflictError
+from repro.jobs import ChaosPolicy, JobStore, RetryPolicy, StoreConflictError
 from repro.models import Model
 
 
@@ -25,74 +27,83 @@ SMALL = Campaign(
     spec_names=("chaudhuri@mp-cr", "protocol-e@sm-cr"),
 )
 
+FAST = RetryPolicy(
+    max_attempts=3, timeout=10.0, backoff_base=0.01, backoff_max=0.05
+)
+
 
 class TestRunCampaign:
     def test_runs_and_is_clean(self):
-        result = run_campaign(SMALL)
+        result, report = run_campaign(SMALL)
         assert result.records
         assert result.clean, result.violating()
         assert result.total_runs == 3 * len(result.records)
+        assert report.drained
 
     def test_reproducible(self):
-        a = run_campaign(SMALL)
-        b = run_campaign(SMALL)
+        a, _ = run_campaign(SMALL)
+        b, _ = run_campaign(SMALL)
         assert [r.to_json() for r in a.records] == [r.to_json() for r in b.records]
 
     def test_persistence_roundtrip(self, tmp_path):
         path = tmp_path / "campaign.json"
-        result = run_campaign(SMALL, result_path=path)
+        result, _ = run_campaign(SMALL, result_path=path)
         loaded = CampaignResult.load(path)
         assert loaded.summary() == result.summary()
         assert [r.to_json() for r in loaded.records] == [
             r.to_json() for r in result.records
         ]
 
-    def test_resume_skips_done_points(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        first = run_campaign(SMALL, result_path=path)
-        # resuming the identical campaign adds nothing new
-        second = run_campaign(SMALL, result_path=path)
-        assert len(second.records) == len(first.records)
-
-    def test_resume_is_equivalent_to_fresh_run(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        # run only the first spec, persist
-        partial = Campaign(
-            name="unit-test", n_values=(5,), points_per_spec=1,
-            runs_per_point=3, seed=9, spec_names=("chaudhuri@mp-cr",),
-        )
-        run_campaign(partial, result_path=path)
-        # resume with the full campaign: results must equal a fresh run
-        resumed = run_campaign(SMALL, result_path=path)
-        fresh = run_campaign(SMALL)
-        assert sorted(r.key for r in resumed.records) == sorted(
-            r.key for r in fresh.records
-        )
-        by_key_resumed = {r.key: r.to_json() for r in resumed.records}
-        by_key_fresh = {r.key: r.to_json() for r in fresh.records}
-        assert by_key_resumed == by_key_fresh
-
-    def test_mismatched_result_file_rejected(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        run_campaign(SMALL, result_path=path)
-        other = Campaign(name="other", seed=9, spec_names=("chaudhuri@mp-cr",))
-        with pytest.raises(ValueError):
-            run_campaign(other, result_path=path)
-
     def test_model_filter(self):
         campaign = Campaign(
             name="mp-only", n_values=(5,), points_per_spec=1,
             runs_per_point=2, seed=3, models=(Model.MP_CR,),
         )
-        result = run_campaign(campaign)
+        result, _ = run_campaign(campaign)
         assert result.records
         for record in result.records:
             assert record.spec.endswith("@mp-cr")
 
+    def test_failed_shards_are_not_clean(self, tmp_path):
+        # every attempt of every shard raises: no point has a record,
+        # and that must not read as a clean campaign
+        path = tmp_path / "campaign.json"
+        result, report = run_campaign(
+            SMALL,
+            policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
+            chaos=ChaosPolicy(error_rate=1.0, max_chaos_attempts=5),
+            result_path=path,
+        )
+        shards = len(campaign_shards(SMALL))
+        assert result.records == [] and report.failed == shards
+        assert result.failed_shards == shards
+        assert not result.clean
+        assert f"{shards} failed shards" in result.summary()
+        assert not CampaignResult.load(path).clean
 
-FAST = RetryPolicy(
-    max_attempts=3, timeout=10.0, backoff_base=0.01, backoff_max=0.05
-)
+    def test_stopped_early_is_not_clean(self):
+        result, report = run_campaign(SMALL, policy=FAST, max_shards=1)
+        assert report.stopped_early and len(result.records) == 1
+        assert result.violating() == [] and result.failed_shards == 0
+        assert not result.clean
+        assert "stopped before the queue drained" in result.summary()
+
+
+class TestImports:
+    def test_harness_import_leaves_the_job_store_out(self):
+        # every benchmark workload imports repro.harness while setting
+        # up; the job store and sqlite3 load only when a campaign runs
+        code = (
+            "import sys, repro.harness; "
+            "print(sorted({'repro.jobs', 'sqlite3'} & set(sys.modules)))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestCampaignJson:
@@ -117,6 +128,10 @@ class TestCampaignJson:
         with pytest.raises(ValueError, match=field):
             Campaign(name="neg", **{field: -1})
         assert Campaign(name="zero", **{field: 0})
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine 'gpu'"):
+            Campaign(name="x", engine="gpu")
 
 
 class TestCampaignShards:
@@ -144,24 +159,20 @@ class TestCampaignShards:
 
 
 class TestRunCampaignDurable:
-    def test_matches_legacy_run(self, tmp_path):
+    def test_memory_store_matches_file_store(self, tmp_path):
         with JobStore(tmp_path / "jobs.sqlite") as store:
-            durable, report = run_campaign_durable(
-                store, campaign=SMALL, jobs=2, policy=FAST
-            )
-        legacy = run_campaign(SMALL)
-        assert [r.to_json() for r in durable.records] == [
-            r.to_json() for r in legacy.records
+            stored, report = run_campaign(SMALL, store, jobs=2, policy=FAST)
+        in_memory, _ = run_campaign(SMALL)
+        assert [r.to_json() for r in stored.records] == [
+            r.to_json() for r in in_memory.records
         ]
         assert report.drained
 
     def test_resume_completed_run_is_noop_and_identical(self, tmp_path):
         with JobStore(tmp_path / "jobs.sqlite") as store:
-            first, _ = run_campaign_durable(
-                store, campaign=SMALL, jobs=1, policy=FAST
-            )
-            again, report = run_campaign_durable(
-                store, run_id=SMALL.name, jobs=1, policy=FAST
+            first, _ = run_campaign(SMALL, store, jobs=1, policy=FAST)
+            again, report = run_campaign(
+                store=store, run_id=SMALL.name, jobs=1, policy=FAST
             )
         assert report.completed == 0
         assert [r.to_json() for r in again.records] == [
@@ -174,22 +185,20 @@ class TestRunCampaignDurable:
             runs_per_point=3, seed=9, spec_names=("chaudhuri@mp-cr",),
         )
         with JobStore(tmp_path / "jobs.sqlite") as store:
-            run_campaign_durable(store, campaign=SMALL, policy=FAST,
-                                 max_shards=1)
+            run_campaign(SMALL, store, policy=FAST, max_shards=1)
             with pytest.raises(StoreConflictError):
-                run_campaign_durable(store, campaign=other, policy=FAST)
+                run_campaign(other, store, policy=FAST)
 
     def test_resume_unknown_run_raises(self, tmp_path):
         with JobStore(tmp_path / "jobs.sqlite") as store:
             with pytest.raises(KeyError):
-                run_campaign_durable(store, run_id="ghost")
+                run_campaign(store=store, run_id="ghost")
 
     def test_result_file_roundtrips_execution_metadata(self, tmp_path):
         path = tmp_path / "result.json"
         with JobStore(tmp_path / "jobs.sqlite") as store:
-            result, _ = run_campaign_durable(
-                store, campaign=SMALL, jobs=1, policy=FAST,
-                result_path=path,
+            result, _ = run_campaign(
+                SMALL, store, jobs=1, policy=FAST, result_path=path,
             )
         loaded = CampaignResult.load(path)
         assert loaded.execution is not None

@@ -30,6 +30,7 @@ from repro.harness.parallel import (
     resolve_jobs,
 )
 from repro.harness.sweep import SweepConfig, sweep_spec
+from repro.jobs import JobStore, RetryPolicy
 from repro.protocols.base import get_spec
 
 
@@ -237,19 +238,23 @@ class TestParallelCampaign:
         seed=9,
         spec_names=("chaudhuri@mp-cr", "protocol-e@sm-cr"),
     )
+    FAST = RetryPolicy(max_attempts=2, timeout=10.0, backoff_base=0.01)
 
     def test_matches_serial(self):
-        serial = run_campaign(self.CAMPAIGN, jobs=1)
-        parallel = run_campaign(self.CAMPAIGN, jobs=2)
+        serial, _ = run_campaign(self.CAMPAIGN, jobs=1)
+        parallel, _ = run_campaign(self.CAMPAIGN, jobs=2)
         assert [r.to_json() for r in serial.records] == [
             r.to_json() for r in parallel.records
         ]
 
     def test_parallel_resume(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        run_campaign(self.CAMPAIGN, result_path=path, jobs=2)
-        resumed = run_campaign(self.CAMPAIGN, result_path=path, jobs=2)
-        fresh = run_campaign(self.CAMPAIGN)
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            run_campaign(self.CAMPAIGN, store, jobs=2, max_shards=1)
+            resumed, report = run_campaign(
+                store=store, run_id=self.CAMPAIGN.name, jobs=2
+            )
+        fresh, _ = run_campaign(self.CAMPAIGN)
+        assert report.completed == len(fresh.records) - 1
         assert [r.to_json() for r in resumed.records] == [
             r.to_json() for r in fresh.records
         ]
@@ -258,8 +263,10 @@ class TestParallelCampaign:
     def test_interrupted_run_keeps_finished_points(
         self, monkeypatch, tmp_path, jobs
     ):
+        # a point whose worker raises costs only its own shard: every
+        # other point, before and after it, still lands in --out
         campaign = dataclasses.replace(self.CAMPAIGN, points_per_spec=2)
-        (_, third), = campaign_module.campaign_shards(campaign)[2:3]
+        (key, third), = campaign_module.campaign_shards(campaign)[2:3]
         sweep = campaign_module.campaign_shard_worker
 
         def fails_on_third(payload):
@@ -271,18 +278,19 @@ class TestParallelCampaign:
         monkeypatch.setattr(
             campaign_module, "campaign_shard_worker", fails_on_third
         )
-        with pytest.raises(RuntimeError, match="interrupted"):
-            run_campaign(campaign, result_path=path, jobs=jobs)
+        result, report = run_campaign(
+            campaign, jobs=jobs, policy=self.FAST, result_path=path
+        )
         assert not multiprocessing.active_children()
+        assert report.failed == 1 and not result.clean
+        (failure,) = result.execution["failed_shards"]
+        assert failure["shard"] == key
+        assert failure["error"] == "RuntimeError: interrupted"
         monkeypatch.setattr(campaign_module, "campaign_shard_worker", sweep)
-        fresh = run_campaign(campaign)
+        fresh, _ = run_campaign(campaign)
         kept = CampaignResult.load(path).records
         assert [r.to_json() for r in kept] == [
-            r.to_json() for r in fresh.records[:2]
-        ]
-        resumed = run_campaign(campaign, result_path=path, jobs=jobs)
-        assert [r.to_json() for r in resumed.records] == [
-            r.to_json() for r in fresh.records
+            r.to_json() for r in fresh.records if r.key != key
         ]
 
 

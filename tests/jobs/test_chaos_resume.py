@@ -8,7 +8,7 @@ resumed, produces a result bit-identical to an uninterrupted clean run
 
 import pytest
 
-from repro.harness.campaign import Campaign, run_campaign, run_campaign_durable
+from repro.harness.campaign import Campaign, run_campaign
 from repro.jobs import ChaosError, ChaosPolicy, JobStore, RetryPolicy, apply_chaos
 from repro.verify import diff_resumed
 
@@ -89,18 +89,19 @@ class TestCrashRecoverConverge:
         with JobStore(tmp_path / "jobs.sqlite") as store:
             # run under chaos and stop after one settled shard: this is
             # the interrupted run (some shards done, some pending)
-            partial, first = run_campaign_durable(
-                store, campaign=SMALL, jobs=2, policy=FAST, chaos=chaos,
+            partial, first = run_campaign(
+                SMALL, store, jobs=2, policy=FAST, chaos=chaos,
                 max_shards=1,
             )
             assert first.stopped_early
             assert len(partial.records) < 2
             # resume to completion (still under chaos)
-            resumed, second = run_campaign_durable(
-                store, run_id=SMALL.name, jobs=2, policy=FAST, chaos=chaos,
+            resumed, second = run_campaign(
+                store=store, run_id=SMALL.name, jobs=2, policy=FAST,
+                chaos=chaos,
             )
             assert second.drained and not second.failed
-        reference = run_campaign(SMALL)
+        reference, _ = run_campaign(SMALL)
         diff = diff_resumed(resumed, reference)
         assert diff.ok, diff.summary()
         assert "bit-identical" in diff.summary()
@@ -110,23 +111,23 @@ class TestCrashRecoverConverge:
         # settlements (the store is consistent at every boundary).
         with JobStore(tmp_path / "jobs.sqlite") as store:
             for _ in range(10):  # one shard per "supervisor lifetime"
-                _, report = run_campaign_durable(
-                    store, campaign=SMALL, jobs=1, policy=FAST, max_shards=1,
+                _, report = run_campaign(
+                    SMALL, store, jobs=1, policy=FAST, max_shards=1,
                 )
                 if not report.stopped_early:
                     break
-            result, final = run_campaign_durable(
-                store, run_id=SMALL.name, jobs=1, policy=FAST
+            result, final = run_campaign(
+                store=store, run_id=SMALL.name, jobs=1, policy=FAST
             )
             assert final.drained
-        reference = run_campaign(SMALL)
+        reference, _ = run_campaign(SMALL)
         assert diff_resumed(result, reference).ok
 
     def test_execution_metadata_records_the_story(self, tmp_path):
         chaos = ChaosPolicy(seed=1, error_rate=1.0)
         with JobStore(tmp_path / "jobs.sqlite") as store:
-            result, report = run_campaign_durable(
-                store, campaign=SMALL, jobs=1, policy=FAST, chaos=chaos,
+            result, report = run_campaign(
+                SMALL, store, jobs=1, policy=FAST, chaos=chaos,
             )
         assert result.execution is not None
         assert result.execution["run_id"] == SMALL.name

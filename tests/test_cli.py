@@ -213,6 +213,18 @@ class TestCampaignCommand:
         assert out.exists()
         assert "clean" in capsys.readouterr().out
 
+    def test_failed_shards_exit_one(self, capsys):
+        # every first attempt raises and no retry is left: without
+        # --store too, the run fails loudly instead of reading clean
+        assert main([
+            "campaign", "--name", "x", "--n", "5", "--points", "1",
+            "--runs", "2", "--specs", "chaudhuri@mp-cr",
+            "--chaos-error", "1.0", "--retries", "1",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "failed shards" in out and "clean" not in out
+        assert "!! chaudhuri@mp-cr|n=5|" in out
+
 
 class TestDurableCampaignCommand:
     ARGS = [
@@ -269,6 +281,10 @@ class TestDurableCampaignCommand:
     def test_resume_requires_store(self, capsys):
         assert main(["campaign", "--resume", "x"]) == 2
         assert "--resume requires --store" in capsys.readouterr().err
+
+    def test_max_shards_requires_store(self, capsys):
+        assert main(["campaign", "--max-shards", "1"]) == 2
+        assert "--max-shards requires --store" in capsys.readouterr().err
 
     def test_resume_unknown_run_exit_two(self, tmp_path, capsys):
         store = tmp_path / "jobs.sqlite"
@@ -427,6 +443,8 @@ class TestCountUsage:
          "--runs"],
         ["campaign", "--runs"],
         ["campaign", "--points"],
+        ["campaign", "--retries"],
+        ["campaign", "--max-shards"],
         ["attack", "trivial@mp-cr", "--n", "3", "--k", "1", "--t", "0",
          "--attempts"],
     ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
