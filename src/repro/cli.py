@@ -17,6 +17,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -777,10 +778,11 @@ def _cmd_staticcheck(args) -> int:
                  "--store; the campaign definition is loaded from the "
                  "run row)"),
         arg("--timeout", type=float, default=300.0,
-            help="per-shard timeout in seconds (--jobs 1 runs shards "
-                 "in-process, without one)"),
-        arg("--retries", type=count, default=3,
-            help="max attempts per shard before it is marked failed"),
+            help="per-shard timeout in seconds; a worker past it is "
+                 "killed and the shard retried"),
+        arg("--retries", type=count, default=2,
+            help="retries per shard after its first attempt, before it "
+                 "is marked failed"),
         arg("--backoff", type=float, default=0.1,
             help="base retry backoff in seconds (exponential, jittered)"),
         arg("--max-shards", type=count, default=None,
@@ -790,8 +792,7 @@ def _cmd_staticcheck(args) -> int:
     group(
         "chaos injection (repro.jobs.chaos)",
         "deterministically sabotage worker attempts to exercise the "
-        "supervisor; rates are per shard attempt and must sum to <= 1; "
-        "kills and hangs need worker processes (--jobs other than 1)",
+        "supervisor; rates are per shard attempt and must sum to <= 1",
         arg("--chaos-kill", type=float, default=0.0, metavar="RATE",
             help="SIGKILL the worker"),
         arg("--chaos-hang", type=float, default=0.0, metavar="RATE",
@@ -825,7 +826,7 @@ def _cmd_campaign(args) -> int:
         engine=args.engine,
     )
     policy = RetryPolicy(
-        max_attempts=args.retries,
+        max_attempts=args.retries + 1,
         timeout=args.timeout,
         backoff_base=args.backoff,
     )
@@ -893,7 +894,15 @@ def _cmd_diff_resumed(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``repro ... | head -1``): stop quietly,
+        # and send what is left to devnull so the exit flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

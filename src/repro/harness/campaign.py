@@ -301,7 +301,7 @@ def run_campaign(
     deterministic campaign order -- bit-identical to an uninterrupted
     run once the queue drains -- and the supervisor's
     :class:`~repro.jobs.supervisor.SupervisorReport`.  Retry, timeout,
-    worker-death, and serial-fallback events are embedded in
+    worker-death, and failure events are embedded in
     ``result.execution`` and the result is written to ``result_path``
     when given.
     """

@@ -17,13 +17,12 @@ meets the same bar, in three pieces:
   single-statement UPDATE, so a crash between any two statements leaves
   a consistent queue that the next run can resume.
 * :mod:`repro.jobs.supervisor` -- :func:`run_shards`, a worker
-  supervisor that leases shards, runs them on the repo's one worker
-  pool (:class:`~repro.harness.parallel.WorkerPool`, no executor) with
-  per-shard timeouts, detects dead workers (SIGKILL, OOM) and re-leases
-  their shards, retries transient failures with exponential backoff and
-  deterministic jitter, and degrades gracefully to serial in-process
-  execution when no child can be started -- recording *why* in the
-  run's event log.
+  supervisor that leases shards, runs every attempt on the repo's one
+  worker pool (:class:`~repro.harness.parallel.WorkerPool`, one child
+  at ``jobs=1``) with per-shard timeouts, detects dead workers
+  (SIGKILL, OOM) and re-leases their shards, and retries transient
+  failures and failed forks with exponential backoff and deterministic
+  jitter -- recording each in the run's event log.
 * :mod:`repro.jobs.chaos` -- :class:`ChaosPolicy`, deterministic fault
   injection (worker SIGKILL, artificial hangs, transient exceptions)
   aimed at the harness itself.  The same adversarial mindset the repo

@@ -16,11 +16,7 @@ matters twice over:
 
 Injection happens inside the worker child (:func:`apply_chaos` is
 called before the real payload runs), so a SIGKILL exercises the
-supervisor's genuine dead-worker path -- no mocking.  In serial
-(in-process) execution only transient exceptions are injected: a
-SIGKILL there would kill the supervisor itself, which is the scenario
-``--resume`` (not retry) covers, and tests simulate it by stopping the
-supervisor between shards instead.
+supervisor's genuine dead-worker path -- no mocking.
 """
 
 from __future__ import annotations
@@ -95,14 +91,10 @@ def apply_chaos(
     policy: Optional[ChaosPolicy],
     shard_id: str,
     attempt: int,
-    in_process: bool = False,
 ) -> None:
     """Execute the policy's fault for this attempt, if any.
 
-    Called at the top of every shard attempt.  ``in_process`` marks
-    serial (supervisor-process) execution, where only transient
-    exceptions are safe to inject; kill/hang decisions are skipped
-    there (the caller records the skip so the drill stays auditable).
+    Called in the worker child at the top of every shard attempt.
     """
     if policy is None:
         return
@@ -114,8 +106,6 @@ def apply_chaos(
             f"injected transient failure (shard {shard_id}, "
             f"attempt {attempt})"
         )
-    if in_process:
-        return  # kill/hang are worker-only faults
     if action == KILL:
         os.kill(os.getpid(), signal.SIGKILL)
     if action == HANG:

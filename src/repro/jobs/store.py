@@ -191,12 +191,6 @@ class JobStore:
             raise KeyError(f"no run {run_id!r} in {self.path}")
         return row["kind"], json.loads(row["spec"])
 
-    def run_ids(self) -> List[str]:
-        rows = self._conn.execute(
-            "SELECT run_id FROM runs ORDER BY run_id"
-        ).fetchall()
-        return [row["run_id"] for row in rows]
-
     # -- shard submission ----------------------------------------------
 
     def add_shards(

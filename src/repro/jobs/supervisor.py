@@ -2,10 +2,10 @@
 
 :func:`run_shards` drains one run's shard queue through the
 :class:`~repro.harness.parallel.WorkerPool` every fan-out in the repo
-uses: long-lived child processes, one shard attempt in flight per
-child, each settling on its own.  A dead or killed child costs only its
-shard, and a fresh child takes its slot, so every failure mode has a
-local, recoverable response:
+uses: long-lived child processes (one with ``jobs=1``), one shard
+attempt in flight per child, each settling on its own.  A dead or
+killed child costs only its shard, and a fresh child takes its slot,
+so every failure mode has a local, recoverable response:
 
 * **worker death** (SIGKILL, OOM, segfault) -- detected by exit code,
   the shard is failed-with-retry and re-leased; other shards keep
@@ -18,10 +18,8 @@ local, recoverable response:
   :func:`~repro.harness.parallel.derive_seed`, so two supervisors
   racing on one store spread out identically and reproducibly);
 * **retry exhaustion** -- the shard moves to ``failed`` with its last
-  error; the run completes degraded rather than wedging;
-* **pool collapse** -- if a child process cannot be started at all, the
-  supervisor falls back to serial in-process execution and records the
-  reason as a ``serial-fallback`` event.
+  error; the run completes degraded rather than wedging.  A child that
+  cannot be forked fails its attempt the same way.
 
 Because all progress lives in the :class:`~repro.jobs.store.JobStore`,
 killing the *supervisor* at any point is also recoverable: a later
@@ -42,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.harness.parallel import (
     DONE, RAISED, TIMED_OUT, TaskOutcome, WorkerPool, derive_seed, resolve_jobs,
 )
-from repro.jobs import chaos as chaos_mod
 from repro.jobs.chaos import ChaosPolicy, apply_chaos
 from repro.jobs.store import JobStore, Shard, ShardState
 
@@ -101,8 +98,6 @@ class RetryPolicy:
 class SupervisorReport:
     """What one supervision session did (embedded in run stats)."""
 
-    mode: str  # "parallel" or "serial"
-    reason: str  # why that mode
     jobs: int
     completed: int = 0
     failed: int = 0
@@ -135,8 +130,9 @@ class SupervisorReport:
         if self.failed:
             tail.append(f"{self.failed} failed")
         extras = f" ({', '.join(tail)})" if tail else ""
+        workers = "worker" if self.jobs == 1 else "workers"
         return (
-            f"{self.mode} x{self.jobs}: {self.reason}; "
+            f"{self.jobs} {workers}; "
             f"{self.completed} shards completed{extras}"
         )
 
@@ -163,23 +159,14 @@ def run_shards(
     ``worker`` must be a module-level (picklable) callable taking one
     JSON payload dict and returning a JSON-serializable result dict --
     the same contract as :func:`~repro.harness.parallel.parallel_map`
-    workers.  ``jobs`` follows the ``--jobs`` convention (``0`` = all
-    cores, ``1`` = serial in-process).  Progress is durable: every
+    workers.  Every attempt runs in a worker child; ``jobs`` (``0`` =
+    all cores) is how many run at once.  Progress is durable: every
     state transition lands in the store before the supervisor moves on,
     so this function may be killed at any point and re-invoked.
     """
     policy = policy or RetryPolicy()
     workers = resolve_jobs(jobs)
-    serial = workers <= 1
-    reason = (
-        "jobs <= 1 requested" if serial
-        else f"{workers} supervised workers"
-    )
-    report = SupervisorReport(
-        mode="serial" if serial else "parallel",
-        reason=reason,
-        jobs=1 if serial else workers,
-    )
+    report = SupervisorReport(jobs=workers)
     active: Dict[str, Shard] = {}
     finalized = 0  # shards settled (done/failed) by THIS session
 
@@ -205,23 +192,6 @@ def run_shards(
             shard_id=shard.shard_id,
         )
         report.retries += 1
-
-    def run_serial_shard(shard: Shard) -> None:
-        if chaos is not None:
-            action = chaos.action(shard.shard_id, shard.attempts)
-            if action in (chaos_mod.KILL, chaos_mod.HANG):
-                store.record_event(
-                    run_id, "chaos-skip",
-                    f"{action} not injectable in serial mode",
-                    shard_id=shard.shard_id,
-                )
-        try:
-            apply_chaos(chaos, shard.shard_id, shard.attempts,
-                        in_process=True)
-            outcome = TaskOutcome(shard, DONE, worker(shard.payload))
-        except Exception as error:
-            outcome = TaskOutcome(shard, RAISED, error)
-        settle(shard, outcome)
 
     def settle(shard: Shard, outcome: TaskOutcome) -> None:
         nonlocal finalized
@@ -249,21 +219,13 @@ def run_shards(
         handle_failure(shard, error)
 
     def start(shard: Shard) -> None:
-        """Hand ``shard`` to a child; on pool collapse, go serial."""
-        nonlocal serial
+        """Hand ``shard`` to a child; a failed fork (or a send to a
+        child that just died) fails the attempt like a raised error."""
         task = (shard.payload, shard.shard_id, shard.attempts)
         try:
             pool.submit(shard.shard_id, task, timeout=policy.timeout)
         except OSError as error:
-            serial = True
-            report.mode = "serial"
-            report.reason = (
-                f"pool collapse: worker spawn failed ({error}); "
-                f"degraded to serial in-process execution"
-            )
-            report.jobs = 1
-            store.record_event(run_id, "serial-fallback", report.reason)
-            run_serial_shard(shard)
+            settle(shard, TaskOutcome(shard, RAISED, error))
             return
         active[shard.shard_id] = shard
 
@@ -285,10 +247,7 @@ def run_shards(
                 budget = max_shards - finalized - len(active)
                 if budget <= 0 and not active:
                     break
-            if serial:
-                capacity = 0 if active else 1
-            else:
-                capacity = workers - len(active)
+            capacity = workers - len(active)
             if budget is not None:
                 capacity = min(capacity, budget)
             leased: List[Shard] = []
@@ -297,10 +256,7 @@ def run_shards(
                     run_id, now, policy.lease_timeout(), capacity
                 )
                 for shard in leased:
-                    if serial:
-                        run_serial_shard(shard)
-                    else:
-                        start(shard)
+                    start(shard)
 
             counts = store.counts(run_id)
             queued = counts[ShardState.PENDING] or (

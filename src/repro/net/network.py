@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import FrozenSet, List, Tuple
+from typing import List, Tuple
 
 from repro.runtime.traces import Trace
 
@@ -36,13 +36,6 @@ class NetworkAxiomReport:
     def reliable(self) -> bool:
         """No duplication and no forgery (loss is judged by the caller)."""
         return not self.duplicated and not self.forged
-
-
-def _multiset(records) -> Counter:
-    counted: Counter = Counter()
-    for r in records:
-        counted[(r.pid, r.peer, repr(r.payload))] += 1
-    return counted
 
 
 def verify_network_axioms(trace: Trace) -> NetworkAxiomReport:

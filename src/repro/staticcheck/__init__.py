@@ -36,7 +36,6 @@ from repro.staticcheck.baseline import (
     BaselineEntry,
     DEFAULT_BASELINE_NAME,
     fingerprint,
-    fingerprint_v1,
     load_baseline,
     save_baseline,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "check_source",
     "explain",
     "fingerprint",
-    "fingerprint_v1",
     "load_baseline",
     "render",
     "render_sarif",

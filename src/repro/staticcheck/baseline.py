@@ -6,26 +6,14 @@ ablation protocols exist precisely to exhibit the defect a rule
 catches).  Every entry carries a one-line ``reason``.
 
 Entries are matched by fingerprint -- a hash of the rule id, the
-file path, the stripped source line text, and an occurrence index --
-so they survive pure line-number drift but go stale when the flagged
-code actually changes.  Stale entries are reported (and should be
-pruned) but never mask new findings.
-
-Fingerprint format history:
-
-* **v1** (``repro-staticcheck-baseline/1``) hashed
-  ``rule/path/line-text/occurrence``.
-* **v2** (``repro-staticcheck-baseline/2``) prefixes a version tag and
-  appends the deduplicated file paths of the finding's trace chain, so
-  an interprocedural FLOW finding goes stale when its laundering route
-  moves to different files -- exactly the change a reviewer should
-  re-justify -- while per-file findings keep their v1 stability
-  semantics.
-
-Migration is automatic and lossless: :func:`partition` matches a
-finding against a v1 *or* v2 entry, and ``--write-baseline``
-re-emits the file in v2 format, carrying every ``reason`` across
-(:meth:`Baseline.from_findings` looks reasons up under both prints).
+file path, the stripped source line text, an occurrence index, and the
+deduplicated file paths of the finding's trace chain -- so they survive
+pure line-number drift but go stale when the flagged code actually
+changes, or when an interprocedural FLOW finding's laundering route
+moves to different files (exactly the change whose exception must be
+justified again).  Stale entries are reported (and should be pruned)
+but never mask new findings.  The file format is
+``repro-staticcheck-baseline/2``; any other format is rejected.
 """
 
 from __future__ import annotations
@@ -43,9 +31,7 @@ __all__ = [
     "BaselineEntry",
     "DEFAULT_BASELINE_NAME",
     "FORMAT",
-    "FORMAT_V1",
     "fingerprint",
-    "fingerprint_v1",
     "load_baseline",
     "partition",
     "save_baseline",
@@ -53,12 +39,10 @@ __all__ = [
 
 DEFAULT_BASELINE_NAME = "staticcheck-baseline.json"
 FORMAT = "repro-staticcheck-baseline/2"
-FORMAT_V1 = "repro-staticcheck-baseline/1"
-_FORMATS = (FORMAT, FORMAT_V1)
 
 
 def fingerprint(finding: Finding) -> str:
-    """Stable identity of a finding under line-number drift (v2)."""
+    """Stable identity of a finding under line-number drift."""
     trace_paths = ";".join(
         dict.fromkeys(step.path for step in finding.trace)
     )
@@ -70,19 +54,6 @@ def fingerprint(finding: Finding) -> str:
             finding.line_text,
             str(finding.occurrence),
             trace_paths,
-        )
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def fingerprint_v1(finding: Finding) -> str:
-    """The pre-migration fingerprint, still accepted when matching."""
-    payload = "\x1f".join(
-        (
-            finding.rule_id,
-            finding.path,
-            finding.line_text,
-            str(finding.occurrence),
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -111,8 +82,6 @@ class Baseline:
     """The committed set of accepted findings."""
 
     entries: List[BaselineEntry] = dataclasses.field(default_factory=list)
-    #: format the entries were loaded from (always saved as v2)
-    format_version: int = 2
 
     def fingerprints(self) -> Dict[str, BaselineEntry]:
         return {entry.fingerprint: entry for entry in self.entries}
@@ -123,25 +92,21 @@ class Baseline:
         findings: Iterable[Finding],
         reasons: Optional[Dict[str, str]] = None,
     ) -> "Baseline":
-        """Build a v2 baseline accepting ``findings``.
+        """Build a baseline accepting ``findings``.
 
-        ``reasons`` maps fingerprints to justification strings; both
-        v2 and legacy v1 prints are honoured, which is what migrates
-        an existing file's reasons across a rewrite.
+        ``reasons`` maps fingerprints to justification strings, which
+        is what carries an existing file's reasons across a rewrite.
         """
         reasons = reasons or {}
         entries = []
         for finding in findings:
             print_ = fingerprint(finding)
-            reason = reasons.get(print_) or reasons.get(
-                fingerprint_v1(finding), ""
-            )
             entries.append(
                 BaselineEntry(
                     rule=finding.rule_id,
                     path=finding.path,
                     fingerprint=print_,
-                    reason=reason,
+                    reason=reasons.get(print_, ""),
                 )
             )
         entries.sort(key=lambda e: (e.path, e.rule, e.fingerprint))
@@ -151,7 +116,7 @@ class Baseline:
 def load_baseline(path: str) -> Baseline:
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
-    if not isinstance(raw, dict) or raw.get("format") not in _FORMATS:
+    if not isinstance(raw, dict) or raw.get("format") != FORMAT:
         raise ValueError(
             f"{path}: not a {FORMAT} file "
             f"(format={raw.get('format')!r})"
@@ -168,8 +133,7 @@ def load_baseline(path: str) -> Baseline:
                 reason=str(item.get("reason", "")),
             )
         )
-    version = 1 if raw.get("format") == FORMAT_V1 else 2
-    return Baseline(entries=entries, format_version=version)
+    return Baseline(entries=entries)
 
 
 def save_baseline(baseline: Baseline, path: str) -> None:
@@ -192,24 +156,17 @@ def partition(
 
     A baseline entry absorbs at most one finding (fingerprints already
     carry an occurrence index, so duplicates need duplicate entries).
-    Matching tries the v2 print first, then the legacy v1 print, so a
-    v1 file keeps gating correctly until ``--write-baseline`` migrates
-    it.
     """
     if baseline is None:
         return list(findings), [], []
-    table = baseline.fingerprints()
-    unused = dict(table)
+    unused = baseline.fingerprints()
     new: List[Finding] = []
     accepted: List[Finding] = []
     for finding in findings:
-        for print_ in (fingerprint(finding), fingerprint_v1(finding)):
-            if print_ in unused:
-                del unused[print_]
-                accepted.append(finding)
-                break
-        else:
+        if unused.pop(fingerprint(finding), None) is None:
             new.append(finding)
+        else:
+            accepted.append(finding)
     stale = sorted(
         unused.values(), key=lambda e: (e.path, e.rule, e.fingerprint)
     )

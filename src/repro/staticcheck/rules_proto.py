@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from repro.staticcheck.engine import (
     FileContext,
@@ -401,15 +401,3 @@ class UnclaimedProcessRule(Rule):
                 f"Process subclass {node.name} declares no claimed "
                 f"(k, t, C) region in repro.paper.CLAIMED_REGIONS",
             )
-
-
-def claim_tuple(call: ast.Call) -> Tuple[
-    Optional[str], Optional[str], Optional[str], Optional[str]
-]:
-    """(name, validity, lemma, model attr) literals of one spec call."""
-    return (
-        _literal_kwarg(call, "name"),
-        _literal_kwarg(call, "validity"),
-        _literal_kwarg(call, "lemma"),
-        _model_kwarg(call),
-    )

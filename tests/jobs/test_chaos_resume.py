@@ -73,11 +73,6 @@ class TestApplyChaos:
         with pytest.raises(ChaosError, match="s0"):
             apply_chaos(policy, "s0", 1)
 
-    def test_kill_skipped_in_process(self):
-        # must NOT SIGKILL the test process
-        policy = ChaosPolicy(seed=1, kill_rate=1.0)
-        apply_chaos(policy, "s0", 1, in_process=True)
-
     def test_clean_attempt_passes_through(self):
         policy = ChaosPolicy(seed=1, error_rate=1.0)
         apply_chaos(policy, "s0", 2)  # attempt 2 is past the sabotage cap

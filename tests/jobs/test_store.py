@@ -44,11 +44,6 @@ class TestRuns:
         with pytest.raises(KeyError):
             store.load_run("nope")
 
-    def test_run_ids_sorted(self, store):
-        store.create_run("b", "test", {})
-        store.create_run("a", "test", {})
-        assert store.run_ids() == ["a", "b"]
-
 
 class TestAddShards:
     def test_insert_and_seq_order(self, store):
@@ -202,10 +197,10 @@ class TestEvents:
 
     def test_event_json(self, store):
         run = _seed_run(store, n=1)
-        store.record_event(run, "serial-fallback", "spawn failed")
+        store.record_event(run, "lease-expired", "released to pending")
         (event,) = store.events(run)
         payload = event.to_json()
-        assert payload["kind"] == "serial-fallback"
+        assert payload["kind"] == "lease-expired"
         assert payload["shard_id"] is None
 
 

@@ -1,4 +1,4 @@
-"""Tests for the shard supervisor: retries, timeouts, deaths, fallback.
+"""Tests for the shard supervisor: retries, timeouts, deaths, failed forks.
 
 Faults are injected with :class:`ChaosPolicy` (rate 1.0 on the first
 attempt only), so every test exercises the genuine recovery path --
@@ -6,8 +6,13 @@ real SIGKILLed children, real hung children -- and still converges
 deterministically on the retry.
 """
 
+import errno
+import multiprocessing
+import os
+
 import pytest
 
+from repro.harness.parallel import WorkerPool
 from repro.jobs import (
     ChaosPolicy,
     JobStore,
@@ -46,7 +51,7 @@ class TestHappyPath:
     def test_serial_drains_queue(self, store):
         run = _seed_run(store)
         report = run_shards(store, run, _double, jobs=1, policy=FAST)
-        assert report.mode == "serial"
+        assert report.jobs == 1
         assert report.completed == 3
         assert report.drained and not report.stopped_early
         assert store.results(run) == [{"value": 0}, {"value": 2}, {"value": 4}]
@@ -56,7 +61,7 @@ class TestHappyPath:
         run_b = _seed_run(store, "b")
         run_shards(store, run_a, _double, jobs=1, policy=FAST)
         report = run_shards(store, run_b, _double, jobs=2, policy=FAST)
-        assert report.mode == "parallel" and report.jobs == 2
+        assert report.describe() == "2 workers; 3 shards completed"
         assert store.results(run_a) == store.results(run_b)
 
     def test_rerun_on_drained_queue_is_noop(self, store):
@@ -154,17 +159,28 @@ class TestTimeouts:
 
 
 class TestSerialChaos:
-    def test_kill_and_hang_are_skipped_in_process(self, store):
-        # In serial mode a SIGKILL would take down the supervisor
-        # itself; the policy decision is recorded as skipped instead.
+    """One worker (``jobs=1``) takes the same recovery paths as many."""
+
+    def test_killed_worker_is_detected_and_retried(self, store):
         run = _seed_run(store, n=1)
         chaos = ChaosPolicy(seed=1, kill_rate=1.0)
         report = run_shards(
             store, run, _double, jobs=1, policy=FAST, chaos=chaos
         )
-        assert report.completed == 1 and report.worker_deaths == 0
-        (event,) = store.events(run, kind="chaos-skip")
-        assert "kill" in event.detail
+        assert report.worker_deaths == 1 and report.completed == 1
+        assert store.results(run) == [{"value": 0}]
+
+    def test_hung_worker_is_terminated_and_retried(self, store):
+        run = _seed_run(store, n=1)
+        policy = RetryPolicy(
+            max_attempts=2, timeout=0.3, backoff_base=0.01, backoff_max=0.02
+        )
+        chaos = ChaosPolicy(seed=1, hang_rate=1.0, hang_seconds=60.0)
+        report = run_shards(
+            store, run, _double, jobs=1, policy=policy, chaos=chaos
+        )
+        assert report.timeouts == 1 and report.completed == 1
+        assert store.results(run) == [{"value": 0}]
 
     def test_transient_errors_still_injected_serially(self, store):
         run = _seed_run(store, n=1)
@@ -231,7 +247,8 @@ class TestReport:
         )
         report = run_shards(store, run, _boom, jobs=1, policy=policy)
         text = report.describe()
-        assert "serial" in text and "1 failed" in text
+        assert text.startswith("1 worker; 0 shards completed")
+        assert "1 failed" in text
 
     def test_to_json_roundtrips_counts(self, store):
         run = _seed_run(store, n=2)
@@ -242,19 +259,45 @@ class TestReport:
 
 
 class TestPoolCollapse:
-    def test_fork_failure_falls_back_to_serial(self, store, monkeypatch):
-        import errno
-        import os
-
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fork_failure_fails_every_shard(self, store, monkeypatch, jobs):
+        # A fork that fails is one failed attempt: retried with backoff,
+        # then failed, with the OSError on record and no child left.
         def no_fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
         run = _seed_run(store, n=3)
-        report = run_shards(store, run, _double, jobs=2, policy=FAST)
-        assert report.mode == "serial" and report.jobs == 1
-        assert "pool collapse" in report.reason
-        assert report.completed == 3 and report.drained
-        assert store.results(run) == [{"value": 0}, {"value": 2}, {"value": 4}]
-        (event,) = store.events(run, kind="serial-fallback")
-        assert "Resource temporarily unavailable" in event.detail
+        policy = RetryPolicy(
+            max_attempts=2, timeout=5.0, backoff_base=0.01, backoff_max=0.02
+        )
+        report = run_shards(store, run, _double, jobs=jobs, policy=policy)
+        assert report.completed == 0 and report.failed == 3
+        assert report.retries == 3 and report.drained
+        assert not multiprocessing.active_children()
+        for shard in store.shards(run):
+            assert shard.state == ShardState.FAILED
+            assert shard.attempts == 2
+        events = store.events(run, kind="retry") + store.events(run, kind="failed")
+        assert len(events) == 6
+        assert all("Resource temporarily unavailable" in e.detail for e in events)
+
+    def test_send_to_a_dead_child_is_retried(self, store, monkeypatch):
+        # An idle child that dies just before its task is sent makes
+        # submit raise BrokenPipeError: one failed attempt, retried.
+        submit = WorkerPool.submit
+        calls = []
+
+        def flaky_submit(pool, key, task, timeout=None):
+            calls.append(key)
+            if len(calls) == 1:
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+            submit(pool, key, task, timeout)
+
+        monkeypatch.setattr(WorkerPool, "submit", flaky_submit)
+        run = _seed_run(store, n=2)
+        report = run_shards(store, run, _double, jobs=1, policy=FAST)
+        assert report.retries == 1 and report.completed == 2
+        assert store.results(run) == [{"value": 0}, {"value": 2}]
+        (event,) = store.events(run, kind="retry")
+        assert "BrokenPipeError" in event.detail

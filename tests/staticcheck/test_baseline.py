@@ -4,15 +4,10 @@ import dataclasses
 
 import pytest
 
-import json
-
 from repro.staticcheck.baseline import (
-    FORMAT,
-    FORMAT_V1,
     Baseline,
     BaselineEntry,
     fingerprint,
-    fingerprint_v1,
     load_baseline,
     partition,
     save_baseline,
@@ -60,10 +55,6 @@ class TestFingerprint:
             dataclasses.replace(a, path="protocols/y.py")
         )
 
-    def test_v2_differs_from_v1(self):
-        a = make_finding()
-        assert fingerprint(a) != fingerprint_v1(a)
-
     def test_trace_route_is_part_of_v2_identity(self):
         step = lambda path: TraceStep(  # noqa: E731
             path=path, line=1, col=1, note="hop"
@@ -78,8 +69,6 @@ class TestFingerprint:
         )
         # Same sink line, different laundering route: goes stale.
         assert fingerprint(via_helpers) != fingerprint(via_util)
-        # ...but v1 never looked at the trace, so it cannot tell.
-        assert fingerprint_v1(via_helpers) == fingerprint_v1(via_util)
 
 
 class TestRoundTrip:
@@ -97,70 +86,16 @@ class TestRoundTrip:
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else/9", "entries": []}')
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
+        for fmt in ("something-else/9", "repro-staticcheck-baseline/1"):
+            path.write_text(f'{{"format": "{fmt}", "entries": []}}')
+            with pytest.raises(ValueError):
+                load_baseline(str(path))
 
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
             load_baseline(str(path))
-
-
-def write_v1_baseline(path, findings, reason="grandfathered"):
-    """Hand-roll a legacy v1 file the way the old tool wrote it."""
-    payload = {
-        "format": FORMAT_V1,
-        "entries": [
-            {
-                "rule": f.rule_id,
-                "path": f.path,
-                "fingerprint": fingerprint_v1(f),
-                "reason": reason,
-            }
-            for f in findings
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2))
-
-
-class TestMigration:
-    def test_v1_file_loads_and_reports_its_version(self, tmp_path):
-        finding = make_finding()
-        path = tmp_path / "baseline.json"
-        write_v1_baseline(path, [finding])
-        loaded = load_baseline(str(path))
-        assert loaded.format_version == 1
-        assert loaded.entries[0].fingerprint == fingerprint_v1(finding)
-
-    def test_v1_entries_still_absorb_findings(self, tmp_path):
-        finding = make_finding()
-        path = tmp_path / "baseline.json"
-        write_v1_baseline(path, [finding])
-        loaded = load_baseline(str(path))
-        new, accepted, stale = partition([finding], loaded)
-        assert not new and accepted == [finding] and not stale
-
-    def test_rewrite_migrates_prints_and_keeps_reasons(self, tmp_path):
-        finding = make_finding()
-        path = tmp_path / "baseline.json"
-        write_v1_baseline(path, [finding], reason="known ablation")
-        loaded = load_baseline(str(path))
-        # What --write-baseline does: rebuild from live findings,
-        # looking reasons up under the old prints.
-        reasons = {e.fingerprint: e.reason for e in loaded.entries}
-        migrated = Baseline.from_findings([finding], reasons=reasons)
-        save_baseline(migrated, str(path))
-        raw = json.loads(path.read_text())
-        assert raw["format"] == FORMAT
-        assert raw["entries"][0]["fingerprint"] == fingerprint(finding)
-        assert raw["entries"][0]["reason"] == "known ablation"
-        # And the migrated file gates identically.
-        new, accepted, stale = partition(
-            [finding], load_baseline(str(path))
-        )
-        assert not new and accepted == [finding] and not stale
 
 
 class TestPartition:

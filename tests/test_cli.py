@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -98,6 +103,26 @@ class TestSweep:
         assert batch[0] == scalar[0]
         assert "0 runs, clean" in batch[0]
         assert batch[1] == "  engine batch: vectorized batch of 0 runs"
+
+    def test_closed_stdout_ends_quietly(self):
+        # `repro sweep ... | head -1`, with head gone before a write.
+        # The reader closes before the first line: closing after it
+        # races with the second print and often misses it.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-u", "-m", "repro", "sweep",
+                 "chaudhuri@mp-cr", "--n", "5", "--k", "3", "--t", "2",
+                 "--runs", "10", "--jobs", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src}, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr, done.stderr
+        assert done.returncode == 1
 
 
 class TestAttack:
@@ -219,11 +244,21 @@ class TestCampaignCommand:
         assert main([
             "campaign", "--name", "x", "--n", "5", "--points", "1",
             "--runs", "2", "--specs", "chaudhuri@mp-cr",
-            "--chaos-error", "1.0", "--retries", "1",
+            "--chaos-error", "1.0", "--retries", "0",
         ]) == 1
         out = capsys.readouterr().out
         assert "failed shards" in out and "clean" not in out
         assert "!! chaudhuri@mp-cr|n=5|" in out
+
+    def test_retries_follow_the_first_attempt(self, capsys):
+        # chaos fails only first attempts, so one retry after each is
+        # enough (with --retries 0 the run fails, as above)
+        assert main([
+            "campaign", "--name", "x", "--n", "5", "--points", "1",
+            "--runs", "2", "--specs", "chaudhuri@mp-cr",
+            "--chaos-error", "1.0", "--backoff", "0.01", "--retries", "1",
+        ]) == 0
+        assert "2 shards completed (2 retries)" in capsys.readouterr().out
 
 
 class TestDurableCampaignCommand:
@@ -239,7 +274,7 @@ class TestDurableCampaignCommand:
             "campaign", *self.ARGS, "--store", str(store),
         ]) == 0
         out = capsys.readouterr().out
-        assert "execution:" in out
+        assert "execution: 1 worker; " in out
         assert "shards completed" in out
 
     def test_interrupt_resume_diff_cycle(self, tmp_path, capsys):
