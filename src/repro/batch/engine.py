@@ -32,6 +32,14 @@ that handler (so a Protocol D broadcaster still decides first, and a
 Protocol D non-broadcaster victim partially echoes the first value it
 received).  The verdicts (termination / agreement / validity) replicate
 :mod:`repro.core.validity` over the code arrays.
+
+No kernel builds an order.  A, B, MIN and C only ask which senders fall
+in a prefix of a receiver's key order, so
+:func:`repro.batch.plan.stable_prefix` marks that prefix from an order
+statistic of the key row (ties in index order, as a stable sort would
+place them), and the kernels reduce the marked senders' codes: A takes
+their smallest and largest, MIN their smallest, and B and C count the
+ones that match.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from repro.batch.plan import (
     BatchPlan,
     build_plan,
     concat_plans,
+    stable_prefix,
 )
 
 __all__ = [
@@ -271,55 +280,46 @@ def _reach(plan: BatchPlan) -> np.ndarray:
     return reach & ~plan.pre_crash[:, :, None]
 
 
-def _arrival_order(
-    plan: BatchPlan, reach_t: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Masked arrival keys and per-receiver sender order (reached first)."""
+def _first_arrivals(plan: BatchPlan) -> np.ndarray:
+    """``[B, receiver, origin]``: origin is among the first ``n - t``
+    messages to reach the receiver."""
+    reach_t = _reach(plan).transpose(0, 2, 1)
     keys = np.where(reach_t, plan.arrival_keys, _MAXKEY)
-    order = np.argsort(keys, axis=2, kind="stable")
-    return keys, order
+    return stable_prefix(keys, plan.n - plan.t)
 
 
-def _prefix_codes(plan: BatchPlan, order: np.ndarray) -> np.ndarray:
-    """Input codes of the first ``n - t`` arrivals per receiver."""
-    batch, n = plan.input_codes.shape
-    codes = np.broadcast_to(plan.input_codes[:, None, :], (batch, n, n))
-    return np.take_along_axis(codes, order, axis=2)[:, :, : n - plan.t]
+# Masked minimum and maximum of per-origin codes over chosen origins
+# (at least one per row).  A multiply is branch-free, where ``np.where``
+# over a random mask mispredicts: unchosen origins count 0, chosen ones
+# ``top - code`` or ``code + 1``, and DEFAULT_CODE exceeds every input.
+def _lowest(chosen: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    top = DEFAULT_CODE
+    return top - (chosen * (top - codes)[:, None, :]).max(axis=2)
+
+
+def _highest(chosen: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    return (chosen * (codes + 1)[:, None, :]).max(axis=2) - 1
 
 
 def _decide_a(plan: BatchPlan) -> Tuple[np.ndarray, np.ndarray]:
-    reach_t = _reach(plan).transpose(0, 2, 1)
-    _, order = _arrival_order(plan, reach_t)
-    prefix = _prefix_codes(plan, order)
-    unanimous = prefix.min(axis=2) == prefix.max(axis=2)
-    decided = np.where(unanimous, prefix[:, :, 0], DEFAULT_CODE)
+    first = _first_arrivals(plan)
+    low = _lowest(first, plan.input_codes)
+    unanimous = low == _highest(first, plan.input_codes)
+    decided = np.where(unanimous, low, DEFAULT_CODE)
     decisions = np.where(plan.victim, NO_DECISION, decided)
     return decisions, plan.victim.copy()
 
 
 def _decide_min(plan: BatchPlan) -> Tuple[np.ndarray, np.ndarray]:
-    reach_t = _reach(plan).transpose(0, 2, 1)
-    _, order = _arrival_order(plan, reach_t)
-    decided = _prefix_codes(plan, order).min(axis=2)
+    decided = _lowest(_first_arrivals(plan), plan.input_codes)
     decisions = np.where(plan.victim, NO_DECISION, decided)
     return decisions, plan.victim.copy()
-
-
-def _matching_prefix(
-    match: np.ndarray, order: np.ndarray, upto: np.ndarray
-) -> np.ndarray:
-    """How many of the first ``upto`` senders (in ``order``) match."""
-    sorted_match = np.take_along_axis(match, order, axis=2)
-    cumulative = np.cumsum(sorted_match, axis=2, dtype=np.int64)
-    return np.take_along_axis(
-        cumulative, (upto - 1)[:, :, None], axis=2
-    )[:, :, 0]
 
 
 def _decide_b(plan: BatchPlan) -> Tuple[np.ndarray, np.ndarray]:
     n, t = plan.n, plan.t
     reach_t = _reach(plan).transpose(0, 2, 1)
-    keys, order = _arrival_order(plan, reach_t)
+    keys = np.where(reach_t, plan.arrival_keys, _MAXKEY)
     diag = np.arange(n)
     own_key = plan.arrival_keys[:, diag, diag]
     rank_own = (keys < own_key[:, :, None]).sum(axis=2)
@@ -327,7 +327,7 @@ def _decide_b(plan: BatchPlan) -> Tuple[np.ndarray, np.ndarray]:
     match = (
         plan.input_codes[:, None, :] == plan.input_codes[:, :, None]
     ) & reach_t
-    matching = _matching_prefix(match, order, upto)
+    matching = (match & stable_prefix(keys, upto)).sum(axis=2)
     decided = np.where(matching >= n - 2 * t, plan.input_codes, DEFAULT_CODE)
     decisions = np.where(plan.victim, NO_DECISION, decided)
     return decisions, plan.victim.copy()
@@ -356,7 +356,6 @@ def _decide_c(plan: BatchPlan) -> Tuple[np.ndarray, np.ndarray]:
     votes = (reach & ~plan.victim[:, None, :]).sum(axis=2)
     accepted = votes >= threshold  # [B, origin]
     acc_keys = np.where(accepted[:, None, :], plan.accept_keys, _MAXKEY)
-    acc_order = np.argsort(acc_keys, axis=2, kind="stable")
     total = accepted.sum(axis=1)
     diag = np.arange(n)
     own_key = plan.accept_keys[:, diag, diag]
@@ -366,7 +365,7 @@ def _decide_c(plan: BatchPlan) -> Tuple[np.ndarray, np.ndarray]:
     match = (
         plan.input_codes[:, None, :] == plan.input_codes[:, :, None]
     ) & accepted[:, None, :]
-    matching = _matching_prefix(match, acc_order, np.maximum(upto, 1))
+    matching = (match & stable_prefix(acc_keys, upto)).sum(axis=2)
     decided = np.where(matching >= n - 2 * t, plan.input_codes, DEFAULT_CODE)
     decisions = np.where(
         ~plan.victim & can_decide, decided, NO_DECISION

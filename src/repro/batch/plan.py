@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "BatchPlan",
     "build_plan",
     "decode_code",
+    "stable_prefix",
 ]
 
 #: Integer code of the DEFAULT decision sentinel.  Larger than every
@@ -97,6 +98,32 @@ class BatchPlan:
         return prng.stream_u64(
             self.run_seeds, prng.STREAM_ACCEPT, (self.n, self.n)
         )
+
+
+def stable_prefix(keys: np.ndarray, m: Union[int, np.ndarray]) -> np.ndarray:
+    """Mark each row's first ``m`` entries in stable key order.
+
+    ``out[..., j]`` is true iff a stable sort of the row puts entry
+    ``j`` among its first ``m``, where ``m`` is an int or one count per
+    row, each in ``0..n``.  No order is built: the ``m``-th smallest
+    key is read off a value sort and every key up to it is marked.
+    Where that key ties the next one, or ``m`` is 0, too many are
+    marked, so those rows keep the keys below it and then its ties in
+    index order until ``m`` are in, as the stable sort orders them.
+    """
+    n = keys.shape[-1]
+    m = np.broadcast_to(np.asarray(m, dtype=np.int64), keys.shape[:-1])[..., None]
+    ordered = np.sort(keys, axis=-1)
+    bar = np.take_along_axis(ordered, np.maximum(m, 1) - 1, axis=-1)
+    chosen = keys <= bar
+    after = np.take_along_axis(ordered, np.minimum(m, n - 1), axis=-1)
+    over = ((m == 0) | ((m < n) & (after == bar)))[..., 0]
+    if over.any():
+        rows, row_bar = keys[over], bar[over]
+        below, tied = rows < row_bar, rows == row_bar
+        room = m[over] - below.sum(axis=-1, keepdims=True)
+        chosen[over] = below | (tied & (np.cumsum(tied, axis=-1) <= room))
+    return chosen
 
 
 def decode_code(pattern: str, code: int) -> Value:
@@ -165,7 +192,6 @@ def build_plan(
     patterns = tuple(patterns)
     index_arr = np.asarray(list(indices), dtype=np.int64)
     seeds = prng.run_seeds(seed, index_arr)
-    batch = len(index_arr)
     pattern_index = index_arr % len(patterns)
 
     # Crash shape mirrors RandomCrashes: P(failure-free) = 0.2, else
@@ -177,14 +203,9 @@ def build_plan(
         (count_draw % np.uint64(t + 1)).astype(np.int64),
         0,
     )
-    victim_keys = prng.stream_u64(seeds, prng.STREAM_VICTIM_KEY, (n,))
-    order = np.argsort(victim_keys, axis=1, kind="stable")
-    rank = np.empty((batch, n), dtype=np.int64)
-    np.put_along_axis(
-        rank, order, np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n)),
-        axis=1,
+    victim = stable_prefix(
+        prng.stream_u64(seeds, prng.STREAM_VICTIM_KEY, (n,)), count
     )
-    victim = rank < count[:, None]
     kind = prng.stream_u64(seeds, prng.STREAM_KIND, (n,)) & np.uint64(1)
     pre_crash = victim & (kind == 0)
     send_victim = victim & (kind == 1)

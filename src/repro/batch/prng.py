@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.harness.parallel import derive_seed
+from repro.harness.parallel import seed_deriver
 
 __all__ = [
     "STREAM_ACCEPT",
@@ -80,10 +80,13 @@ def run_seeds(seed: int, indices: Sequence[int]) -> np.ndarray:
     Exactly ``derive_seed(seed, index)`` per run -- the same SHA-256 mix
     the parallel sweep engine derives per-task seeds with -- so every
     batch run is attributable by its ``(config.seed, run_index)`` pair
-    regardless of batch size or chunk boundaries.
+    regardless of batch size or chunk boundaries.  The shared
+    ``seed`` prefix is hashed once (:func:`seed_deriver`), and each run
+    then hashes only its index.
     """
+    derive = seed_deriver(seed)
     return np.array(
-        [derive_seed(seed, int(index)) for index in indices], dtype=np.uint64
+        [derive(int(index)) for index in indices], dtype=np.uint64
     )
 
 

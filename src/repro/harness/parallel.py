@@ -14,6 +14,8 @@ while keeping results **bit-identical** to serial execution:
   Python's randomized ``hash``) turning ``(base_seed, spec, n, k, t,
   run_index)``-style tuples into per-task seeds that are reproducible
   across processes, platforms, and interpreter restarts;
+  :func:`seed_deriver` fixes all parts but the last and hashes them
+  once, for many seeds that share a prefix;
 * :func:`resolve_jobs` -- maps a user-facing ``--jobs`` value to a
   worker count (``0``/``None`` means "all cores").
 
@@ -35,7 +37,7 @@ import os
 import signal
 import time
 import traceback
-from multiprocessing import connection
+from multiprocessing import connection, popen_fork
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 from typing import TypeVar
 
@@ -48,6 +50,7 @@ __all__ = [
     "fan_out",
     "parallel_map",
     "resolve_jobs",
+    "seed_deriver",
 ]
 
 _T = TypeVar("_T")
@@ -72,14 +75,34 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def derive_seed(*parts: object) -> int:
-    """Derive a stable 62-bit seed from arbitrary repr-able parts.
+    """Derive a stable 62-bit seed from one or more repr-able parts.
 
     Unlike ``hash()``, the derivation does not depend on interpreter
     hash randomization or process identity, so serial and parallel runs
     (and reruns on other machines) agree on every per-task seed.
     """
-    blob = "\x1f".join(repr(part) for part in parts).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 2
+    *head, last = parts
+    return seed_deriver(*head)(last)
+
+
+def seed_deriver(*parts: object) -> Callable[[object], int]:
+    """``derive_seed(*parts, last)`` as a function of ``last``.
+
+    The seed is the top 62 bits of the SHA-256 of the parts' reprs
+    joined by ``"\\x1f"``.  ``parts`` are hashed here, once; each call
+    copies that hash state and adds only ``last``, so many seeds that
+    share a prefix (a batch's run seeds) cost one short hash each.
+    """
+    prefix = hashlib.sha256(
+        "".join(repr(part) + "\x1f" for part in parts).encode("utf-8")
+    )
+
+    def derive(last: object) -> int:
+        hasher = prefix.copy()
+        hasher.update(repr(last).encode("utf-8"))
+        return int.from_bytes(hasher.digest()[:8], "big") >> 2
+
+    return derive
 
 
 def _run_serial(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> List[_R]:
@@ -146,6 +169,22 @@ def _child_main(conn: Any, fn: Callable[[Any], Any], ends: List[Any]) -> None:
             conn.send((RAISED, error))
 
 
+def _close_launch_pipes(error: OSError) -> None:
+    """Close the pipes a ``Process.start()`` that raised ``error`` opened.
+
+    CPython's fork ``Popen._launch`` opens two pipes before ``os.fork()``
+    and leaves them open when the fork raises; its frame, kept by the
+    traceback, still holds their descriptors.
+    """
+    for frame, _ in traceback.walk_tb(error.__traceback__):
+        code = frame.f_code
+        if code.co_name == "_launch" and code.co_filename == popen_fork.__file__:
+            for name in ("parent_r", "child_w", "child_r", "parent_w"):
+                fd = frame.f_locals.get(name)
+                if fd is not None:
+                    os.close(fd)
+
+
 @dataclasses.dataclass
 class _Child:
     process: Any
@@ -196,6 +235,10 @@ class WorkerPool:
         )
         try:
             process.start()
+        except OSError as error:
+            parent_end.close()
+            _close_launch_pipes(error)
+            raise
         finally:
             child_end.close()
         return _Child(process, parent_end)

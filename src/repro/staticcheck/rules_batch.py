@@ -17,9 +17,10 @@ regression a lint error instead of a perf mystery.
   ``# repro: noqa[BATCH001]`` justification on the loop line.
 
 Deliberately scalar code that stays: per-run seed derivation
-(:func:`repro.batch.prng.run_seeds`) is a comprehension over SHA-256
-calls -- required for run-by-run attribution, not a batch-axis array
-walk -- and comprehensions are out of scope for the rule.
+(:func:`repro.batch.prng.run_seeds`) is a comprehension that finishes
+one SHA-256 per run from the sweep seed's shared hash state --
+required for run-by-run attribution, not a batch-axis array walk --
+and comprehensions are out of scope for the rule.
 """
 
 from __future__ import annotations

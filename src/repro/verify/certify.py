@@ -501,6 +501,9 @@ def certify_claims(
                 ))
                 owners.append(result)
 
+    if symmetry:  # forked workers inherit it instead of each compiling it
+        import repro.harness.symmetry  # noqa: F401
+
     # The stream yields in task order, so points land in grid order.
     with contextlib.closing(
         fan_out(_certify_point, tasks, 1 if jobs is None else jobs)

@@ -14,9 +14,12 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.harness.visited as visited_stores
 import repro.verify.certify as certify_module
 from repro.verify.certify import (
@@ -367,6 +370,24 @@ class TestGridFanOut:
         serial = witnesses(None)
         assert serial
         assert witnesses(2) == serial
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_symmetry_is_imported_before_the_workers_fork(self, symmetry):
+        # A module the parent holds when it forks is one no worker
+        # imports (and compiles) again; without symmetry none needs it.
+        code = (
+            "import sys\n"
+            "from repro.verify.certify import certify_claims\n"
+            "certify_claims(n=2, specs=['trivial@mp-cr'], jobs=2,\n"
+            f"               symmetry={symmetry})\n"
+            "print('repro.harness.symmetry' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120,
+        ).stdout
+        assert out.split() == [str(symmetry)]
 
 
 def _fake_report():

@@ -7,6 +7,7 @@ time, never results.
 
 import contextlib
 import dataclasses
+import errno
 import multiprocessing
 import os
 import signal
@@ -28,6 +29,7 @@ from repro.harness.parallel import (
     fan_out,
     parallel_map,
     resolve_jobs,
+    seed_deriver,
 )
 from repro.harness.sweep import SweepConfig, sweep_spec
 from repro.jobs import JobStore, RetryPolicy
@@ -160,6 +162,23 @@ class TestWorkerPool:
         assert [o.result() for o in outcomes] == tasks
         assert parallel_map(_sleep, tasks, jobs=2) == tasks
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_failed_fork_leaks_no_descriptors(self, monkeypatch):
+        def refuse():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        before = len(os.listdir("/proc/self/fd"))
+        with contextlib.closing(WorkerPool(_square, 1)) as pool:
+            monkeypatch.setattr(os, "fork", refuse)
+            for attempt in range(5):
+                with pytest.raises(OSError) as excinfo:
+                    pool.submit(attempt, attempt)
+                assert excinfo.value.errno == errno.EAGAIN
+            monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_worker_exception_keeps_its_type(self):
         with pytest.raises(KeyError, match="7") as excinfo:
             parallel_map(_boom, [7, 8], jobs=2)
@@ -202,6 +221,18 @@ class TestDeriveSeed:
         # Guards against accidental changes to the mixing scheme, which
         # would silently invalidate recorded campaign/bench seeds.
         assert derive_seed(1, "a") == 2829115043354823610
+        assert seed_deriver(1)("a") == 2829115043354823610
+
+    @pytest.mark.parametrize("parts", [
+        (), (42,), ("spec",), ((6, 3),), (7, "protocol-a@mp-cr", (4, 2), 1),
+    ])
+    @pytest.mark.parametrize("last", [0, 17, "run", (2, "x"), -3])
+    def test_deriver_hashes_the_prefix_once_to_the_same_seed(
+        self, parts, last
+    ):
+        derive = seed_deriver(*parts)
+        assert derive(last) == derive_seed(*parts, last)
+        assert derive(last) == derive(last)  # the prefix state is copied
 
 
 class TestParallelSweep:
