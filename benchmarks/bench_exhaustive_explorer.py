@@ -1,12 +1,13 @@
 """Exhaustive explorer throughput and reductions.
 
-Measures the mechanisms of the snapshot/restore explorer, all on the
-same instances in the same run:
+Measures the mechanisms of the exhaustive explorer, all on the same
+instances in the same run:
 
-* **states/sec** -- snapshot+POR (the default) against the snapshot
-  full DFS, both expanding the same budget of distinct states on the
-  n=4 PROTOCOL A grid, with the process copies and re-installs the
-  copy-on-write kernel snapshots made on the way;
+* **states/sec** -- POR (the default) against the full DFS, both
+  expanding the same budget of distinct states on the n=4 PROTOCOL A
+  grid, with the handlers run on the kernel (the transition memo
+  answers every other step) and the process copies and re-installs
+  the copy-on-write kernel snapshots made on the way;
 * **POR reduction** -- states/runs/probes of sleep-set exploration
   against the unreduced full DFS on exhaustible n=3 points, asserting
   both see identical decision sets and violation kinds;
@@ -296,6 +297,7 @@ def _measure_throughput(por: bool, cap: int) -> Dict[str, Any]:
         "cache_hit_rate": round(result.cache_hit_rate, 4),
         "sleep_pruned": result.sleep_pruned,
         "reexpansions": result.reexpansions,
+        "handler_runs": result.handler_runs,
         **forks,
     }
 
@@ -762,14 +764,15 @@ def main(argv=None) -> int:
     atomic_write_json(out, payload)
     throughput = payload["throughput"]
     print(
-        f"n={THROUGHPUT_N} cap={throughput['cap']}: snapshot full-DFS "
+        f"n={THROUGHPUT_N} cap={throughput['cap']}: full DFS "
         f"{throughput['snapshot_full_dfs']['states_per_sec']}/s, "
-        f"snapshot+POR {throughput['snapshot_por']['states_per_sec']}/s"
+        f"POR {throughput['snapshot_por']['states_per_sec']}/s"
     )
     for mode in ("snapshot_full_dfs", "snapshot_por"):
         point = throughput[mode]
         print(
-            f"{mode}: {point['process_copies']} process copies, "
+            f"{mode}: {point['handler_runs']} handler runs, "
+            f"{point['process_copies']} process copies, "
             f"{point['process_installs']} process re-installs"
         )
     for point in payload["por_reduction"]:

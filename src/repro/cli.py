@@ -481,6 +481,7 @@ def _cmd_exhaustive(args) -> int:
             f"visited-state store: {result.cache_hits} hits / "
             f"{probes} probes ({result.cache_hit_rate:.1%})"
         )
+        print(f"handler runs: {result.handler_runs} for {probes} probes")
     if result.sleep_pruned:
         print(
             f"partial-order reduction: {result.sleep_pruned} branches "

@@ -9,19 +9,24 @@ actual quantifier in the paper's lemmas.
 
 Three cooperating mechanisms keep the search fast:
 
-* **Snapshot/restore forking.**  Branch points capture kernel state with
-  the plain-data snapshot protocol (:meth:`MPKernel.snapshot` /
-  :meth:`MPKernel.restore`, :meth:`SMKernel.snapshot` /
-  :meth:`SMKernel.restore`).  MP snapshots are copy-on-write per
-  process: a snapshot copies only the processes that ran a handler since
-  their last copy, and a restore re-installs only the processes whose
-  live state is not the snapshot's, so a backtrack re-installs the
-  processes the abandoned branch stepped and no other.  Shared-memory
-  programs are generators and cannot be copied at all, so an SM
-  snapshot holds each process's results log instead, and a restore
-  drops only the generators whose log changed; their next step rebuilds
-  them by re-feeding the logged results (a program's generator is a
-  pure function of its context and of the results fed to it).  The
+* **A transition memo over hash-consed nodes.**  The message-passing
+  DFS walks :class:`_Node` records -- per-process local-state ids,
+  pending-event signature ids, crash bookkeeping and counters -- not a
+  live kernel.  :class:`_Transitions` steps a node through a
+  per-exploration memo keyed by the target process, its local-state id
+  and the event's signature id (plus the target's counters and crash
+  flags when the adversary may crash it), whose value is the step's
+  effect on the target.  The kernel runs a handler only on a memo miss;
+  it is also materialized to judge a leaf, to learn a symmetry shape or
+  renaming, and at a frontier root, by the copy-on-write
+  :meth:`MPKernel.restore` from process entries kept per
+  ``(pid, local-state id)``.  Dynamic crash adversaries bypass the memo.
+  Shared-memory programs are generators and cannot be copied at all, and
+  a scan reads every register, so the SM DFS drives its kernel: an
+  :meth:`SMKernel.snapshot` holds each process's results log, and a
+  restore drops only the generators whose log changed; their next step
+  rebuilds them by re-feeding the logged results (a program's generator
+  is a pure function of its context and of the results fed to it).  The
   independent references are the full DFS (``por=False``) and the
   fresh-kernel replay of every recorded violation in
   :func:`repro.verify.confirm_exploration`.
@@ -47,9 +52,9 @@ Three cooperating mechanisms keep the search fast:
   (:class:`_StateTable`) numbers each distinct value in first-seen
   order -- process local states and pending-event signatures on message
   passing; results-log chains, local states and register values on
-  shared memory.  DFS entries carry the resulting id vectors, and a
-  step re-interns only the process it targeted (on shared memory, plus
-  that process's own register).
+  shared memory.  DFS entries carry the resulting id vectors; on shared
+  memory a step re-interns only the process it targeted and that
+  process's own register.
 
 :func:`explore_mp` and :func:`explore_sm` also take ``jobs``: the root
 fan-out is expanded breadth-first into a fixed-width frontier whose
@@ -101,7 +106,7 @@ from repro.failures.crash import CrashPlan, CrashPoint
 from repro.harness.parallel import parallel_map
 from repro.harness.visited import EXPAND_ALL, NO_SLEEP, CompactStore, ExactStore
 from repro.runtime.events import Delivery, Event
-from repro.runtime.kernel import MPKernel
+from repro.runtime.kernel import MPKernel, MPSnapshot
 from repro.runtime.process import Process
 from repro.runtime.traces import TraceMode
 from repro.shm.kernel import SMKernel, SMSnapshot
@@ -185,6 +190,11 @@ class ExplorationResult:
     #: ...and the logged results re-fed into the generators those
     #: restores dropped, when their processes next stepped.
     replayed_steps: int = 0
+    #: Steps whose effect was computed on the kernel.  Shared memory
+    #: runs every step there; message passing only the steps its
+    #: transition memo could not answer (every step under a dynamic
+    #: crash adversary).
+    handler_runs: int = 0
     #: Symmetry / visited-store observability (see ExplorationStats).
     stats: ExplorationStats = dataclasses.field(
         default_factory=ExplorationStats
@@ -226,6 +236,7 @@ def _merge_into(total: ExplorationResult, part: ExplorationResult) -> None:
     total.reexpansions += part.reexpansions
     total.replays += part.replays
     total.replayed_steps += part.replayed_steps
+    total.handler_runs += part.handler_runs
     total.stats.canonicalizations += part.stats.canonicalizations
     total.stats.orbit_hits += part.stats.orbit_hits
     total.stats.renamings += part.stats.renamings
@@ -382,106 +393,85 @@ class _StateTable:
         return ids.setdefault(value, len(ids))
 
 
-class _StateIds:
-    """The hash-consed coordinates of one MP kernel state.
+class _Node:
+    """One message-passing state of the DFS, as hash-consed ids.
 
     ``procs[pid]`` is the id of process ``pid``'s local state and
-    ``sigs[seq]`` the signature id of pending event ``seq``.  Built from
-    scratch by :func:`_state_ids`.  A DFS child starts as
-    :meth:`after_step` of its frame's coordinates and is completed by
-    :meth:`resolve`, which re-freezes only the process that stepped.
-    The fingerprint layer (:func:`_fingerprint_mp`, or the symmetry
-    canonicalizer) resolves, so that work counts as fingerprinting.
+    ``sigs[seq]`` the signature id of pending event ``seq``; the crashed
+    and halted-at-send sets, the step/send counters, the number of
+    undecided correct processes, the next sequence number and the tick
+    complete the state, so a node is all an :class:`MPKernel` state is
+    except the objects its ids stand for.  Built from scratch by
+    :func:`_state_ids`, and from a parent by :meth:`_Transitions.step`.
+    A node is never mutated once built.
     """
 
-    __slots__ = ("table", "procs", "sigs", "_step")
+    __slots__ = (
+        "table", "procs", "sigs", "crashed", "halted", "steps", "sends",
+        "undecided", "seq", "tick",
+    )
 
     def __init__(
         self,
         table: _StateTable,
-        procs: Optional[Tuple[int, ...]],
-        sigs: Optional[Dict[int, int]],
-        step: Optional[Tuple] = None,
+        procs: Tuple[int, ...],
+        sigs: Dict[int, int],
+        crashed: FrozenSet[int],
+        halted: FrozenSet[int],
+        steps: Tuple[int, ...],
+        sends: Tuple[int, ...],
+        undecided: int,
+        seq: int,
+        tick: int,
     ) -> None:
         self.table = table
         self.procs = procs
         self.sigs = sigs
-        #: ``(parent procs, parent sigs, seq, target, first new seq)`` of
-        #: a step not yet folded in; ``procs``/``sigs`` are ``None`` until
-        #: then.
-        self._step = step
-
-    def after_step(
-        self, seq: int, target: int, first_new: int
-    ) -> "_StateIds":
-        """Unresolved coordinates of the state ``kernel.step(seq)`` reaches."""
-        return _StateIds(
-            self.table, None, None,
-            (self.procs, self.sigs, seq, target, first_new),
-        )
-
-    def resolve(self, kernel: MPKernel) -> "_StateIds":
-        """Fold a pending step in (a no-op once resolved).
-
-        A step changes only its target's local state (the fact POR's
-        independence relation rests on too), consumes event ``seq`` and
-        schedules the events numbered ``first_new`` onwards; crash sets
-        and counters are not part of the coordinates.
-        """
-        if self._step is None:
-            return self
-        procs, sigs, seq, target, first_new = self._step
-        self._step = None
-        intern = self.table.intern
-        state = intern(_local_state(
-            kernel._processes[target], kernel._contexts[target]
-        ))
-        self.procs = procs[:target] + (state,) + procs[target + 1:]
-        sigs = sigs.copy()
-        del sigs[seq]
-        pending = kernel._pending
-        for new in range(first_new, kernel._seq):
-            sigs[new] = intern(_event_sig(pending[new]))
-        self.sigs = sigs
-        return self
+        self.crashed = crashed
+        self.halted = halted
+        self.steps = steps
+        self.sends = sends
+        self.undecided = undecided
+        self.seq = seq
+        self.tick = tick
 
 
-def _state_ids(kernel: MPKernel, table: _StateTable) -> _StateIds:
-    """Build a state's coordinates from scratch (roots, references)."""
+def _state_ids(kernel: MPKernel, table: _StateTable) -> _Node:
+    """Build a kernel state's node from scratch (roots, references)."""
     intern = table.intern
-    return _StateIds(
+    return _Node(
         table,
         tuple([
             intern(_local_state(process, ctx))
             for process, ctx in zip(kernel._processes, kernel._contexts)
         ]),
         {seq: intern(_event_sig(event)) for seq, event in kernel._pending.items()},
+        frozenset(kernel._crashed),
+        frozenset(kernel._halted_at_send),
+        tuple(kernel._steps_taken),
+        tuple(kernel._sends_made),
+        kernel._undecided,
+        kernel._seq,
+        kernel.tick,
     )
 
 
-def _fingerprint_mp(
-    kernel: MPKernel, ids: _StateIds, include_counters: bool
-) -> Tuple:
-    """Structural state of an MP kernel, as hash-consed ids.
+def _fingerprint_mp(node: _Node, include_counters: bool) -> Tuple:
+    """Structural state of an MP node, as hash-consed ids.
 
     The sorted pending-signature ids, the per-process state ids, the
-    crashed set, and the counters.  Two kernel states with the same
+    crashed set, and the counters.  Two states with the same
     fingerprint have identical futures, so only one needs expansion.
     ``include_counters`` adds the per-process step/send counters; they
     are part of the future-relevant state exactly when a crash adversary
     is present (crash points are counter-indexed), and omitting them
     otherwise lets states that differ only in history collapse.
     """
-    ids.resolve(kernel)
-    counters = (
-        (tuple(kernel._steps_taken), tuple(kernel._sends_made))
-        if include_counters else ()
-    )
     return (
-        tuple(sorted(ids.sigs.values())),
-        ids.procs,
-        tuple(sorted(kernel._crashed)),
-        counters,
+        tuple(sorted(node.sigs.values())),
+        node.procs,
+        tuple(sorted(node.crashed)),
+        (node.steps, node.sends) if include_counters else (),
     )
 
 
@@ -686,8 +676,9 @@ class _Config:
     table: _StateTable = dataclasses.field(default_factory=_StateTable)
 
 
-#: What a set-up function returns: a fresh kernel (MP or SM), the
-#: search's constants, an empty result and a visited store.
+#: What a set-up function returns: what the search drives (a fresh SM
+#: kernel, or the :class:`_Transitions` in front of a fresh MP kernel),
+#: the search's constants, an empty result and a visited store.
 _Setup = Tuple[Any, _Config, ExplorationResult, ExactStore]
 
 
@@ -757,7 +748,7 @@ def _explore_frontier(
 ) -> None:
     """Breadth-first expansion from ``root``, then parallel subtree searches.
 
-    ``children(kernel, cfg, result, store, node)`` processes one
+    ``children(driver, cfg, result, store, node)`` processes one
     frontier node and returns its child nodes; ``worker`` explores one
     :class:`_Subtree`.  The frontier width is a constant (not a
     function of ``jobs``) and subtree results are merged in frontier
@@ -766,13 +757,13 @@ def _explore_frontier(
     re-explored rather than shared, which costs work but keeps the
     decomposition deterministic.
     """
-    kernel, cfg, result, store = setup
+    driver, cfg, result, store = setup
     queue: deque = deque([root])
     while queue and len(queue) < _FRONTIER_WIDTH:
         if result.states >= cfg.max_states:
             result.exhausted = False
             return
-        queue.extend(children(kernel, cfg, result, store, queue.popleft()))
+        queue.extend(children(driver, cfg, result, store, queue.popleft()))
         if cfg.stop_on_violation and result.violations:
             result.exhausted = False
             return
@@ -820,126 +811,305 @@ def _fresh_mp_kernel(
     return kernel
 
 
+class _Transitions:
+    """The MP transition relation on nodes: a memo in front of one kernel.
+
+    :meth:`step` advances a :class:`_Node` through a per-exploration
+    memo keyed ``(target, the target's local-state id, the event's
+    signature id)``; when the adversary may crash the target, the key
+    also holds the target's step and send counters and its crashed and
+    halted flags, which its crash points are a function of.  The value
+    is the step's effect on the target: its new local-state id, the
+    signature ids it sent in send order, whether it stepped, crashed or
+    halted, and whether a correct process stopped being undecided.  A
+    step changes nothing else -- the fact POR's independence relation
+    rests on -- and a handler's effect is a function of its frozen
+    local state and the event, which the visited store assumes already.
+
+    The live kernel is touched only to compute a missing effect, to
+    judge a leaf, to learn a symmetry shape or renaming, and at a
+    frontier root: :meth:`materialize` restores it to a node through
+    the copy-on-write :meth:`MPKernel.restore`, from process entries
+    kept per ``(pid, local-state id)``.  Never per id alone: equal
+    states of different processes share an id, yet PROTOCOL C's engine
+    is bound to its own process.  Under a dynamic adversary, whose
+    crashes react to global state, every step runs on the kernel.
+    """
+
+    __slots__ = (
+        "kernel", "table", "may_crash", "bypass", "memo", "entries",
+        "events", "targets", "live", "handler_runs",
+    )
+
+    def __init__(
+        self,
+        kernel: MPKernel,
+        table: _StateTable,
+        may_crash: FrozenSet[int],
+        bypass: bool,
+    ) -> None:
+        self.kernel = kernel
+        self.table = table
+        self.may_crash = may_crash
+        #: Run every step on the kernel (a dynamic adversary).
+        self.bypass = bypass
+        self.memo: Dict[Tuple, Tuple] = {}
+        #: ``(pid, local-state id)`` -> the kernel's snapshot entry of
+        #: the first process state seen with that id.
+        self.entries: Dict[Tuple[int, int], Any] = {}
+        #: Signature id -> the first event seen with it, and its target.
+        self.events: Dict[int, Event] = {}
+        self.targets: Dict[int, int] = {}
+        #: The node the live kernel sits at (by identity), if any.
+        self.live: Optional[_Node] = None
+        #: Steps whose effect was computed on the kernel.
+        self.handler_runs = 0
+
+    def root(self) -> _Node:
+        """The live kernel's current state as a node, built from scratch."""
+        kernel = self.kernel
+        node = _state_ids(kernel, self.table)
+        entries = self.entries
+        for pid, state in enumerate(node.procs):
+            if (pid, state) not in entries:
+                entries[pid, state] = kernel.entry(pid)
+        pending = kernel._pending
+        for seq, sig in node.sigs.items():
+            self._learn_event(sig, pending[seq])
+        self.live = node
+        return node
+
+    def _learn_event(self, sig: int, event: Event) -> None:
+        if sig not in self.events:
+            self.events[sig] = event
+            self.targets[sig] = _event_target(event)
+
+    def snapshot(self, node: _Node) -> MPSnapshot:
+        """The kernel snapshot a node stands for."""
+        events = self.events
+        pending = {}
+        for seq, sig in node.sigs.items():
+            event = events[sig]
+            if event.seq != seq:
+                # Only deliveries are ever renumbered: a start event's
+                # seq is its pid.
+                event = Delivery(seq, event.sender, event.receiver, event.payload)
+            pending[seq] = event
+        entries = self.entries
+        return MPSnapshot(
+            tick=node.tick,
+            seq=node.seq,
+            pending=pending,
+            crashed=node.crashed,
+            halted_at_send=node.halted,
+            steps_taken=node.steps,
+            sends_made=node.sends,
+            processes=tuple([
+                entries[pid, state] for pid, state in enumerate(node.procs)
+            ]),
+            undecided=node.undecided,
+        )
+
+    def materialize(self, node: _Node) -> MPKernel:
+        """The live kernel, restored to ``node`` unless it sits there."""
+        if self.live is not node:
+            self.kernel.restore(self.snapshot(node))
+            self.live = node
+        return self.kernel
+
+    def step(self, node: _Node, seq: int) -> _Node:
+        """The node that executing pending event ``seq`` reaches."""
+        sig = node.sigs[seq]
+        target = self.targets[sig]
+        if self.bypass:
+            return self._run(node, seq, target, None)
+        if target in self.may_crash:
+            key = (
+                target, node.procs[target], sig, node.steps[target],
+                node.sends[target], target in node.crashed,
+                target in node.halted,
+            )
+        else:
+            key = (target, node.procs[target], sig)
+        effect = self.memo.get(key)
+        if effect is None:
+            return self._run(node, seq, target, key)
+        state, sent, stepped, crashed, halted, settled = effect
+        procs = list(node.procs)
+        procs[target] = state
+        sigs = node.sigs.copy()
+        del sigs[seq]
+        next_seq = node.seq
+        for new in sent:
+            sigs[next_seq] = new
+            next_seq += 1
+        steps = node.steps
+        if stepped:
+            steps = list(steps)
+            steps[target] += 1
+            steps = tuple(steps)
+        sends = node.sends
+        if sent:
+            sends = list(sends)
+            sends[target] += len(sent)
+            sends = tuple(sends)
+        return _Node(
+            self.table, tuple(procs), sigs,
+            node.crashed | {target} if crashed else node.crashed,
+            node.halted | {target} if halted else node.halted,
+            steps, sends, node.undecided - settled, next_seq, node.tick + 1,
+        )
+
+    def _run(
+        self, node: _Node, seq: int, target: int, key: Optional[Tuple]
+    ) -> _Node:
+        """Step the kernel from ``node``; memoize the effect under ``key``."""
+        kernel = self.materialize(node)
+        kernel.step(seq)
+        self.handler_runs += 1
+        intern = self.table.intern
+        state = intern(_local_state(
+            kernel._processes[target], kernel._contexts[target]
+        ))
+        if (target, state) not in self.entries:
+            self.entries[target, state] = kernel.entry(target)
+        sigs = node.sigs.copy()
+        del sigs[seq]
+        pending = kernel._pending
+        sent = []
+        for new in range(node.seq, kernel._seq):
+            event = pending[new]
+            sig = sigs[new] = intern(_event_sig(event))
+            self._learn_event(sig, event)
+            sent.append(sig)
+        procs = list(node.procs)
+        procs[target] = state
+        child = _Node(
+            self.table, tuple(procs), sigs,
+            frozenset(kernel._crashed), frozenset(kernel._halted_at_send),
+            tuple(kernel._steps_taken), tuple(kernel._sends_made),
+            kernel._undecided, kernel._seq, kernel.tick,
+        )
+        if key is not None:
+            self.memo[key] = (
+                state,
+                tuple(sent),
+                child.steps[target] - node.steps[target],
+                target in child.crashed and target not in node.crashed,
+                target in child.halted and target not in node.halted,
+                node.undecided - child.undecided,
+            )
+        self.live = child
+        return child
+
+
 def _setup_mp(search: _Search) -> _Setup:
-    """``(kernel, config, result, store)`` of one MP search."""
+    """``(transitions, config, result, store)`` of one MP search."""
     adversary = search.crash_adversary
-    return _setup(
+    dynamic = _is_dynamic(adversary)
+    kernel, cfg, result, store = _setup(
         search,
         _fresh_mp_kernel(search.factory, search.inputs, search.t, adversary),
-        por=search.por and not _is_dynamic(adversary),
+        por=search.por and not dynamic,
         include_counters=_mp_counters_matter(adversary),
         may_crash=_may_crash_set(adversary),
     )
+    trans = _Transitions(kernel, cfg.table, cfg.may_crash, dynamic)
+    return trans, cfg, result, store
 
 
 class _Frame:
-    """One DFS branch point: a snapshot plus its unexplored choices."""
+    """One DFS branch point: a node plus its unexplored choices."""
 
     __slots__ = (
-        "snapshot", "path", "sleep", "choices", "idx", "target", "may_crash",
-        "fresh", "ids",
+        "node", "path", "sleep", "choices", "idx", "target", "may_crash",
     )
 
-    def __init__(self, snapshot, path, sleep, choices, target, may_crash, ids):
-        self.snapshot = snapshot
+    def __init__(self, node, path, sleep, choices, target, may_crash):
+        self.node = node
         self.path = path
         self.sleep = sleep            # Set[int]: slept seqs at this node
         self.choices = choices        # List[int]: seqs to explore, ascending
         self.idx = 0
         self.target = target          # Dict[seq -> target pid]
         self.may_crash = may_crash    # Dict[seq -> event is crash-capable]
-        self.fresh = True             # live kernel still sits at `snapshot`
-        self.ids = ids                # _StateIds of `snapshot`
-
-    def advance(self, kernel: MPKernel) -> int:
-        """Step the live kernel into the next child; return its event seq.
-
-        Descending into the first child of a fresh frame costs a single
-        :meth:`MPKernel.step`; later children restore the snapshot first.
-        """
-        seq = self.choices[self.idx]
-        self.idx += 1
-        if not self.fresh:
-            kernel.restore(self.snapshot)
-        self.fresh = False
-        kernel.step(seq)
-        return seq
 
 
 def _process_mp_node(
-    kernel: MPKernel,
+    trans: _Transitions,
+    node: _Node,
     path: Tuple[int, ...],
     sleep: Set[int],
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
-    ids: _StateIds,
 ) -> Optional[_Frame]:
-    """Count/dedup/judge the live kernel state; return a frame to expand.
+    """Count/dedup/judge one node; return a frame to expand.
 
-    ``ids`` are the state's hash-consed coordinates; fingerprinting
-    resolves them before they are read here.  Returns ``None`` for cache
-    hits, leaves, and fully-slept nodes.  On a revisit whose sleep set
-    is incomparable to the stored coverage, the returned frame expands
-    only the still-uncovered choices.
+    Returns ``None`` for cache hits, leaves, and fully-slept nodes.  On
+    a revisit whose sleep set is incomparable to the stored coverage,
+    the returned frame expands only the still-uncovered choices.
     """
-    pending = kernel._pending
+    sigs = node.sigs
     if cfg.sym is not None:
         # Canonical store coordinates: the fingerprint *and* every
         # sleep/re-expansion signature are renamed by the same
         # canonicalizing permutation, so Godefroid bookkeeping
-        # operates consistently inside each symmetry orbit.
-        fp, keys, identity = cfg.sym.canonical(
-            kernel, ids, cfg.include_counters
+        # operates consistently inside each symmetry orbit.  Only the
+        # signatures the probe reads are renamed.
+        fp, renamed = cfg.sym.canonical(
+            node, cfg.include_counters, trans.materialize
         )
         result.stats.canonicalizations += 1
     else:
-        identity = True
-        fp = _fingerprint_mp(kernel, ids, cfg.include_counters)
-        # The signature id of every pending event, in store coordinates.
-        keys = ids.sigs
-    sleep_sig = Counter([keys[seq] for seq in sleep]) if sleep else NO_SLEEP
+        renamed = None
+        fp = _fingerprint_mp(node, cfg.include_counters)
+    if not sleep:
+        sleep_sig = NO_SLEEP
+    elif renamed is None:
+        sleep_sig = Counter([sigs[seq] for seq in sleep])
+    else:
+        sleep_sig = Counter([renamed[sigs[seq]] for seq in sleep])
     to_expand = store.probe(fp, sleep_sig)
     if to_expand is None:
-        if not identity:
+        if renamed is not None:
             result.stats.orbit_hits += 1
         return None
     if to_expand is EXPAND_ALL:
         result.states += 1
     else:
         result.reexpansions += 1
-    if kernel.all_correct_decided() or not pending:
-        _judge_leaf(kernel, path, cfg.judge, result)
+    if not node.undecided or not sigs:
+        _judge_leaf(trans.materialize(node), path, cfg.judge, result)
         store.set_covered(fp)
         return None
     if to_expand is EXPAND_ALL:
-        choices = [seq for seq in sorted(pending) if seq not in sleep]
+        choices = [seq for seq in sorted(sigs) if seq not in sleep]
     else:
         # Partial re-expansion: only events slept at the first visit but
         # not now.  Structurally identical events are interchangeable,
         # so any non-slept pending event with a needed signature serves.
         need = dict(to_expand)
         choices = []
-        for seq in sorted(pending):
+        for seq in sorted(sigs):
             if seq in sleep:
                 continue
-            key = keys[seq]
+            key = sigs[seq] if renamed is None else renamed[sigs[seq]]
             if need.get(key, 0) > 0:
                 need[key] -= 1
                 choices.append(seq)
-    result.sleep_pruned += len(pending) - len(choices)
+    result.sleep_pruned += len(sigs) - len(choices)
     if not choices:
         # Every continuation here is covered by a sibling's subtree.
         return None
-    target = {seq: _event_target(pending[seq]) for seq in pending}
-    crashed = kernel._crashed
+    targets = trans.targets
+    target = {seq: targets[sig] for seq, sig in sigs.items()}
+    crashed = node.crashed
     may_crash = {
         seq: tgt in cfg.may_crash and tgt not in crashed
         for seq, tgt in target.items()
     }
-    return _Frame(
-        kernel.snapshot(), path, sleep, choices, target, may_crash, ids
-    )
+    return _Frame(node, path, sleep, choices, target, may_crash)
 
 
 def _child_sleep(frame: _Frame, seq: int, por: bool) -> Set[int]:
@@ -961,22 +1131,21 @@ def _child_sleep(frame: _Frame, seq: int, por: bool) -> Set[int]:
 
 
 def _run_mp_dfs(
-    kernel: MPKernel,
+    trans: _Transitions,
     path: Tuple[int, ...],
     sleep: Set[int],
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
 ) -> None:
-    """Depth-first exploration from the kernel's current state.
+    """Depth-first exploration from the live kernel's current state.
 
-    One live kernel serves the whole search (see :meth:`_Frame.advance`).
-    A child's state ids derive from its frame's by re-freezing only the
-    process that stepped.
+    The search walks nodes: a child is the memoized effect of its step
+    applied to its parent (see :class:`_Transitions`), and the kernel
+    runs only where the memo has no answer.
     """
     root = _process_mp_node(
-        kernel, path, sleep, cfg, result, store,
-        _state_ids(kernel, cfg.table),
+        trans, trans.root(), path, sleep, cfg, result, store
     )
     if cfg.stop_on_violation and result.violations:
         result.exhausted = False
@@ -992,13 +1161,14 @@ def _run_mp_dfs(
         if result.states >= cfg.max_states:
             result.exhausted = False
             return
-        seq = frame.advance(kernel)
+        seq = frame.choices[frame.idx]
+        frame.idx += 1
         child = _process_mp_node(
-            kernel,
+            trans,
+            trans.step(frame.node, seq),
             frame.path + (seq,),
             _child_sleep(frame, seq, cfg.por),
             cfg, result, store,
-            frame.ids.after_step(seq, frame.target[seq], frame.snapshot.seq),
         )
         if cfg.stop_on_violation and result.violations:
             result.exhausted = False
@@ -1008,33 +1178,38 @@ def _run_mp_dfs(
 
 
 def _mp_children(
-    kernel: MPKernel,
+    trans: _Transitions,
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
-    node: Tuple[Any, Tuple[int, ...], Tuple[int, ...]],
+    node: Tuple[MPSnapshot, Tuple[int, ...], Tuple[int, ...]],
 ) -> List[Tuple]:
     """Process one MP frontier node; return its children as new roots."""
     snapshot, path, sleep = node
-    kernel.restore(snapshot)
+    trans.kernel.restore(snapshot)
     frame = _process_mp_node(
-        kernel, path, set(sleep), cfg, result, store,
-        _state_ids(kernel, cfg.table),
+        trans, trans.root(), path, set(sleep), cfg, result, store
     )
     children = []
     while frame is not None and frame.idx < len(frame.choices):
-        seq = frame.advance(kernel)
+        seq = frame.choices[frame.idx]
+        frame.idx += 1
         child_sleep = tuple(sorted(_child_sleep(frame, seq, cfg.por)))
-        children.append((kernel.snapshot(), path + (seq,), child_sleep))
+        children.append((
+            trans.snapshot(trans.step(frame.node, seq)),
+            path + (seq,),
+            child_sleep,
+        ))
     return children
 
 
 def _mp_frontier_worker(task: _Subtree) -> ExplorationResult:
     """Explore one MP frontier subtree in a fresh process (or inline)."""
-    kernel, cfg, result, store = _setup_mp(task.search)
+    trans, cfg, result, store = _setup_mp(task.search)
     snapshot, path, sleep = task.root
-    kernel.restore(snapshot)
-    _run_mp_dfs(kernel, path, set(sleep), cfg, result, store)
+    trans.kernel.restore(snapshot)
+    _run_mp_dfs(trans, path, set(sleep), cfg, result, store)
+    result.handler_runs += trans.handler_runs
     return _finish(result, store, cfg)
 
 
@@ -1092,14 +1267,15 @@ def explore_mp(
         symmetry=symmetry, stop_on_violation=stop_on_violation, por=por,
     )
     setup = _setup_mp(search)
-    kernel, cfg, result, store = setup
+    trans, cfg, result, store = setup
     if jobs is None:
-        _run_mp_dfs(kernel, (), set(), cfg, result, store)
+        _run_mp_dfs(trans, (), set(), cfg, result, store)
     else:
         _explore_frontier(
-            search, setup, (kernel.snapshot(), (), ()), _mp_children,
+            search, setup, (trans.kernel.snapshot(), (), ()), _mp_children,
             _mp_frontier_worker, jobs,
         )
+    result.handler_runs += trans.handler_runs
     return _finish(result, store, cfg)
 
 
@@ -1208,6 +1384,7 @@ def _run_sm_dfs(
             kernel.restore(snapshot)
             result.replays += 1
         kernel.step_pid(pid)
+        result.handler_runs += 1
         ids = parent.after_step(pid)
 
 
@@ -1229,6 +1406,7 @@ def _sm_children(
             kernel.restore(snapshot)
             result.replays += 1
         kernel.step_pid(pid)
+        result.handler_runs += 1
         children.append(kernel.snapshot())
     return children
 

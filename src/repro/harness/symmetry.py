@@ -333,34 +333,33 @@ class MPSymmetryContext:
         return len(self._perms)
 
     def canonical(
-        self, kernel, ids, include_counters: bool
-    ) -> Tuple[Tuple, Mapping[int, int], bool]:
-        """Canonical fingerprint of the kernel's current state.
+        self, node, include_counters: bool, kernel_at: Callable
+    ) -> Tuple[Tuple, Optional[Mapping[int, int]]]:
+        """Canonical fingerprint of one explored state.
 
-        ``ids`` are the state's hash-consed coordinates (see
-        :class:`repro.harness.exhaustive._StateIds`).  The representative
-        is the minimum of the renamed id fingerprint over the renamings
-        that sort the state (see :meth:`_sorting_renamings`); those
-        renamings map every member of an orbit onto the same set of
-        sorted images, and the state table gives equal values equal ids,
-        so that minimum is the same for every member of an orbit.
+        ``node`` is the state as hash-consed ids (see
+        :class:`repro.harness.exhaustive._Node`), and ``kernel_at(node)``
+        returns a kernel sitting at that state, which is asked for only
+        to learn what the memos lack.  The representative is the
+        minimum of the renamed id fingerprint over the renamings that
+        sort the state (see :meth:`_sorting_renamings`); those renamings
+        map every member of an orbit onto the same set of sorted images,
+        and the state table gives equal values equal ids, so that
+        minimum is the same for every member of an orbit.
 
-        Returns ``(fingerprint, keys, is_identity)`` where ``keys`` maps
-        the sequence number of every pending event to its signature id
-        *renamed by the canonicalizing permutation* -- sleep-set
-        bookkeeping must live in the same coordinates as the store key
-        -- and ``is_identity`` says whether the canonical representative
-        is the unrenamed state itself.
+        Returns ``(fingerprint, renamed)``.  ``renamed`` maps every
+        signature id of the node to its image under the canonicalizing
+        permutation -- sleep-set bookkeeping must live in the same
+        coordinates as the store key -- and is ``None`` when the
+        canonical representative is the unrenamed state itself.
         """
-        ids.resolve(kernel)
-        sigs = ids.sigs
-        procs = ids.procs
-        pending = sorted(sigs.values())
-        crashed = sorted(kernel._crashed)
-        steps = kernel._steps_taken
-        sends = kernel._sends_made
+        procs = node.procs
+        pending = sorted(node.sigs.values())
+        crashed = sorted(node.crashed)
+        steps = node.steps
+        sends = node.sends
         candidates = self._sorting_renamings(
-            kernel, ids, pending, include_counters
+            node, pending, include_counters, kernel_at
         ) if self._classes else self._whole_group
         best = None
         best_index = 0
@@ -370,7 +369,7 @@ class MPSymmetryContext:
                     tuple(pending),
                     procs,
                     tuple(crashed),
-                    (tuple(steps), tuple(sends)) if include_counters else (),
+                    (steps, sends) if include_counters else (),
                 )
                 continue
             renamed = self._renamed[index]
@@ -378,7 +377,7 @@ class MPSymmetryContext:
             try:
                 head = _rename_ids(renamed, inverse, pending, procs)
             except KeyError:
-                self._learn(kernel, ids, index)
+                self._learn(kernel_at(node), node, index)
                 head = _rename_ids(renamed, inverse, pending, procs)
             if best is not None and head[0] > best[0]:
                 continue
@@ -395,15 +394,14 @@ class MPSymmetryContext:
                 best_index = index
         self.renamings += len(candidates) - (candidates[0] == 0)
         if best_index == 0:
-            return best, sigs, True
-        renamed = self._renamed[best_index]
-        keys = {seq: renamed[sigs[seq]] for seq in sorted(sigs)}
-        return best, keys, False
+            return best, None
+        return best, self._renamed[best_index]
 
     # -- sorting -------------------------------------------------------------
 
     def _sorting_renamings(
-        self, kernel, ids, pending: List[int], include_counters: bool
+        self, node, pending: List[int], include_counters: bool,
+        kernel_at: Callable,
     ) -> Tuple[int, ...]:
         """Ascending group indices of the renamings that sort the state.
 
@@ -413,7 +411,7 @@ class MPSymmetryContext:
         its class is the rank of its key, so only processes with equal
         keys may trade places.
         """
-        keys = self._process_keys(kernel, ids, pending, include_counters)
+        keys = self._process_keys(node, pending, include_counters, kernel_at)
         order: List[int] = []
         ties: List[bool] = []
         for members in self._classes:
@@ -433,7 +431,8 @@ class MPSymmetryContext:
         return candidates
 
     def _process_keys(
-        self, kernel, ids, pending: List[int], include_counters: bool
+        self, node, pending: List[int], include_counters: bool,
+        kernel_at: Callable,
     ) -> List[Tuple]:
         """Per-pid keys that commute with renaming.
 
@@ -447,16 +446,16 @@ class MPSymmetryContext:
         try:
             senders = list(map(self._senders.__getitem__, pending))
         except KeyError:
-            self._learn_senders(kernel, ids)
+            self._learn_senders(kernel_at(node), node)
             senders = list(map(self._senders.__getitem__, pending))
-        shapes = list(map(dict.get, self._shapes, ids.procs))
+        shapes = list(map(dict.get, self._shapes, node.procs))
         if None in shapes:
-            self._learn_shapes(kernel, ids)
-            shapes = list(map(dict.__getitem__, self._shapes, ids.procs))
-        crashed = kernel._crashed
+            self._learn_shapes(kernel_at(node), node)
+            shapes = list(map(dict.__getitem__, self._shapes, node.procs))
+        crashed = node.crashed
         if include_counters:
-            steps = kernel._steps_taken
-            sends = kernel._sends_made
+            steps = node.steps
+            sends = node.sends
             return [
                 (shape, senders.count(pid), pid in crashed, steps[pid],
                  sends[pid])
@@ -495,20 +494,20 @@ class MPSymmetryContext:
             if all(perm[pid] in allowed[pid] for pid in order)
         ])
 
-    def _learn_senders(self, kernel, ids) -> None:
+    def _learn_senders(self, kernel, node) -> None:
         """Memoize the sender of every pending signature id."""
         senders = self._senders
-        for seq, sig in sorted(ids.sigs.items()):
+        for seq, sig in sorted(node.sigs.items()):
             if sig not in senders:
                 event = kernel._pending[seq]
                 senders[sig] = (
                     event.sender if isinstance(event, Delivery) else self._n
                 )
 
-    def _learn_shapes(self, kernel, ids) -> None:
+    def _learn_shapes(self, kernel, node) -> None:
         """Memoize the shape id of every process's local state."""
         shape_ids = self._shape_ids
-        for pid, state in enumerate(ids.procs):
+        for pid, state in enumerate(node.procs):
             shapes = self._shapes[pid]
             if state not in shapes:
                 shape = self._shape(
@@ -536,22 +535,23 @@ class MPSymmetryContext:
 
     # -- renaming ------------------------------------------------------------
 
-    def _learn(self, kernel, ids, index: int) -> None:
-        """Memoize the images of every id of ``ids`` under ``perms[index]``.
+    def _learn(self, kernel, node, index: int) -> None:
+        """Memoize the images of every id of ``node`` under ``perms[index]``.
 
-        A miss is renamed from the live kernel object the id stands for
-        -- the process at that position, or the pending event with that
-        signature -- and interned into the exploration's state table.
+        ``kernel`` sits at the node's state.  A miss is renamed from the
+        kernel object the id stands for -- the process at that position,
+        or the pending event with that signature -- and interned into
+        the exploration's state table.
         """
         renamed = self._renamed[index]
         perm = self._perms[index]
-        intern = ids.table.intern
-        for pid, state in enumerate(ids.procs):
+        intern = node.table.intern
+        for pid, state in enumerate(node.procs):
             if state not in renamed:
                 renamed[state] = intern(self._rename_local(
                     kernel._processes[pid], kernel._contexts[pid], perm
                 ))
-        for seq, sig in sorted(ids.sigs.items()):
+        for seq, sig in sorted(node.sigs.items()):
             if sig not in renamed:
                 renamed[sig] = intern(
                     self._rename_sig(kernel._pending[seq], perm)

@@ -490,14 +490,6 @@ class MPKernel(KernelBase):
         contract: a process's state and decision change only while the
         kernel runs one of its handlers.
         """
-        entries = self._entries
-        for pid, entry in enumerate(entries):
-            if entry is None:
-                ctx = self._contexts[pid]
-                entries[pid] = (
-                    self._processes[pid].snapshot_state(),
-                    (ctx._decided, copy_plain(ctx._decision)),
-                )
         return MPSnapshot(
             tick=self.tick,
             seq=self._seq,
@@ -506,9 +498,25 @@ class MPKernel(KernelBase):
             halted_at_send=frozenset(self._halted_at_send),
             steps_taken=tuple(self._steps_taken),
             sends_made=tuple(self._sends_made),
-            processes=tuple(entries),
+            processes=tuple([self.entry(pid) for pid in range(self.n)]),
             undecided=self._undecided,
         )
+
+    def entry(self, pid: int) -> _Entry:
+        """Process ``pid``'s part of a snapshot of the current state.
+
+        Copies the process only if one of its handlers ran since its
+        entry was last taken or installed, and returns the shared entry
+        otherwise (see :meth:`snapshot`).
+        """
+        entry = self._entries[pid]
+        if entry is None:
+            ctx = self._contexts[pid]
+            entry = self._entries[pid] = (
+                self._processes[pid].snapshot_state(),
+                (ctx._decided, copy_plain(ctx._decision)),
+            )
+        return entry
 
     def restore(self, snapshot: MPSnapshot) -> None:
         """Reset the kernel to a previously captured snapshot.

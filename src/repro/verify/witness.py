@@ -253,8 +253,9 @@ def exploration_witnesses(
 
     The exhaustive explorer (:mod:`repro.harness.exhaustive`) records a
     violating run as its choice path -- event seqs for message passing,
-    pids for shared memory.  Under the fast-fork engine nearly every
-    step of that path executed on a *restored* kernel, so turning the
+    pids for shared memory.  Nearly every message-passing step of that
+    path was a transition-memo hit that ran no handler, and nearly every
+    shared-memory step executed on a *restored* kernel, so turning the
     path into a replayable witness is the explorer's soundness check:
     the same choices on a fresh kernel must reproduce the violation.
     :func:`confirm_exploration` performs that check end to end.
@@ -311,11 +312,12 @@ def confirm_exploration(
     """Replay every explorer counterexample on a fresh kernel.
 
     This is the explorer's external soundness check: a violation found
-    through snapshot/restore forking must survive being re-executed
-    from scratch.  Returns one report per recorded violation; raises
-    ``ValueError`` if any witness replays non-deterministically or
-    fails to demonstrate the oracles the explorer reported -- either
-    would mean restored states diverged from real executions.
+    through memoized steps or snapshot/restore forking must survive
+    being re-executed from scratch.  Returns one report per recorded
+    violation; raises ``ValueError`` if any witness replays
+    non-deterministically or fails to demonstrate the oracles the
+    explorer reported -- either would mean the explored states diverged
+    from real executions.
     """
     reports = []
     broken = []

@@ -89,7 +89,10 @@ class TestPorVsFullDfs:
 
     def test_dynamic_adversary_disables_por(self):
         """Reactive crash rules depend on global state, so independence
-        does not hold; POR must silently fall back to full DFS."""
+        does not hold; POR must silently fall back to full DFS.  A
+        step's effect then depends on more than its target's state, so
+        the transition memo is bypassed too: every step (one per probe
+        after the root's) runs a handler on the kernel."""
         adversary = CrashWhenOthersDecide([0], [1, 2])
         por = _explore_a(crash_adversary=adversary, por=True)
         full = _explore_a(crash_adversary=adversary, por=False)
@@ -97,6 +100,9 @@ class TestPorVsFullDfs:
         assert por.states == full.states
         assert por.runs == full.runs
         _same_findings(full, por)
+        for result in (por, full):
+            probes = result.cache_hits + result.cache_misses
+            assert result.handler_runs == probes - 1
 
 
 def _fresh_replay_dfs(factory, inputs, k, t, validity, plan=None):
@@ -127,7 +133,7 @@ def _fresh_replay_dfs(factory, inputs, k, t, validity, plan=None):
         for seq in path:
             kernel.step(seq)
         fingerprint = _fingerprint_mp(
-            kernel, _state_ids(kernel, table), include_counters
+            _state_ids(kernel, table), include_counters
         )
         if fingerprint in seen:
             continue

@@ -1,21 +1,26 @@
-"""Differential test: incremental state ids equal ids rebuilt from scratch.
+"""Differential test: memoized DFS nodes equal states replayed from scratch.
 
-The message-passing explorer hash-conses its states: every DFS frame
-carries the state-table ids of each process's local state and of every
-pending event's signature, and a step re-freezes only the process it
-targeted.  A stale id -- a process whose state changed without being
-re-frozen, or a signature kept for an event that changed -- would make
-distinct states share a fingerprint and silently cut unexplored
-branches.  Nothing in the explorer checks this at run time, so these
-tests wrap the two consumers of the ids, ``_fingerprint_mp`` (symmetry
-off) and ``MPSymmetryContext.canonical`` (symmetry on), and rebuild the
-ids from the live kernel at every call.
+The message-passing explorer walks hash-consed nodes instead of a live
+kernel: a node holds each process's local-state id, each pending
+event's signature id, the crashed and halted sets, the step/send
+counters, the undecided count, the next sequence number and the tick,
+and a child is the memoized effect of its step applied to its parent.
+A memo key that leaves out something a step depends on, or an effect
+that records too little, would make a node disagree with the state its
+path reaches -- and distinct states share a fingerprint and silently
+cut unexplored branches.  Nothing in the explorer checks this at run
+time, so these tests wrap ``_process_mp_node``, which sees every node
+with its path, and replay that path at every call on a fresh kernel
+that never saw the memo.
 
-Each case explores one n=3 instance, failure-free and under a crash
-plan, with symmetry off and on, capped so the larger Byzantine
-protocols stay within seconds.  Specs whose factory refuses t=1 at n=3
-(PROTOCOL C) are built for t=0 and run by a t=1 kernel: what is under
-test is the explorer's bookkeeping, not the protocol.
+Each case explores one n=3 instance, failure-free and under two crash
+plans of the odd-input process, with symmetry off and on, capped so the
+larger Byzantine protocols stay within seconds.  A crash-capable target
+keys the memo on its counters: the ``after_steps=1`` plan is the one
+that catches a key without them (a partial broadcast alone does not).
+Specs whose factory refuses t=1 at n=3 (PROTOCOL C) are built for t=0
+and run by a t=1 kernel: what is under test is the explorer's
+bookkeeping, not the protocol.
 
 The second group checks the sorting canonicalizer against a reference
 kept below, ``_whole_group_key``: the minimum renamed id fingerprint over
@@ -26,17 +31,13 @@ two states must get equal new keys exactly when they get equal
 whole-group keys.
 """
 
-from collections import Counter
-
 import pytest
 
 from repro.core.validity import SV2, by_code
 from repro.failures.crash import CrashPlan, CrashPoint
 from repro.harness import exhaustive
 from repro.harness.exhaustive import SpecFactory
-from repro.harness.symmetry import (
-    MPSymmetryContext, _rename_ids, mp_symmetry_context,
-)
+from repro.harness.symmetry import _rename_ids, mp_symmetry_context
 from repro.protocols.ablations import (
     CredulousProcess,
     ProtocolBStrictQuorum,
@@ -50,6 +51,9 @@ INPUTS = ["v", "v", "w"]
 #: A partial broadcast by the odd-input process: pids 0 and 1 stay
 #: interchangeable, so symmetry keeps a non-trivial group.
 PLAN = CrashPlan({2: CrashPoint(after_sends=1)})
+#: The odd-input process halts before its second step, so whether a
+#: step of it runs depends on its step counter.
+STEP_PLAN = CrashPlan({2: CrashPoint(after_steps=1)})
 MAX_STATES = 1_500
 
 ABLATIONS = (ProtocolBStrictQuorum, ProtocolCPlainBroadcast, CredulousProcess)
@@ -85,90 +89,105 @@ def _instances():
     return cases
 
 
-def _assert_fresh(kernel, ids):
-    """The incremental ids equal a from-scratch rebuild on the same table."""
-    ids.resolve(kernel)
-    fresh = exhaustive._state_ids(kernel, ids.table)
-    assert ids.procs == fresh.procs, "stale process state id"
-    assert ids.sigs == fresh.sigs, "stale pending signature id"
+def _replayed(factory, plan, path):
+    """A fresh kernel driven through ``path``, one step at a time."""
+    kernel = exhaustive._fresh_mp_kernel(factory, INPUTS, T, plan)
+    for seq in path:
+        kernel.step(seq)
+    return kernel
+
+
+def _assert_replays(node, kernel):
+    """The node equals the replayed kernel's state, rebuilt on its table."""
+    fresh = exhaustive._state_ids(kernel, node.table)
+    assert node.procs == fresh.procs, "stale process state id"
+    assert node.sigs == fresh.sigs, "stale pending signature id"
+    assert node.crashed == fresh.crashed, "wrong crashed set"
+    assert node.halted == fresh.halted, "wrong halted-at-send set"
+    assert node.steps == fresh.steps, "wrong step counters"
+    assert node.sends == fresh.sends, "wrong send counters"
+    assert (node.seq, node.tick) == (fresh.seq, fresh.tick)
+    assert node.undecided == fresh.undecided
+    assert (not node.undecided) == kernel.all_correct_decided()
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Wrap both id consumers; count the calls each one checked."""
-    calls = Counter()
-    fingerprint = exhaustive._fingerprint_mp
-    canonical = MPSymmetryContext.canonical
+    """Replay every node the explorer processes; count the nodes checked.
 
-    def checked_fingerprint(kernel, ids, include_counters):
-        _assert_fresh(kernel, ids)
-        calls["fingerprint"] += 1
-        return fingerprint(kernel, ids, include_counters)
+    The test sets ``checked["search"] = (factory, plan)`` before it
+    explores.
+    """
+    calls = {"nodes": 0}
+    process = exhaustive._process_mp_node
 
-    def checked_canonical(self, kernel, ids, include_counters):
-        _assert_fresh(kernel, ids)
-        # Raw and renamed ids share one table, so renaming by the
-        # identity must give back the raw ids.
-        identity = self._perms[0]
-        intern = ids.table.intern
-        for pid, process in enumerate(kernel._processes):
-            local = self._rename_local(process, kernel._contexts[pid], identity)
-            assert intern(local) == ids.procs[pid]
-        for seq, event in kernel._pending.items():
-            assert intern(self._rename_sig(event, identity)) == ids.sigs[seq]
-        calls["canonical"] += 1
-        return canonical(self, kernel, ids, include_counters)
+    def checked_process(trans, node, path, sleep, cfg, result, store):
+        factory, plan = calls["search"]
+        kernel = _replayed(factory, plan, path)
+        _assert_replays(node, kernel)
+        if cfg.sym is not None:
+            # Raw and renamed ids share one table, so renaming by the
+            # identity must give back the raw ids.
+            sym = cfg.sym
+            identity = sym._perms[0]
+            intern = node.table.intern
+            for pid, proc in enumerate(kernel._processes):
+                local = sym._rename_local(proc, kernel._contexts[pid], identity)
+                assert intern(local) == node.procs[pid]
+            for seq, event in kernel._pending.items():
+                assert intern(sym._rename_sig(event, identity)) == node.sigs[seq]
+        calls["nodes"] += 1
+        return process(trans, node, path, sleep, cfg, result, store)
 
-    monkeypatch.setattr(exhaustive, "_fingerprint_mp", checked_fingerprint)
-    monkeypatch.setattr(MPSymmetryContext, "canonical", checked_canonical)
+    monkeypatch.setattr(exhaustive, "_process_mp_node", checked_process)
     return calls
 
 
 @pytest.mark.parametrize("symmetry", [False, True], ids=["plain", "sym"])
-@pytest.mark.parametrize("plan", [None, PLAN], ids=["failure-free", "crash"])
+@pytest.mark.parametrize(
+    "plan", [None, PLAN, STEP_PLAN],
+    ids=["failure-free", "crash", "crash-steps"],
+)
 @pytest.mark.parametrize("factory, k, validity", _instances())
 def test_incremental_ids_match_rebuild(
     checked, factory, k, validity, plan, symmetry
 ):
+    checked["search"] = (factory, plan)
     result = exhaustive.explore_mp(
         factory, INPUTS, k, T, validity,
         crash_adversary=plan, max_states=MAX_STATES, symmetry=symmetry,
     )
     probes = result.cache_hits + result.cache_misses
     assert probes > 1
-    if result.stats.symmetry:
-        assert checked["canonical"] == probes
-        assert checked["fingerprint"] == 0
-    else:
-        assert checked["fingerprint"] == probes
-        assert checked["canonical"] == 0
+    assert checked["nodes"] == probes
+    # The memo answered some steps: the check covered memoized nodes.
+    assert 0 < result.handler_runs < probes - 1
 
 
 # ---------------------------------------------------------------------------
 # the reference canonicalizer: the minimum over the whole group
 
 
-def _whole_group_key(ctx, kernel, ids, include_counters):
+def _whole_group_key(ctx, node, include_counters, kernel_at):
     """The minimum renamed id fingerprint over every group element."""
-    ids.resolve(kernel)
-    pending = sorted(ids.sigs.values())
-    crashed = sorted(kernel._crashed)
-    steps = kernel._steps_taken
-    sends = kernel._sends_made
+    pending = sorted(node.sigs.values())
+    crashed = sorted(node.crashed)
+    steps = node.steps
+    sends = node.sends
     best = (
         tuple(pending),
-        ids.procs,
+        node.procs,
         tuple(crashed),
-        (tuple(steps), tuple(sends)) if include_counters else (),
+        (steps, sends) if include_counters else (),
     )
     for index in range(1, ctx.group_size):
         renamed = ctx._renamed[index]
         inverse = ctx._inverses[index]
         try:
-            head = _rename_ids(renamed, inverse, pending, ids.procs)
+            head = _rename_ids(renamed, inverse, pending, node.procs)
         except KeyError:
-            ctx._learn(kernel, ids, index)
-            head = _rename_ids(renamed, inverse, pending, ids.procs)
+            ctx._learn(kernel_at(node), node, index)
+            head = _rename_ids(renamed, inverse, pending, node.procs)
         perm = ctx._perms[index]
         fingerprint = head + (
             tuple(sorted(perm[pid] for pid in crashed)),
@@ -212,16 +231,17 @@ def test_canonical_keys_partition_like_whole_group(
     ctx, reason = mp_symmetry_context(kernel._processes, inputs, t, plan)
     assert ctx is not None, reason
     pairs = set()
-    fingerprint = exhaustive._fingerprint_mp
+    process = exhaustive._process_mp_node
 
-    def keyed_fingerprint(kernel, ids, include_counters):
+    def keyed_process(trans, node, path, sleep, cfg, result, store):
+        include_counters = cfg.include_counters
         pairs.add((
-            ctx.canonical(kernel, ids, include_counters)[0],
-            _whole_group_key(ctx, kernel, ids, include_counters),
+            ctx.canonical(node, include_counters, trans.materialize)[0],
+            _whole_group_key(ctx, node, include_counters, trans.materialize),
         ))
-        return fingerprint(kernel, ids, include_counters)
+        return process(trans, node, path, sleep, cfg, result, store)
 
-    monkeypatch.setattr(exhaustive, "_fingerprint_mp", keyed_fingerprint)
+    monkeypatch.setattr(exhaustive, "_process_mp_node", keyed_process)
     result = exhaustive.explore_mp(
         factory, inputs, k, t, validity,
         crash_adversary=plan, max_states=MAX_STATES, por=False,

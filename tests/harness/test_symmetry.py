@@ -115,12 +115,13 @@ def _lockstep_mp_fuzz(spec, inputs, t, plan, seed, rounds=3):
 
         def canonical(kernel):
             ids = _state_ids(kernel, table)
-            return ctx.canonical(kernel, ids, include_counters)[0]
+            return ctx.canonical(ids, include_counters, lambda _: kernel)[0]
 
         def process_keys(kernel):
             ids = _state_ids(kernel, table)
             return ctx._process_keys(
-                kernel, ids, sorted(ids.sigs.values()), include_counters
+                ids, sorted(ids.sigs.values()), include_counters,
+                lambda _: kernel,
             )
 
         perms = ctx._perms
@@ -194,9 +195,9 @@ class TestMPCanonicalInvariance:
         def observe():
             ids = _state_ids(kernel, table)
             keys = ctx._process_keys(
-                kernel, ids, sorted(ids.sigs.values()), False
+                ids, sorted(ids.sigs.values()), False, lambda _: kernel
             )
-            return ctx.canonical(kernel, ids, False)[0], keys
+            return ctx.canonical(ids, False, lambda _: kernel)[0], keys
 
         before = observe()
         # Same fingerprint, other counters.

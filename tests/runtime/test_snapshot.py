@@ -66,9 +66,7 @@ def _inputs(n):
 def _mp_fp(kernel, table):
     """Fingerprint built from scratch; one table per comparison, so equal
     ids mean structurally equal states."""
-    return _fingerprint_mp(
-        kernel, _state_ids(kernel, table), include_counters=True
-    )
+    return _fingerprint_mp(_state_ids(kernel, table), include_counters=True)
 
 
 def _sm_fp(kernel, table):

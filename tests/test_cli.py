@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -217,6 +218,19 @@ class TestExhaustiveCommand:
         out = capsys.readouterr().out
         assert "exhaustive" in out and "violations: 0" in out
         assert "restores /" in out and "re-fed results" in out
+
+    def test_handler_runs_reported_against_probes(self, capsys):
+        """The transition memo answers most message-passing steps, so
+        far fewer handlers run than the store is probed."""
+        assert main([
+            "exhaustive", "protocol-a@mp-cr", "--n", "3", "--k", "2",
+            "--t", "1", "--inputs", "v", "v", "w",
+        ]) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"handler runs: (\d+) for (\d+) probes", out)
+        assert match, out
+        runs, probes = map(int, match.groups())
+        assert 0 < runs < probes
 
     def test_symmetry_line_reports_renamings(self, capsys):
         assert main([

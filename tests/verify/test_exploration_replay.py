@@ -10,7 +10,10 @@ violations into replayable witness files and
 The violating instances here judge registered protocols against a
 validity condition stricter than the one they solve: under a partial
 broadcast crash both PROTOCOL A (message passing) and PROTOCOL E
-(shared memory) decide values SV2 forbids.
+(shared memory) decide values SV2 forbids.  The message-passing
+ablations of :mod:`repro.protocols.ablations` violate SV2 by design;
+registered under test-only names, every counterexample they produce
+over a whole crash-pattern family must replay too.
 """
 
 import pytest
@@ -21,7 +24,19 @@ from repro.failures.crash import (
     CrashPoint,
     CrashWhenOthersDecide,
 )
-from repro.harness.exhaustive import SpecFactory, explore_mp, explore_sm
+from repro.harness.exhaustive import (
+    SpecFactory,
+    crash_patterns,
+    explore_mp,
+    explore_sm,
+)
+from repro.models import Model
+from repro.protocols import base
+from repro.protocols.ablations import (
+    CredulousProcess,
+    ProtocolBStrictQuorum,
+    ProtocolCPlainBroadcast,
+)
 from repro.verify.witness import (
     Witness,
     confirm_exploration,
@@ -176,3 +191,37 @@ class TestConfirmExploration:
             confirm_exploration(
                 stub, MP_SPEC, MP_INPUTS, 2, 1, validity="SV2",
             )
+
+
+@pytest.mark.parametrize(
+    "cls", [ProtocolBStrictQuorum, ProtocolCPlainBroadcast, CredulousProcess],
+    ids=lambda cls: cls.__name__,
+)
+def test_ablation_counterexamples_replay(monkeypatch, cls):
+    """Every violation POR finds in an ablation replays from scratch.
+
+    The explorer numbers the events a memoized step sends in the order
+    the first run of that handler sent them, so a recorded path names
+    events by seqs a fresh kernel must assign alike.  Over the whole
+    n=3 crash-pattern family, at two input patterns, each recorded path
+    must reach the same violation on a fresh kernel.
+    """
+    name = f"ablation-{cls.__name__}@mp-cr"
+    spec = base.ProtocolSpec(
+        name=name, title=cls.__name__, model=Model.MP_CR, validity="SV2",
+        lemma="(ablation)", solvable=lambda n, k, t: False,
+        make=lambda n, k, t: cls(),
+    )
+    monkeypatch.setitem(base._REGISTRY, name, spec)
+    confirmed = 0
+    for inputs in (["v", "v", "w"], ["v", "w", "x"]):
+        for plan in crash_patterns(3, 1, max_sends=1):
+            exploration = explore_mp(
+                SpecFactory(name, 3, 1, 1), inputs, k=1, t=1, validity=SV2,
+                crash_adversary=plan, por=True,
+            )
+            assert exploration.exhausted
+            confirmed += len(confirm_exploration(
+                exploration, name, inputs, 1, 1, crash_adversary=plan,
+            ))
+    assert confirmed > 0
