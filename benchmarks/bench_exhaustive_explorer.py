@@ -24,9 +24,10 @@ instances in the same run:
 * **early exit** -- ``stop_on_violation`` wall time against the full
   sweep on outside-region (violating) points;
 * **shared memory** -- PROTOCOL E at n=3 with symmetry on (states,
-  cache hits, restores, re-fed results, states/sec), plus one
-  timing-only PROTOCOL F point whose results logs grow with its state
-  cap, run in a fresh process for its own peak RSS.
+  cache hits, the generator steps run on the kernel where the
+  operation memo had no answer, restores, re-fed results, states/sec),
+  plus one timing-only PROTOCOL F point whose results logs grow with
+  its state cap, run in a fresh process for its own peak RSS.
 
 Run as a script to (re)generate ``BENCH_exhaustive.json`` at the
 repository root::
@@ -474,6 +475,7 @@ def _measure_sm_point(point: Dict[str, Any]) -> Dict[str, Any]:
         "states": result.states,
         "runs": result.runs,
         "cache_hits": result.cache_hits,
+        "handler_runs": result.handler_runs,
         "restores": result.replays,
         "refed_results": result.replayed_steps,
         "seconds": round(elapsed, 4),
@@ -498,6 +500,7 @@ def _sm_timing_run(point: Dict[str, Any]) -> Dict[str, Any]:
         "cap": point["cap"],
         "states": result.states,
         "exhausted": result.exhausted,
+        "handler_runs": result.handler_runs,
         "restores": result.replays,
         "refed_results": result.replayed_steps,
         "seconds": round(elapsed, 4),
@@ -806,6 +809,7 @@ def main(argv=None) -> int:
     for point in payload["shared_memory"]["points"]:
         print(
             f"SM {point['point']}: {point['states']} states, "
+            f"{point['handler_runs']} handler runs, "
             f"{point['restores']} restores, {point['refed_results']} "
             f"re-fed results, {point['states_per_sec']}/s"
         )

@@ -489,7 +489,7 @@ def _cmd_exhaustive(args) -> int:
         )
     if result.replays:
         print(
-            f"backtracking: {result.replays} restores / "
+            f"kernel materialized: {result.replays} restores / "
             f"{result.replayed_steps} re-fed results"
         )
     print(f"max distinct decisions: {result.max_distinct_decisions}")

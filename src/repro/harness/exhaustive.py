@@ -9,27 +9,30 @@ actual quantifier in the paper's lemmas.
 
 Three cooperating mechanisms keep the search fast:
 
-* **A transition memo over hash-consed nodes.**  The message-passing
-  DFS walks :class:`_Node` records -- per-process local-state ids,
-  pending-event signature ids, crash bookkeeping and counters -- not a
-  live kernel.  :class:`_Transitions` steps a node through a
-  per-exploration memo keyed by the target process, its local-state id
-  and the event's signature id (plus the target's counters and crash
+* **Memos over hash-consed nodes.**  Both DFSs walk id-level nodes,
+  not a live kernel.  On message passing a :class:`_Node` holds
+  per-process local-state ids, pending-event signature ids, crash
+  bookkeeping and counters, and :class:`_Transitions` steps it through
+  a per-exploration memo keyed by the target process, its local-state
+  id and the event's signature id (plus the target's counters and crash
   flags when the adversary may crash it), whose value is the step's
-  effect on the target.  The kernel runs a handler only on a memo miss;
-  it is also materialized to judge a leaf, to learn a symmetry shape or
-  renaming, and at a frontier root, by the copy-on-write
-  :meth:`MPKernel.restore` from process entries kept per
-  ``(pid, local-state id)``.  Dynamic crash adversaries bypass the memo.
-  Shared-memory programs are generators and cannot be copied at all, and
-  a scan reads every register, so the SM DFS drives its kernel: an
-  :meth:`SMKernel.snapshot` holds each process's results log, and a
-  restore drops only the generators whose log changed; their next step
-  rebuilds them by re-feeding the logged results (a program's generator
-  is a pure function of its context and of the results fed to it).  The
-  independent references are the full DFS (``por=False``) and the
-  fresh-kernel replay of every recorded violation in
-  :func:`repro.verify.confirm_exploration`.
+  effect on the target.  On shared memory a :class:`_SMNode` holds
+  per-process results-log chain ids, log lengths and local-state ids,
+  the register ids and the crash bookkeeping, and
+  :class:`_SMTransitions` looks up the stepping process's next
+  *operation* per ``(pid, local-state id)`` -- a scan reads every
+  register, so a step's effect depends on more than the process, but
+  its operation does not -- and applies it to the ids.  Either kernel
+  runs only on a memo miss; it is also materialized to judge a leaf, to
+  learn a symmetry shape or renaming, and at a frontier root: by the
+  copy-on-write :meth:`MPKernel.restore` from process entries kept per
+  ``(pid, local-state id)``, or by :meth:`SMKernel.restore` from
+  results logs rebuilt off the chain (generator frames cannot be
+  copied, so a restore drops the generators whose log changed and their
+  next step re-feeds the logged results).  Dynamic crash adversaries
+  bypass both memos.  The independent references are the full DFS
+  (``por=False``) and the fresh-kernel replay of every recorded
+  violation in :func:`repro.verify.confirm_exploration`.
 
 * **Partial-order reduction** (``por=True``, the default for
   :func:`explore_mp`).  Deliveries to distinct processes that cannot
@@ -52,9 +55,7 @@ Three cooperating mechanisms keep the search fast:
   (:class:`_StateTable`) numbers each distinct value in first-seen
   order -- process local states and pending-event signatures on message
   passing; results-log chains, local states and register values on
-  shared memory.  DFS entries carry the resulting id vectors; on shared
-  memory a step re-interns only the process it targeted and that
-  process's own register.
+  shared memory.  A fingerprint is read off a DFS node's id vectors.
 
 :func:`explore_mp` and :func:`explore_sm` also take ``jobs``: the root
 fan-out is expanded breadth-first into a fixed-width frontier whose
@@ -92,7 +93,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
-from collections import Counter, deque
+from collections import deque
 from typing import (
     Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
     Union,
@@ -104,12 +105,15 @@ from repro.core.values import Value
 from repro.failures.adversary import CrashAdversary
 from repro.failures.crash import CrashPlan, CrashPoint
 from repro.harness.parallel import parallel_map
-from repro.harness.visited import EXPAND_ALL, NO_SLEEP, CompactStore, ExactStore
+from repro.harness.visited import (
+    EXPAND_ALL, NO_SLEEP, CompactStore, ExactStore, sleep_counts, sleep_set,
+)
 from repro.runtime.events import Delivery, Event
 from repro.runtime.kernel import MPKernel, MPSnapshot
 from repro.runtime.process import Process
 from repro.runtime.traces import TraceMode
 from repro.shm.kernel import SMKernel, SMSnapshot
+from repro.shm.ops import Op, Read, Write
 
 __all__ = [
     "ExplorationResult",
@@ -184,16 +188,16 @@ class ExplorationResult:
     #: was incomparable to the stored coverage (POR bookkeeping; not
     #: counted in ``states``, which counts *distinct* states expanded).
     reexpansions: int = 0
-    #: Shared-memory engine only: kernel restores (backtracks and
-    #: frontier roots)...
+    #: Shared-memory engine only: kernel restores (materializations
+    #: for a memo miss, a leaf or a symmetry renaming, and frontier
+    #: roots)...
     replays: int = 0
     #: ...and the logged results re-fed into the generators those
     #: restores dropped, when their processes next stepped.
     replayed_steps: int = 0
-    #: Steps whose effect was computed on the kernel.  Shared memory
-    #: runs every step there; message passing only the steps its
-    #: transition memo could not answer (every step under a dynamic
-    #: crash adversary).
+    #: Steps computed on the kernel: the steps the transition memo
+    #: (message passing) or operation memo (shared memory) could not
+    #: answer, and every step under a dynamic crash adversary.
     handler_runs: int = 0
     #: Symmetry / visited-store observability (see ExplorationStats).
     stats: ExplorationStats = dataclasses.field(
@@ -497,103 +501,80 @@ def _chain(table: _StateTable, log_id: int, results) -> int:
     return log_id
 
 
-class _SMStateIds:
-    """The hash-consed coordinates of one SM kernel state.
+class _SMNode:
+    """One shared-memory state of the DFS, as hash-consed ids.
 
     ``logs[pid]`` is the chain id of process ``pid``'s results log and
     ``lens[pid]`` its length, ``procs[pid]`` the id of its local state
     (:func:`_sm_local`) and ``regs[owner]`` the id of register
     ``owner``'s value, interned as the 1-tuple ``(_freeze(value),)``.
     Chain keys are pairs and local-state keys 4-tuples, so the three
-    kinds never share an id.  Built from scratch by
-    :func:`_sm_state_ids`.  A DFS child starts as :meth:`after_step` of
-    its parent's coordinates and is completed by :meth:`resolve`, which
-    re-interns only the process that stepped and that process's own
-    register (registers are single-writer).  The fingerprint layer
-    (:func:`_fingerprint_sm`, or the symmetry canonicalizer) resolves,
-    so that work counts as fingerprinting.
+    kinds never share an id.  The crashed set, the runnable pids
+    (neither crashed nor finished, ascending), each process's decided
+    flag and the number of undecided correct processes complete the
+    state.  A node holds no results log and no choice path: the DFS
+    stack holds the path, and :class:`_SMTransitions` rebuilds logs
+    from the chain when it materializes a kernel.  Built from scratch
+    by :func:`_sm_state_ids`, and from a parent by
+    :meth:`_SMTransitions.step`.  A node is never mutated once built.
     """
 
-    __slots__ = ("table", "logs", "lens", "procs", "regs", "_step")
+    __slots__ = (
+        "table", "logs", "lens", "procs", "regs", "crashed", "runnable",
+        "decided", "undecided",
+    )
 
     def __init__(
         self,
         table: _StateTable,
-        logs: Optional[Tuple[int, ...]],
-        lens: Optional[Tuple[int, ...]],
-        procs: Optional[Tuple[int, ...]],
-        regs: Optional[Tuple[int, ...]],
-        step: Optional[Tuple["_SMStateIds", int]] = None,
+        logs: Tuple[int, ...],
+        lens: Tuple[int, ...],
+        procs: Tuple[int, ...],
+        regs: Tuple[int, ...],
+        crashed: FrozenSet[int],
+        runnable: Tuple[int, ...],
+        decided: Tuple[bool, ...],
+        undecided: int,
     ) -> None:
         self.table = table
         self.logs = logs
         self.lens = lens
         self.procs = procs
         self.regs = regs
-        #: ``(parent coordinates, stepped pid)`` of a step not yet
-        #: folded in; the other fields are ``None`` until then.
-        self._step = step
-
-    def after_step(self, pid: int) -> "_SMStateIds":
-        """Unresolved coordinates of the state ``kernel.step_pid(pid)`` reaches."""
-        return _SMStateIds(self.table, None, None, None, None, (self, pid))
-
-    def resolve(self, kernel: SMKernel) -> "_SMStateIds":
-        """Fold a pending step in (a no-op once resolved).
-
-        A step appends at most one result to the stepped process's log
-        and writes at most its own register; crashes are read from the
-        kernel and are not part of the coordinates.
-        """
-        if self._step is None:
-            return self
-        parent, pid = self._step
-        self._step = None
-        intern = self.table.intern
-        state = kernel._states[pid]
-        log = state.results_log
-        logs, lens = parent.logs, parent.lens
-        if len(log) != lens[pid]:
-            changed = list(logs)
-            changed[pid] = intern((logs[pid], _freeze(log[-1])))
-            logs = tuple(changed)
-            changed = list(lens)
-            changed[pid] = len(log)
-            lens = tuple(changed)
-        self.logs, self.lens = logs, lens
-        changed = list(parent.procs)
-        changed[pid] = intern(_sm_local(state, logs[pid]))
-        self.procs = tuple(changed)
-        changed = list(parent.regs)
-        changed[pid] = intern((_freeze(kernel.registers.current(pid)),))
-        self.regs = tuple(changed)
-        return self
+        self.crashed = crashed
+        self.runnable = runnable
+        self.decided = decided
+        self.undecided = undecided
 
 
-def _sm_state_ids(kernel: SMKernel, table: _StateTable) -> _SMStateIds:
-    """Build a state's coordinates from scratch (roots, references)."""
+def _sm_state_ids(kernel: SMKernel, table: _StateTable) -> _SMNode:
+    """Build a kernel state's node from scratch (roots, references)."""
     intern = table.intern
+    states = kernel._states
     logs = tuple([
-        _chain(table, _EMPTY_LOG, state.results_log)
-        for state in kernel._states
+        _chain(table, _EMPTY_LOG, state.results_log) for state in states
     ])
-    return _SMStateIds(
+    return _SMNode(
         table,
         logs,
-        tuple([len(state.results_log) for state in kernel._states]),
+        tuple([len(state.results_log) for state in states]),
         tuple([
             intern(_sm_local(state, log_id))
-            for state, log_id in zip(kernel._states, logs)
+            for state, log_id in zip(states, logs)
         ]),
         tuple([
             intern((_freeze(value),))
             for value in kernel.registers.current_values()
         ]),
+        frozenset(kernel._crashed),
+        tuple(kernel.runnable_pids()),
+        tuple([state.decided for state in states]),
+        kernel._undecided,
     )
 
 
-def _fingerprint_sm(kernel: SMKernel, ids: _SMStateIds) -> Tuple:
-    """Structural state of an SM kernel, as hash-consed ids.
+def _fingerprint_sm(node: _SMNode) -> Tuple:
+    """Structural state of an SM node, as hash-consed ids.
 
     The per-process local-state ids, the register ids and the sorted
     crashed set.  Generator frames are opaque, but a program's
@@ -601,8 +582,7 @@ def _fingerprint_sm(kernel: SMKernel, ids: _SMStateIds) -> Tuple:
     results fed into it (``results_log``), so logging results makes SM
     states fingerprintable.
     """
-    ids.resolve(kernel)
-    return (ids.procs, ids.regs, tuple(sorted(kernel._crashed)))
+    return (node.procs, node.regs, tuple(sorted(node.crashed)))
 
 
 #: Visited-store kinds the ``visited`` argument selects by name.
@@ -649,7 +629,7 @@ class _Subtree:
     """A frontier task: the search and the root of one of its subtrees.
 
     The root is ``(snapshot, path, sleep)`` on message passing and an
-    :class:`SMSnapshot` on shared memory.
+    :class:`SMSnapshot` on shared memory, each built from a node.
     """
 
     search: _Search
@@ -676,9 +656,9 @@ class _Config:
     table: _StateTable = dataclasses.field(default_factory=_StateTable)
 
 
-#: What a set-up function returns: what the search drives (a fresh SM
-#: kernel, or the :class:`_Transitions` in front of a fresh MP kernel),
-#: the search's constants, an empty result and a visited store.
+#: What a set-up function returns: what the search drives (the
+#: :class:`_Transitions` or :class:`_SMTransitions` in front of a fresh
+#: kernel), the search's constants, an empty result and a visited store.
 _Setup = Tuple[Any, _Config, ExplorationResult, ExactStore]
 
 
@@ -727,14 +707,15 @@ def _setup(
 
 
 def _finish(
-    result: ExplorationResult, store: ExactStore, cfg: _Config
+    result: ExplorationResult, store: ExactStore, cfg: _Config, trans: Any
 ) -> ExplorationResult:
-    """The one exit of every search: add its own store's and
-    canonicalizer's counters."""
+    """The one exit of every search: add its own store's,
+    canonicalizer's and transition relation's counters."""
     result.cache_hits += store.hits
     result.cache_misses += store.misses
     if cfg.sym is not None:
         result.stats.renamings += cfg.sym.renamings
+    trans.add_counts(result)
     return result
 
 
@@ -1002,6 +983,9 @@ class _Transitions:
         self.live = child
         return child
 
+    def add_counts(self, result: ExplorationResult) -> None:
+        result.handler_runs += self.handler_runs
+
 
 def _setup_mp(search: _Search) -> _Setup:
     """``(transitions, config, result, store)`` of one MP search."""
@@ -1067,9 +1051,9 @@ def _process_mp_node(
     if not sleep:
         sleep_sig = NO_SLEEP
     elif renamed is None:
-        sleep_sig = Counter([sigs[seq] for seq in sleep])
+        sleep_sig = sleep_set([sigs[seq] for seq in sleep])
     else:
-        sleep_sig = Counter([renamed[sigs[seq]] for seq in sleep])
+        sleep_sig = sleep_set([renamed[sigs[seq]] for seq in sleep])
     to_expand = store.probe(fp, sleep_sig)
     if to_expand is None:
         if renamed is not None:
@@ -1089,7 +1073,7 @@ def _process_mp_node(
         # Partial re-expansion: only events slept at the first visit but
         # not now.  Structurally identical events are interchangeable,
         # so any non-slept pending event with a needed signature serves.
-        need = dict(to_expand)
+        need = sleep_counts(to_expand)
         choices = []
         for seq in sorted(sigs):
             if seq in sleep:
@@ -1209,8 +1193,7 @@ def _mp_frontier_worker(task: _Subtree) -> ExplorationResult:
     snapshot, path, sleep = task.root
     trans.kernel.restore(snapshot)
     _run_mp_dfs(trans, path, set(sleep), cfg, result, store)
-    result.handler_runs += trans.handler_runs
-    return _finish(result, store, cfg)
+    return _finish(result, store, cfg, trans)
 
 
 def explore_mp(
@@ -1275,17 +1258,11 @@ def explore_mp(
             search, setup, (trans.kernel.snapshot(), (), ()), _mp_children,
             _mp_frontier_worker, jobs,
         )
-    result.handler_runs += trans.handler_runs
-    return _finish(result, store, cfg)
+    return _finish(result, store, cfg, trans)
 
 
 # ---------------------------------------------------------------------------
 # shared-memory exploration
-
-
-#: Tick budget of one shared-memory run: a safety valve against
-#: non-terminating programs.
-_SM_MAX_TICKS = 5_000
 
 
 def _fresh_sm_kernel(
@@ -1298,127 +1275,399 @@ def _fresh_sm_kernel(
         scheduler=None,
         crash_adversary=copy.deepcopy(crash_adversary),
         stop_when_decided=True,
-        max_ticks=_SM_MAX_TICKS,
         trace_mode=TraceMode.OFF,
     )
     kernel._apply_dynamic_crashes()
     return kernel
 
 
+#: What a process does at its next step, as the SM memo records it:
+#: ``(_CRASH, settled)`` -- the adversary halts it before the step;
+#: ``(_HALT, local-state id)`` -- its program returns;
+#: ``(_READ, owner, results)`` -- it reads register ``owner``, and
+#: ``results`` maps the register's value id to the ``(log id,
+#: local-state id)`` the read leads to; ``(_WRITE, register id, log id,
+#: local-state id)`` and ``(_DECIDE, log id, local-state id, settled)``.
+#: ``settled`` is how many undecided correct processes the step settles.
+_CRASH, _HALT, _READ, _WRITE, _DECIDE = range(5)
+
+
+def _put(values: Tuple, pid: int, value: Any) -> Tuple:
+    """``values`` with the entry at ``pid`` replaced by ``value``."""
+    changed = list(values)
+    changed[pid] = value
+    return tuple(changed)
+
+
+class _SMTransitions:
+    """The SM transition relation on nodes: an operation memo in front
+    of one kernel.
+
+    A scan reads every register, so a step's *effect* depends on more
+    than the process that takes it -- but its next *operation* does not:
+    a program's generator is a pure function of its context and of its
+    results log, and a static crash point of its operation count, which
+    the log's chain id fixes.  :meth:`step` therefore looks the
+    operation up in a per-exploration memo keyed ``(pid, local-state
+    id)`` and applies it to the node's ids: a read chains the owner's
+    current register value onto the log, a write replaces the writer's
+    register id, a decide or a halt changes the local state, and a
+    crash moves the process into the crashed set.  Read results are
+    memoized per register value id inside the read's memo entry.
+
+    The live kernel is touched only to compute a missing operation (one
+    :meth:`SMKernel.step_pid`, with no restore when the kernel already
+    sits at the parent), to judge a leaf, to learn a symmetry renaming,
+    and at a frontier root.  :meth:`materialize` restores it to a node
+    through :meth:`SMKernel.restore`, rebuilding each results log by
+    walking its chain from the raw results kept once per chain link, and
+    the registers from the raw values kept once per register id; a
+    restore re-feeds only the generators whose log changed, and only
+    when their processes next step.  Under a dynamic adversary, whose
+    crashes react to global state, every step runs on the kernel.
+    """
+
+    __slots__ = (
+        "kernel", "table", "bypass", "memo", "links", "locals", "values",
+        "live", "handler_runs", "restores",
+    )
+
+    def __init__(
+        self, kernel: SMKernel, table: _StateTable, bypass: bool
+    ) -> None:
+        self.kernel = kernel
+        self.table = table
+        #: Run every step on the kernel (a dynamic adversary).
+        self.bypass = bypass
+        self.memo: Dict[Tuple[int, int], Tuple] = {}
+        #: Chain id -> ``(parent chain id, raw result)``, first seen.
+        self.links: Dict[int, Tuple[int, Any]] = {}
+        #: Local-state id -> ``(its _sm_local key, raw decision)``.
+        self.locals: Dict[int, Tuple[Tuple, Any]] = {}
+        #: Register id -> the raw value, first seen.
+        self.values: Dict[int, Any] = {}
+        #: The node the live kernel sits at (by identity), if any.
+        self.live: Optional[_SMNode] = None
+        #: Steps computed on the kernel.
+        self.handler_runs = 0
+        #: Kernel restores (materializations and frontier roots).
+        self.restores = 0
+
+    # -- raw values behind the ids -------------------------------------------
+
+    def _link(self, log_id: int, entry: Any) -> int:
+        """Chain ``entry`` onto log ``log_id``; keep the raw entry."""
+        link = self.table.intern((log_id, _freeze(entry)))
+        if link not in self.links:
+            self.links[link] = (log_id, entry)
+        return link
+
+    def _local(self, key: Tuple, decision: Any) -> int:
+        """Intern local-state ``key``; keep the raw decision."""
+        local = self.table.intern(key)
+        if local not in self.locals:
+            self.locals[local] = (key, decision)
+        return local
+
+    def _register(self, value: Any) -> int:
+        reg = self.table.intern((_freeze(value),))
+        if reg not in self.values:
+            self.values[reg] = value
+        return reg
+
+    def _log(self, log_id: int) -> Tuple[Any, ...]:
+        """The results log with chain id ``log_id``, in order."""
+        links = self.links
+        entries = []
+        while log_id != _EMPTY_LOG:
+            log_id, entry = links[log_id]
+            entries.append(entry)
+        entries.reverse()
+        return tuple(entries)
+
+    # -- kernel -----------------------------------------------------------------
+
+    def root(self) -> _SMNode:
+        """The live kernel's current state as a node, built from scratch."""
+        kernel = self.kernel
+        node = _sm_state_ids(kernel, self.table)
+        for state in kernel._states:
+            log_id = _EMPTY_LOG
+            for entry in state.results_log:
+                log_id = self._link(log_id, entry)
+            self._local(_sm_local(state, log_id), state.decision)
+        for value in kernel.registers.current_values():
+            self._register(value)
+        self.live = node
+        return node
+
+    def load(self, snapshot: SMSnapshot) -> None:
+        """Restore the kernel to a frontier root."""
+        self.kernel.restore(snapshot)
+        self.restores += 1
+        self.live = None
+
+    def snapshot(self, node: _SMNode, path: Sequence[int]) -> SMSnapshot:
+        """The kernel snapshot of ``node``, reached by choice ``path``."""
+        processes = []
+        for log_id, local in zip(node.logs, node.procs):
+            key, decision = self.locals[local]
+            processes.append((self._log(log_id), key[0], key[1], decision))
+        values = self.values
+        return SMSnapshot(
+            choices=tuple(path),
+            processes=tuple(processes),
+            registers=tuple([values[reg] for reg in node.regs]),
+            crashed=node.crashed,
+        )
+
+    def materialize(self, node: _SMNode, path: Sequence[int]) -> SMKernel:
+        """The live kernel, restored to ``node`` unless it sits there."""
+        if self.live is not node:
+            self.kernel.restore(self.snapshot(node, path))
+            self.restores += 1
+            self.live = node
+        return self.kernel
+
+    def add_counts(self, result: ExplorationResult) -> None:
+        result.handler_runs += self.handler_runs
+        result.replays += self.restores
+        result.replayed_steps += self.kernel.refed_results
+
+    # -- steps ------------------------------------------------------------------
+
+    def step(self, node: _SMNode, pid: int, path: Sequence[int]) -> _SMNode:
+        """The node ``pid``'s next step reaches from ``node``.
+
+        ``path`` is ``node``'s choice path, read only to materialize.
+        """
+        if self.bypass:
+            return self._run(node, pid, path, None)
+        key = (pid, node.procs[pid])
+        op = self.memo.get(key)
+        if op is None:
+            return self._run(node, pid, path, key)
+        kind = op[0]
+        regs = node.regs
+        decided = node.decided
+        undecided = node.undecided
+        if kind == _READ:
+            results = op[2]
+            reg = regs[op[1]]
+            effect = results.get(reg)
+            if effect is None:
+                effect = results[reg] = self._read(node.procs[pid], reg)
+            log_id, local = effect
+        elif kind == _WRITE:
+            _, reg, log_id, local = op
+            regs = _put(regs, pid, reg)
+        elif kind == _DECIDE:
+            _, log_id, local, settled = op
+            decided = _put(decided, pid, True)
+            undecided -= settled
+        else:
+            runnable = tuple([p for p in node.runnable if p != pid])
+            if kind == _HALT:
+                return _SMNode(
+                    self.table, node.logs, node.lens,
+                    _put(node.procs, pid, op[1]), regs, node.crashed,
+                    runnable, decided, undecided,
+                )
+            return _SMNode(
+                self.table, node.logs, node.lens, node.procs, regs,
+                node.crashed | {pid}, runnable, decided, undecided - op[1],
+            )
+        return _SMNode(
+            self.table,
+            _put(node.logs, pid, log_id),
+            _put(node.lens, pid, node.lens[pid] + 1),
+            _put(node.procs, pid, local),
+            regs, node.crashed, node.runnable, decided, undecided,
+        )
+
+    def _read(self, local: int, reg: int) -> Tuple[int, int]:
+        """``(log id, local-state id)`` after reading value id ``reg``."""
+        key, decision = self.locals[local]
+        link = self._link(key[3], self.values[reg])
+        return link, self._local(key[:3] + (link,), decision)
+
+    def _run(
+        self,
+        node: _SMNode,
+        pid: int,
+        path: Sequence[int],
+        key: Optional[Tuple[int, int]],
+    ) -> _SMNode:
+        """Step the kernel from ``node``; memoize the operation under ``key``."""
+        kernel = self.materialize(node, path)
+        op = kernel.step_pid(pid)
+        self.handler_runs += 1
+        state = kernel._states[pid]
+        log = state.results_log
+        logs, lens = node.logs, node.lens
+        if len(log) != lens[pid]:
+            logs = _put(logs, pid, self._link(logs[pid], log[-1]))
+            lens = _put(lens, pid, len(log))
+        child = _SMNode(
+            self.table, logs, lens,
+            _put(node.procs, pid, self._local(
+                _sm_local(state, logs[pid]), state.decision
+            )),
+            _put(node.regs, pid, self._register(kernel.registers.current(pid))),
+            frozenset(kernel._crashed), tuple(kernel._runnable),
+            _put(node.decided, pid, state.decided), kernel._undecided,
+        )
+        if key is not None:
+            self.memo[key] = _operation(op, pid, node, child)
+        self.live = child
+        return child
+
+
+def _operation(op: Optional[Op], pid: int, node: _SMNode, child: _SMNode) -> Tuple:
+    """The memo entry of the step of ``pid`` that took ``node`` to ``child``."""
+    settled = node.undecided - child.undecided
+    if op is None:
+        if pid in child.crashed:
+            return (_CRASH, settled)
+        return (_HALT, child.procs[pid])
+    if isinstance(op, Read):
+        return (
+            _READ, op.owner,
+            {node.regs[op.owner]: (child.logs[pid], child.procs[pid])},
+        )
+    if isinstance(op, Write):
+        return (_WRITE, child.regs[pid], child.logs[pid], child.procs[pid])
+    return (_DECIDE, child.logs[pid], child.procs[pid], settled)
+
+
 def _setup_sm(search: _Search) -> _Setup:
-    """``(kernel, config, result, store)`` of one SM search."""
-    return _setup(search, _fresh_sm_kernel(
+    """``(transitions, config, result, store)`` of one SM search."""
+    kernel, cfg, result, store = _setup(search, _fresh_sm_kernel(
         search.factory, search.inputs, search.t, search.crash_adversary,
     ))
+    trans = _SMTransitions(
+        kernel, cfg.table, _is_dynamic(search.crash_adversary)
+    )
+    return trans, cfg, result, store
 
 
-#: A shared-memory DFS entry: ``(parent snapshot, parent ids, pid)``.
-_SMEntry = Tuple[SMSnapshot, _SMStateIds, int]
+class _SMFrame:
+    """One SM DFS branch point: a node and the pids still to step."""
+
+    __slots__ = ("node", "choices", "idx")
+
+    def __init__(self, node: _SMNode, choices: Tuple[int, ...]) -> None:
+        self.node = node
+        self.choices = choices    # pids to explore, descending
+        self.idx = 0
 
 
 def _process_sm_node(
-    kernel: SMKernel,
+    trans: _SMTransitions,
+    node: _SMNode,
+    path: List[int],
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
-    ids: _SMStateIds,
-) -> List[_SMEntry]:
-    """Count/dedup/judge the live SM kernel state; return its children.
+) -> Optional[_SMFrame]:
+    """Count/dedup/judge one node; return a frame to expand.
 
-    ``ids`` are the state's hash-consed coordinates; fingerprinting
-    resolves them before they are read here.  Cache hits and leaves
-    have no children; the children of an expanded node share one
-    snapshot of it.
+    ``path`` is the node's choice path (the DFS's own list, read and
+    never kept).  Cache hits and leaves have no frame.  The frame steps
+    the runnable pids in descending order.
     """
     if cfg.sym is not None:
-        fingerprint, identity = cfg.sym.canonical(kernel, ids)
+        fingerprint, identity = cfg.sym.canonical(
+            node, lambda at: trans.materialize(at, path)
+        )
         result.stats.canonicalizations += 1
     else:
-        fingerprint, identity = _fingerprint_sm(kernel, ids), True
+        fingerprint, identity = _fingerprint_sm(node), True
     if store.probe(fingerprint, NO_SLEEP) is None:
         if not identity:
             result.stats.orbit_hits += 1
-        return []
+        return None
     result.states += 1
-    runnable = kernel.runnable_pids()
-    if kernel.all_correct_decided() or not runnable:
-        _judge_leaf(kernel, kernel.choices, cfg.judge, result)
-        return []
-    snapshot = kernel.snapshot()
-    return [(snapshot, ids, pid) for pid in runnable]
+    runnable = node.runnable
+    if not node.undecided or not runnable:
+        _judge_leaf(
+            trans.materialize(node, path), tuple(path), cfg.judge, result
+        )
+        return None
+    return _SMFrame(node, runnable[::-1])
 
 
 def _run_sm_dfs(
-    kernel: SMKernel,
+    trans: _SMTransitions,
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
 ) -> None:
     """Depth-first search from the live SM kernel's current state.
 
-    One live kernel serves the whole search.  Descending into the child
-    pushed last costs a single :meth:`SMKernel.step_pid`; every other
-    child first restores its parent's snapshot (:meth:`SMKernel.restore`,
-    counted in ``replays``), which re-feeds generators only for the
-    processes whose log changed, and only when they next step.  A
-    child's state ids derive from its parent's by re-interning only the
-    process that stepped.
+    The search walks nodes: a child is its parent with the memoized
+    operation of the stepping process applied (see
+    :class:`_SMTransitions`), and the kernel runs only where the memo
+    has no answer.  ``path`` holds the choices from the search's root
+    down to the node being processed; a frame at stack depth ``d``
+    stands for its first ``base + d`` entries.
     """
-    ids = _sm_state_ids(kernel, cfg.table)
-    stack: List[_SMEntry] = []
-    live: Optional[SMSnapshot] = None  # the snapshot the kernel sits at
-    while True:
+    path = list(trans.kernel.choices)
+    base = len(path)
+    if result.states >= cfg.max_states:
+        result.exhausted = False
+        return
+    frame = _process_sm_node(trans, trans.root(), path, cfg, result, store)
+    if cfg.stop_on_violation and result.violations:
+        result.exhausted = False
+        return
+    stack = [] if frame is None else [frame]
+    while stack:
+        frame = stack[-1]
+        if frame.idx >= len(frame.choices):
+            stack.pop()
+            continue
         if result.states >= cfg.max_states:
             result.exhausted = False
             return
-        children = _process_sm_node(kernel, cfg, result, store, ids)
+        pid = frame.choices[frame.idx]
+        frame.idx += 1
+        del path[base + len(stack) - 1:]
+        child = trans.step(frame.node, pid, path)
+        path.append(pid)
+        frame = _process_sm_node(trans, child, path, cfg, result, store)
         if cfg.stop_on_violation and result.violations:
             result.exhausted = False
             return
-        stack.extend(children)
-        live = children[0][0] if children else None
-        if not stack:
-            return
-        snapshot, parent, pid = stack.pop()
-        if snapshot is not live:
-            kernel.restore(snapshot)
-            result.replays += 1
-        kernel.step_pid(pid)
-        result.handler_runs += 1
-        ids = parent.after_step(pid)
+        if frame is not None:
+            stack.append(frame)
 
 
 def _sm_children(
-    kernel: SMKernel,
+    trans: _SMTransitions,
     cfg: _Config,
     result: ExplorationResult,
     store: ExactStore,
-    node: SMSnapshot,
+    root: SMSnapshot,
 ) -> List[SMSnapshot]:
     """Process one SM frontier node; return its children's snapshots."""
-    kernel.restore(node)
-    result.replays += 1
-    children = []
-    for snapshot, _, pid in _process_sm_node(
-        kernel, cfg, result, store, _sm_state_ids(kernel, cfg.table)
-    ):
-        if children:
-            kernel.restore(snapshot)
-            result.replays += 1
-        kernel.step_pid(pid)
-        result.handler_runs += 1
-        children.append(kernel.snapshot())
-    return children
+    trans.load(root)
+    path = list(root.choices)
+    frame = _process_sm_node(trans, trans.root(), path, cfg, result, store)
+    if frame is None:
+        return []
+    return [
+        trans.snapshot(trans.step(frame.node, pid, path), path + [pid])
+        for pid in reversed(frame.choices)
+    ]
 
 
 def _sm_frontier_worker(task: _Subtree) -> ExplorationResult:
     """Explore one SM frontier subtree in a fresh process (or inline)."""
-    kernel, cfg, result, store = _setup_sm(task.search)
-    kernel.restore(task.root)
-    result.replays += 1
-    _run_sm_dfs(kernel, cfg, result, store)
-    result.replayed_steps += kernel.refed_results
-    return _finish(result, store, cfg)
+    trans, cfg, result, store = _setup_sm(task.search)
+    trans.load(task.root)
+    _run_sm_dfs(trans, cfg, result, store)
+    return _finish(result, store, cfg, trans)
 
 
 def explore_sm(
@@ -1437,14 +1686,19 @@ def explore_sm(
 ) -> ExplorationResult:
     """Explore every process interleaving of a shared-memory instance.
 
-    Generator-based SM programs cannot be forked, so one live kernel is
-    extended step-by-step along depth-first descents and a backtrack
-    restores a snapshot of the results logs (:meth:`SMKernel.restore`),
-    which re-feeds generators only for the processes whose log changed.
-    States are deduplicated via :func:`_fingerprint_sm` (a generator's
-    hidden state is a pure function of its logged operation results).
-    No POR applies: distinct processes' register operations do not
-    commute.  Each run gets a budget of ``_SM_MAX_TICKS`` kernel ticks.
+    The depth-first search walks hash-consed nodes (:class:`_SMNode`):
+    a program's generator is a pure function of its context and of its
+    logged operation results, so a process's next operation is memoized
+    per ``(pid, local-state id)`` and applied to the node's ids, and
+    the one live kernel runs a generator only when the memo has no
+    answer (see :class:`_SMTransitions`).  Generator frames cannot be
+    copied, so materializing the kernel at a node restores the results
+    logs (:meth:`SMKernel.restore`), which re-feeds generators only for
+    the processes whose log changed.  States are deduplicated via
+    :func:`_fingerprint_sm`.  No POR applies: distinct processes'
+    register operations do not commute.  Nothing bounds a run's length
+    but ``max_states``: a program that spins keeps the search on one
+    ever-deeper path.
 
     ``jobs`` distributes the frontier of snapshots across worker
     processes, merged deterministically (``programs_factory`` must then
@@ -1458,16 +1712,15 @@ def explore_sm(
         symmetry=symmetry, stop_on_violation=stop_on_violation,
     )
     setup = _setup_sm(search)
-    kernel, cfg, result, store = setup
+    trans, cfg, result, store = setup
     if jobs is None:
-        _run_sm_dfs(kernel, cfg, result, store)
+        _run_sm_dfs(trans, cfg, result, store)
     else:
         _explore_frontier(
-            search, setup, kernel.snapshot(), _sm_children,
+            search, setup, trans.kernel.snapshot(), _sm_children,
             _sm_frontier_worker, jobs,
         )
-    result.replayed_steps += kernel.refed_results
-    return _finish(result, store, cfg)
+    return _finish(result, store, cfg, trans)
 
 
 # ---------------------------------------------------------------------------

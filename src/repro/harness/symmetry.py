@@ -692,8 +692,9 @@ class SMSymmetryContext:
     reachable log shape only when it stabilizes every in-progress scan
     prefix ``{0 .. m-1}``.  The identity permutation always qualifies.
     :meth:`canonical` works on the node's hash-consed state ids (see
-    :class:`repro.harness.exhaustive._SMStateIds`): ``_renamed[index]``
-    maps the id of a process local state to the id of its image under
+    :class:`repro.harness.exhaustive._SMNode`) and reads the open scans
+    off its log lengths and decided flags: ``_renamed[index]`` maps the
+    id of a process local state to the id of its image under
     ``perms[index]``, so each distinct local state is renamed once per
     group element per exploration.  The memo holds ids of one
     exploration's state table, so a context serves exactly one
@@ -701,7 +702,8 @@ class SMSymmetryContext:
     """
 
     __slots__ = (
-        "_shape", "_perms", "_inverses", "_n", "_renamed", "renamings",
+        "_shape", "_perms", "_inverses", "_n", "_renamed", "_feasible",
+        "renamings",
     )
 
     def __init__(self, shape: str, perms: List[Perm], n: int) -> None:
@@ -710,6 +712,9 @@ class SMSymmetryContext:
         self._inverses = [_inverse(perm) for perm in perms]
         self._n = n
         self._renamed: List[Dict[int, int]] = [{} for _ in perms]
+        #: Open scan prefixes -> the non-identity group indices that
+        #: stabilize every one of them.
+        self._feasible: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         #: Non-identity renamed fingerprints computed so far.
         self.renamings = 0
 
@@ -717,36 +722,41 @@ class SMSymmetryContext:
     def group_size(self) -> int:
         return len(self._perms)
 
-    def canonical(self, kernel, ids) -> Tuple[Tuple, bool]:
+    def canonical(self, node, kernel_at: Callable) -> Tuple[Tuple, bool]:
         """Canonical fingerprint; returns ``(fingerprint, is_identity)``.
 
-        The representative is the minimum, over the permutations that
-        pass the per-state scan filter, of the renamed id fingerprint
-        ``(process ids, register ids, sorted crashed)``: position
-        ``perm[pid]`` takes process ``pid``'s renamed local state and
-        register.  ``is_identity`` says whether the representative is
-        the unrenamed state itself.
+        ``node`` is the state as hash-consed ids, and ``kernel_at(node)``
+        returns a kernel sitting at that state, which is asked for only
+        to learn a renaming the memo lacks.  The representative is the
+        minimum, over the permutations that pass the per-state scan
+        filter, of the renamed id fingerprint ``(process ids, register
+        ids, sorted crashed)``: position ``perm[pid]`` takes process
+        ``pid``'s renamed local state and register.  ``is_identity``
+        says whether the representative is the unrenamed state itself.
         """
-        ids.resolve(kernel)
-        procs = ids.procs
-        regs = ids.regs
-        crashed = sorted(kernel._crashed)
+        procs = node.procs
+        regs = node.regs
+        crashed = sorted(node.crashed)
         best = (procs, regs, tuple(crashed))
         best_index = 0
-        scans = self._open_scans(kernel)
-        for index in range(1, len(self._perms)):
+        scans = self._open_scans(node)
+        feasible = self._feasible.get(scans)
+        if feasible is None:
+            feasible = self._feasible[scans] = tuple([
+                index for index, perm in enumerate(self._perms)
+                if index and all(
+                    all(perm[pid] < m for pid in range(m)) for m in scans
+                )
+            ])
+        self.renamings += len(feasible)
+        for index in feasible:
             perm = self._perms[index]
-            if not all(
-                all(perm[pid] < m for pid in range(m)) for m in scans
-            ):
-                continue
-            self.renamings += 1
             renamed = self._renamed[index]
             inverse = self._inverses[index]
             try:
                 head = tuple([renamed[procs[pid]] for pid in inverse])
             except KeyError:
-                self._learn(kernel, ids, index)
+                self._learn(kernel_at(node), node, index)
                 head = tuple([renamed[procs[pid]] for pid in inverse])
             if head > best[0]:
                 continue
@@ -762,23 +772,24 @@ class SMSymmetryContext:
 
     # -- scans and renaming ---------------------------------------------------
 
-    def _open_scan(self, state) -> int:
-        """Reads done so far in the process's in-progress scan.
+    def _open_scan(self, length: int, decided: bool) -> int:
+        """Reads done so far in a process's in-progress scan, from the
+        length of its results log and its decided flag.
 
         ``write_then_scan`` logs are ``[write ack] + reads + [decide
         ack]?`` and reads cycle through owners ``0 .. n-1``;
         ``decide_only`` logs have no scans.
         """
-        log = state.results_log
-        if self._shape == "decide_only" or not log:
+        if self._shape == "decide_only" or not length:
             return 0
-        return (len(log) - 1 - state.decided) % self._n
+        return (length - 1 - decided) % self._n
 
-    def _open_scans(self, kernel) -> List[int]:
+    def _open_scans(self, node) -> Tuple[int, ...]:
         """Lengths ``m > 0`` of the in-progress scan prefixes, ascending."""
-        return sorted(
-            {self._open_scan(state) for state in kernel._states} - {0}
-        )
+        return tuple(sorted({
+            self._open_scan(length, decided)
+            for length, decided in zip(node.lens, node.decided)
+        } - {0}))
 
     def _rename_log(self, state, inverse: Perm) -> List[Any]:
         """The image of ``state.results_log`` under a renaming.
@@ -802,19 +813,20 @@ class SMSymmetryContext:
         renamed.extend(log[end:])
         return renamed
 
-    def _learn(self, kernel, ids, index: int) -> None:
+    def _learn(self, kernel, node, index: int) -> None:
         """Memoize the images of every local-state id under ``perms[index]``.
 
-        A miss renames the live log of the process at that position
-        block-wise, chain-interns the result into the exploration's
-        state table and interns the renamed local state there too.
+        ``kernel`` sits at the node's state.  A miss renames the live
+        log of the process at that position block-wise, chain-interns
+        the result into the exploration's state table and interns the
+        renamed local state there too.
         """
         from repro.harness.exhaustive import _EMPTY_LOG, _chain, _sm_local
 
         renamed = self._renamed[index]
         inverse = self._inverses[index]
-        table = ids.table
-        for pid, local in enumerate(ids.procs):
+        table = node.table
+        for pid, local in enumerate(node.procs):
             if local not in renamed:
                 state = kernel._states[pid]
                 log_id = _chain(

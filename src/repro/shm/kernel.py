@@ -201,11 +201,13 @@ class SMKernel(KernelBase):
             return None
         raise ProtocolError(f"p{pid} yielded a non-operation: {op!r}")
 
-    def _step(self, pid: int) -> None:
+    def _step(self, pid: int) -> Optional[Op]:
+        """One step of ``pid``: the operation it executed, or ``None``
+        when it crashed before the step or halted instead."""
         self._choices.append(pid)
         state = self._states[pid]
         if not self._may_step(pid, state.ops_taken):
-            return
+            return None
         if state.generator is None:
             state.generator = self._programs[pid](self._contexts[pid])
             if state.results_log:
@@ -218,10 +220,11 @@ class SMKernel(KernelBase):
             state.finished = True
             self._runnable.remove(pid)
             self.trace.record(self.tick, "halt", pid)
-            return
+            return None
         state.pending_result = self._execute_op(pid, op)
         state.results_log.append(state.pending_result)
         state.ops_taken += 1
+        return op
 
     def _refeed(self, state: _ProcessState) -> None:
         """Bring a rebuilt generator up to its process's results log.
@@ -238,17 +241,19 @@ class SMKernel(KernelBase):
 
     # -- snapshot / restore --------------------------------------------------
 
-    def step_pid(self, pid: int) -> None:
+    def step_pid(self, pid: int) -> Optional[Op]:
         """Execute one step of ``pid`` -- one iteration of :meth:`run`'s loop.
 
         The single-step entry point for explorers driving the kernel
-        without a scheduler.
+        without a scheduler.  Returns the operation ``pid`` executed, or
+        ``None`` when it crashed before the step or halted instead.
         """
         if pid not in self._runnable:
             raise ProtocolError(f"stepped non-runnable p{pid}")
-        self._step(pid)
+        op = self._step(pid)
         self._apply_dynamic_crashes()
         self.tick += 1
+        return op
 
     def snapshot(self) -> SMSnapshot:
         """Capture the execution state as plain data (see :class:`SMSnapshot`)."""

@@ -297,12 +297,18 @@ def _explore_or_abort(
     The factory already built once before any exploration, so nothing
     raised here is a region guard: it is the search running out of a
     resource (or a bug), and it must not pass for a verdict about the
-    claim.
+    claim.  The tracebacks go first: their frames hold everything the
+    failed search built, and a search that ran out of memory leaves
+    nothing to build the note with until they are freed.
     """
     label, inputs, plan = instance
     try:
         return _explore_point(task, spec, inputs, plan, visited)
     except Exception as exc:
+        chained: Optional[BaseException] = exc
+        while chained is not None:
+            chained.__traceback__ = None
+            chained = chained.__context__
         point.verdict = "ABORTED"
         point.note = f"{type(exc).__name__} under inputs={label} plan={plan!r}"
         if str(exc):

@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -157,6 +158,35 @@ class TestAborted:
         assert "inputs=distinct" in point.note
         assert not report.ok
         assert report.verdict_counts()["ABORTED"] == 1
+
+    def test_the_failed_search_is_freed_before_the_note(self, monkeypatch):
+        """A search that ran out of memory holds it through the frames in
+        its traceback and in those of the exceptions raised while it
+        unwound; the note is built only after all of them are dropped."""
+        held = []
+        freed = []
+
+        class Exhausted(MemoryError):
+            def __str__(self):
+                freed.append(held[0]() is None)
+                return "address space exhausted"
+
+        def exhausted_while_unwinding(*args):
+            search = type("Search", (), {})()
+            held.append(weakref.ref(search))
+            try:
+                raise MemoryError
+            except MemoryError:
+                raise Exhausted
+
+        monkeypatch.setattr(
+            certify_module, "_explore_point", exhausted_while_unwinding
+        )
+        report = certify_claims(n=3, specs=["trivial@mp-cr"], ks=[3], ts=[1])
+        (point,) = report.claims[0].points
+        assert point.verdict == "ABORTED"
+        assert "address space exhausted" in point.note
+        assert freed and all(freed)
 
     def test_other_points_settle_and_the_cli_fails(
         self, monkeypatch, tmp_path

@@ -105,6 +105,21 @@ class TestPorVsFullDfs:
             assert result.handler_runs == probes - 1
 
 
+def test_dynamic_adversary_bypasses_sm_operation_memo():
+    """On shared memory a reactive crash rule may crash a process that
+    did not step, so the operation memo is bypassed as well: every step
+    (one per probe after the root's) runs on the kernel."""
+    adversary = CrashWhenOthersDecide([0], [1, 2])
+    result = explore_sm(
+        SpecFactory("protocol-e@sm-cr", n=3, k=2, t=1),
+        ["v", "v", "w"], k=2, t=1, validity=RV2,
+        crash_adversary=adversary,
+    )
+    assert result.exhausted and result.runs
+    probes = result.cache_hits + result.cache_misses
+    assert result.handler_runs == probes - 1
+
+
 def _fresh_replay_dfs(factory, inputs, k, t, validity, plan=None):
     """Full DFS that reaches every node by replaying its path.
 

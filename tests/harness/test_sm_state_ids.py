@@ -1,14 +1,19 @@
-"""Independent checks for the shared-memory state ids and canonicalizer.
+"""Independent checks for the shared-memory DFS nodes and canonicalizer.
 
-The shared-memory explorer hash-conses its states: each process's
-results log is chain-interned, each local state and register value gets
-an id, and a DFS child re-interns only the process that stepped and
-that process's own register.  A stale id would make distinct states
+The shared-memory explorer walks hash-consed nodes instead of a live
+kernel: a node holds each process's results-log chain id, log length
+and local-state id, the register ids, the crashed set, the runnable
+pids, the decided flags and the undecided count.  A child is its parent
+with the stepping process's next operation applied, looked up in a memo
+keyed ``(pid, local-state id)``.  A key that leaves out something the
+operation depends on, or an operation applied wrongly, would make a
+node disagree with the state its path reaches -- and distinct states
 share a fingerprint and silently cut unexplored branches.  Nothing in
 the explorer checks this at run time, so the first group of tests wraps
-the two consumers of the ids, ``_fingerprint_sm`` (symmetry off) and
-``SMSymmetryContext.canonical`` (symmetry on), and rebuilds the ids from
-the live kernel at every call.
+``_process_sm_node``, which sees every node with its path, and replays
+that path on a fresh kernel that never saw the memo: one kernel is
+stepped along while the search descends and rebuilt from scratch after
+each backtrack.
 
 The second group checks the id-level canonicalizer against a reference
 kept below, which renames and freezes the whole state per permutation
@@ -18,15 +23,13 @@ representatives, but over every reachable state two states must get
 equal new keys exactly when they get equal reference keys.
 """
 
-from collections import Counter
-
 import pytest
 
 from repro.core.validity import by_code
 from repro.failures.crash import CrashPlan, CrashPoint
 from repro.harness import exhaustive
 from repro.harness.exhaustive import SpecFactory, _freeze, _fresh_sm_kernel
-from repro.harness.symmetry import SMSymmetryContext, sm_symmetry_context
+from repro.harness.symmetry import sm_symmetry_context
 from repro.protocols.base import all_specs
 
 N = 3
@@ -58,51 +61,69 @@ def _k_for(spec):
 
 
 # ---------------------------------------------------------------------------
-# incremental ids equal ids rebuilt from scratch
+# memoized nodes equal states replayed on a fresh kernel
 
 
-def _assert_fresh(kernel, ids):
-    """The incremental ids equal a from-scratch rebuild on the same table."""
-    ids.resolve(kernel)
-    fresh = exhaustive._sm_state_ids(kernel, ids.table)
-    assert ids.logs == fresh.logs, "stale results-log chain id"
-    assert ids.lens == fresh.lens, "stale results-log length"
-    assert ids.procs == fresh.procs, "stale process state id"
-    assert ids.regs == fresh.regs, "stale register id"
+def _assert_replays(node, kernel):
+    """The node equals the replayed kernel's state, rebuilt on its table."""
+    fresh = exhaustive._sm_state_ids(kernel, node.table)
+    assert node.logs == fresh.logs, "stale results-log chain id"
+    assert node.lens == fresh.lens, "stale results-log length"
+    assert node.procs == fresh.procs, "stale process state id"
+    assert node.regs == fresh.regs, "stale register id"
+    assert node.crashed == fresh.crashed, "wrong crashed set"
+    assert node.runnable == tuple(kernel.runnable_pids()), "wrong runnable pids"
+    assert node.decided == fresh.decided, "wrong decided flags"
+    assert node.undecided == fresh.undecided
+    assert (not node.undecided) == kernel.all_correct_decided()
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Wrap both id consumers; count the calls each one checked."""
-    calls = Counter()
-    fingerprint = exhaustive._fingerprint_sm
-    canonical = SMSymmetryContext.canonical
+    """Replay every node the explorer processes; count the nodes checked.
 
-    def checked_fingerprint(kernel, ids):
-        _assert_fresh(kernel, ids)
-        calls["fingerprint"] += 1
-        return fingerprint(kernel, ids)
+    The test sets ``checked["search"] = (factory, plan)`` before it
+    explores.
+    """
+    calls = {"nodes": 0}
+    replay = {"kernel": None, "path": []}
+    process = exhaustive._process_sm_node
 
-    def checked_canonical(self, kernel, ids):
-        _assert_fresh(kernel, ids)
-        # Raw and renamed ids share one table, so renaming by the
-        # identity must give back the raw ids -- including the write
-        # ack of a process that has only written.
-        identity = self._inverses[0]
-        table = ids.table
-        for pid, state in enumerate(kernel._states):
-            log_id = exhaustive._chain(
-                table, exhaustive._EMPTY_LOG,
-                self._rename_log(state, identity),
-            )
-            assert log_id == ids.logs[pid]
-            local = exhaustive._sm_local(state, log_id)
-            assert table.intern(local) == ids.procs[pid]
-        calls["canonical"] += 1
-        return canonical(self, kernel, ids)
+    def replayed(path):
+        """A kernel that took ``path`` by ``step_pid`` alone."""
+        done = replay["path"]
+        if replay["kernel"] is None or path[:len(done)] != done:
+            factory, plan = calls["search"]
+            replay["kernel"] = _fresh_sm_kernel(factory, INPUTS, T, plan)
+            done = []
+        kernel = replay["kernel"]
+        for pid in path[len(done):]:
+            kernel.step_pid(pid)
+        replay["path"] = list(path)
+        return kernel
 
-    monkeypatch.setattr(exhaustive, "_fingerprint_sm", checked_fingerprint)
-    monkeypatch.setattr(SMSymmetryContext, "canonical", checked_canonical)
+    def checked_process(trans, node, path, cfg, result, store):
+        kernel = replayed(path)
+        _assert_replays(node, kernel)
+        if cfg.sym is not None:
+            # Raw and renamed ids share one table, so renaming by the
+            # identity must give back the raw ids -- including the write
+            # ack of a process that has only written.
+            sym = cfg.sym
+            identity = sym._inverses[0]
+            table = node.table
+            for pid, state in enumerate(kernel._states):
+                log_id = exhaustive._chain(
+                    table, exhaustive._EMPTY_LOG,
+                    sym._rename_log(state, identity),
+                )
+                assert log_id == node.logs[pid]
+                local = exhaustive._sm_local(state, log_id)
+                assert table.intern(local) == node.procs[pid]
+        calls["nodes"] += 1
+        return process(trans, node, path, cfg, result, store)
+
+    monkeypatch.setattr(exhaustive, "_process_sm_node", checked_process)
     return calls
 
 
@@ -111,20 +132,23 @@ def checked(monkeypatch):
 @pytest.mark.parametrize("spec", _sm_specs())
 def test_incremental_ids_match_rebuild(checked, spec, plan, symmetry):
     k = _k_for(spec)
+    factory = SpecFactory(spec.name, N, k, T)
+    checked["search"] = (factory, plan)
     result = exhaustive.explore_sm(
-        SpecFactory(spec.name, N, k, T), INPUTS, k, T,
-        by_code(spec.validity),
+        factory, INPUTS, k, T, by_code(spec.validity),
         crash_adversary=plan, max_states=MAX_STATES, symmetry=symmetry,
     )
     probes = result.cache_hits + result.cache_misses
     assert probes > 1
     assert result.stats.symmetry == symmetry
-    if symmetry:
-        assert checked["canonical"] == probes
-        assert checked["fingerprint"] == 0
-    else:
-        assert checked["fingerprint"] == probes
-        assert checked["canonical"] == 0
+    assert checked["nodes"] == probes
+    assert 0 < result.handler_runs <= probes - 1
+    if result.runs:
+        # A run ended, so the search backtracked and the memo answered
+        # some steps: the check covered memoized nodes.  A failure-free
+        # PROTOCOL F search ends no run at this cap: it descends one
+        # scan loop, on which every local state is new.
+        assert result.handler_runs < probes - 1
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +254,19 @@ def test_canonical_keys_partition_like_reference(
     )
     assert ctx is not None, reason
     keys = {}
-    fingerprint = exhaustive._fingerprint_sm
+    process = exhaustive._process_sm_node
 
-    def keyed_fingerprint(kernel, ids):
-        raw = fingerprint(kernel, ids)
-        keys[raw] = (ctx.canonical(kernel, ids)[0], _reference_key(ctx, kernel))
-        return raw
+    def keyed_process(trans, node, path, cfg, result, store):
+        def kernel_at(at):
+            return trans.materialize(at, path)
 
-    monkeypatch.setattr(exhaustive, "_fingerprint_sm", keyed_fingerprint)
+        keys[exhaustive._fingerprint_sm(node)] = (
+            ctx.canonical(node, kernel_at)[0],
+            _reference_key(ctx, kernel_at(node)),
+        )
+        return process(trans, node, path, cfg, result, store)
+
+    monkeypatch.setattr(exhaustive, "_process_sm_node", keyed_process)
     result = exhaustive.explore_sm(
         factory, inputs, k, t, by_code("SV2"), crash_adversary=plan,
     )

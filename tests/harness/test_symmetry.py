@@ -209,9 +209,10 @@ class TestMPCanonicalInvariance:
 def _step_block(kernel, ctx, pid):
     """Step ``pid`` until its in-progress scan (if any) completes."""
     kernel.step_pid(pid)
+    state = kernel._states[pid]
     while (
         pid in kernel.runnable_pids()
-        and ctx._open_scan(kernel._states[pid])
+        and ctx._open_scan(len(state.results_log), state.decided)
     ):
         kernel.step_pid(pid)
 
@@ -239,7 +240,9 @@ class TestSMCanonicalInvariance:
             table = _StateTable()
 
             def canonical(kernel):
-                return ctx.canonical(kernel, _sm_state_ids(kernel, table))[0]
+                return ctx.canonical(
+                    _sm_state_ids(kernel, table), lambda _: kernel
+                )[0]
 
             blocks = 0
             while kernel_a.runnable_pids() and blocks < 30:

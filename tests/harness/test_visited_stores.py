@@ -12,10 +12,10 @@ The explorer's correctness leans on two store-level contracts:
   this).
 
 Sleep multisets hold event signature ids -- the small ints of the
-explorer's state table -- and both stores keep them exactly as given.
+explorer's state table -- coded by ``sleep_set`` as a frozenset (the
+``i``-th copy of signature ``s`` is ``s + (i << 32)``); both stores keep
+the probe's set as given, and ``sleep_counts`` decodes a re-expansion.
 """
-
-from collections import Counter
 
 import pytest
 
@@ -26,6 +26,8 @@ from repro.harness.visited import (
     CompactStore,
     ExactStore,
     NO_SLEEP,
+    sleep_counts,
+    sleep_set,
 )
 
 FP = ("state", 1, ("a", "b"))
@@ -43,49 +45,57 @@ class TestExactStore:
 
     def test_superset_sleep_is_hit(self):
         store = ExactStore()
-        store.probe(FP, Counter([SIG_X]))
-        assert store.probe(FP, Counter([SIG_X, SIG_Y])) is None
+        store.probe(FP, sleep_set([SIG_X]))
+        assert store.probe(FP, sleep_set([SIG_X, SIG_Y])) is None
         assert store.hits == 1
 
     def test_equal_sleep_is_hit(self):
         store = ExactStore()
-        store.probe(FP, Counter([SIG_X]))
-        assert store.probe(FP, Counter([SIG_X])) is None
+        store.probe(FP, sleep_set([SIG_X]))
+        assert store.probe(FP, sleep_set([SIG_X])) is None
 
     def test_partial_reexpansion_returns_difference(self):
         store = ExactStore()
-        store.probe(FP, Counter([SIG_X, SIG_Y]))
-        missing = store.probe(FP, Counter([SIG_Y]))
-        assert missing == Counter([SIG_X])
+        store.probe(FP, sleep_set([SIG_X, SIG_Y]))
+        missing = store.probe(FP, sleep_set([SIG_Y]))
+        assert sleep_counts(missing) == {SIG_X: 1}
         # The entry shrank to the intersection: a revisit under the
         # smaller sleep is now covered.
-        assert store.probe(FP, Counter([SIG_Y])) is None
+        assert store.probe(FP, sleep_set([SIG_Y])) is None
 
     def test_disjoint_sleep_shrinks_to_empty(self):
         store = ExactStore()
-        store.probe(FP, Counter([SIG_X]))
-        missing = store.probe(FP, Counter([SIG_Y]))
-        assert missing == Counter([SIG_X])
+        store.probe(FP, sleep_set([SIG_X]))
+        missing = store.probe(FP, sleep_set([SIG_Y]))
+        assert sleep_counts(missing) == {SIG_X: 1}
         assert store.probe(FP, NO_SLEEP) is None
 
     def test_multiset_counts_respected(self):
         store = ExactStore()
-        store.probe(FP, Counter({SIG_X: 2}))
-        missing = store.probe(FP, Counter({SIG_X: 1}))
-        assert missing == Counter({SIG_X: 1})
+        store.probe(FP, sleep_set([SIG_X, SIG_X]))
+        # One copy of two is missing; a revisit with both is a hit.
+        missing = store.probe(FP, sleep_set([SIG_X]))
+        assert sleep_counts(missing) == {SIG_X: 1}
+        assert store.probe(FP, sleep_set([SIG_X, SIG_X])) is None
+        assert store.probe(FP, sleep_set([SIG_X])) is None
 
     def test_set_covered_makes_every_probe_hit(self):
         store = ExactStore()
-        store.probe(FP, Counter([SIG_X, SIG_Y]))
+        store.probe(FP, sleep_set([SIG_X, SIG_Y]))
         store.set_covered(FP)
         assert store.probe(FP, NO_SLEEP) is None
 
     def test_probe_copies_the_sleep(self):
+        """The store keeps the probe's set as given, which is safe
+        because it is immutable: nothing the caller does to the ids it
+        coded the set from reaches the store."""
         store = ExactStore()
-        sleep = Counter([SIG_X])
+        sigs = [SIG_X]
+        sleep = sleep_set(sigs)
         store.probe(FP, sleep)
-        sleep[SIG_Y] += 1  # caller mutation must not leak into the store
-        assert store.probe(FP, Counter([SIG_X])) is None
+        sigs.append(SIG_Y)  # caller mutation must not leak into the store
+        assert isinstance(sleep, frozenset)
+        assert store.probe(FP, sleep_set([SIG_X])) is None
 
     def test_distinct_fingerprints_independent(self):
         store = ExactStore()
@@ -94,26 +104,37 @@ class TestExactStore:
 
     def test_sleep_keys_are_signature_ids(self):
         store = ExactStore()
-        store.probe(FP, Counter([SIG_X, SIG_Y]))
+        store.probe(FP, sleep_set([SIG_X, SIG_Y]))
         missing = store.probe(FP, NO_SLEEP)
-        assert missing == Counter([SIG_X, SIG_Y])
+        assert missing == sleep_set([SIG_X, SIG_Y])
+        assert sleep_counts(missing) == {SIG_X: 1, SIG_Y: 1}
+
+    def test_copy_codes_are_multiset_operations(self):
+        """Subset, difference and intersection of copy codes are the
+        multiset operations on the signature ids they code."""
+        two_x = sleep_set([SIG_X, SIG_Y, SIG_X])
+        one_x = sleep_set([SIG_Y, SIG_X])
+        assert len(two_x) == 3 and one_x < two_x
+        assert sleep_counts(two_x - one_x) == {SIG_X: 1}
+        assert two_x & one_x == one_x
+        assert sleep_counts(two_x) == {SIG_X: 2, SIG_Y: 1}
 
 
 class TestCompactStore:
     def test_same_godefroid_semantics_on_digests(self):
         store = CompactStore()
-        assert store.probe(FP, Counter([SIG_X, SIG_Y])) is EXPAND_ALL
-        missing = store.probe(FP, Counter([SIG_Y]))
-        assert missing == Counter([SIG_X])
-        assert store.probe(FP, Counter([SIG_Y])) is None
+        assert store.probe(FP, sleep_set([SIG_X, SIG_Y])) is EXPAND_ALL
+        missing = store.probe(FP, sleep_set([SIG_Y]))
+        assert sleep_counts(missing) == {SIG_X: 1}
+        assert store.probe(FP, sleep_set([SIG_Y])) is None
 
     def test_digests_are_ints(self):
         store = CompactStore()
         assert isinstance(store.fingerprint_key(FP), int)
         # Sleep multisets are not digested: signature ids come back as
         # the ints they were probed with.
-        store.probe(FP, Counter([SIG_X]))
-        assert store.probe(FP, NO_SLEEP) == Counter([SIG_X])
+        store.probe(FP, sleep_set([SIG_X]))
+        assert store.probe(FP, NO_SLEEP) == sleep_set([SIG_X])
 
     def test_digests_deterministic_across_instances(self):
         assert (

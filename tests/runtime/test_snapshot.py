@@ -71,7 +71,7 @@ def _mp_fp(kernel, table):
 
 def _sm_fp(kernel, table):
     """SM counterpart of :func:`_mp_fp`: ids built from scratch."""
-    return _fingerprint_sm(kernel, _sm_state_ids(kernel, table))
+    return _fingerprint_sm(_sm_state_ids(kernel, table))
 
 
 def _mp_kernel(spec_name, scheduler=None, crash_sends=None):

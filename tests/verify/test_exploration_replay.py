@@ -18,7 +18,7 @@ over a whole crash-pattern family must replay too.
 
 import pytest
 
-from repro.core.validity import SV2
+from repro.core.validity import RV2, SV2
 from repro.failures.crash import (
     CrashPlan,
     CrashPoint,
@@ -170,6 +170,32 @@ class TestConfirmExploration:
         )
         assert reports and all(r.deterministic for r in reports)
         assert all(r.demonstrates_expected for r in reports)
+
+    def test_sm_counterexamples_replay_over_crash_patterns(self):
+        """Every violation the SM explorer records replays from scratch.
+
+        The explorer reaches nearly every state through memoized
+        operations and kernels materialized from hash-consed nodes, so a
+        recorded choice path must still reach its violation on a fresh
+        kernel.  PROTOCOL E at n=3, k=1 (outside its k >= 2 region), over
+        the whole crash-pattern family, with symmetry off and on.
+        """
+        inputs = ["v", "v", "w"]
+        confirmed = 0
+        for symmetry in (False, True):
+            for plan in crash_patterns(3, 1, max_sends=1):
+                exploration = explore_sm(
+                    SpecFactory(SM_SPEC, 3, 1, 1), inputs, k=1, t=1,
+                    validity=RV2, crash_adversary=plan, symmetry=symmetry,
+                )
+                assert exploration.exhausted
+                reports = confirm_exploration(
+                    exploration, SM_SPEC, inputs, 1, 1,
+                    crash_adversary=plan,
+                )
+                assert len(reports) == len(exploration.violations)
+                confirmed += len(reports)
+        assert confirmed > 0
 
     def test_clean_exploration_yields_no_reports(self):
         exploration = explore_mp(
