@@ -121,7 +121,7 @@ JOBS = arg("--jobs", type=count, default=1,
 def search_args(max_states: int) -> Tuple[Declaration, ...]:
     """The explorer flags ``exhaustive`` and ``certify`` share."""
     return (
-        arg("--max-states", type=int, default=max_states,
+        arg("--max-states", type=count, default=max_states,
             help="state budget per exploration; a search that hits it is "
                  "not exhaustive (certify marks the point INCONCLUSIVE)"),
         arg("--visited", choices=["exact", "compact"], default="exact",

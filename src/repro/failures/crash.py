@@ -153,6 +153,8 @@ class RandomCrashes(CrashAdversary):
 
 
 class _Combined(CrashAdversary):
+    """A union of static adversaries: it reacts to no global state."""
+
     def __init__(self, parts) -> None:
         self._parts = tuple(parts)
 
@@ -168,6 +170,10 @@ class _Combined(CrashAdversary):
     def crashes_at_send(self, pid: int, sends_made: int) -> bool:
         return any(p.crashes_at_send(pid, sends_made) for p in self._parts)
 
+
+class _DynamicCombined(_Combined):
+    """A union with at least one dynamic part."""
+
     def dynamic_crashes(self, view) -> Iterable[int]:
         out: Set[int] = set()
         for part in self._parts:
@@ -176,5 +182,14 @@ class _Combined(CrashAdversary):
 
 
 def combine(*adversaries: CrashAdversary) -> CrashAdversary:
-    """Union of several crash adversaries (a process crashes when any says so)."""
+    """Union of several crash adversaries (a process crashes when any says so).
+
+    The union overrides :meth:`CrashAdversary.dynamic_crashes` only when
+    some part does, so a union of static plans stays static: the
+    exhaustive explorers keep partial-order reduction and their memos
+    for it, as they do for each part alone.
+    """
+    static = CrashAdversary.dynamic_crashes
+    if any(type(part).dynamic_crashes is not static for part in adversaries):
+        return _DynamicCombined(adversaries)
     return _Combined(adversaries)

@@ -7,10 +7,14 @@ depth-first search over kernel states.  A protocol property verified
 here holds for **all** asynchronous runs of the instance, which is the
 actual quantifier in the paper's lemmas.
 
-Three cooperating mechanisms keep the search fast:
+Both kernels run one search (:func:`_explore`, :func:`_run_dfs`,
+:func:`_process_node`); each contributes only its transition relation,
+:class:`_Transitions` or :class:`_SMTransitions`, which step, list the
+choices of, fingerprint, canonicalize, materialize and snapshot its
+nodes.  Three cooperating mechanisms keep the search fast:
 
-* **Memos over hash-consed nodes.**  Both DFSs walk id-level nodes,
-  not a live kernel.  On message passing a :class:`_Node` holds
+* **Memos over hash-consed nodes.**  The DFS walks id-level nodes, not
+  a live kernel.  On message passing a :class:`_Node` holds
   per-process local-state ids, pending-event signature ids, crash
   bookkeeping and counters, and :class:`_Transitions` steps it through
   a per-exploration memo keyed by the target process, its local-state
@@ -63,11 +67,11 @@ subtrees are distributed over worker processes with
 :func:`repro.harness.parallel.parallel_map`, and the per-subtree results
 are merged in frontier order -- so the merged result is bit-identical
 for every jobs count (``--jobs 1`` vs ``--jobs 8`` agree exactly).
-Each kernel has one set-up function (:func:`_setup_mp`,
-:func:`_setup_sm`) that turns a picklable record of the caller's
-arguments (:class:`_Search`) into a fresh kernel, its per-search
-constants, an empty result and a visited store; the serial search and
-every frontier worker are built through it.
+One set-up function (:func:`_setup`) turns a picklable record of the
+caller's arguments (:class:`_Search`) and a transition relation class
+into the relation on a fresh kernel, the search's constants, an empty
+result and a visited store; the serial search and every frontier
+worker are built through it.
 
 ``stop_on_violation=True`` terminates the search at the first recorded
 violation, which makes counterexample hunts over outside-region points
@@ -95,8 +99,8 @@ import dataclasses
 import itertools
 from collections import deque
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
-    Union,
+    AbstractSet, Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
 from repro.core.problem import SCProblem
@@ -381,7 +385,7 @@ class _StateTable:
     states (:func:`_local_state`) and pending-event signatures
     (:func:`_event_sig`) on message passing, results-log chain links,
     local states (:func:`_sm_local`) and register values on shared
-    memory (see :class:`_SMStateIds`).  Equal values always get the
+    memory (see :class:`_SMNode`).  Equal values always get the
     same id, which makes the id fingerprint exactly as discriminating
     as the frozen state it stands for.  One table serves one
     exploration; ids from different tables are unrelated.
@@ -511,17 +515,17 @@ class _SMNode:
     Chain keys are pairs and local-state keys 4-tuples, so the three
     kinds never share an id.  The crashed set, the runnable pids
     (neither crashed nor finished, ascending), each process's decided
-    flag and the number of undecided correct processes complete the
-    state.  A node holds no results log and no choice path: the DFS
-    stack holds the path, and :class:`_SMTransitions` rebuilds logs
-    from the chain when it materializes a kernel.  Built from scratch
-    by :func:`_sm_state_ids`, and from a parent by
+    flag, the number of undecided correct processes and the tick
+    complete the state.  A node holds no results log and no choice
+    path: the DFS holds the path, and :class:`_SMTransitions` rebuilds
+    logs from the chain when it materializes a kernel.  Built from
+    scratch by :func:`_sm_state_ids`, and from a parent by
     :meth:`_SMTransitions.step`.  A node is never mutated once built.
     """
 
     __slots__ = (
         "table", "logs", "lens", "procs", "regs", "crashed", "runnable",
-        "decided", "undecided",
+        "decided", "undecided", "tick",
     )
 
     def __init__(
@@ -535,6 +539,7 @@ class _SMNode:
         runnable: Tuple[int, ...],
         decided: Tuple[bool, ...],
         undecided: int,
+        tick: int,
     ) -> None:
         self.table = table
         self.logs = logs
@@ -545,6 +550,7 @@ class _SMNode:
         self.runnable = runnable
         self.decided = decided
         self.undecided = undecided
+        self.tick = tick
 
 
 def _sm_state_ids(kernel: SMKernel, table: _StateTable) -> _SMNode:
@@ -570,6 +576,7 @@ def _sm_state_ids(kernel: SMKernel, table: _StateTable) -> _SMNode:
         tuple(kernel.runnable_pids()),
         tuple([state.decided for state in states]),
         kernel._undecided,
+        kernel.tick,
     )
 
 
@@ -603,10 +610,9 @@ def _make_store(visited: str) -> ExactStore:
 class _Search:
     """The caller's arguments to one exploration, picklable for workers.
 
-    :func:`explore_mp` and its frontier worker both build their search
-    from this record through :func:`_setup_mp` (and likewise on shared
-    memory through :func:`_setup_sm`), so a worker's subtree search is
-    set up exactly like the serial one.
+    :func:`explore_mp`, :func:`explore_sm` and every frontier worker
+    build their search from this record through :func:`_setup`, so a
+    worker's subtree search is set up exactly like the serial one.
     """
 
     factory: Callable[[], Sequence]
@@ -624,16 +630,17 @@ class _Search:
     por: bool = False
 
 
+#: A subtree root of the frontier: the kernel snapshot of its node, the
+#: choice path that reaches it and its sleep set, sorted.
+_Root = Tuple[Any, Tuple[int, ...], Tuple[int, ...]]
+
+
 @dataclasses.dataclass(frozen=True)
 class _Subtree:
-    """A frontier task: the search and the root of one of its subtrees.
-
-    The root is ``(snapshot, path, sleep)`` on message passing and an
-    :class:`SMSnapshot` on shared memory, each built from a node.
-    """
+    """A frontier task: the search and the root of one of its subtrees."""
 
     search: _Search
-    root: Any
+    root: _Root
 
 
 @dataclasses.dataclass
@@ -646,19 +653,14 @@ class _Config:
     #: Symmetry canonicalizer, or ``None`` when the reduction is off
     #: (see :func:`_symmetry_for`).
     sym: Optional[Any]
-    # The remaining fields matter to message passing only.
+    #: Prune commuting interleavings with sleep sets: message passing
+    #: under a static crash adversary only.
     por: bool = False
-    include_counters: bool = False
-    #: Processes the adversary may still crash; events targeting one
-    #: (while it is not yet crashed) are dependent on everything.
-    may_crash: FrozenSet[int] = frozenset()
-    #: This exploration's hash-consing table (see :class:`_StateTable`).
-    table: _StateTable = dataclasses.field(default_factory=_StateTable)
 
 
-#: What a set-up function returns: what the search drives (the
-#: :class:`_Transitions` or :class:`_SMTransitions` in front of a fresh
-#: kernel), the search's constants, an empty result and a visited store.
+#: What :func:`_setup` returns: the transition relation in front of a
+#: fresh kernel (a :class:`_Transitions` or :class:`_SMTransitions`),
+#: the search's constants, an empty result and a visited store.
 _Setup = Tuple[Any, _Config, ExplorationResult, ExactStore]
 
 
@@ -685,10 +687,11 @@ def _symmetry_for(
     return sym
 
 
-def _setup(
-    search: _Search, kernel: Union[MPKernel, SMKernel], **mp_only: Any
-) -> _Setup:
-    """``(kernel, config, result, store)`` of one search on a fresh kernel."""
+def _setup(search: _Search, relation: type) -> _Setup:
+    """``(transitions, config, result, store)`` of one search, where
+    ``relation`` (:class:`_Transitions` or :class:`_SMTransitions`)
+    builds the transitions on a fresh kernel."""
+    trans = relation(search)
     store = _make_store(search.visited)
     result = _empty_result()
     result.stats.visited_store = store.kind
@@ -700,10 +703,10 @@ def _setup(
         judge=_make_judge(problem, search.verify),
         max_states=search.max_states,
         stop_on_violation=search.stop_on_violation,
-        sym=_symmetry_for(search, kernel, result.stats),
-        **mp_only,
+        sym=_symmetry_for(search, trans.kernel, result.stats),
+        por=search.por and not trans.bypass,
     )
-    return kernel, cfg, result, store
+    return trans, cfg, result, store
 
 
 def _finish(
@@ -719,44 +722,253 @@ def _finish(
     return result
 
 
-def _explore_frontier(
-    search: _Search,
-    setup: _Setup,
-    root: Any,
-    children: Callable[..., List[Any]],
-    worker: Callable[[_Subtree], ExplorationResult],
-    jobs: int,
-) -> None:
-    """Breadth-first expansion from ``root``, then parallel subtree searches.
+# ---------------------------------------------------------------------------
+# the search, shared by both kernels
 
-    ``children(driver, cfg, result, store, node)`` processes one
-    frontier node and returns its child nodes; ``worker`` explores one
-    :class:`_Subtree`.  The frontier width is a constant (not a
-    function of ``jobs``) and subtree results are merged in frontier
-    order, so the merged result is identical for every worker count.
-    Worker subtrees use private stores; cross-subtree duplicates are
-    re-explored rather than shared, which costs work but keeps the
-    decomposition deterministic.
+
+class _Frame:
+    """One DFS branch point: a node, its sleep set and its choices."""
+
+    __slots__ = ("node", "sleep", "choices", "idx")
+
+    def __init__(
+        self, node: Any, sleep: AbstractSet[int], choices: Sequence[int]
+    ) -> None:
+        self.node = node
+        self.sleep = sleep            # slept choices at this node
+        self.choices = choices        # choices to explore, in order
+        self.idx = 0
+
+
+def _process_node(
+    trans: Any,
+    node: Any,
+    path: List[int],
+    sleep: AbstractSet[int],
+    cfg: _Config,
+    result: ExplorationResult,
+    store: ExactStore,
+) -> Optional[_Frame]:
+    """Count/dedup/judge one node; return a frame to expand.
+
+    ``path`` is the node's choice path (the DFS's own list, read and
+    never kept).  Returns ``None`` for cache hits, leaves, and
+    fully-slept nodes.  On a revisit whose sleep set is incomparable to
+    the stored coverage, the returned frame expands only the
+    still-uncovered choices.  Only message-passing searches have sleep
+    sets, so only they read a node's signature ids here.
     """
-    driver, cfg, result, store = setup
-    queue: deque = deque([root])
-    while queue and len(queue) < _FRONTIER_WIDTH:
+    if cfg.sym is not None:
+        # Canonical store coordinates: the fingerprint *and* every
+        # sleep/re-expansion signature are renamed by the same
+        # canonicalizing permutation, so Godefroid bookkeeping
+        # operates consistently inside each symmetry orbit.
+        fp, renamed = trans.canonical(cfg.sym, node)
+        result.stats.canonicalizations += 1
+    else:
+        renamed = None
+        fp = trans.fingerprint(node)
+    if not sleep:
+        sleep_sig = NO_SLEEP
+    elif renamed is None:
+        sigs = node.sigs
+        sleep_sig = sleep_set([sigs[seq] for seq in sleep])
+    else:
+        sigs = node.sigs
+        sleep_sig = sleep_set([renamed[sigs[seq]] for seq in sleep])
+    to_expand = store.probe(fp, sleep_sig)
+    if to_expand is None:
+        if renamed is not None:
+            result.stats.orbit_hits += 1
+        return None
+    if to_expand is EXPAND_ALL:
+        result.states += 1
+    else:
+        result.reexpansions += 1
+    pending = trans.choices(node) if node.undecided else ()
+    if not pending:
+        _judge_leaf(trans.materialize(node), tuple(path), cfg.judge, result)
+        store.set_covered(fp)
+        return None
+    if to_expand is EXPAND_ALL:
+        choices = [c for c in pending if c not in sleep] if sleep else pending
+    else:
+        # Partial re-expansion: only events slept at the first visit but
+        # not now.  Structurally identical events are interchangeable,
+        # so any non-slept pending event with a needed signature serves.
+        # The probe's sleep set may be empty here.
+        need = sleep_counts(to_expand)
+        sigs = node.sigs
+        choices = []
+        for seq in pending:
+            if seq in sleep:
+                continue
+            key = sigs[seq] if renamed is None else renamed[sigs[seq]]
+            if need.get(key, 0) > 0:
+                need[key] -= 1
+                choices.append(seq)
+    result.sleep_pruned += len(pending) - len(choices)
+    if not choices:
+        # Every continuation here is covered by a sibling's subtree.
+        return None
+    return _Frame(node, sleep, choices)
+
+
+def _child_sleep(trans: Any, frame: _Frame, seq: int) -> AbstractSet[int]:
+    """Sleep set for the child reached by executing ``seq`` (POR only).
+
+    Sleep-set rule: the child inherits every event from the parent's
+    sleep set plus the already-explored sibling choices, filtered to
+    those *independent* of ``seq``.  Independence here: distinct target
+    processes, neither of which can still crash (see
+    :meth:`_Transitions.target`, whose rule the filter applies in bulk
+    through the memo's ``targets`` map).
+    """
+    node = frame.node
+    tgt = trans.target(node, seq)
+    if tgt is None:
+        return NO_SLEEP
+    sigs = node.sigs
+    targets = trans.targets
+    crashable = trans.may_crash - node.crashed
+    inherited = itertools.chain(frame.sleep, frame.choices[:frame.idx - 1])
+    return {
+        z for z in inherited
+        if (other := targets[sigs[z]]) != tgt and other not in crashable
+    }
+
+
+def _run_dfs(
+    trans: Any,
+    path: List[int],
+    sleep: AbstractSet[int],
+    cfg: _Config,
+    result: ExplorationResult,
+    store: ExactStore,
+) -> None:
+    """Depth-first search from the node the relation's kernel sits at.
+
+    The search walks nodes: a child is its parent with the memoized
+    effect of one step applied (see :class:`_Transitions` and
+    :class:`_SMTransitions`), and the kernel runs only where the memo
+    has no answer.  ``path`` holds the choices from the exploration's
+    root down to the node being processed; it starts as the DFS root's
+    own path, and a frame at stack depth ``d`` stands for that path
+    plus the next ``d - 1`` entries.  ``sleep`` is the root's sleep
+    set.
+    """
+    if result.states >= cfg.max_states:
+        result.exhausted = False
+        return
+    frame = _process_node(trans, trans.root(), path, sleep, cfg, result, store)
+    if cfg.stop_on_violation and result.violations:
+        result.exhausted = False
+        return
+    base = len(path) - 1  # the path of the frame at depth d: path[:base + d]
+    por = cfg.por
+    stack = [] if frame is None else [frame]
+    while stack:
+        frame = stack[-1]
+        if frame.idx >= len(frame.choices):
+            stack.pop()
+            continue
         if result.states >= cfg.max_states:
             result.exhausted = False
             return
-        queue.extend(children(driver, cfg, result, store, queue.popleft()))
+        choice = frame.choices[frame.idx]
+        frame.idx += 1
+        del path[base + len(stack):]
+        path.append(choice)
+        frame = _process_node(
+            trans,
+            trans.step(frame.node, choice),
+            path,
+            _child_sleep(trans, frame, choice) if por else NO_SLEEP,
+            cfg, result, store,
+        )
         if cfg.stop_on_violation and result.violations:
             result.exhausted = False
             return
-    if not queue:
-        return
-    tasks = [_Subtree(search, node) for node in queue]
-    for part in parallel_map(worker, tasks, jobs=jobs):
-        _merge_into(result, part)
+        if frame is not None:
+            stack.append(frame)
+
+
+def _children(
+    trans: Any,
+    cfg: _Config,
+    result: ExplorationResult,
+    store: ExactStore,
+    root: _Root,
+) -> List[_Root]:
+    """Process one frontier root; return its children as new roots, in
+    the order the DFS would step them."""
+    snapshot, path, sleep = root
+    trans.load(snapshot)
+    frame = _process_node(
+        trans, trans.root(), list(path), frozenset(sleep), cfg, result, store
+    )
+    children = []
+    while frame is not None and frame.idx < len(frame.choices):
+        choice = frame.choices[frame.idx]
+        frame.idx += 1
+        child_sleep = _child_sleep(trans, frame, choice) if cfg.por else ()
+        children.append((
+            trans.snapshot(trans.step(frame.node, choice)),
+            path + (choice,),
+            tuple(sorted(child_sleep)),
+        ))
+    return children
+
+
+def _explore_subtree(relation: type, task: _Subtree) -> ExplorationResult:
+    """Explore one frontier subtree on a fresh ``relation``."""
+    trans, cfg, result, store = _setup(task.search, relation)
+    snapshot, path, sleep = task.root
+    trans.load(snapshot)
+    _run_dfs(trans, list(path), frozenset(sleep), cfg, result, store)
+    return _finish(result, store, cfg, trans)
+
+
+def _explore(
+    search: _Search,
+    relation: type,
+    worker: Callable[[_Subtree], ExplorationResult],
+    jobs: Optional[int],
+) -> ExplorationResult:
+    """One exploration on ``relation``: the serial DFS, or with ``jobs``
+    the frontier search.
+
+    The frontier search expands the root breadth-first into at least
+    :data:`_FRONTIER_WIDTH` subtree roots (a constant, not a function
+    of ``jobs``), has ``worker`` explore each :class:`_Subtree` through
+    :func:`repro.harness.parallel.parallel_map`, and merges the results
+    in frontier order, so the merged result is identical for every
+    worker count.  Worker subtrees use private stores; cross-subtree
+    duplicates are re-explored rather than shared, which costs work but
+    keeps the decomposition deterministic.
+    """
+    trans, cfg, result, store = _setup(search, relation)
+    if jobs is None:
+        _run_dfs(trans, [], NO_SLEEP, cfg, result, store)
+        return _finish(result, store, cfg, trans)
+    roots: deque = deque([(trans.kernel.snapshot(), (), ())])
+    while roots and len(roots) < _FRONTIER_WIDTH:
+        if result.states >= cfg.max_states:
+            result.exhausted = False
+            return _finish(result, store, cfg, trans)
+        roots.extend(_children(trans, cfg, result, store, roots.popleft()))
+        if cfg.stop_on_violation and result.violations:
+            result.exhausted = False
+            return _finish(result, store, cfg, trans)
+    if roots:
+        tasks = [_Subtree(search, root) for root in roots]
+        for part in parallel_map(worker, tasks, jobs=jobs):
+            _merge_into(result, part)
+    return _finish(result, store, cfg, trans)
 
 
 # ---------------------------------------------------------------------------
-# message-passing exploration
+# message-passing transitions
 
 
 def _is_dynamic(adversary: Optional[CrashAdversary]) -> bool:
@@ -804,8 +1016,9 @@ class _Transitions:
     signature ids it sent in send order, whether it stepped, crashed or
     halted, and whether a correct process stopped being undecided.  A
     step changes nothing else -- the fact POR's independence relation
-    rests on -- and a handler's effect is a function of its frozen
-    local state and the event, which the visited store assumes already.
+    (:meth:`target`) rests on -- and a handler's effect is a function
+    of its frozen local state and the event, which the visited store
+    assumes already.  A node's choices are its pending seqs, ascending.
 
     The live kernel is touched only to compute a missing effect, to
     judge a leaf, to learn a symmetry shape or renaming, and at a
@@ -818,22 +1031,25 @@ class _Transitions:
     """
 
     __slots__ = (
-        "kernel", "table", "may_crash", "bypass", "memo", "entries",
-        "events", "targets", "live", "handler_runs",
+        "kernel", "table", "may_crash", "include_counters", "bypass",
+        "memo", "entries", "events", "targets", "live", "handler_runs",
     )
 
-    def __init__(
-        self,
-        kernel: MPKernel,
-        table: _StateTable,
-        may_crash: FrozenSet[int],
-        bypass: bool,
-    ) -> None:
-        self.kernel = kernel
-        self.table = table
-        self.may_crash = may_crash
+    def __init__(self, search: _Search) -> None:
+        adversary = search.crash_adversary
+        self.kernel = _fresh_mp_kernel(
+            search.factory, search.inputs, search.t, adversary
+        )
+        #: This exploration's hash-consing table (see :class:`_StateTable`).
+        self.table = _StateTable()
+        #: Processes the adversary may still crash; events targeting one
+        #: (while it is not yet crashed) are dependent on everything.
+        self.may_crash = _may_crash_set(adversary)
+        #: Whether fingerprints hold the step/send counters (see
+        #: :func:`_fingerprint_mp`).
+        self.include_counters = _mp_counters_matter(adversary)
         #: Run every step on the kernel (a dynamic adversary).
-        self.bypass = bypass
+        self.bypass = _is_dynamic(adversary)
         self.memo: Dict[Tuple, Tuple] = {}
         #: ``(pid, local-state id)`` -> the kernel's snapshot entry of
         #: the first process state seen with that id.
@@ -860,10 +1076,34 @@ class _Transitions:
         self.live = node
         return node
 
+    def load(self, snapshot: MPSnapshot) -> None:
+        """Restore the kernel to a frontier root."""
+        self.kernel.restore(snapshot)
+        self.live = None
+
     def _learn_event(self, sig: int, event: Event) -> None:
         if sig not in self.events:
             self.events[sig] = event
             self.targets[sig] = _event_target(event)
+
+    def choices(self, node: _Node) -> List[int]:
+        """The pending seqs, ascending."""
+        return sorted(node.sigs)
+
+    def target(self, node: _Node, seq: int) -> Optional[int]:
+        """The process event ``seq`` steps, or ``None`` while the
+        adversary may still crash it (the event is then dependent on
+        every other)."""
+        tgt = self.targets[node.sigs[seq]]
+        if tgt in self.may_crash and tgt not in node.crashed:
+            return None
+        return tgt
+
+    def fingerprint(self, node: _Node) -> Tuple:
+        return _fingerprint_mp(node, self.include_counters)
+
+    def canonical(self, sym: Any, node: _Node) -> Tuple[Tuple, Any]:
+        return sym.canonical(node, self.include_counters, self.materialize)
 
     def snapshot(self, node: _Node) -> MPSnapshot:
         """The kernel snapshot a node stands for."""
@@ -987,213 +1227,9 @@ class _Transitions:
         result.handler_runs += self.handler_runs
 
 
-def _setup_mp(search: _Search) -> _Setup:
-    """``(transitions, config, result, store)`` of one MP search."""
-    adversary = search.crash_adversary
-    dynamic = _is_dynamic(adversary)
-    kernel, cfg, result, store = _setup(
-        search,
-        _fresh_mp_kernel(search.factory, search.inputs, search.t, adversary),
-        por=search.por and not dynamic,
-        include_counters=_mp_counters_matter(adversary),
-        may_crash=_may_crash_set(adversary),
-    )
-    trans = _Transitions(kernel, cfg.table, cfg.may_crash, dynamic)
-    return trans, cfg, result, store
-
-
-class _Frame:
-    """One DFS branch point: a node plus its unexplored choices."""
-
-    __slots__ = (
-        "node", "path", "sleep", "choices", "idx", "target", "may_crash",
-    )
-
-    def __init__(self, node, path, sleep, choices, target, may_crash):
-        self.node = node
-        self.path = path
-        self.sleep = sleep            # Set[int]: slept seqs at this node
-        self.choices = choices        # List[int]: seqs to explore, ascending
-        self.idx = 0
-        self.target = target          # Dict[seq -> target pid]
-        self.may_crash = may_crash    # Dict[seq -> event is crash-capable]
-
-
-def _process_mp_node(
-    trans: _Transitions,
-    node: _Node,
-    path: Tuple[int, ...],
-    sleep: Set[int],
-    cfg: _Config,
-    result: ExplorationResult,
-    store: ExactStore,
-) -> Optional[_Frame]:
-    """Count/dedup/judge one node; return a frame to expand.
-
-    Returns ``None`` for cache hits, leaves, and fully-slept nodes.  On
-    a revisit whose sleep set is incomparable to the stored coverage,
-    the returned frame expands only the still-uncovered choices.
-    """
-    sigs = node.sigs
-    if cfg.sym is not None:
-        # Canonical store coordinates: the fingerprint *and* every
-        # sleep/re-expansion signature are renamed by the same
-        # canonicalizing permutation, so Godefroid bookkeeping
-        # operates consistently inside each symmetry orbit.  Only the
-        # signatures the probe reads are renamed.
-        fp, renamed = cfg.sym.canonical(
-            node, cfg.include_counters, trans.materialize
-        )
-        result.stats.canonicalizations += 1
-    else:
-        renamed = None
-        fp = _fingerprint_mp(node, cfg.include_counters)
-    if not sleep:
-        sleep_sig = NO_SLEEP
-    elif renamed is None:
-        sleep_sig = sleep_set([sigs[seq] for seq in sleep])
-    else:
-        sleep_sig = sleep_set([renamed[sigs[seq]] for seq in sleep])
-    to_expand = store.probe(fp, sleep_sig)
-    if to_expand is None:
-        if renamed is not None:
-            result.stats.orbit_hits += 1
-        return None
-    if to_expand is EXPAND_ALL:
-        result.states += 1
-    else:
-        result.reexpansions += 1
-    if not node.undecided or not sigs:
-        _judge_leaf(trans.materialize(node), path, cfg.judge, result)
-        store.set_covered(fp)
-        return None
-    if to_expand is EXPAND_ALL:
-        choices = [seq for seq in sorted(sigs) if seq not in sleep]
-    else:
-        # Partial re-expansion: only events slept at the first visit but
-        # not now.  Structurally identical events are interchangeable,
-        # so any non-slept pending event with a needed signature serves.
-        need = sleep_counts(to_expand)
-        choices = []
-        for seq in sorted(sigs):
-            if seq in sleep:
-                continue
-            key = sigs[seq] if renamed is None else renamed[sigs[seq]]
-            if need.get(key, 0) > 0:
-                need[key] -= 1
-                choices.append(seq)
-    result.sleep_pruned += len(sigs) - len(choices)
-    if not choices:
-        # Every continuation here is covered by a sibling's subtree.
-        return None
-    targets = trans.targets
-    target = {seq: targets[sig] for seq, sig in sigs.items()}
-    crashed = node.crashed
-    may_crash = {
-        seq: tgt in cfg.may_crash and tgt not in crashed
-        for seq, tgt in target.items()
-    }
-    return _Frame(node, path, sleep, choices, target, may_crash)
-
-
-def _child_sleep(frame: _Frame, seq: int, por: bool) -> Set[int]:
-    """Sleep set for the child reached by executing ``seq``.
-
-    Sleep-set rule: the child inherits every event from the parent's
-    sleep set plus the already-explored sibling choices, filtered to
-    those *independent* of ``seq``.  Independence here: distinct target
-    processes, neither of which can still crash.
-    """
-    if not por or frame.may_crash[seq]:
-        return set()
-    tgt = frame.target[seq]
-    inherited = itertools.chain(frame.sleep, frame.choices[:frame.idx - 1])
-    return {
-        z for z in inherited
-        if not frame.may_crash[z] and frame.target[z] != tgt
-    }
-
-
-def _run_mp_dfs(
-    trans: _Transitions,
-    path: Tuple[int, ...],
-    sleep: Set[int],
-    cfg: _Config,
-    result: ExplorationResult,
-    store: ExactStore,
-) -> None:
-    """Depth-first exploration from the live kernel's current state.
-
-    The search walks nodes: a child is the memoized effect of its step
-    applied to its parent (see :class:`_Transitions`), and the kernel
-    runs only where the memo has no answer.
-    """
-    root = _process_mp_node(
-        trans, trans.root(), path, sleep, cfg, result, store
-    )
-    if cfg.stop_on_violation and result.violations:
-        result.exhausted = False
-        return
-    if root is None:
-        return
-    stack = [root]
-    while stack:
-        frame = stack[-1]
-        if frame.idx >= len(frame.choices):
-            stack.pop()
-            continue
-        if result.states >= cfg.max_states:
-            result.exhausted = False
-            return
-        seq = frame.choices[frame.idx]
-        frame.idx += 1
-        child = _process_mp_node(
-            trans,
-            trans.step(frame.node, seq),
-            frame.path + (seq,),
-            _child_sleep(frame, seq, cfg.por),
-            cfg, result, store,
-        )
-        if cfg.stop_on_violation and result.violations:
-            result.exhausted = False
-            return
-        if child is not None:
-            stack.append(child)
-
-
-def _mp_children(
-    trans: _Transitions,
-    cfg: _Config,
-    result: ExplorationResult,
-    store: ExactStore,
-    node: Tuple[MPSnapshot, Tuple[int, ...], Tuple[int, ...]],
-) -> List[Tuple]:
-    """Process one MP frontier node; return its children as new roots."""
-    snapshot, path, sleep = node
-    trans.kernel.restore(snapshot)
-    frame = _process_mp_node(
-        trans, trans.root(), path, set(sleep), cfg, result, store
-    )
-    children = []
-    while frame is not None and frame.idx < len(frame.choices):
-        seq = frame.choices[frame.idx]
-        frame.idx += 1
-        child_sleep = tuple(sorted(_child_sleep(frame, seq, cfg.por)))
-        children.append((
-            trans.snapshot(trans.step(frame.node, seq)),
-            path + (seq,),
-            child_sleep,
-        ))
-    return children
-
-
 def _mp_frontier_worker(task: _Subtree) -> ExplorationResult:
     """Explore one MP frontier subtree in a fresh process (or inline)."""
-    trans, cfg, result, store = _setup_mp(task.search)
-    snapshot, path, sleep = task.root
-    trans.kernel.restore(snapshot)
-    _run_mp_dfs(trans, path, set(sleep), cfg, result, store)
-    return _finish(result, store, cfg, trans)
+    return _explore_subtree(_Transitions, task)
 
 
 def explore_mp(
@@ -1249,20 +1285,11 @@ def explore_mp(
         max_states=max_states, verify=verify, visited=visited,
         symmetry=symmetry, stop_on_violation=stop_on_violation, por=por,
     )
-    setup = _setup_mp(search)
-    trans, cfg, result, store = setup
-    if jobs is None:
-        _run_mp_dfs(trans, (), set(), cfg, result, store)
-    else:
-        _explore_frontier(
-            search, setup, (trans.kernel.snapshot(), (), ()), _mp_children,
-            _mp_frontier_worker, jobs,
-        )
-    return _finish(result, store, cfg, trans)
+    return _explore(search, _Transitions, _mp_frontier_worker, jobs)
 
 
 # ---------------------------------------------------------------------------
-# shared-memory exploration
+# shared-memory transitions
 
 
 def _fresh_sm_kernel(
@@ -1313,7 +1340,8 @@ class _SMTransitions:
     current register value onto the log, a write replaces the writer's
     register id, a decide or a halt changes the local state, and a
     crash moves the process into the crashed set.  Read results are
-    memoized per register value id inside the read's memo entry.
+    memoized per register value id inside the read's memo entry.  A
+    node's choices are its runnable pids, descending.
 
     The live kernel is touched only to compute a missing operation (one
     :meth:`SMKernel.step_pid`, with no restore when the kernel already
@@ -1332,13 +1360,14 @@ class _SMTransitions:
         "live", "handler_runs", "restores",
     )
 
-    def __init__(
-        self, kernel: SMKernel, table: _StateTable, bypass: bool
-    ) -> None:
-        self.kernel = kernel
-        self.table = table
+    def __init__(self, search: _Search) -> None:
+        self.kernel = _fresh_sm_kernel(
+            search.factory, search.inputs, search.t, search.crash_adversary,
+        )
+        #: This exploration's hash-consing table (see :class:`_StateTable`).
+        self.table = _StateTable()
         #: Run every step on the kernel (a dynamic adversary).
-        self.bypass = bypass
+        self.bypass = _is_dynamic(search.crash_adversary)
         self.memo: Dict[Tuple[int, int], Tuple] = {}
         #: Chain id -> ``(parent chain id, raw result)``, first seen.
         self.links: Dict[int, Tuple[int, Any]] = {}
@@ -1407,24 +1436,34 @@ class _SMTransitions:
         self.restores += 1
         self.live = None
 
-    def snapshot(self, node: _SMNode, path: Sequence[int]) -> SMSnapshot:
-        """The kernel snapshot of ``node``, reached by choice ``path``."""
+    def choices(self, node: _SMNode) -> Tuple[int, ...]:
+        """The runnable pids, descending."""
+        return node.runnable[::-1]
+
+    def fingerprint(self, node: _SMNode) -> Tuple:
+        return _fingerprint_sm(node)
+
+    def canonical(self, sym: Any, node: _SMNode) -> Tuple[Tuple, Any]:
+        return sym.canonical(node, self.materialize)
+
+    def snapshot(self, node: _SMNode) -> SMSnapshot:
+        """The kernel snapshot a node stands for."""
         processes = []
         for log_id, local in zip(node.logs, node.procs):
             key, decision = self.locals[local]
             processes.append((self._log(log_id), key[0], key[1], decision))
         values = self.values
         return SMSnapshot(
-            choices=tuple(path),
+            tick=node.tick,
             processes=tuple(processes),
             registers=tuple([values[reg] for reg in node.regs]),
             crashed=node.crashed,
         )
 
-    def materialize(self, node: _SMNode, path: Sequence[int]) -> SMKernel:
+    def materialize(self, node: _SMNode) -> SMKernel:
         """The live kernel, restored to ``node`` unless it sits there."""
         if self.live is not node:
-            self.kernel.restore(self.snapshot(node, path))
+            self.kernel.restore(self.snapshot(node))
             self.restores += 1
             self.live = node
         return self.kernel
@@ -1436,21 +1475,19 @@ class _SMTransitions:
 
     # -- steps ------------------------------------------------------------------
 
-    def step(self, node: _SMNode, pid: int, path: Sequence[int]) -> _SMNode:
-        """The node ``pid``'s next step reaches from ``node``.
-
-        ``path`` is ``node``'s choice path, read only to materialize.
-        """
+    def step(self, node: _SMNode, pid: int) -> _SMNode:
+        """The node ``pid``'s next step reaches from ``node``."""
         if self.bypass:
-            return self._run(node, pid, path, None)
+            return self._run(node, pid, None)
         key = (pid, node.procs[pid])
         op = self.memo.get(key)
         if op is None:
-            return self._run(node, pid, path, key)
+            return self._run(node, pid, key)
         kind = op[0]
         regs = node.regs
         decided = node.decided
         undecided = node.undecided
+        tick = node.tick + 1
         if kind == _READ:
             results = op[2]
             reg = regs[op[1]]
@@ -1471,18 +1508,19 @@ class _SMTransitions:
                 return _SMNode(
                     self.table, node.logs, node.lens,
                     _put(node.procs, pid, op[1]), regs, node.crashed,
-                    runnable, decided, undecided,
+                    runnable, decided, undecided, tick,
                 )
             return _SMNode(
                 self.table, node.logs, node.lens, node.procs, regs,
                 node.crashed | {pid}, runnable, decided, undecided - op[1],
+                tick,
             )
         return _SMNode(
             self.table,
             _put(node.logs, pid, log_id),
             _put(node.lens, pid, node.lens[pid] + 1),
             _put(node.procs, pid, local),
-            regs, node.crashed, node.runnable, decided, undecided,
+            regs, node.crashed, node.runnable, decided, undecided, tick,
         )
 
     def _read(self, local: int, reg: int) -> Tuple[int, int]:
@@ -1492,14 +1530,10 @@ class _SMTransitions:
         return link, self._local(key[:3] + (link,), decision)
 
     def _run(
-        self,
-        node: _SMNode,
-        pid: int,
-        path: Sequence[int],
-        key: Optional[Tuple[int, int]],
+        self, node: _SMNode, pid: int, key: Optional[Tuple[int, int]]
     ) -> _SMNode:
         """Step the kernel from ``node``; memoize the operation under ``key``."""
-        kernel = self.materialize(node, path)
+        kernel = self.materialize(node)
         op = kernel.step_pid(pid)
         self.handler_runs += 1
         state = kernel._states[pid]
@@ -1516,6 +1550,7 @@ class _SMTransitions:
             _put(node.regs, pid, self._register(kernel.registers.current(pid))),
             frozenset(kernel._crashed), tuple(kernel._runnable),
             _put(node.decided, pid, state.decided), kernel._undecided,
+            kernel.tick,
         )
         if key is not None:
             self.memo[key] = _operation(op, pid, node, child)
@@ -1540,134 +1575,9 @@ def _operation(op: Optional[Op], pid: int, node: _SMNode, child: _SMNode) -> Tup
     return (_DECIDE, child.logs[pid], child.procs[pid], settled)
 
 
-def _setup_sm(search: _Search) -> _Setup:
-    """``(transitions, config, result, store)`` of one SM search."""
-    kernel, cfg, result, store = _setup(search, _fresh_sm_kernel(
-        search.factory, search.inputs, search.t, search.crash_adversary,
-    ))
-    trans = _SMTransitions(
-        kernel, cfg.table, _is_dynamic(search.crash_adversary)
-    )
-    return trans, cfg, result, store
-
-
-class _SMFrame:
-    """One SM DFS branch point: a node and the pids still to step."""
-
-    __slots__ = ("node", "choices", "idx")
-
-    def __init__(self, node: _SMNode, choices: Tuple[int, ...]) -> None:
-        self.node = node
-        self.choices = choices    # pids to explore, descending
-        self.idx = 0
-
-
-def _process_sm_node(
-    trans: _SMTransitions,
-    node: _SMNode,
-    path: List[int],
-    cfg: _Config,
-    result: ExplorationResult,
-    store: ExactStore,
-) -> Optional[_SMFrame]:
-    """Count/dedup/judge one node; return a frame to expand.
-
-    ``path`` is the node's choice path (the DFS's own list, read and
-    never kept).  Cache hits and leaves have no frame.  The frame steps
-    the runnable pids in descending order.
-    """
-    if cfg.sym is not None:
-        fingerprint, identity = cfg.sym.canonical(
-            node, lambda at: trans.materialize(at, path)
-        )
-        result.stats.canonicalizations += 1
-    else:
-        fingerprint, identity = _fingerprint_sm(node), True
-    if store.probe(fingerprint, NO_SLEEP) is None:
-        if not identity:
-            result.stats.orbit_hits += 1
-        return None
-    result.states += 1
-    runnable = node.runnable
-    if not node.undecided or not runnable:
-        _judge_leaf(
-            trans.materialize(node, path), tuple(path), cfg.judge, result
-        )
-        return None
-    return _SMFrame(node, runnable[::-1])
-
-
-def _run_sm_dfs(
-    trans: _SMTransitions,
-    cfg: _Config,
-    result: ExplorationResult,
-    store: ExactStore,
-) -> None:
-    """Depth-first search from the live SM kernel's current state.
-
-    The search walks nodes: a child is its parent with the memoized
-    operation of the stepping process applied (see
-    :class:`_SMTransitions`), and the kernel runs only where the memo
-    has no answer.  ``path`` holds the choices from the search's root
-    down to the node being processed; a frame at stack depth ``d``
-    stands for its first ``base + d`` entries.
-    """
-    path = list(trans.kernel.choices)
-    base = len(path)
-    if result.states >= cfg.max_states:
-        result.exhausted = False
-        return
-    frame = _process_sm_node(trans, trans.root(), path, cfg, result, store)
-    if cfg.stop_on_violation and result.violations:
-        result.exhausted = False
-        return
-    stack = [] if frame is None else [frame]
-    while stack:
-        frame = stack[-1]
-        if frame.idx >= len(frame.choices):
-            stack.pop()
-            continue
-        if result.states >= cfg.max_states:
-            result.exhausted = False
-            return
-        pid = frame.choices[frame.idx]
-        frame.idx += 1
-        del path[base + len(stack) - 1:]
-        child = trans.step(frame.node, pid, path)
-        path.append(pid)
-        frame = _process_sm_node(trans, child, path, cfg, result, store)
-        if cfg.stop_on_violation and result.violations:
-            result.exhausted = False
-            return
-        if frame is not None:
-            stack.append(frame)
-
-
-def _sm_children(
-    trans: _SMTransitions,
-    cfg: _Config,
-    result: ExplorationResult,
-    store: ExactStore,
-    root: SMSnapshot,
-) -> List[SMSnapshot]:
-    """Process one SM frontier node; return its children's snapshots."""
-    trans.load(root)
-    path = list(root.choices)
-    frame = _process_sm_node(trans, trans.root(), path, cfg, result, store)
-    if frame is None:
-        return []
-    return [
-        trans.snapshot(trans.step(frame.node, pid, path), path + [pid])
-        for pid in reversed(frame.choices)
-    ]
-
-
 def _sm_frontier_worker(task: _Subtree) -> ExplorationResult:
     """Explore one SM frontier subtree in a fresh process (or inline)."""
-    trans, cfg, result, store = _setup_sm(task.search)
-    trans.load(task.root)
-    _run_sm_dfs(trans, cfg, result, store)
-    return _finish(result, store, cfg, trans)
+    return _explore_subtree(_SMTransitions, task)
 
 
 def explore_sm(
@@ -1686,21 +1596,23 @@ def explore_sm(
 ) -> ExplorationResult:
     """Explore every process interleaving of a shared-memory instance.
 
-    The depth-first search walks hash-consed nodes (:class:`_SMNode`):
-    a program's generator is a pure function of its context and of its
-    logged operation results, so a process's next operation is memoized
-    per ``(pid, local-state id)`` and applied to the node's ids, and
-    the one live kernel runs a generator only when the memo has no
-    answer (see :class:`_SMTransitions`).  Generator frames cannot be
-    copied, so materializing the kernel at a node restores the results
-    logs (:meth:`SMKernel.restore`), which re-feeds generators only for
-    the processes whose log changed.  States are deduplicated via
+    The same search as :func:`explore_mp` without partial-order
+    reduction, over the shared-memory transition relation: it walks
+    hash-consed nodes (:class:`_SMNode`), and since a program's
+    generator is a pure function of its context and of its logged
+    operation results, a process's next operation is memoized per
+    ``(pid, local-state id)`` and applied to the node's ids, so the one
+    live kernel runs a generator only when the memo has no answer (see
+    :class:`_SMTransitions`).  Generator frames cannot be copied, so
+    materializing the kernel at a node restores the results logs
+    (:meth:`SMKernel.restore`), which re-feeds generators only for the
+    processes whose log changed.  States are deduplicated via
     :func:`_fingerprint_sm`.  No POR applies: distinct processes'
     register operations do not commute.  Nothing bounds a run's length
     but ``max_states``: a program that spins keeps the search on one
     ever-deeper path.
 
-    ``jobs`` distributes the frontier of snapshots across worker
+    ``jobs`` distributes the frontier's subtree roots across worker
     processes, merged deterministically (``programs_factory`` must then
     be picklable, e.g. a :class:`SpecFactory`).  ``visited``,
     ``symmetry`` and ``stop_on_violation`` match :func:`explore_mp`.
@@ -1711,16 +1623,7 @@ def explore_sm(
         max_states=max_states, verify=verify, visited=visited,
         symmetry=symmetry, stop_on_violation=stop_on_violation,
     )
-    setup = _setup_sm(search)
-    trans, cfg, result, store = setup
-    if jobs is None:
-        _run_sm_dfs(trans, cfg, result, store)
-    else:
-        _explore_frontier(
-            search, setup, trans.kernel.snapshot(), _sm_children,
-            _sm_frontier_worker, jobs,
-        )
-    return _finish(result, store, cfg, trans)
+    return _explore(search, _SMTransitions, _sm_frontier_worker, jobs)
 
 
 # ---------------------------------------------------------------------------

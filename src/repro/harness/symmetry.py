@@ -722,8 +722,10 @@ class SMSymmetryContext:
     def group_size(self) -> int:
         return len(self._perms)
 
-    def canonical(self, node, kernel_at: Callable) -> Tuple[Tuple, bool]:
-        """Canonical fingerprint; returns ``(fingerprint, is_identity)``.
+    def canonical(
+        self, node, kernel_at: Callable
+    ) -> Tuple[Tuple, Optional[Mapping[int, int]]]:
+        """Canonical fingerprint of one explored state.
 
         ``node`` is the state as hash-consed ids, and ``kernel_at(node)``
         returns a kernel sitting at that state, which is asked for only
@@ -731,8 +733,13 @@ class SMSymmetryContext:
         minimum, over the permutations that pass the per-state scan
         filter, of the renamed id fingerprint ``(process ids, register
         ids, sorted crashed)``: position ``perm[pid]`` takes process
-        ``pid``'s renamed local state and register.  ``is_identity``
-        says whether the representative is the unrenamed state itself.
+        ``pid``'s renamed local state and register.
+
+        Returns ``(fingerprint, renamed)``, as
+        :meth:`MPSymmetryContext.canonical` does.  ``renamed`` maps
+        every local-state id of the node to its image under the
+        canonicalizing permutation, and is ``None`` when the canonical
+        representative is the unrenamed state itself.
         """
         procs = node.procs
         regs = node.regs
@@ -768,7 +775,9 @@ class SMSymmetryContext:
             if fingerprint < best:
                 best = fingerprint
                 best_index = index
-        return best, best_index == 0
+        if best_index == 0:
+            return best, None
+        return best, self._renamed[best_index]
 
     # -- scans and renaming ---------------------------------------------------
 

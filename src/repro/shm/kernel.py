@@ -76,16 +76,16 @@ class SMSnapshot:
 
     Generator frames cannot be copied, so a snapshot records what a
     generator's state is a function of instead: each process's results
-    log.  Alongside the logs it holds the choice prefix that produced
-    the state, each process's ``finished``/``decided``/``decision``
-    flags, the register values and the crashed set.  Logs, register
-    values and decisions are shared with the live kernel, not copied
-    (programs treat the values they read and write as immutable).
-    Snapshots are picklable, which is what lets the parallel frontier
-    search ship subtree roots to worker processes.
+    log.  Alongside the logs it holds the tick, each process's
+    ``finished``/``decided``/``decision`` flags, the register values
+    and the crashed set -- the state, not the choices that produced it.
+    Logs, register values and decisions are shared with the live
+    kernel, not copied (programs treat the values they read and write
+    as immutable).  Snapshots are picklable, which is what lets the
+    parallel frontier search ship subtree roots to worker processes.
     """
 
-    choices: Tuple[int, ...]
+    tick: int
     #: Per process: ``(results_log, finished, decided, decision)``.
     processes: Tuple[Tuple[Tuple[Any, ...], bool, bool, Any], ...]
     registers: Tuple[Any, ...]
@@ -143,7 +143,6 @@ class SMKernel(KernelBase):
             _ProcessState() for _ in range(self.n)
         ]
         self._runnable: List[int] = list(range(self.n))
-        self._choices: List[int] = []
         #: Logged results fed back into generators rebuilt after a
         #: :meth:`restore` (each rebuild re-feeds its process's whole log).
         self.refed_results = 0
@@ -165,11 +164,6 @@ class SMKernel(KernelBase):
     def runnable_pids(self) -> List[int]:
         """The runnable pids, ascending, as a fresh list the caller may keep."""
         return self._runnable.copy()
-
-    @property
-    def choices(self) -> Tuple[int, ...]:
-        """The scheduling choices executed so far, in order."""
-        return tuple(self._choices)
 
     def _quiescent(self) -> bool:
         return not self._runnable
@@ -204,7 +198,6 @@ class SMKernel(KernelBase):
     def _step(self, pid: int) -> Optional[Op]:
         """One step of ``pid``: the operation it executed, or ``None``
         when it crashed before the step or halted instead."""
-        self._choices.append(pid)
         state = self._states[pid]
         if not self._may_step(pid, state.ops_taken):
             return None
@@ -258,7 +251,7 @@ class SMKernel(KernelBase):
     def snapshot(self) -> SMSnapshot:
         """Capture the execution state as plain data (see :class:`SMSnapshot`)."""
         return SMSnapshot(
-            choices=tuple(self._choices),
+            tick=self.tick,
             processes=tuple([
                 (tuple(st.results_log), st.finished, st.decided, st.decision)
                 for st in self._states
@@ -270,20 +263,20 @@ class SMKernel(KernelBase):
     def restore(self, snapshot: SMSnapshot) -> None:
         """Reset the kernel to a previously captured snapshot.
 
-        Executes no operation.  A process whose live results log or
-        ``finished`` flag differs from the snapshot's takes the
-        snapshot's data and drops its generator; the next :meth:`_step`
-        of that process rebuilds the generator by re-feeding the logged
-        results, which is sound because a program's generator is a pure
-        function of its context and of the results fed to it.  Every
-        other process keeps its live generator.  A snapshot may be
-        restored any number of times, into this kernel or a fresh one.
-        Like :meth:`MPKernel.restore`, this leaves the trace and the
-        register histories alone.  The runnable list and the count of
-        undecided correct processes are rebuilt in the same pass.
+        Executes no operation and takes the snapshot's tick.  A process
+        whose live results log or ``finished`` flag differs from the
+        snapshot's takes the snapshot's data and drops its generator;
+        the next :meth:`_step` of that process rebuilds the generator by
+        re-feeding the logged results, which is sound because a
+        program's generator is a pure function of its context and of
+        the results fed to it.  Every other process keeps its live
+        generator.  A snapshot may be restored any number of times, into
+        this kernel or a fresh one.  Like :meth:`MPKernel.restore`, this
+        leaves the trace and the register histories alone.  The runnable
+        list and the count of undecided correct processes are rebuilt in
+        the same pass.
         """
-        self.tick = len(snapshot.choices)
-        self._choices = list(snapshot.choices)
+        self.tick = snapshot.tick
         crashed = self._crashed = set(snapshot.crashed)
         byzantine = self._byzantine
         self.registers.load(snapshot.registers)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.failures.adversary import CrashAdversary
 from repro.failures.crash import (
     CrashAfterDecide,
     CrashPlan,
@@ -101,3 +102,15 @@ class TestCombine:
         assert combined.crashes_before_step(0, 1)
         assert not combined.crashes_before_step(1, 1)
         assert set(combined.dynamic_crashes(FakeView({2}))) == {1}
+
+    def test_union_is_dynamic_only_with_a_dynamic_part(self):
+        """Explorers treat an adversary that overrides ``dynamic_crashes``
+        as reacting to global state, so a union of static plans must
+        not override it."""
+        static = combine(CrashPlan({0: CrashPoint(after_steps=1)}), CrashPlan({}))
+        dynamic = combine(static, CrashWhenOthersDecide(victims=[1], watch=[2]))
+        base = CrashAdversary.dynamic_crashes
+        assert type(static).dynamic_crashes is base
+        assert type(dynamic).dynamic_crashes is not base
+        assert dynamic.potentially_faulty() == {0, 1}
+        assert set(dynamic.dynamic_crashes(FakeView({2}))) == {1}

@@ -148,6 +148,24 @@ class TestExplorerMechanics:
         assert result.exhausted == (max_states is None)
         assert result.cache_misses == result.states + result.reexpansions
 
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "jobs2"])
+    @pytest.mark.parametrize("kernel", ["mp", "sm"])
+    def test_zero_budget_expands_nothing(self, kernel, jobs):
+        """The budget is checked before the root, on both kernels and
+        whether the search runs serially or on the frontier."""
+        if kernel == "mp":
+            result = explore_mp(
+                SpecFactory("protocol-a@mp-cr", 3, 2, 1), ["v", "v", "w"],
+                k=2, t=1, validity=RV2, jobs=jobs, max_states=0,
+            )
+        else:
+            result = explore_sm(
+                SpecFactory("protocol-e@sm-cr", 3, 2, 0), ["a", "a", "b"],
+                k=2, t=0, validity=RV2, jobs=jobs, max_states=0,
+            )
+        assert (result.states, result.exhausted) == (0, False)
+        assert (result.runs, result.cache_misses) == (0, 0)
+
 
 class TestCrashPatterns:
     def test_includes_failure_free(self):

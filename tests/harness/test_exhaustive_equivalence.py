@@ -13,9 +13,13 @@ per worker count and may only ever report violations the full search
 finds.
 """
 
+import pytest
+
 from repro.core.problem import SCProblem
 from repro.core.validity import RV2, SV2
-from repro.failures.crash import CrashPlan, CrashPoint, CrashWhenOthersDecide
+from repro.failures.crash import (
+    CrashPlan, CrashPoint, CrashWhenOthersDecide, combine,
+)
 from repro.harness.exhaustive import (
     ExplorationResult,
     SpecFactory,
@@ -118,6 +122,28 @@ def test_dynamic_adversary_bypasses_sm_operation_memo():
     assert result.exhausted and result.runs
     probes = result.cache_hits + result.cache_misses
     assert result.handler_runs == probes - 1
+
+
+@pytest.mark.parametrize("kernel", ["mp", "sm"])
+def test_union_of_static_plans_explores_like_their_merge(kernel):
+    """A union of static crash plans is static: the search keeps POR
+    and its memo, and gives exactly the result of the one plan the
+    union amounts to, kernel-work counters included."""
+    plan = CrashPlan({2: CrashPoint(after_sends=1)})
+    if kernel == "mp":
+        explore, name = explore_mp, "protocol-a@mp-cr"
+    else:
+        explore, name = explore_sm, "protocol-e@sm-cr"
+
+    def run(adversary):
+        return explore(
+            SpecFactory(name, n=3, k=2, t=1), ["v", "v", "w"], k=2, t=1,
+            validity=RV2, crash_adversary=adversary,
+        )
+
+    merged = run(plan)
+    assert merged.exhausted and merged.handler_runs
+    assert run(combine(plan, CrashPlan({}))) == merged
 
 
 def _fresh_replay_dfs(factory, inputs, k, t, validity, plan=None):

@@ -3,14 +3,14 @@
 The shared-memory explorer walks hash-consed nodes instead of a live
 kernel: a node holds each process's results-log chain id, log length
 and local-state id, the register ids, the crashed set, the runnable
-pids, the decided flags and the undecided count.  A child is its parent
-with the stepping process's next operation applied, looked up in a memo
-keyed ``(pid, local-state id)``.  A key that leaves out something the
+pids, the decided flags, the undecided count and the tick.  A child is
+its parent with the stepping process's next operation applied, looked
+up in a memo keyed ``(pid, local-state id)``.  A key that leaves out something the
 operation depends on, or an operation applied wrongly, would make a
 node disagree with the state its path reaches -- and distinct states
 share a fingerprint and silently cut unexplored branches.  Nothing in
 the explorer checks this at run time, so the first group of tests wraps
-``_process_sm_node``, which sees every node with its path, and replays
+``_process_node``, which sees every node with its path, and replays
 that path on a fresh kernel that never saw the memo: one kernel is
 stepped along while the search descends and rebuilt from scratch after
 each backtrack.
@@ -74,6 +74,7 @@ def _assert_replays(node, kernel):
     assert node.crashed == fresh.crashed, "wrong crashed set"
     assert node.runnable == tuple(kernel.runnable_pids()), "wrong runnable pids"
     assert node.decided == fresh.decided, "wrong decided flags"
+    assert node.tick == fresh.tick, "wrong tick"
     assert node.undecided == fresh.undecided
     assert (not node.undecided) == kernel.all_correct_decided()
 
@@ -87,7 +88,7 @@ def checked(monkeypatch):
     """
     calls = {"nodes": 0}
     replay = {"kernel": None, "path": []}
-    process = exhaustive._process_sm_node
+    process = exhaustive._process_node
 
     def replayed(path):
         """A kernel that took ``path`` by ``step_pid`` alone."""
@@ -102,9 +103,10 @@ def checked(monkeypatch):
         replay["path"] = list(path)
         return kernel
 
-    def checked_process(trans, node, path, cfg, result, store):
+    def checked_process(trans, node, path, sleep, cfg, result, store):
         kernel = replayed(path)
         _assert_replays(node, kernel)
+        assert not sleep, "a shared-memory node with a sleep set"
         if cfg.sym is not None:
             # Raw and renamed ids share one table, so renaming by the
             # identity must give back the raw ids -- including the write
@@ -121,9 +123,9 @@ def checked(monkeypatch):
                 local = exhaustive._sm_local(state, log_id)
                 assert table.intern(local) == node.procs[pid]
         calls["nodes"] += 1
-        return process(trans, node, path, cfg, result, store)
+        return process(trans, node, path, sleep, cfg, result, store)
 
-    monkeypatch.setattr(exhaustive, "_process_sm_node", checked_process)
+    monkeypatch.setattr(exhaustive, "_process_node", checked_process)
     return calls
 
 
@@ -254,19 +256,16 @@ def test_canonical_keys_partition_like_reference(
     )
     assert ctx is not None, reason
     keys = {}
-    process = exhaustive._process_sm_node
+    process = exhaustive._process_node
 
-    def keyed_process(trans, node, path, cfg, result, store):
-        def kernel_at(at):
-            return trans.materialize(at, path)
-
+    def keyed_process(trans, node, path, sleep, cfg, result, store):
         keys[exhaustive._fingerprint_sm(node)] = (
-            ctx.canonical(node, kernel_at)[0],
-            _reference_key(ctx, kernel_at(node)),
+            ctx.canonical(node, trans.materialize)[0],
+            _reference_key(ctx, trans.materialize(node)),
         )
-        return process(trans, node, path, cfg, result, store)
+        return process(trans, node, path, sleep, cfg, result, store)
 
-    monkeypatch.setattr(exhaustive, "_process_sm_node", keyed_process)
+    monkeypatch.setattr(exhaustive, "_process_node", keyed_process)
     result = exhaustive.explore_sm(
         factory, inputs, k, t, by_code("SV2"), crash_adversary=plan,
     )

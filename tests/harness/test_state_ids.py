@@ -9,9 +9,9 @@ A memo key that leaves out something a step depends on, or an effect
 that records too little, would make a node disagree with the state its
 path reaches -- and distinct states share a fingerprint and silently
 cut unexplored branches.  Nothing in the explorer checks this at run
-time, so these tests wrap ``_process_mp_node``, which sees every node
-with its path, and replay that path at every call on a fresh kernel
-that never saw the memo.
+time, so these tests wrap ``_process_node``, which sees every node with
+its path, and replay that path at every call on a fresh kernel that
+never saw the memo.
 
 Each case explores one n=3 instance, failure-free and under two crash
 plans of the odd-input process, with symmetry off and on, capped so the
@@ -119,7 +119,7 @@ def checked(monkeypatch):
     explores.
     """
     calls = {"nodes": 0}
-    process = exhaustive._process_mp_node
+    process = exhaustive._process_node
 
     def checked_process(trans, node, path, sleep, cfg, result, store):
         factory, plan = calls["search"]
@@ -139,7 +139,7 @@ def checked(monkeypatch):
         calls["nodes"] += 1
         return process(trans, node, path, sleep, cfg, result, store)
 
-    monkeypatch.setattr(exhaustive, "_process_mp_node", checked_process)
+    monkeypatch.setattr(exhaustive, "_process_node", checked_process)
     return calls
 
 
@@ -231,17 +231,17 @@ def test_canonical_keys_partition_like_whole_group(
     ctx, reason = mp_symmetry_context(kernel._processes, inputs, t, plan)
     assert ctx is not None, reason
     pairs = set()
-    process = exhaustive._process_mp_node
+    process = exhaustive._process_node
 
     def keyed_process(trans, node, path, sleep, cfg, result, store):
-        include_counters = cfg.include_counters
+        include_counters = trans.include_counters
         pairs.add((
             ctx.canonical(node, include_counters, trans.materialize)[0],
             _whole_group_key(ctx, node, include_counters, trans.materialize),
         ))
         return process(trans, node, path, sleep, cfg, result, store)
 
-    monkeypatch.setattr(exhaustive, "_process_mp_node", keyed_process)
+    monkeypatch.setattr(exhaustive, "_process_node", keyed_process)
     result = exhaustive.explore_mp(
         factory, inputs, k, t, validity,
         crash_adversary=plan, max_states=MAX_STATES, por=False,

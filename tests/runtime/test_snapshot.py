@@ -306,12 +306,16 @@ class TestMPCopyOnWrite:
 
 
 def _sm_walk(kernel, pick, steps):
-    """Step ``pick(runnable pids)`` up to ``steps`` times."""
+    """Step ``pick(runnable pids)`` up to ``steps`` times; return the
+    pids stepped."""
+    stepped = []
     for _ in range(steps):
         runnable = kernel.runnable_pids()
         if not runnable:
             break
-        kernel.step_pid(pick(runnable))
+        stepped.append(pick(runnable))
+        kernel.step_pid(stepped[-1])
+    return tuple(stepped)
 
 
 def _sm_fork(spec_name, choices):
@@ -347,7 +351,7 @@ def _sm_lockstep(kernel, fork, table):
         kernel.step_pid(pid)
         fork.step_pid(pid)
         assert _sm_view(kernel, table) == _sm_view(fork, table)
-    assert kernel.choices == fork.choices
+    assert kernel.tick == fork.tick
 
 
 class TestSMSnapshotRoundTrip:
@@ -362,9 +366,9 @@ class TestSMSnapshotRoundTrip:
         """Restore after the live kernel ran a different branch."""
         kernel = _sm_kernel(spec_name)
         kernel._apply_dynamic_crashes()
-        _sm_walk(kernel, min, 4)
+        choices = _sm_walk(kernel, min, 4)
         snap = kernel.snapshot()
-        fork = _sm_fork(spec_name, snap.choices)
+        fork = _sm_fork(spec_name, choices)
 
         _sm_walk(kernel, max, 5)  # diverge, then rewind
         kernel.restore(snap)
@@ -376,11 +380,11 @@ class TestSMSnapshotRoundTrip:
         another that never ran."""
         kernel = _sm_kernel(spec_name)
         kernel._apply_dynamic_crashes()
-        _sm_walk(kernel, max, 5)
+        choices = _sm_walk(kernel, max, 5)
         snap = pickle.loads(pickle.dumps(kernel.snapshot()))
         fresh = _sm_kernel(spec_name)
         fresh.restore(snap)
-        _sm_lockstep(fresh, _sm_fork(spec_name, snap.choices), _StateTable())
+        _sm_lockstep(fresh, _sm_fork(spec_name, choices), _StateTable())
 
     @pytest.mark.parametrize("spec_name", SM_SPECS)
     def test_restore_twice(self, spec_name):
@@ -388,7 +392,7 @@ class TestSMSnapshotRoundTrip:
         view of the live kernel."""
         kernel = _sm_kernel(spec_name)
         kernel._apply_dynamic_crashes()
-        _sm_walk(kernel, min, 3)
+        choices = _sm_walk(kernel, min, 3)
         snap = kernel.snapshot()
         table = _StateTable()
         before = _sm_fp(kernel, table)
@@ -397,7 +401,7 @@ class TestSMSnapshotRoundTrip:
         kernel.restore(snap)
         assert _sm_fp(kernel, table) == before
         assert kernel.snapshot() == snap
-        _sm_lockstep(kernel, _sm_fork(spec_name, snap.choices), table)
+        _sm_lockstep(kernel, _sm_fork(spec_name, choices), table)
 
     def test_restore_refeeds_only_changed_logs(self):
         """Only a process whose log differs from the snapshot's -- here
@@ -434,17 +438,20 @@ class TestSMSnapshotRoundTrip:
         assert kernel.refed_results == 3
         kernel.step_pid(1)
         assert kernel.refed_results == 5
-        _sm_lockstep(kernel, kernel_after(kernel.choices), _StateTable())
+        _sm_lockstep(
+            kernel, kernel_after((2, 0, 0, 0, 1, 1, 2, 0, 1)), _StateTable()
+        )
 
-    def test_snapshot_is_choice_prefix(self):
-        """SM snapshots record the schedule and the results logs, not
-        copied generator frames; they are plain, picklable data."""
+    def test_snapshot_holds_tick_and_logs(self):
+        """SM snapshots record the tick and the results logs, not the
+        schedule or copied generator frames; they are plain, picklable
+        data."""
         kernel = _sm_kernel("trivial@sm-cr")
         kernel._apply_dynamic_crashes()
         kernel.step_pid(0)
         kernel.step_pid(1)
         snap = kernel.snapshot()
-        assert snap.choices == (0, 1)
+        assert snap.tick == 2
         assert [log for log, *_ in snap.processes] == [(None,), (None,), ()]
         assert pickle.loads(pickle.dumps(snap)) == snap
 
