@@ -8,7 +8,7 @@ axes the harness optimizes:
   only, the sweep fast path);
 * **execution** -- serial against ``--jobs``-parallel worker processes;
 * **engine** -- the scalar discrete-event kernel against the
-  vectorized ``repro.batch`` engine (``--engine batch``), at the
+  vectorized ``repro.batch`` engine (``--engine auto``), at the
   sweep's own batch size and again at a 32x bulk batch where the
   vectorization has room to amortize.
 
@@ -143,7 +143,7 @@ def _measure_batch(n: int, k: int, t: int, runs: int) -> Dict:
         trace_mode=TraceMode.COUNTERS,
     )
     started = time.perf_counter()
-    stats = sweep_spec(spec, n, k, t, config, engine="batch")
+    stats = sweep_spec(spec, n, k, t, config, engine="auto")
     elapsed = time.perf_counter() - started
     assert stats.engine == "batch", (
         f"batch engine fell back to scalar at n={n}: {stats.execution}"

@@ -111,25 +111,18 @@ VERIFY = arg("--verify", action="store_true",
              help="also judge executions with the repro.verify oracle stack")
 ENGINE = arg("--engine", choices=ENGINES, default="scalar",
              help="execution engine: scalar discrete-event kernel (default) "
-                  "or vectorized numpy batch engine; batch/auto fall back "
-                  "to scalar for specs the batch engine does not model")
+                  "or auto, the vectorized numpy batch engine, which falls "
+                  "back to scalar for specs the batch engine does not model")
 JOBS = arg("--jobs", type=count, default=1,
            help="worker processes (1 = serial, 0 = all cores); "
                 "results are identical for any value")
 
 
-def search_args(max_states: int) -> Tuple[Declaration, ...]:
-    """The explorer flags ``exhaustive`` and ``certify`` share."""
-    return (
-        arg("--max-states", type=count, default=max_states,
-            help="state budget per exploration; a search that hits it is "
-                 "not exhaustive (certify marks the point INCONCLUSIVE)"),
-        arg("--visited", choices=["exact", "compact"], default="exact",
-            help="visited-state store: exact dict or 64-bit "
-                 "hash-compacted digests"),
-        arg("--stop-on-violation", action="store_true",
-            help="abandon each exploration at its first violation"),
-    )
+def max_states(default: int) -> Declaration:
+    """The state budget ``exhaustive`` and ``certify`` share."""
+    return arg("--max-states", type=count, default=default,
+               help="state budget per exploration; a search that hits it is "
+                    "not exhaustive (certify marks the point INCONCLUSIVE)")
 
 
 @command("classify", "classify one SC(k, t, C) instance", *INSTANCE, *K_T)
@@ -417,7 +410,12 @@ def _cmd_trace(args) -> int:
 @command(
     "exhaustive", "verify a protocol over ALL schedules (tiny n)",
     arg("spec"), arg("--n", type=int, default=3), *K_T, INPUTS,
-    *search_args(max_states=200_000),
+    max_states(200_000),
+    arg("--visited", choices=["exact", "compact"], default="exact",
+        help="visited-state store: exact dict or 64-bit "
+             "hash-compacted digests"),
+    arg("--stop-on-violation", action="store_true",
+        help="abandon the search at its first violation"),
     arg("--jobs", type=count, default=None,
         help="split the root fan-out over N worker processes "
              "(results are identical for every N)"),
@@ -509,16 +507,17 @@ def _cmd_exhaustive(args) -> int:
         help="restrict the k grid (default 1..n)"),
     arg("--ts", type=int, nargs="*", default=None,
         help="restrict the t grid (default 0..n-1)"),
-    *search_args(max_states=500_000),
+    max_states(500_000),
     arg("--no-symmetry", action="store_true",
         help="disable symmetry reduction (on by default here)"),
-    arg("--max-sends", type=int, default=1,
+    arg("--max-sends", type=count, default=1,
         help="partial-broadcast crash depth for MP crash plans"),
     JOBS,
     arg("--out", default=None,
         help="write the repro-certification/1 JSON report here"),
     arg("--witness-dir", default=None,
-        help="save counterexample witness files here"),
+        help="save the witness file of every reported violation here "
+             "(a counterexample or a refutation)"),
     arg("--check-baseline", default=None,
         help="compare state counts against a committed baseline "
              "(fail if symmetry reduction regressed)"),
@@ -531,7 +530,7 @@ def _cmd_certify(args) -> int:
     import json
     import pathlib
 
-    from repro.verify.certify import UnknownSpecs, certify_claims
+    from repro.verify.certify import InvalidGrid, certify_claims
 
     progress = None if args.quiet else (lambda line: print(f"  {line}"))
     try:
@@ -540,16 +539,14 @@ def _cmd_certify(args) -> int:
             specs=args.specs,
             ks=args.ks,
             ts=args.ts,
-            visited=args.visited,
             symmetry=not args.no_symmetry,
             max_states=args.max_states,
             jobs=args.jobs,
             max_sends=args.max_sends,
             witness_dir=args.witness_dir,
             progress=progress,
-            stop_on_violation=args.stop_on_violation,
         )
-    except UnknownSpecs as reason:
+    except InvalidGrid as reason:
         print(f"certify: {reason}", file=sys.stderr)
         return 2
     counts = report.verdict_counts()
@@ -594,7 +591,7 @@ def _cmd_certify(args) -> int:
 
 
 #: The run configuration a certify baseline records next to its points.
-_BASELINE_CONFIG = ("n", "visited", "symmetry")
+_BASELINE_CONFIG = ("n", "symmetry")
 
 
 def _certify_baseline(report) -> dict:

@@ -55,8 +55,8 @@ class Campaign:
     seed: int = 0
     spec_names: Optional[Tuple[str, ...]] = None  # default: all registered
     models: Optional[Tuple[Model, ...]] = None
-    #: execution engine per point: "scalar", "batch", or "auto" (batch
-    #: where supported, scalar fallback) -- see :func:`sweep_spec`.
+    #: execution engine per point: "scalar" or "auto" (batch where
+    #: supported, scalar fallback) -- see :func:`sweep_spec`.
     engine: str = "scalar"
 
     def __post_init__(self) -> None:

@@ -1670,8 +1670,10 @@ def crash_patterns(
     process after ``0 .. max_sends`` sends (partial broadcasts), and --
     when ``include_step_crashes`` -- crash-before-step variants.  Combine
     with :func:`explore_mp` to quantify over failures as well as
-    schedules.
+    schedules.  A negative ``max_sends`` raises ``ValueError``.
     """
+    if max_sends < 0:
+        raise ValueError(f"max_sends must be >= 0, got {max_sends}")
     plans: List[Optional[CrashPlan]] = [None]
     if t < 1:
         return plans

@@ -47,7 +47,7 @@ from repro.shm.schedulers import RandomProcessScheduler
 __all__ = ["ENGINES", "SweepConfig", "SweepStats", "Violation", "sweep_spec"]
 
 #: The execution engines :func:`sweep_spec` accepts.
-ENGINES = ("scalar", "batch", "auto")
+ENGINES = ("scalar", "auto")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +93,7 @@ class SweepStats:
     engine: str = "scalar"
     #: how the runs were executed (serial/parallel/vectorized + why)
     execution: str = ""
-    #: machine-readable code for why a batch/auto request fell back to
+    #: machine-readable code for why an ``auto`` request fell back to
     #: the scalar engine (one of
     #: :data:`repro.batch.FALLBACK_REASON_CODES`); empty when no
     #: fallback happened.
@@ -262,10 +262,10 @@ def sweep_spec(
     :attr:`SweepStats.clean`).
 
     ``engine`` selects the execution engine: ``"scalar"`` (default) runs
-    the discrete-event kernel per run; ``"batch"`` and ``"auto"`` use
-    the vectorized :mod:`repro.batch` engine where it models the sweep
+    the discrete-event kernel per run; ``"auto"`` uses the vectorized
+    :mod:`repro.batch` engine where it models the sweep
     (message-passing crash model, threshold-structured protocols,
-    counters-only tracing) and fall back to scalar otherwise, recording
+    counters-only tracing) and falls back to scalar otherwise, recording
     the fallback reason in :attr:`SweepStats.execution`.  The batch
     engine samples its own (equally distributed) adversary, so batch
     and scalar sweeps agree in aggregate but not run-by-run;
@@ -282,7 +282,7 @@ def sweep_spec(
         raise ValueError(f"unknown engine {engine!r}")
     fallback_note = ""
     fallback_code = ""
-    if engine != "scalar":
+    if engine == "auto":
         # Function-level import: repro.batch needs numpy and imports
         # this module back for SweepStats.
         from repro.batch import batch_sweep, sweep_unsupported_reason

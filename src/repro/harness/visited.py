@@ -18,8 +18,9 @@ that semantics:
   fingerprints.  A digest collision could cut an unexplored branch, but
   with 64-bit digests the expected collision count is
   ``~states^2 / 2^65`` -- negligible at any reachable state count.
-  Certification still treats it as lossy: a compact run that finds no
-  counterexample is re-run on the exact store.
+  It is still lossy, so certification never uses it: every certify
+  search runs on the exact store, and ``repro exhaustive --visited
+  compact`` is the one way to select this one.
 
 Digests are deterministic BLAKE2b over the ``repr`` of the fingerprint
 (never Python's per-process-randomized ``hash``).  Message-passing

@@ -10,10 +10,7 @@ checked artifact: for one ``n`` it sweeps every claim over the full
   every enumerated crash plan; the point is ``CONFIRMED_SOLVABLE`` only
   when every exploration is exhaustive and violation-free;
 * **outside** the region, where the solvability classifier says the
-  point is ``IMPOSSIBLE``, hunts for a counterexample run; the first
-  violating schedule is replayed on a fresh kernel through the full
-  :mod:`repro.verify` oracle stack (:func:`confirm_exploration`) and
-  optionally saved as a replayable witness file
+  point is ``IMPOSSIBLE``, hunts for a counterexample run
   (``COUNTEREXAMPLE_CONFIRMED``);
 * outside the region where the protocol's factory refuses to build at
   all, records ``REGION_GUARDED`` -- the implementation enforces its own
@@ -21,18 +18,19 @@ checked artifact: for one ``n`` it sweeps every claim over the full
 * outside the region where the classifier says ``POSSIBLE`` or ``OPEN``
   the point is ``SKIPPED``: the claim says nothing there.
 
+Both explored cases run one loop.  Every search stops at its first
+violation on the exact visited store, since a verdict rests on one run
+or on none.  That violation is replayed on a fresh kernel through the
+full :mod:`repro.verify` oracle stack (:func:`confirm_exploration`) and
+optionally saved as a replayable witness file, whether it refutes an
+inside point (``REFUTED``) or confirms an outside one; a violation that
+does not replay raises.
+
 The factory is asked once per point, before any exploration, and only
 its refusal (a ``ValueError``) is read as a guard.  Any exception an
 exploration raises -- a ``MemoryError`` under an address-space cap, say
 -- makes the point ``ABORTED``, a failing verdict whose note names the
 exception and the instance; the other points still settle.
-
-The compact visited store may *miss* violations (a digest collision can
-cut an unexplored branch), so a compact "no counterexample found" is
-never trusted: the point is re-run on the exact store before any
-verdict is downgraded to ``COUNTEREXAMPLE_MISSING`` (the re-run is
-flagged ``escalated``).  A collision can cost re-verification work,
-never a wrong verdict.
 
 Grid points are independent ``SC(k, t, C)`` instances, so ``jobs``
 fans whole points out over long-lived worker processes
@@ -71,18 +69,14 @@ from repro.harness.exhaustive import (
 )
 from repro.harness.parallel import DIED, fan_out
 from repro.paper import CLAIMED_REGIONS, ClaimedRegion, claimed_region_by_spec
-from repro.verify.witness import (
-    confirm_exploration,
-    exploration_witnesses,
-    save_witness,
-)
+from repro.verify.witness import confirm_exploration, save_witness
 
 __all__ = [
     "CertificationReport",
     "ClaimResult",
+    "InvalidGrid",
     "PointResult",
     "REPORT_FORMAT",
-    "UnknownSpecs",
     "certify_claims",
 ]
 
@@ -103,8 +97,9 @@ VERDICTS = (
 _FAILING = frozenset({"REFUTED", "COUNTEREXAMPLE_MISSING", "ABORTED"})
 
 
-class UnknownSpecs(ValueError):
-    """A ``specs`` filter names a spec with no claim, or selects none."""
+class InvalidGrid(ValueError):
+    """A ``specs`` filter names a spec with no claim or selects none, or
+    a ``ks``/``ts`` filter names a k outside ``1..n`` or a negative t."""
 
 
 @dataclasses.dataclass
@@ -118,7 +113,8 @@ class PointResult:
     verdict: str
     states: int = 0
     explorations: int = 0
-    #: Lossy store found nothing and the point was re-run exactly.
+    #: Always ``False``: certify searches the exact store only.  Kept in
+    #: the report because the e2e benchmark's certify workload sums it.
     escalated: bool = False
     witness_path: Optional[str] = None
     note: str = ""
@@ -169,9 +165,7 @@ class CertificationReport:
     """One full certification sweep, serializable for CI guards."""
 
     n: int
-    visited: str
     symmetry: bool
-    stop_on_violation: bool = False
     claims: List[ClaimResult] = dataclasses.field(default_factory=list)
     skipped_specs: List[str] = dataclasses.field(default_factory=list)
 
@@ -194,9 +188,7 @@ class CertificationReport:
         return {
             "format": REPORT_FORMAT,
             "n": self.n,
-            "visited": self.visited,
             "symmetry": self.symmetry,
-            "stop_on_violation": self.stop_on_violation,
             "ok": self.ok,
             "total_states": self.total_states,
             "verdicts": self.verdict_counts(),
@@ -257,31 +249,10 @@ class _PointTask:
     n: int
     k: int
     t: int
-    visited: str
     symmetry: bool
     max_states: int
     max_sends: int
     witness_dir: Optional[pathlib.Path]
-    stop_on_violation: bool
-
-
-def _explore_point(
-    task: _PointTask,
-    spec,
-    inputs: Sequence[str],
-    plan: Optional[CrashPlan],
-    visited: str,
-):
-    explore = explore_sm if spec.is_shared_memory else explore_mp
-    return explore(
-        SpecFactory(spec.name, task.n, task.k, task.t),
-        inputs, task.k, task.t, by_code(spec.validity),
-        crash_adversary=plan,
-        max_states=task.max_states,
-        visited=visited,
-        symmetry=task.symmetry,
-        stop_on_violation=task.stop_on_violation,
-    )
 
 
 def _explore_or_abort(
@@ -289,10 +260,9 @@ def _explore_or_abort(
     spec,
     point: PointResult,
     instance: Tuple[str, List[str], Optional[CrashPlan]],
-    visited: str,
 ):
-    """:func:`_explore_point`, or ``None`` after marking the point
-    ``ABORTED`` if the exploration raised.
+    """Explore one instance up to its first violation, or return
+    ``None`` after marking the point ``ABORTED`` if the search raised.
 
     The factory already built once before any exploration, so nothing
     raised here is a region guard: it is the search running out of a
@@ -302,8 +272,16 @@ def _explore_or_abort(
     nothing to build the note with until they are freed.
     """
     label, inputs, plan = instance
+    explore = explore_sm if spec.is_shared_memory else explore_mp
     try:
-        return _explore_point(task, spec, inputs, plan, visited)
+        return explore(
+            SpecFactory(spec.name, task.n, task.k, task.t),
+            inputs, task.k, task.t, by_code(spec.validity),
+            crash_adversary=plan,
+            max_states=task.max_states,
+            symmetry=task.symmetry,
+            stop_on_violation=True,
+        )
     except Exception as exc:
         chained: Optional[BaseException] = exc
         while chained is not None:
@@ -328,83 +306,56 @@ def _note_stats(point: PointResult, result) -> None:
 # per-point certification
 
 
-def _certify_inside(
+def _certify_instances(
     task: _PointTask, spec, point: PointResult,
     instances: List[Tuple[str, List[str], Optional[CrashPlan]]],
 ) -> None:
-    """Inside the claimed region every instance must come back clean."""
-    for instance in instances:
-        label, _, plan = instance
-        result = _explore_or_abort(task, spec, point, instance, task.visited)
-        if result is None:
-            return
-        _note_stats(point, result)
-        if result.violations:
-            point.verdict = "REFUTED"
-            point.note = (
-                f"violation under inputs={label} plan={plan!r}: "
-                f"{sorted(map(sorted, result.violation_kinds()))}"
-            )
-            return
-        if not result.exhausted:
-            point.verdict = "INCONCLUSIVE"
-            point.note = f"state budget hit under inputs={label}"
-            return
-    point.verdict = "CONFIRMED_SOLVABLE"
+    """Settle an explored point at its first violation, or after its
+    last clean instance.
 
-
-def _certify_outside_impossible(
-    task: _PointTask, spec, point: PointResult,
-    instances: List[Tuple[str, List[str], Optional[CrashPlan]]],
-) -> None:
-    """Outside + IMPOSSIBLE: find, re-prove, and save one counterexample."""
+    A violation is replayed through :func:`confirm_exploration` (which
+    raises if it does not replay) and its witness saved; it refutes an
+    inside point and confirms an outside one.
+    """
     for instance in instances:
         label, inputs, plan = instance
-        result = _explore_or_abort(task, spec, point, instance, task.visited)
+        result = _explore_or_abort(task, spec, point, instance)
         if result is None:
             return
         _note_stats(point, result)
-        if not result.violations and task.visited != "exact":
-            # The compact store may have cut the violating branch on a
-            # digest collision; only the exact store may testify to
-            # absence.
-            point.escalated = True
-            result = _explore_or_abort(task, spec, point, instance, "exact")
-            if result is None:
-                return
-            _note_stats(point, result)
         if result.violations:
-            # Re-prove only the first violation: one independently
-            # replayed counterexample certifies the impossibility, and
-            # confirming thousands of equivalent ones would dominate
-            # certification cost.
-            result.violations = result.violations[:1]
-            confirm_exploration(
+            (replay,) = confirm_exploration(
                 result, spec.name, inputs, point.k, point.t,
                 crash_adversary=plan, validity=spec.validity,
             )
             if task.witness_dir is not None:
-                witness = exploration_witnesses(
-                    result, spec.name, inputs, point.k, point.t,
-                    crash_adversary=plan, validity=spec.validity,
-                )[0]
                 path = task.witness_dir / (
                     f"{spec.name}-n{task.n}-k{point.k}-t{point.t}.json"
                 )
                 task.witness_dir.mkdir(parents=True, exist_ok=True)
-                save_witness(witness, path)
+                save_witness(replay.witness, path)
                 point.witness_path = str(path)
-            point.verdict = "COUNTEREXAMPLE_CONFIRMED"
-            point.note = f"inputs={label} plan={plan!r}"
+            if point.inside:
+                point.verdict = "REFUTED"
+                point.note = (
+                    f"violation under inputs={label} plan={plan!r}: "
+                    f"{sorted(map(sorted, result.violation_kinds()))}"
+                )
+            else:
+                point.verdict = "COUNTEREXAMPLE_CONFIRMED"
+                point.note = f"inputs={label} plan={plan!r}"
             return
         if not result.exhausted:
             point.verdict = "INCONCLUSIVE"
             point.note = f"state budget hit under inputs={label}"
             return
-    point.verdict = "COUNTEREXAMPLE_MISSING"
-    point.note = (
-        "no violating schedule within the enumerated instance family"
-    )
+    if point.inside:
+        point.verdict = "CONFIRMED_SOLVABLE"
+    else:
+        point.verdict = "COUNTEREXAMPLE_MISSING"
+        point.note = (
+            "no violating schedule within the enumerated instance family"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +367,12 @@ def certify_claims(
     specs: Optional[Sequence[str]] = None,
     ks: Optional[Sequence[int]] = None,
     ts: Optional[Sequence[int]] = None,
-    visited: str = "exact",
     symmetry: bool = True,
     max_states: int = 500_000,
     jobs: Optional[int] = None,
     max_sends: int = 1,
     witness_dir: Optional[Union[str, pathlib.Path]] = None,
     progress=None,
-    stop_on_violation: bool = False,
 ) -> CertificationReport:
     """Certify ``CLAIMED_REGIONS`` exhaustively at one ``n``.
 
@@ -433,12 +382,8 @@ def certify_claims(
         specs: spec-name filter (default: every claim except the
             ``sim-*`` simulation claims, whose points multiply the grid
             by the simulated protocol's own exploration; name one here
-            to certify it).  A filter that names a spec with no claim,
-            or selects no claim at all, raises :class:`UnknownSpecs`
-            before any point runs.
-        visited: visited-store kind for the underlying explorer,
-            ``"exact"`` or ``"compact"``.  Compact runs escalate absent
-            counterexamples to ``exact``.
+            to certify it).
+        ks, ts: restrict the k and t grids.
         symmetry: enable process-permutation reduction (on by default;
             the explorer drops it automatically where unsound).
         max_states: per-exploration state budget; exceeding it makes a
@@ -449,20 +394,18 @@ def certify_claims(
             every value, including the default serial ``None``.
         max_sends: partial-broadcast crash depth for MP crash plans
             (see :func:`repro.harness.exhaustive.crash_patterns`).
-        witness_dir: when set, counterexample witnesses are saved here.
+        witness_dir: when set, the witness of every reported violation
+            (a counterexample or a refutation) is saved here.
         progress: optional callable invoked as ``progress(message)``
             after every finished point, in grid order (the CLI prints
             these).
-        stop_on_violation: abandon each exploration at its first
-            violation -- outside-region counterexample hunts return at
-            the first hit instead of exploring to exhaustion.
+
+    Raises:
+        InvalidGrid: before any point runs, if ``specs`` names a spec
+            with no claim or selects no claim at all, or ``ks``/``ts``
+            name a k outside ``1..n`` or a negative t.
     """
-    report = CertificationReport(
-        n=n,
-        visited=visited,
-        symmetry=symmetry,
-        stop_on_violation=stop_on_violation,
-    )
+    report = CertificationReport(n=n, symmetry=symmetry)
     directory = pathlib.Path(witness_dir) if witness_dir else None
     wanted = set(specs) if specs is not None else None
     if wanted is not None:
@@ -470,11 +413,17 @@ def certify_claims(
             name for name in wanted if claimed_region_by_spec(name) is None
         )
         if unknown:
-            raise UnknownSpecs(f"no claim for spec(s): {', '.join(unknown)}")
+            raise InvalidGrid(f"no claim for spec(s): {', '.join(unknown)}")
         if not wanted:
-            raise UnknownSpecs("the spec filter selects no claim")
+            raise InvalidGrid("the spec filter selects no claim")
     k_values = list(ks) if ks is not None else list(range(1, n + 1))
     t_values = list(ts) if ts is not None else list(range(n))
+    bad_ks = [k for k in k_values if not 1 <= k <= n]
+    if bad_ks:
+        raise InvalidGrid(f"k must be in 1..{n}, got {bad_ks}")
+    bad_ts = [t for t in t_values if t < 0]
+    if bad_ts:
+        raise InvalidGrid(f"t must be >= 0, got {bad_ts}")
 
     tasks: List[_PointTask] = []
     owners: List[ClaimResult] = []
@@ -502,8 +451,8 @@ def certify_claims(
         for k in k_values:
             for t in t_values:
                 tasks.append(_PointTask(
-                    claim, n, k, t, visited, symmetry, max_states,
-                    max_sends, directory, stop_on_violation,
+                    claim, n, k, t, symmetry, max_states, max_sends,
+                    directory,
                 ))
                 owners.append(result)
 
@@ -581,8 +530,5 @@ def _certify_point(task: _PointTask) -> PointResult:
         for label, inputs in _input_patterns(n)
         for plan in plans
     ]
-    if inside:
-        _certify_inside(task, spec, point, instances)
-    else:
-        _certify_outside_impossible(task, spec, point, instances)
+    _certify_instances(task, spec, point, instances)
     return point

@@ -103,7 +103,7 @@ class TestSweepStatsFallbackField:
     def test_batch_request_records_code_too(self):
         stats = sweep_spec(
             get_spec("chaudhuri@mp-cr"), 5, 2, 1,
-            SweepConfig(runs=4, verify=True), engine="batch",
+            SweepConfig(runs=4, verify=True), engine="auto",
         )
         assert stats.fallback_reason == "verify-oracles"
 

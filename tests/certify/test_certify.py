@@ -4,12 +4,13 @@ Certification is the repo's end-to-end statement that the paper's
 claimed-region table is *checked*, not transcribed: solvable claims come
 back from clean exhaustive sweeps, impossibility claims come back with a
 replayed counterexample.  These tests pin the report format, the verdict
-semantics (including the lossy-store escalation invariant), witness
-replayability, the fan-out of grid points under ``jobs`` (the report is
-identical for every worker count), and the CLI baseline guard used by
-the certify-smoke CI job.
+semantics (every search stops at its first violation, which is replayed
+whether it refutes or confirms), witness replayability, the fan-out of
+grid points under ``jobs`` (the report is identical for every worker
+count), and the CLI baseline guard used by the certify-smoke CI job.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -21,15 +22,16 @@ import weakref
 import pytest
 
 import repro
-import repro.harness.visited as visited_stores
 import repro.verify.certify as certify_module
+from repro.protocols import base
+from repro.runtime.process import Process
 from repro.verify.certify import (
     REPORT_FORMAT,
     VERDICTS,
     CertificationReport,
     ClaimResult,
+    InvalidGrid,
     PointResult,
-    UnknownSpecs,
     certify_claims,
 )
 from repro.verify.witness import load_witness, verify_witness
@@ -113,30 +115,38 @@ class TestWitnesses:
             assert verdict.demonstrates_expected
 
 
-class TestLossyStores:
-    def test_lossy_store_never_flips_an_impossibility_verdict(
-        self, monkeypatch
-    ):
-        """With every digest colliding, the compact store cuts the whole
-        search below the root and finds nothing; the escalation to the
-        exact store must still deliver the counterexample."""
-        monkeypatch.setattr(visited_stores, "_digest64", lambda value: 0)
-        report = certify_claims(
-            n=3, specs=["trivial@mp-cr"], ks=[1], ts=[1], visited="compact",
-        )
-        (point,) = report.claims[0].points
-        assert point.escalated
-        assert point.verdict == "COUNTEREXAMPLE_CONFIRMED"
+class JunkDecider(Process):
+    """Decides a value no process holds, so every run breaks validity."""
 
-    def test_compact_store_agrees_with_exact(self):
-        exact = certify_claims(n=3, specs=["trivial@mp-cr"], ks=[3], ts=[1])
-        compact = certify_claims(
-            n=3, specs=["trivial@mp-cr"], ks=[3], ts=[1], visited="compact",
+    def on_start(self, ctx) -> None:
+        ctx.decide("junk")
+
+
+class TestRefutations:
+    def test_refutations_replay_from_their_witnesses(
+        self, monkeypatch, tmp_path
+    ):
+        """An inside violation is replayed and saved like a
+        counterexample."""
+        spec = dataclasses.replace(
+            base.get_spec("trivial@mp-cr"), make=lambda n, k, t: JunkDecider(),
         )
-        assert (
-            [p.verdict for p in exact.claims[0].points]
-            == [p.verdict for p in compact.claims[0].points]
+        monkeypatch.setitem(base._REGISTRY, spec.name, spec)
+        report = certify_claims(
+            n=3, specs=[spec.name], ks=[3], witness_dir=tmp_path,
         )
+        points = report.claims[0].points
+        assert [(p.t, p.inside, p.verdict) for p in points] == [
+            (t, True, "REFUTED") for t in range(3)
+        ]
+        for point in points:
+            assert point.note.startswith(
+                "violation under inputs=distinct plan=None: "
+            )
+            verdict = verify_witness(load_witness(point.witness_path))
+            assert verdict.deterministic
+            assert verdict.demonstrates_expected
+            assert {v.oracle for v in verdict.violations} == {"validity:SV1"}
 
 
 def _out_of_memory(*args, **kwargs):
@@ -149,7 +159,7 @@ class TestAborted:
 
     @pytest.mark.parametrize("k, inside", [(3, True), (1, False)])
     def test_memory_error_aborts_the_point(self, monkeypatch, k, inside):
-        monkeypatch.setattr(certify_module, "_explore_point", _out_of_memory)
+        monkeypatch.setattr(certify_module, "explore_mp", _out_of_memory)
         report = certify_claims(n=3, specs=["trivial@mp-cr"], ks=[k], ts=[1])
         (point,) = report.claims[0].points
         assert point.inside is inside
@@ -171,7 +181,7 @@ class TestAborted:
                 freed.append(held[0]() is None)
                 return "address space exhausted"
 
-        def exhausted_while_unwinding(*args):
+        def exhausted_while_unwinding(*args, **kwargs):
             search = type("Search", (), {})()
             held.append(weakref.ref(search))
             try:
@@ -180,7 +190,7 @@ class TestAborted:
                 raise Exhausted
 
         monkeypatch.setattr(
-            certify_module, "_explore_point", exhausted_while_unwinding
+            certify_module, "explore_mp", exhausted_while_unwinding
         )
         report = certify_claims(n=3, specs=["trivial@mp-cr"], ks=[3], ts=[1])
         (point,) = report.claims[0].points
@@ -193,14 +203,14 @@ class TestAborted:
     ):
         from repro.cli import main
 
-        explore = certify_module._explore_point
+        explore = certify_module.explore_mp
 
-        def exhausted_at_k1(task, *args):
-            if task.k == 1:
+        def exhausted_at_k1(factory, inputs, k, *args, **kwargs):
+            if k == 1:
                 raise MemoryError
-            return explore(task, *args)
+            return explore(factory, inputs, k, *args, **kwargs)
 
-        monkeypatch.setattr(certify_module, "_explore_point", exhausted_at_k1)
+        monkeypatch.setattr(certify_module, "explore_mp", exhausted_at_k1)
         out = tmp_path / "report.json"
         code = main([
             "certify", "--n", "3", "--specs", "trivial@mp-cr",
@@ -216,18 +226,18 @@ class TestAborted:
 
     @pytest.fixture
     def killed_at_k1(self, monkeypatch):
-        """``_explore_point`` SIGKILLs its own worker at k=1; the forked
+        """The explorer SIGKILLs its own worker at k=1; the forked
         workers inherit the patch."""
-        explore = certify_module._explore_point
+        explore = certify_module.explore_mp
         parent = os.getpid()
 
-        def explore_or_die(task, *args):
-            if task.k == 1:
+        def explore_or_die(factory, inputs, k, *args, **kwargs):
+            if k == 1:
                 assert os.getpid() != parent, "must run in a worker"
                 os.kill(os.getpid(), signal.SIGKILL)
-            return explore(task, *args)
+            return explore(factory, inputs, k, *args, **kwargs)
 
-        monkeypatch.setattr(certify_module, "_explore_point", explore_or_die)
+        monkeypatch.setattr(certify_module, "explore_mp", explore_or_die)
 
     def test_dead_worker_aborts_only_its_point(self, killed_at_k1):
         report = certify_claims(
@@ -284,27 +294,19 @@ class TestAborted:
 
 class TestReportModes:
     def test_early_exit_report(self):
-        """Fanned-out points with early exit certify the same verdicts,
-        and the report records the mode."""
+        """Every search stops at its first violation on the exact store,
+        so the report names neither mode, and a counterexample costs
+        only the states up to it: 13 here, where the full search
+        expands 1,167."""
         report = certify_claims(
-            n=3, specs=["trivial@mp-cr"], ks=[1, 3], ts=[1],
-            visited="compact", jobs=2, stop_on_violation=True,
+            n=3, specs=["protocol-b@mp-cr"], ks=[1], ts=[1],
         )
-        assert report.stop_on_violation
-        verdicts = {
-            (p.k, p.t): p.verdict for p in report.claims[0].points
-        }
-        assert verdicts[(1, 1)] == "COUNTEREXAMPLE_CONFIRMED"
-        assert verdicts[(3, 1)] == "CONFIRMED_SOLVABLE"
+        (point,) = report.claims[0].points
+        assert point.verdict == "COUNTEREXAMPLE_CONFIRMED"
+        assert point.states == 13
         data = report.to_dict()
-        assert data["stop_on_violation"] is True
-        for claim in data["claims"]:
-            for point in claim["points"]:
-                assert "symmetry_reason" in point
-
-    def test_serial_report_records_modes_off(self, trivial_report):
-        data = trivial_report.to_dict()
-        assert data["stop_on_violation"] is False
+        assert "visited" not in data
+        assert "stop_on_violation" not in data
 
     def test_symmetry_refusal_reason_surfaced(self):
         """When symmetry cannot engage, the report says why per point."""
@@ -314,6 +316,18 @@ class TestReportModes:
         (point,) = report.claims[0].points
         # the all-distinct-inputs instance always refuses (trivial group)
         assert "trivial symmetry group" in point.symmetry_reason
+
+
+def _no_point(task):
+    raise AssertionError("a point ran")
+
+
+#: Grid filters no point can satisfy at n=3, and the reason given.
+_INVALID_GRIDS = [
+    (dict(ks=[0]), "k must be in 1..3, got [0]"),
+    (dict(ks=[1, 9]), "k must be in 1..3, got [9]"),
+    (dict(ts=[-1]), "t must be >= 0, got [-1]"),
+]
 
 
 class TestSweepFilters:
@@ -357,15 +371,21 @@ class TestSweepFilters:
                 assert line.startswith(point), (jobs, line)
 
     def test_unknown_spec_is_rejected_before_any_point(self, monkeypatch):
-        def explode(task):
-            raise AssertionError("a point ran")
-
-        monkeypatch.setattr(certify_module, "_certify_point", explode)
-        with pytest.raises(UnknownSpecs, match="nope@mp-cr") as info:
+        monkeypatch.setattr(certify_module, "_certify_point", _no_point)
+        with pytest.raises(InvalidGrid, match="nope@mp-cr") as info:
             certify_claims(n=3, specs=["trivial@mp-cr", "nope@mp-cr"])
         assert "trivial@mp-cr" not in str(info.value)
         with pytest.raises(ValueError, match="selects no claim"):
             certify_claims(n=3, specs=[])
+
+    @pytest.mark.parametrize("grid, reason", _INVALID_GRIDS)
+    def test_invalid_grid_is_rejected_before_any_point(
+        self, monkeypatch, grid, reason
+    ):
+        monkeypatch.setattr(certify_module, "_certify_point", _no_point)
+        with pytest.raises(InvalidGrid) as info:
+            certify_claims(n=3, specs=["trivial@mp-cr"], **grid)
+        assert str(info.value) == reason
 
 
 class TestGridFanOut:
@@ -431,9 +451,7 @@ def _fake_report():
             ),
         ],
     )
-    return CertificationReport(
-        n=3, visited="exact", symmetry=True, claims=[claim],
-    )
+    return CertificationReport(n=3, symmetry=True, claims=[claim])
 
 
 class TestBaselineGuard:
@@ -484,8 +502,6 @@ class TestBaselineGuard:
         assert failures and "missing" in failures[0]
 
     @pytest.mark.parametrize("field, value, line", [
-        ("visited", "compact",
-         "baseline recorded visited=exact, this run used compact"),
         ("symmetry", False,
          "baseline recorded symmetry=True, this run used False"),
         ("n", 4, "baseline recorded n=3, this run used 4"),
@@ -505,10 +521,10 @@ class TestBaselineGuard:
 
         report = _fake_report()
         baseline = _certify_baseline(report)
-        report.visited, report.symmetry = "compact", False
+        report.n, report.symmetry = 4, False
         failures = _check_certify_baseline(report, baseline)
         assert [line.split("=")[0] for line in failures] == [
-            "baseline recorded visited", "baseline recorded symmetry",
+            "baseline recorded n", "baseline recorded symmetry",
         ]
 
 
@@ -554,24 +570,20 @@ class TestCli:
         assert main(argv + ["--check-baseline", str(baseline)]) == 1
         assert "regressed" in capsys.readouterr().out
 
-    def test_compact_run_fails_an_exact_baseline(self, tmp_path, capsys):
+    def test_removed_search_flags_exit_two(self, capsys):
+        """Certify searches the exact store and stops at each search's
+        first violation; the flags that chose otherwise are gone."""
         from repro.cli import main
 
-        baseline = tmp_path / "baseline.json"
-        argv = [
-            "certify", "--n", "3", "--specs", "trivial@mp-cr",
-            "--ks", "3", "--ts", "0", "--quiet",
-        ]
-        assert main(argv + ["--write-baseline", str(baseline)]) == 0
-        assert main(argv + [
-            "--visited", "compact", "--check-baseline", str(baseline),
-        ]) == 1
-        out = capsys.readouterr().out
-        assert (
-            "BASELINE: baseline recorded visited=exact, this run used compact"
-            in out
-        )
-        assert "baseline check passed" not in out
+        for flags in (["--visited", "compact"], ["--stop-on-violation"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([
+                    "certify", "--n", "3", "--specs", "trivial@mp-cr",
+                    "--quiet", *flags,
+                ])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flags)}" in err
 
     def test_unknown_spec_exit_two(self, capsys):
         from repro.cli import main
@@ -581,4 +593,20 @@ class TestCli:
         ]) == 2
         captured = capsys.readouterr()
         assert "nope@mp-cr" in captured.err
+        assert "certified" not in captured.out
+
+    @pytest.mark.parametrize("grid, reason", _INVALID_GRIDS)
+    def test_invalid_grid_exit_two(self, grid, reason, capsys):
+        from repro.cli import main
+
+        flags = [
+            str(value) for name, values in grid.items()
+            for value in [f"--{name}", *values]
+        ]
+        assert main([
+            "certify", "--n", "3", "--specs", "trivial@mp-cr", "--quiet",
+            *flags,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"certify: {reason}\n"
         assert "certified" not in captured.out

@@ -130,8 +130,9 @@ class TestCampaignJson:
         assert Campaign(name="zero", **{field: 0})
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine 'gpu'"):
-            Campaign(name="x", engine="gpu")
+        for engine in ("gpu", "batch"):
+            with pytest.raises(ValueError, match=f"unknown engine '{engine}'"):
+                Campaign(name="x", engine=engine)
 
 
 class TestCampaignShards:

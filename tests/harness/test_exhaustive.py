@@ -183,6 +183,13 @@ class TestCrashPatterns:
         ]
         assert two_victim
 
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_negative_send_depth_rejected(self, t):
+        # Unchecked, -1 drops every partial-broadcast plan at t = 1 and
+        # fails inside CrashPoint at t = 2.
+        with pytest.raises(ValueError, match="max_sends must be >= 0, got -1"):
+            crash_patterns(3, t, max_sends=-1)
+
 
 class TestSharedMemoryExhaustive:
     def test_protocol_e_n2_all_interleavings(self):

@@ -92,16 +92,19 @@ class TestSweepEngine:
     """The ``engine`` parameter: batch dispatch and scalar fallback."""
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_spec(
-                get_spec("chaudhuri@mp-cr"), 5, 2, 1,
-                SweepConfig(runs=2), engine="gpu",
-            )
+        # "batch" names the engine that ran (SweepStats.engine), never a
+        # request.
+        for engine in ("gpu", "batch"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                sweep_spec(
+                    get_spec("chaudhuri@mp-cr"), 5, 2, 1,
+                    SweepConfig(runs=2), engine=engine,
+                )
 
     def test_batch_engine_runs_vectorized(self):
         stats = sweep_spec(
             get_spec("chaudhuri@mp-cr"), 5, 2, 1,
-            SweepConfig(runs=12, seed=4), engine="batch",
+            SweepConfig(runs=12, seed=4), engine="auto",
         )
         assert stats.engine == "batch"
         assert stats.runs == 12
@@ -111,7 +114,7 @@ class TestSweepEngine:
     def test_batch_falls_back_for_shared_memory(self):
         stats = sweep_spec(
             get_spec("protocol-e@sm-cr"), 3, 3, 1,
-            SweepConfig(runs=3, seed=4), engine="batch",
+            SweepConfig(runs=3, seed=4), engine="auto",
         )
         assert stats.engine == "scalar"
         assert "not applicable" in stats.execution
@@ -149,6 +152,6 @@ class TestSweepEngine:
         spec = get_spec("protocol-a@mp-cr")
         config = SweepConfig(runs=24, seed=9)
         scalar = sweep_spec(spec, 6, 3, 3, config)
-        batch = sweep_spec(spec, 6, 3, 3, config, engine="batch")
+        batch = sweep_spec(spec, 6, 3, 3, config, engine="auto")
         assert scalar.clean and batch.clean
         assert scalar.runs == batch.runs

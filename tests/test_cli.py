@@ -93,7 +93,7 @@ class TestSweep:
         ]) == 0
         assert "clean" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["batch", "auto"])
+    @pytest.mark.parametrize("engine", ["auto"])
     def test_batch_sweep_of_no_runs_is_clean(self, engine, capsys):
         argv = ["sweep", "protocol-a@mp-cr", "--n", "6", "--k", "3",
                 "--t", "2", "--runs", "0"]
@@ -496,6 +496,7 @@ class TestCountUsage:
         ["campaign", "--max-shards"],
         ["attack", "trivial@mp-cr", "--n", "3", "--k", "1", "--t", "0",
          "--attempts"],
+        ["certify", "--n", "3", "--max-sends"],
     ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
     def test_negative_count_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
